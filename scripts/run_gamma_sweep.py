@@ -1,43 +1,20 @@
 #!/usr/bin/env python3
 """Reproduce the optimal-step-size experiment.
 
-Sweeps a grid of constant step sizes for the averaged recursion on the
-order-1 spline kernel with the B_2 target, reports the best constant per
-sample size, and fits the log-log slope of the resulting curve (the theory
-says -1/2 for this problem).
+Runs `klms gamma-sweep` on configs/gamma_sweep.cfg (order-1 spline kernel,
+B_2 target, 30 replicates) and writes gamma_sweep.csv; the fitted slope of
+the best constant step should be close to the theory's -1/2. Further flags
+(--config, --out, --grid-min/--grid-max/--grid-points) are passed to
+`klms gamma-sweep` and override these defaults.
 """
 
-import argparse
+import sys
+from pathlib import Path
 
-from klms.harness import (ExperimentConfig, default_gamma_grid, fit_rate,
-                          gamma_sweep, write_sweep_csv)
+from klms.cli import main
 
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=3162)
-    parser.add_argument("--replicates", type=int, default=30)
-    parser.add_argument("--sigma", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="gamma_sweep.csv")
-    args = parser.parse_args()
-
-    config = ExperimentConfig(kernel_order_m=1, target_index_k=2,
-                              noise_sigma=args.sigma, algorithm="ours",
-                              n_max=args.n_max, replicates=args.replicates,
-                              master_seed=args.seed)
-    grid = default_gamma_grid(config.R_sq)
-    rows = gamma_sweep(config, grid)
-    write_sweep_csv(args.out, rows)
-
-    for row in rows:
-        print(f"n={row.n:5d}  best_gamma={row.best_gamma:9.4f}  "
-              f"risk={row.mean_excess_risk:.4e}")
-    fit = fit_rate([(row.n, row.best_gamma) for row in rows])
-    print(f"\nslope of best gamma over the second half: {fit.slope:+.3f} "
-          f"(theory: -0.5)")
-    print(f"wrote {args.out}")
-
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gamma_sweep.cfg"
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(["gamma-sweep", "--config", str(CONFIG), "--out", "gamma_sweep.csv",
+                   *sys.argv[1:]]))

@@ -1,40 +1,23 @@
 #!/usr/bin/env python3
 """Reproduce the predicted-versus-effective rate table.
 
-Runs the four algorithms (averaged large-step, averaged short-step,
-non-averaged short-step, regularized non-averaged) on the four benchmark
-problems and prints predicted and fitted log-log slopes per algorithm.
+Runs `klms compare` on the four benchmark problems and writes one CSV per
+problem, <out-prefix><point>.csv. Every other flag (--n-max, --replicates,
+--seed, --noise, --table-step) is passed to `klms compare` unchanged.
 """
 
 import argparse
+import sys
 
-from klms.harness import TABLE_POINTS, compare_algorithms, write_compare_csv
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=3162)
-    parser.add_argument("--replicates", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--table-step", action="store_true",
-                        help="use the published step exponent for ours at the "
-                             "saturated point instead of the formula value")
-    parser.add_argument("--out-prefix", default="rates_point")
-    args = parser.parse_args()
-
-    for point in sorted(TABLE_POINTS):
-        m, k = TABLE_POINTS[point]
-        rows = compare_algorithms(point, n_max=args.n_max,
-                                  replicates=args.replicates,
-                                  master_seed=args.seed,
-                                  use_table_step=args.table_step)
-        out = f"{args.out_prefix}{point}.csv"
-        write_compare_csv(out, rows)
-        print(f"--- point {point} (kernel order {m}, target B_{k}) -> {out}")
-        for row in rows:
-            print(f"  {row.algorithm:12s} predicted {row.predicted_slope:+.3f}  "
-                  f"effective {row.effective_slope:+.3f}  (rms {row.residual_rms:.3f})")
-
+from klms.cli import main
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out-prefix", default="rates_point")
+    args, rest = parser.parse_known_args()
+    for point in (1, 2, 3, 4):
+        print(f"--- point {point}")
+        code = main(["compare", "--point", str(point),
+                     "--out", f"{args.out_prefix}{point}.csv", *rest])
+        if code:
+            sys.exit(code)

@@ -8,21 +8,19 @@ and rate theory (`theory`), and the experiment harness with its CLI
 (`harness`, `cli`).
 """
 
-from .bernoulli import (BernoulliPoly, bernoulli_fourier_eval, bernoulli_numbers,
-                        bernoulli_poly, bernoulli_poly_coeffs, frac)
+from .bernoulli import (bernoulli_fourier_eval, bernoulli_numbers, bernoulli_poly,
+                        bernoulli_poly_coeffs, frac)
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (AlgorithmSpec, AveragedExpansion, FiniteHorizon,
-                        KernelExpansion, Online, TarresYao, averaged_coefficients,
-                        evaluate, finite_dim_sgd, ridge_solve, sgd_run)
+from .estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion, Online,
+                        TarresYao, averaged_coefficients, evaluate, finite_dim_sgd,
+                        ridge_solve, sgd_run)
 from .harness import (ComparisonRow, ExperimentConfig, RateFit, SweepRow,
                       compare_algorithms, fit_rate, gamma_sweep, parse_config,
                       run_replicates, sample_stream)
 from .kernels import (LinearKernel, PeriodicSplineKernel, eigen_check, gram,
-                      kernel_sup_sq, section_inner, spline_kernel,
-                      spline_kernel_series)
-from .risk import (RiskReport, TargetFunction, excess_risk_closed,
-                   excess_risk_finite_dim, excess_risk_fourier, excess_risk_mc,
-                   kernel_target_inner, target_norm_sq)
+                      kernel_sup_sq, spline_kernel, spline_kernel_series)
+from .risk import (excess_risk_closed, excess_risk_finite_dim, excess_risk_fourier,
+                   excess_risk_mc, kernel_target_inner, target_norm_sq)
 from .theory import (BoundParams, Regime, classify_regime, competitor_rate,
                      finite_horizon_bound, predicted_rate, source_norm_sq_truncated,
                      spectral_s_sq, step_exponent_finite_horizon,

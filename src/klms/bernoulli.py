@@ -18,12 +18,13 @@ suite as an oracle that is independent of the polynomial coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
+
+from .errors import ConfigurationError
 
 # B_8 is needed by the order-4 spline kernel and B_16 by its order-doubled
 # companion; nothing in the package evaluates beyond that.
@@ -37,7 +38,7 @@ def bernoulli_numbers(max_n: int) -> list[Fraction]:
     ``sum_{j=0}^{n} C(n+1, j) b_j = 0`` for n >= 1, with b_0 = 1.
     """
     if max_n < 0:
-        raise ValueError("max_n must be non-negative")
+        raise ConfigurationError("max_n must be non-negative")
     out = [Fraction(1)]
     for n in range(1, max_n + 1):
         acc = sum(Fraction(math.comb(n + 1, j)) * out[j] for j in range(n))
@@ -45,29 +46,13 @@ def bernoulli_numbers(max_n: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class BernoulliPoly:
-    """Exact coefficients of B_degree; ``coeffs[j]`` multiplies x**j."""
-
-    degree: int
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, x):
-        return bernoulli_poly(self.degree, x)
-
-
 @lru_cache(maxsize=None)
 def bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
     """Exact coefficients of B_k, ascending in degree."""
     if not 1 <= k <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {k}")
+        raise ConfigurationError(f"degree must be in 1..{MAX_DEGREE}, got {k}")
     b = bernoulli_numbers(k)
     return tuple(Fraction(math.comb(k, j)) * b[k - j] for j in range(k + 1))
-
-
-@lru_cache(maxsize=None)
-def poly(k: int) -> BernoulliPoly:
-    return BernoulliPoly(k, bernoulli_poly_coeffs(k))
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +99,7 @@ def bernoulli_fourier_eval(k: int, x: float, J: int) -> float:
     the imaginary part of log(1 - e^{2 pi i x}).
     """
     if k < 1 or J < 1:
-        raise ValueError("need k >= 1 and J >= 1")
+        raise ConfigurationError("need k >= 1 and J >= 1")
     u = frac(x)
     j = np.arange(1, J + 1, dtype=float)
     kfac = float(math.factorial(k))

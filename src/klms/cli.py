@@ -5,6 +5,7 @@ Subcommands:
   simulate     run replicates for a config file, write per-replicate CSV
   gamma-sweep  best constant step per sample size, write CSV
   compare      four-algorithm rate comparison on a benchmark point, write CSV
+  bound-check  mean excess risk against the finite-horizon bound, CSV to stdout
   selfcheck    run the oracle-equivalence suites
   bernoulli    evaluate B_k(x)
 
@@ -97,6 +98,14 @@ def _cmd_compare(args) -> int:
     for row in rows:
         print(f"{row.algorithm:12s} predicted {row.predicted_slope:+.3f}  "
               f"effective {row.effective_slope:+.3f}  (rms {row.residual_rms:.3f})")
+    return EXIT_OK
+
+
+def _cmd_bound_check(args) -> int:
+    print("n,empirical,bound,ratio")
+    for row in harness.bound_check(replicates=args.replicates, master_seed=args.seed):
+        print(f"{row.n},{row.empirical:.16e},{row.bound:.16e},"
+              f"{row.empirical / row.bound:.16e}")
     return EXIT_OK
 
 
@@ -257,6 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_compare)
 
+    p = sub.add_parser("bound-check", help="empirical risk against the finite-horizon bound")
+    p.add_argument("--replicates", type=int, default=15)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=_cmd_bound_check)
+
     p = sub.add_parser("selfcheck", help="run the oracle-equivalence suites")
     p.set_defaults(fn=_cmd_selfcheck)
 
@@ -276,7 +290,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigurationError, ValueError) as err:
+    except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -124,54 +124,29 @@ class AlgorithmSpec:
 
 @dataclass
 class KernelExpansion:
-    """g(x) = scale * sum_i coeffs[i] K(centers[i], x)."""
+    """g(x) = sum_i coeffs[i] K(centers[i], x).
+
+    Iterates, averaged iterates and ridge solutions all take this form.
+    """
 
     centers: np.ndarray
     coeffs: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.centers.shape[0] != self.coeffs.shape[0]:
             raise ConfigurationError("centers and coeffs must have equal length")
-        if not self.scale > 0:
-            raise ConfigurationError("scale must be positive")
-
-    @property
-    def folded_coeffs(self) -> np.ndarray:
-        return self.scale * self.coeffs
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
-
-
-@dataclass
-class AveragedExpansion:
-    """Uniform average of the iterates g_0 .. g_n, in coefficient form."""
-
-    centers: np.ndarray
-    avg_coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=float)
-        self.avg_coeffs = np.asarray(self.avg_coeffs, dtype=float)
-        if self.centers.shape[0] != self.avg_coeffs.shape[0]:
-            raise ConfigurationError("centers and avg_coeffs must have equal length")
-
-    @property
-    def folded_coeffs(self) -> np.ndarray:
-        return self.avg_coeffs
-
-    def __len__(self) -> int:
-        return self.avg_coeffs.shape[0]
 
 
 def evaluate(expansion, kernel, x) -> float:
     """Value of the expansion at a point; empty expansions are the zero function."""
     if len(expansion) == 0:
         return 0.0
-    return float(expansion.folded_coeffs @ kernel.pairwise(expansion.centers, x))
+    return float(expansion.coeffs @ kernel.pairwise(expansion.centers, x))
 
 
 def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
@@ -180,10 +155,11 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
     `coeffs` holds each a_i as created at its own step i; `shrinks` holds the
     per-step factors (1 - gamma_k lambda_k) applied to older coefficients at
     step k (all ones when unregularized, which reduces the formula to
-    a_i (n + 1 - i) / (n + 1)).
+    a_i (n + 1 - i) / (n + 1)). A (p, n) stack of coefficient vectors is
+    averaged row by row.
     """
     a = np.asarray(coeffs, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     if n == 0:
         return a.copy()
     if shrinks is None:
@@ -203,10 +179,17 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
             *, gram: Optional[np.ndarray] = None):
     """Run the recursion over the stream, snapshotting at each checkpoint.
 
-    Returns a list of (KernelExpansion, AveragedExpansion) pairs, one per
-    checkpoint (checkpoints must be sorted and within 1..len(stream)). When
-    the same stream is run many times, pass the precomputed Gram matrix of
-    its inputs to skip re-evaluating kernel columns.
+    Serves the schedules whose step at a given index does not depend on the
+    horizon: decreasing (`Online`) and regularized (`TarresYao`) steps, and
+    a single constant step. Constant steps that are chosen per horizon run
+    as one `sgd_constant_grid` pass instead.
+
+    Returns a list of (last iterate, averaged iterate) KernelExpansion
+    pairs, one per checkpoint (checkpoints must be sorted and within
+    1..len(stream)). Each snapshot is a prefix of the run: the checkpoint-n
+    pair depends only on the first n observations. When the same stream is
+    run many times, pass the precomputed Gram matrix of its inputs to skip
+    re-evaluating kernel columns.
     """
     xs, ys = _split_stream(stream)
     n_total = ys.shape[0]
@@ -245,8 +228,8 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
         scale_hist[n - 1] = scale
 
         if n == cps[cp_idx]:
-            last = KernelExpansion(xs[:n].copy(), raw[:n].copy(), scale=scale)
-            avg = AveragedExpansion(
+            last = KernelExpansion(xs[:n].copy(), scale * raw[:n])
+            avg = KernelExpansion(
                 xs[:n].copy(),
                 averaged_coefficients(raw[:n] * scale_hist[:n], shrinks[:n]),
             )
@@ -259,11 +242,19 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
 def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Unregularized recursions for a whole grid of constant step sizes.
 
-    All runs share one stream, so the kernel column of each step is computed
-    once (through the precomputed Gram matrix) and reused across the grid.
-    Returns the (len(gammas), n) coefficient matrix. A run with an unstable
-    step grows without bound inside its own row (eventually overflowing to
-    non-finite values); callers should treat its risk as infinite.
+    Serves every constant-step schedule: the step-size sweep, and the
+    finite-horizon algorithms whose step gamma0 * N**expo is fixed per
+    horizon N (one row per horizon). All runs share one stream, so the
+    kernel column of each step is read once from the precomputed Gram
+    matrix and reused across the grid.
+
+    Returns the (len(gammas), n) matrix of last-iterate coefficients. A row
+    is a prefix-consistent run: its first N entries are the coefficients of
+    the last iterate after N steps with that row's step, for every N <= n,
+    and `averaged_coefficients` of that prefix is the averaged iterate. A
+    run with an unstable step grows without bound inside its own row
+    (eventually overflowing to non-finite values) and never touches the
+    other rows; callers decide whether that is an infinite risk or an error.
     """
     g = np.asarray(gammas, dtype=float)
     n = ys.shape[0]

@@ -1,5 +1,5 @@
 """Experiment harness: data generation, replicate orchestration, step-size
-sweeps, rate fitting, and the four-algorithm comparison.
+sweeps, rate fitting, the four-algorithm comparison, and the bound check.
 
 All randomness flows through numpy SeedSequences built from
 (master_seed, replicate_index, stream_digest), so replicates are independent
@@ -21,8 +21,9 @@ import numpy as np
 from . import risk, theory
 from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (AlgorithmSpec, FiniteHorizon, Online, TarresYao,
-                        ALGORITHM_NAMES, sgd_constant_grid, sgd_run)
+from .estimator import (ALGORITHM_NAMES, DIVERGENCE_LIMIT, AlgorithmSpec,
+                        KernelExpansion, Online, TarresYao, averaged_coefficients,
+                        sgd_constant_grid, sgd_run)
 from .kernels import PeriodicSplineKernel, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
@@ -203,12 +204,8 @@ def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
 
 
 def _snapshot_risk(ctx: _Context, expansion) -> float:
-    n = len(expansion)
-    w = expansion.folded_coeffs
-    if n == 0:
-        return ctx.norm_sq
-    quad = float(w @ ctx.doubled_gram[:n, :n] @ w)
-    return quad - 2.0 * float(w @ ctx.inner[:n]) + ctx.norm_sq
+    return float(risk.closed_form_risk(expansion.coeffs, ctx.doubled_gram, ctx.inner,
+                                       ctx.norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -216,29 +213,18 @@ def _snapshot_risk(ctx: _Context, expansion) -> float:
 # ---------------------------------------------------------------------------
 
 def make_algorithm_spec(name: str, alpha: float, r: float, gamma0: float,
-                        horizon: Optional[int] = None, setting: str = "finite_horizon",
-                        step_exponent: Optional[float] = None) -> AlgorithmSpec:
-    """Configured AlgorithmSpec for one of the four studied algorithms.
-
-    For the horizon-dependent finite-horizon schedules the caller supplies
-    the horizon; `step_exponent` overrides the step exponent of `ours`
-    (used to reproduce a published table value that differs from the
-    formula).
-    """
+                        setting: str) -> AlgorithmSpec:
+    """AlgorithmSpec of the two algorithms that run through `sgd_run`: the
+    regularized tarres_yao, and ours in the online (decreasing-step)
+    setting. The finite-horizon constant-step algorithms run as one
+    `sgd_constant_grid` pass in `_algorithm_curve` and have no spec."""
     if name == "tarres_yao":
         sched = TarresYao(r=r)
         return AlgorithmSpec("tarres_yao", averaged=False, step=sched, reg=sched)
-    if setting == "online":
-        if name != "ours":
-            raise ConfigurationError(f"the online setting is only wired for ours, not {name!r}")
-        zeta = -theory.step_exponent_online(alpha, r)
-        return AlgorithmSpec("ours", averaged=True, step=Online(gamma0, zeta))
-    expo = _fh_step_exponent(name, alpha, r, step_exponent)
-    if expo == 0.0:
-        return _fh_spec(name, gamma0)
-    if horizon is None:
-        raise ConfigurationError(f"{name} needs a horizon for its constant step")
-    return _fh_spec(name, gamma0 * float(horizon) ** expo)
+    if setting != "online" or name != "ours":
+        raise ConfigurationError(f"no sgd_run schedule for {name!r} in the {setting} setting")
+    zeta = -theory.step_exponent_online(alpha, r)
+    return AlgorithmSpec("ours", averaged=True, step=Online(gamma0, zeta))
 
 
 def _fh_step_exponent(name: str, alpha: float, r: float,
@@ -250,42 +236,41 @@ def _fh_step_exponent(name: str, alpha: float, r: float,
     raise ConfigurationError(f"unknown algorithm {name!r}")
 
 
-def _fh_spec(name: str, gamma: float) -> AlgorithmSpec:
-    averaged = name in ("ours", "zhang")
-    return AlgorithmSpec(name, averaged=averaged, step=FiniteHorizon(gamma))
-
-
 def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
                      ctx: _Context, cps: Sequence[int],
                      step_exponent: Optional[float] = None) -> np.ndarray:
     """Excess risk of the algorithm's designated output at each checkpoint,
     for one stream. Averaged algorithms report the averaged iterate, the
-    others the last iterate."""
+    others the last iterate.
+
+    A finite-horizon constant-step algorithm uses the step
+    gamma0 * N**expo for horizon N, so each checkpoint is its own run; all
+    of them share the stream and run as the rows of one constant-step grid,
+    each read up to its own horizon. The first checkpoint whose run holds a
+    non-finite or oversized coefficient raises DivergenceError naming that
+    coefficient's step, as a single run stopped there would.
+    """
     alpha = 2.0 * m
     r = (2.0 * k - 1.0) / (4.0 * m)
-    averaged = name in ("ours", "zhang")
-    stream = (ctx.xs, ctx.ys)
+    if name == "tarres_yao" or setting == "online":
+        spec = make_algorithm_spec(name, alpha, r, gamma0, setting)
+        snaps = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), spec, cps, gram=ctx.gram)
+        return np.array([_snapshot_risk(ctx, avg if spec.averaged else last)
+                         for last, avg in snaps])
 
-    def pick(pair):
-        return pair[1] if averaged else pair[0]
-
-    horizon_free = (
-        name == "tarres_yao"
-        or (name == "ours" and setting == "online")
-        or _fh_step_exponent(name, alpha, r, step_exponent) == 0.0
-    )
-    if horizon_free:
-        spec = make_algorithm_spec(name, alpha, r, gamma0, horizon=None, setting=setting,
-                                   step_exponent=step_exponent)
-        snaps = sgd_run(ctx.kernel, stream, spec, cps, gram=ctx.gram)
-        return np.array([_snapshot_risk(ctx, pick(s)) for s in snaps])
-
+    expo = _fh_step_exponent(name, alpha, r, step_exponent)
+    horizons = np.asarray(cps, dtype=float)
+    coeffs = sgd_constant_grid(ctx.gram, ctx.ys[:cps[-1]], gamma0 * horizons**expo)
     out = np.empty(len(cps))
-    for idx, horizon in enumerate(cps):
-        spec = make_algorithm_spec(name, alpha, r, gamma0, horizon=horizon,
-                                   setting=setting, step_exponent=step_exponent)
-        snap = sgd_run(ctx.kernel, stream, spec, [horizon], gram=ctx.gram)[0]
-        out[idx] = _snapshot_risk(ctx, pick(snap))
+    for i, n in enumerate(cps):
+        w = coeffs[i, :n]
+        bad = ~(np.abs(w) <= DIVERGENCE_LIMIT)
+        if bad.any():
+            step = int(np.argmax(bad))
+            raise DivergenceError(step + 1, abs(w[step]))
+        if name in ("ours", "zhang"):
+            w = averaged_coefficients(w)
+        out[i] = _snapshot_risk(ctx, KernelExpansion(ctx.xs[:n], w))
     return out
 
 
@@ -372,11 +357,9 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
         ctx = _make_context(config.kernel_order_m, config.target_index_k, xs, ys)
         coeffs = sgd_constant_grid(ctx.gram, ys, grid)
         for ci, n in enumerate(cps):
-            weights = np.arange(n, 0, -1) / (n + 1)
-            abar = coeffs[:, :n] * weights
+            abar = averaged_coefficients(coeffs[:, :n])
             with np.errstate(invalid="ignore", over="ignore"):
-                quad = np.einsum("pi,pi->p", abar @ ctx.doubled_gram[:n, :n], abar)
-                sums[ci] += quad - 2.0 * (abar @ ctx.inner[:n]) + ctx.norm_sq
+                sums[ci] += risk.closed_form_risk(abar, ctx.doubled_gram, ctx.inner, ctx.norm_sq)
     means = sums / config.replicates
     rows = []
     for ci, n in enumerate(cps):
@@ -474,6 +457,41 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
                      else theory.competitor_rate(r))
         rows.append(ComparisonRow(name, predicted, fit.slope, fit.residual_rms))
     return rows
+
+
+@dataclass(frozen=True)
+class BoundRow:
+    n: int
+    empirical: float
+    bound: float
+
+
+def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
+    """Mean excess risk of ours next to the evaluable finite-horizon bound at
+    every checkpoint.
+
+    Runs the averaged recursion on the order-1 spline problem with the B_2
+    target (sigma = 0.1, n_max = 3162), with the finite-horizon step
+    exponent and gamma0 = 1/(4 R^2), which satisfies the bound's step-size
+    condition at every horizon. The bound's source norm is evaluated just
+    below its divergence boundary (r = 0.95 r_true), truncated at 1e6
+    frequencies.
+    """
+    m, k = 1, 2
+    R_sq = kernel_sup_sq(m)
+    cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, noise_sigma=0.1,
+                           gamma0=1.0 / (4.0 * R_sq), n_max=3162,
+                           replicates=replicates, master_seed=master_seed)
+    r_eval = 0.95 * cfg.r
+    params = theory.BoundParams(
+        alpha=cfg.alpha, r=r_eval, s_sq=theory.spectral_s_sq(m),
+        sigma_sq=cfg.noise_sigma**2, R_sq=R_sq,
+        source_norm_sq=theory.source_norm_sq_truncated(m, k, r_eval, 10**6))
+    expo = theory.step_exponent_finite_horizon(cfg.alpha, cfg.r)
+    run = run_replicates(cfg)
+    return [BoundRow(n, float(emp),
+                     theory.finite_horizon_bound(n, cfg.gamma0 * n**expo, params))
+            for n, emp in zip(run.checkpoints, run.mean)]
 
 
 # Step exponents as listed in the published experiment table; the entry for

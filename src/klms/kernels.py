@@ -77,17 +77,6 @@ def kernel_sup_sq(m: int) -> float:
     return float(spline_kernel(m, 0.0, 0.0))
 
 
-def section_inner(m: int, x, y):
-    """L2 inner product of two kernel sections, <K_x, K_y>.
-
-    By matching Fourier coefficients this is the order-doubled closed form
-    R_{2m}(x, y); the test suite validates the identity against the truncated
-    series before anything downstream relies on it.
-    """
-    _check_order(m)
-    return _closed_form(2 * m, frac(np.asarray(x, float) - np.asarray(y, float)))
-
-
 @dataclass(frozen=True)
 class PeriodicSplineKernel:
     """Spline kernel of smoothness order m on the circle [0, 1)."""
@@ -118,7 +107,12 @@ class PeriodicSplineKernel:
         return _closed_form(self.m, frac(xs[:, None] - xs[None, :]))
 
     def doubled_gram(self, xs: np.ndarray) -> np.ndarray:
-        """Matrix of section inner products <K_{x_i}, K_{x_j}> in L2."""
+        """Matrix of section inner products <K_{x_i}, K_{x_j}> in L2.
+
+        By matching Fourier coefficients this is the order-doubled closed
+        form R_{2m}(x_i, x_j); the test suite validates the identity against
+        the truncated series before anything downstream relies on it.
+        """
         xs = np.asarray(xs, dtype=float)
         return _closed_form(2 * self.m, frac(xs[:, None] - xs[None, :]))
 

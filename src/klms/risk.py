@@ -18,7 +18,6 @@ allowed to rely on the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,33 +28,6 @@ from .errors import ConfigurationError
 from .kernels import PeriodicSplineKernel, _check_order, _closed_form
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class TargetFunction:
-    """Regression target B_k on [0, 1); zero mean, squared L2 norm cached."""
-
-    k: int
-
-    @property
-    def norm_sq(self) -> float:
-        return target_norm_sq(self.k)
-
-    def __call__(self, x):
-        return bernoulli_poly(self.k, frac(x))
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """An excess-risk value tagged with how it was computed."""
-
-    excess_risk: float
-    method: str  # closed | fourier | monte_carlo
-
-    def __post_init__(self):
-        if self.excess_risk < -1e-12:
-            raise ValueError(f"excess risk unexpectedly negative: {self.excess_risk}")
-        object.__setattr__(self, "excess_risk", max(self.excess_risk, 0.0))
 
 
 def target_norm_sq(k: int) -> float:
@@ -80,6 +52,22 @@ def kernel_target_inner(m: int, k: int, x):
     return scale * bernoulli_poly(2 * m + k, frac(x))
 
 
+def closed_form_risk(coeffs, doubled_gram: np.ndarray, inner: np.ndarray,
+                     norm_sq: float):
+    """w'Dw - 2 w'i + ||B_k||^2 for coefficients w on the first n centers.
+
+    D is the order-doubled Gram matrix and i the vector of target inner
+    products of a stream; both may cover a longer stream than w, in which
+    case only their leading n = w.shape[-1] block is read, so one cached
+    full-stream pair serves every prefix. ``coeffs`` is one coefficient
+    vector (giving a scalar) or a (p, n) stack of them (giving p risks).
+    """
+    w = np.asarray(coeffs, dtype=float)
+    n = w.shape[-1]
+    quad = np.einsum("...i,...i->...", w @ doubled_gram[:n, :n], w)
+    return quad - 2.0 * (w @ inner[:n]) + norm_sq
+
+
 def excess_risk_closed(expansion, m: int, k: int, *,
                        doubled_gram: np.ndarray | None = None,
                        inner: np.ndarray | None = None) -> float:
@@ -87,18 +75,15 @@ def excess_risk_closed(expansion, m: int, k: int, *,
 
     Cost is O(n^2) in the number of centers. Callers evaluating many
     expansions over the same centers can pass the order-doubled Gram matrix
-    and the per-center target inner products to amortize the setup.
+    and the per-center target inner products to amortize the setup (see
+    `closed_form_risk` for the prefix rule).
     """
-    w = expansion.folded_coeffs
-    norm = target_norm_sq(k)
-    if w.shape[0] == 0:
-        return norm
     xs = expansion.centers
     if doubled_gram is None:
         doubled_gram = PeriodicSplineKernel(m).doubled_gram(xs)
     if inner is None:
         inner = kernel_target_inner(m, k, xs)
-    return float(w @ doubled_gram @ w - 2.0 * (w @ inner) + norm)
+    return float(closed_form_risk(expansion.coeffs, doubled_gram, inner, target_norm_sq(k)))
 
 
 def excess_risk_fourier(expansion, m: int, k: int, J: int,
@@ -118,7 +103,7 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int,
     _check_order(m)
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
-    w = expansion.folded_coeffs
+    w = expansion.coeffs
     freqs = np.arange(1, J + 1, dtype=float)
     omega = 2.0 * np.pi * freqs
     kfac = float(math.factorial(k))
@@ -148,7 +133,7 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     if grid_size < 1000:
         raise ConfigurationError("grid_size must be at least 1000")
     ts = np.linspace(0.0, 1.0, grid_size + 1)
-    w = expansion.folded_coeffs
+    w = expansion.coeffs
     if w.shape[0]:
         vals = w @ _closed_form(m, frac(np.asarray(expansion.centers, float)[:, None] - ts[None, :]))
     else:
@@ -166,16 +151,3 @@ def excess_risk_finite_dim(theta, theta_star, covariance) -> float:
         raise ConfigurationError("dimension mismatch")
     d = theta - theta_star
     return float(d @ cov @ d)
-
-
-def risk_report(expansion, m: int, k: int, method: str = "closed", **kwargs) -> RiskReport:
-    """One-shot evaluation wrapped in a RiskReport (tiny negatives clamped)."""
-    if method == "closed":
-        val = excess_risk_closed(expansion, m, k)
-    elif method == "fourier":
-        val = excess_risk_fourier(expansion, m, k, kwargs.pop("J", 10**5))
-    elif method == "monte_carlo":
-        val = excess_risk_mc(expansion, m, k, kwargs.pop("grid_size", 10**5))
-    else:
-        raise ConfigurationError(f"unknown method {method!r}")
-    return RiskReport(val, method)

@@ -1,4 +1,8 @@
-from klms.cli import (EXIT_CONFIG, EXIT_OK, _SELFCHECKS, main)
+import numpy as np
+import pytest
+
+from klms import harness
+from klms.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, _SELFCHECKS, main)
 
 
 def test_theory_subcommand(capsys):
@@ -21,6 +25,18 @@ def test_bernoulli_subcommand(capsys):
 
 def test_bernoulli_bad_degree_is_config_error(capsys):
     assert main(["bernoulli", "--k", "99", "--x", "0"]) == EXIT_CONFIG
+    assert main(["bernoulli", "--k", "20", "--x", "0.5"]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_linalg_error_is_not_a_config_error(monkeypatch):
+    # LinAlgError subclasses ValueError; only ConfigurationError exits 2
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular system")
+
+    monkeypatch.setattr(harness, "compare_algorithms", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["compare", "--point", "1"])
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -38,6 +54,25 @@ def test_simulate_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("horizon = 60\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_simulate_divergence_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algorithm = zhang\ngamma0 = 1e4\nn_max = 60\nreplicates = 2\n")
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "replicate 0 diverged" in err and "replicate 1 diverged" in err
+
+
+def test_bound_check_csv(capsys):
+    assert main(["bound-check", "--replicates", "1", "--seed", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "n,empirical,bound,ratio"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == harness.checkpoint_grid(3162, 20)
+    for n, emp, bound, ratio in rows:
+        assert emp > 0 and bound > 0
+        assert ratio == emp / bound
 
 
 def test_gamma_sweep_subcommand(tmp_path, capsys):

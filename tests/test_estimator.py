@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klms.errors import ConfigurationError, DivergenceError
-from klms.estimator import (AlgorithmSpec, AveragedExpansion, FiniteHorizon,
-                            KernelExpansion, Online, TarresYao,
+from klms.estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
+                            Online, TarresYao,
                             averaged_coefficients, evaluate, finite_dim_sgd,
                             ridge_solve, sgd_constant_grid, sgd_run)
 from klms.kernels import LinearKernel, PeriodicSplineKernel
@@ -73,15 +73,15 @@ class TestRecursion:
     def test_single_step_base_case(self):
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(0.7))
         (last, avg), = sgd_run(K1, (np.array([0.3]), np.array([2.0])), spec, [1])
-        assert last.folded_coeffs[0] == pytest.approx(0.7 * 2.0)
-        assert avg.folded_coeffs[0] == pytest.approx(0.7 * 2.0 / 2.0)
+        assert last.coeffs[0] == pytest.approx(0.7 * 2.0)
+        assert avg.coeffs[0] == pytest.approx(0.7 * 2.0 / 2.0)
 
     def test_zero_targets_stay_zero(self):
         xs = np.random.default_rng(1).random(20)
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1.0))
         (last, avg), = sgd_run(K1, (xs, np.zeros(20)), spec, [20])
-        assert np.all(last.folded_coeffs == 0.0)
-        assert np.all(avg.folded_coeffs == 0.0)
+        assert np.all(last.coeffs == 0.0)
+        assert np.all(avg.coeffs == 0.0)
 
     def test_transcript_oracle_unregularized(self):
         rng = np.random.default_rng(5)
@@ -89,8 +89,8 @@ class TestRecursion:
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(3.0))
         (last, avg), = sgd_run(K1, (xs, ys), spec, [5])
         nc, nav = naive_run(K1, xs, ys, lambda i: 3.0, lambda i: 0.0, 5)
-        assert np.allclose(last.folded_coeffs, nc, atol=1e-14)
-        assert np.allclose(avg.folded_coeffs, nav, atol=1e-14)
+        assert np.allclose(last.coeffs, nc, atol=1e-14)
+        assert np.allclose(avg.coeffs, nav, atol=1e-14)
 
     def test_transcript_oracle_regularized(self):
         rng = np.random.default_rng(6)
@@ -99,8 +99,8 @@ class TestRecursion:
         spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
         (last, avg), = sgd_run(K1, (xs, ys), spec, [40])
         nc, nav = naive_run(K1, xs, ys, ty.step, ty.lam, 40)
-        assert np.allclose(last.folded_coeffs, nc, atol=1e-13)
-        assert np.allclose(avg.folded_coeffs, nav, atol=1e-13)
+        assert np.allclose(last.coeffs, nc, atol=1e-13)
+        assert np.allclose(avg.coeffs, nav, atol=1e-13)
 
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
@@ -108,7 +108,7 @@ class TestRecursion:
         spec = AlgorithmSpec("ours", averaged=True, step=Online(3.0, 0.5))
         (last, _), = sgd_run(K1, (xs, ys), spec, [30])
         nc, _ = naive_run(K1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
-        assert np.allclose(last.folded_coeffs, nc, atol=1e-13)
+        assert np.allclose(last.coeffs, nc, atol=1e-13)
 
     def test_checkpoint_snapshots_prefix_property(self):
         rng = np.random.default_rng(8)
@@ -116,22 +116,22 @@ class TestRecursion:
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(2.0))
         snaps = sgd_run(K1, (xs, ys), spec, [10, 50])
         (short, _), (full, _) = snaps
-        assert np.allclose(short.folded_coeffs, full.folded_coeffs[:10], atol=1e-15)
+        assert np.allclose(short.coeffs, full.coeffs[:10], atol=1e-15)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
         xs, ys = rng.random(25), rng.standard_normal(25)
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1.5))
-        a = sgd_run(K1, (xs, ys), spec, [25])[0][0].folded_coeffs
-        b = sgd_run(K1, (xs, ys), spec, [25])[0][0].folded_coeffs
+        a = sgd_run(K1, (xs, ys), spec, [25])[0][0].coeffs
+        b = sgd_run(K1, (xs, ys), spec, [25])[0][0].coeffs
         assert np.array_equal(a, b)
 
     def test_gram_shortcut_equals_direct(self):
         rng = np.random.default_rng(10)
         xs, ys = rng.random(30), rng.standard_normal(30)
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(2.0))
-        direct = sgd_run(K1, (xs, ys), spec, [30])[0][0].folded_coeffs
-        cached = sgd_run(K1, (xs, ys), spec, [30], gram=K1.gram(xs))[0][0].folded_coeffs
+        direct = sgd_run(K1, (xs, ys), spec, [30])[0][0].coeffs
+        cached = sgd_run(K1, (xs, ys), spec, [30], gram=K1.gram(xs))[0][0].coeffs
         assert np.array_equal(direct, cached)
 
     def test_divergence_diagnostic_names_step(self):
@@ -189,8 +189,8 @@ class TestAveraging:
         spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
         (last, avg), = sgd_run(K1, (xs, ys), spec, [100])
         nc, nav = naive_run(K1, xs, ys, ty.step, ty.lam, 100)
-        assert np.allclose(last.folded_coeffs, nc, atol=1e-12)
-        assert np.allclose(avg.folded_coeffs, nav, atol=1e-12)
+        assert np.allclose(last.coeffs, nc, atol=1e-12)
+        assert np.allclose(avg.coeffs, nav, atol=1e-12)
 
 
 class TestEvaluate:
@@ -209,17 +209,9 @@ class TestEvaluate:
         want = sum(w * K1(x, 0.25) for x, w in zip(xs, ws))
         assert evaluate(exp, K1, 0.25) == pytest.approx(want, abs=1e-14)
 
-    def test_scale_folding(self):
-        exp = KernelExpansion(np.array([0.1]), np.array([2.0]), scale=0.5)
-        assert evaluate(exp, K1, 0.4) == pytest.approx(K1(0.1, 0.4))
-        with pytest.raises(ConfigurationError):
-            KernelExpansion(np.array([0.1]), np.array([2.0]), scale=0.0)
-
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             KernelExpansion(np.array([0.1, 0.2]), np.array([1.0]))
-        with pytest.raises(ConfigurationError):
-            AveragedExpansion(np.array([0.1, 0.2]), np.array([1.0]))
 
 
 class TestRidge:
@@ -294,7 +286,7 @@ class TestConstantGrid:
         for gi, gamma in enumerate(grid):
             spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(float(gamma)))
             (last, _), = sgd_run(K1, (xs, ys), spec, [40])
-            assert np.allclose(coeffs[gi], last.folded_coeffs, atol=1e-12)
+            assert np.allclose(coeffs[gi], last.coeffs, atol=1e-12)
 
     def test_divergent_row_isolated(self):
         xs = np.full(300, 0.5)

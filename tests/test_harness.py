@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from klms.bernoulli import bernoulli_poly
-from klms.errors import ConfigurationError
-from klms.harness import (ComparisonRow, ExperimentConfig,
-                          checkpoint_grid, compare_algorithms,
+from klms.errors import ConfigurationError, DivergenceError
+from klms.estimator import AlgorithmSpec, FiniteHorizon, sgd_run
+from klms.harness import (ComparisonRow, ExperimentConfig, _algorithm_curve,
+                          _make_context, checkpoint_grid, compare_algorithms,
                           default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_compare_csv, write_simulate_csv,
                           write_sweep_csv)
+from klms.theory import step_exponent_finite_horizon
 
 
 class TestSampleStream:
@@ -169,6 +171,38 @@ class TestRunReplicates:
                                replicates=1)
         run = run_replicates(cfg, checkpoints=[60])
         assert np.isfinite(run.mean[0])
+
+    @pytest.mark.parametrize("name", ["ours", "zhang"])
+    def test_divergence_recorded_per_replicate(self, name):
+        cfg = ExperimentConfig(algorithm=name, gamma0=1e4, n_max=60, replicates=2)
+        run = run_replicates(cfg)
+        assert [rep for rep, _ in run.diverged] == [0, 1]
+        assert all("diverged at step" in msg for _, msg in run.diverged)
+        assert np.all(np.isnan(run.per_replicate))
+
+    def test_divergence_names_first_bad_step(self):
+        # oracle: one run per horizon, in checkpoint order, each with its own
+        # constant step; the first run that diverges names the step
+        gamma0 = 1e3
+        cfg = ExperimentConfig(n_max=200)
+        cps = cfg.checkpoints()
+        xs, ys = sample_stream(0, 2, 0.1, 200)
+        ctx = _make_context(1, 2, xs, ys)
+        expo = step_exponent_finite_horizon(cfg.alpha, cfg.r)
+        want = None
+        for horizon in cps:
+            spec = AlgorithmSpec("ours", averaged=True,
+                                 step=FiniteHorizon(gamma0 * horizon**expo))
+            try:
+                sgd_run(ctx.kernel, (xs, ys), spec, [horizon], gram=ctx.gram)
+            except DivergenceError as err:
+                want = err
+                break
+        assert want is not None and horizon > cps[0] and want.step < horizon
+        with pytest.raises(DivergenceError) as got:
+            _algorithm_curve("ours", 1, 2, gamma0, "finite_horizon", ctx, cps)
+        assert got.value.step == want.step
+        assert got.value.value == pytest.approx(want.value, rel=1e-9)
 
     def test_online_competitor_rejected(self):
         cfg = ExperimentConfig(algorithm="zhang", setting="online", n_max=40,

@@ -5,9 +5,8 @@ import pytest
 
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion
-from klms.risk import (RiskReport, TargetFunction, excess_risk_closed,
-                       excess_risk_finite_dim, excess_risk_fourier,
-                       excess_risk_mc, kernel_target_inner, risk_report,
+from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
+                       excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
 
 EMPTY = KernelExpansion(np.zeros(0), np.zeros(0))
@@ -31,11 +30,6 @@ class TestTargetNorm:
             parseval = 2.0 * math.factorial(k) ** 2 * np.sum((2 * np.pi * j) ** (-2 * k))
             tol = 1e-7 if k == 1 else 1e-12
             assert target_norm_sq(k) == pytest.approx(parseval, abs=tol)
-
-    def test_target_function_wrapper(self):
-        t = TargetFunction(2)
-        assert t.norm_sq == pytest.approx(1 / 180)
-        assert t(1.25) == pytest.approx(t(0.25), abs=1e-15)
 
 
 class TestKernelTargetInner:
@@ -162,21 +156,3 @@ class TestFiniteDimRisk:
         with pytest.raises(ConfigurationError):
             excess_risk_finite_dim(np.zeros(2), np.zeros(3), np.eye(3))
 
-
-class TestRiskReport:
-    def test_clamps_tiny_negative(self):
-        rep = RiskReport(-1e-14, "closed")
-        assert rep.excess_risk == 0.0
-
-    def test_rejects_large_negative(self):
-        with pytest.raises(ValueError):
-            RiskReport(-1e-3, "closed")
-
-    def test_wrapper_methods_agree(self):
-        rng = np.random.default_rng(37)
-        exp = random_expansion(rng, max_centers=10)
-        closed = risk_report(exp, 1, 2, "closed")
-        fourier = risk_report(exp, 1, 2, "fourier")
-        assert closed.excess_risk == pytest.approx(fourier.excess_risk, abs=1e-8)
-        with pytest.raises(ConfigurationError):
-            risk_report(exp, 1, 2, "exact")
