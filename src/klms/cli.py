@@ -67,12 +67,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_gamma_sweep(args) -> int:
     config = harness.parse_config(args.config)
-    if args.grid_min is not None and args.grid_max is not None and args.grid_points:
-        if args.grid_min <= 0 or args.grid_max <= args.grid_min:
-            raise ConfigurationError("need 0 < grid-min < grid-max")
-        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
-    else:
+    bounds = (args.grid_min, args.grid_max, args.grid_points)
+    if all(v is None for v in bounds):
         grid = harness.default_gamma_grid(config.R_sq)
+    elif any(v is None for v in bounds):
+        raise ConfigurationError("give all of --grid-min, --grid-max, --grid-points or none")
+    elif args.grid_min <= 0 or args.grid_max <= args.grid_min or args.grid_points < 1:
+        raise ConfigurationError("need 0 < grid-min < grid-max and grid-points >= 1")
+    else:
+        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     rows = harness.gamma_sweep(config, grid)
     if args.out:
         harness.write_sweep_csv(args.out, rows)

@@ -8,7 +8,8 @@ so g_n = sum_i a_i K_{x_i}. A regularized variant additionally shrinks all
 previous coefficients by (1 - gamma_n lambda_n); that multiplication is
 carried in a single global scale factor so each step stays O(n). The
 averaged output is g_bar_n = (g_0 + ... + g_n) / (n + 1), maintained in
-coefficient form as well.
+coefficient form as well. `sgd_constant_grid` is the one loop over a kernel
+expansion; `sgd_run` and the harness call it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class TarresYao:
     lambda_i = (1/a) (n0 + i)^{-1/(2r+1)}.
 
     The index shift n0 keeps the first steps finite; a >= 4 in the source
-    analysis and we default to the smallest allowed value.
+    analysis and we default to the smallest allowed value. Since
+    gamma_i lambda_i = 1 / (n0 + i), n0 >= 1 keeps every shrink factor
+    1 - gamma_i lambda_i at least 1/2.
     """
 
     r: float
@@ -80,8 +83,8 @@ class TarresYao:
             raise ConfigurationError("r must be positive")
         if self.a < 4.0:
             raise ConfigurationError("the schedule requires a >= 4")
-        if self.n0 < 0:
-            raise ConfigurationError("n0 must be non-negative")
+        if self.n0 < 1:
+            raise ConfigurationError("n0 must be at least 1")
 
     def step(self, i: int) -> float:
         return self.a * (self.n0 + i) ** (-2.0 * self.r / (2.0 * self.r + 1.0))
@@ -177,93 +180,103 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 
 def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
             *, gram: Optional[np.ndarray] = None):
-    """Run the recursion over the stream, snapshotting at each checkpoint.
+    """Run one schedule over the stream, snapshotting at each checkpoint.
 
-    Serves the schedules whose step at a given index does not depend on the
-    horizon: decreasing (`Online`) and regularized (`TarresYao`) steps, and
-    a single constant step. Constant steps that are chosen per horizon run
-    as one `sgd_constant_grid` pass instead.
-
-    Returns a list of (last iterate, averaged iterate) KernelExpansion
-    pairs, one per checkpoint (checkpoints must be sorted and within
-    1..len(stream)). Each snapshot is a prefix of the run: the checkpoint-n
-    pair depends only on the first n observations. When the same stream is
-    run many times, pass the precomputed Gram matrix of its inputs to skip
-    re-evaluating kernel columns.
+    A thin wrapper over a one-row `sgd_constant_grid` call with the spec's
+    per-step sizes and, for a regularized spec, its shrink factors. Returns
+    a list of (last iterate, averaged iterate) KernelExpansion pairs, one
+    per checkpoint (checkpoints must be sorted and within 1..len(stream)).
+    Each snapshot is a prefix of the run: the checkpoint-n pair depends only
+    on the first n observations. When the same stream is run many times,
+    pass the precomputed Gram matrix of its inputs; otherwise it is built
+    from `kernel.gram`. A non-finite or oversized coefficient at any step up
+    to the last checkpoint raises DivergenceError naming that step.
     """
     xs, ys = _split_stream(stream)
-    n_total = ys.shape[0]
     cps = list(checkpoints)
     if not cps or any(c2 <= c1 for c1, c2 in zip(cps, cps[1:])):
         raise ConfigurationError("checkpoints must be non-empty and strictly increasing")
-    if cps[0] < 1 or cps[-1] > n_total:
+    if cps[0] < 1 or cps[-1] > ys.shape[0]:
         raise ConfigurationError("checkpoints must lie within 1..len(stream)")
 
     n_run = cps[-1]
-    raw = np.zeros(n_run)       # b_i = a_i / S_i, so current coefficients are S_n * b
-    shrinks = np.ones(n_run)
-    scale_hist = np.ones(n_run)
-    scale = 1.0
-    snapshots = []
-    cp_idx = 0
-
-    for n in range(1, n_run + 1):
-        gamma = spec.step.step(n)
-        if gram is not None:
-            # contiguous copy so the dot product reduces exactly like the
-            # directly evaluated column would
-            col = np.ascontiguousarray(gram[: n - 1, n - 1])
-        else:
-            col = kernel.pairwise(xs[: n - 1], xs[n - 1])
-        pred = scale * float(raw[: n - 1] @ col) if n > 1 else 0.0
-        a_n = -gamma * (pred - ys[n - 1])
-        if not np.isfinite(a_n) or abs(a_n) > DIVERGENCE_LIMIT:
-            raise DivergenceError(n, abs(a_n))
-        if spec.reg is not None:
-            shrinks[n - 1] = 1.0 - gamma * spec.reg.lam(n)
-            scale *= shrinks[n - 1]
-            if not scale > 0.0:
-                raise DivergenceError(n, scale)
-        raw[n - 1] = a_n / scale
-        scale_hist[n - 1] = scale
-
-        if n == cps[cp_idx]:
-            last = KernelExpansion(xs[:n].copy(), scale * raw[:n])
-            avg = KernelExpansion(
-                xs[:n].copy(),
-                averaged_coefficients(raw[:n] * scale_hist[:n], shrinks[:n]),
-            )
-            snapshots.append((last, avg))
-            cp_idx += 1
-
-    return snapshots
+    if gram is None:
+        gram = kernel.gram(xs[:n_run])
+    steps, shrinks = schedule(spec.step, n_run, spec.reg)
+    row = sgd_constant_grid(gram, ys[:n_run], steps, shrinks)[0]
+    return [(KernelExpansion(xs[:n], prefix_iterate(row, n, False, shrinks)),
+             KernelExpansion(xs[:n], prefix_iterate(row, n, True, shrinks)))
+            for n in cps]
 
 
-def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Unregularized recursions for a whole grid of constant step sizes.
+def schedule(step: StepSchedule, n: int, reg: Optional[TarresYao] = None):
+    """One `sgd_constant_grid` row of per-step sizes gamma_1..gamma_n, shape
+    (1, n), and the shrinks 1 - gamma_i lambda_i of `reg` (None without)."""
+    steps = np.array([[step.step(i) for i in range(1, n + 1)]])
+    if reg is None:
+        return steps, None
+    return steps, 1.0 - steps[0] * np.array([reg.lam(i) for i in range(1, n + 1)])
 
-    Serves every constant-step schedule: the step-size sweep, and the
-    finite-horizon algorithms whose step gamma0 * N**expo is fixed per
-    horizon N (one row per horizon). All runs share one stream, so the
-    kernel column of each step is read once from the precomputed Gram
-    matrix and reused across the grid.
 
-    Returns the (len(gammas), n) matrix of last-iterate coefficients. A row
-    is a prefix-consistent run: its first N entries are the coefficients of
-    the last iterate after N steps with that row's step, for every N <= n,
-    and `averaged_coefficients` of that prefix is the averaged iterate. A
-    run with an unstable step grows without bound inside its own row
-    (eventually overflowing to non-finite values) and never touches the
-    other rows; callers decide whether that is an infinite risk or an error.
+def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
+                      shrinks: Optional[np.ndarray] = None) -> np.ndarray:
+    """The kernel recursion for a grid of step-size schedules on one stream;
+    every run in the package goes through this loop.
+
+    `gammas` holds one constant step per row, shape (rows,): the step-size
+    sweep, or the finite-horizon steps gamma0 * N**expo with one row per
+    horizon N. Or it holds per-step sizes, shape (rows, n): the horizon-free
+    schedules. Step i reads the contiguous row gram[i, :i] once for all rows.
+    `shrinks`, shared by all rows, multiplies every older coefficient by
+    shrinks[i] at step i; the product S_i = shrinks[0] * ... * shrinks[i] is
+    carried as one global scale, so the (rows, n) result holds raw
+    coefficients b: a_i = S_i b_i was created at step i and S_N b[:N] is the
+    last iterate after N steps (without shrinks, b = a). `prefix_iterate`
+    reads the last or averaged iterate off a row prefix.
+
+    The first N entries of a row depend only on the first N observations. A
+    run with an unstable step grows inside its own row until it overflows to
+    non-finite values, never touching the other rows; callers decide whether
+    that is an infinite risk or an error.
     """
-    g = np.asarray(gammas, dtype=float)
     n = ys.shape[0]
+    g = np.asarray(gammas, dtype=float)
+    if g.ndim == 1:
+        g = g[:, None]
+    steps = np.broadcast_to(g, (g.shape[0], n))
+    scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
     coeffs = np.zeros((g.shape[0], n))
+    prev = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            preds = coeffs[:, :i] @ gram[:i, i]
-            coeffs[:, i] = -g * (preds - ys[i])
+            preds = prev * (coeffs[:, :i] @ gram[i, :i])
+            coeffs[:, i] = -steps[:, i] * (preds - ys[i]) / scales[i]
+            prev = scales[i]
     return coeffs
+
+
+def prefix_iterate(row: np.ndarray, n: int, averaged: bool,
+                   shrinks: Optional[np.ndarray] = None) -> np.ndarray:
+    """Last or averaged iterate after n steps of an `sgd_constant_grid` row
+    run with `shrinks`; a bad coefficient among the n raises DivergenceError."""
+    if shrinks is None:
+        _raise_on_divergence(row[:n])
+        return averaged_coefficients(row[:n]) if averaged else row[:n]
+    scales = np.cumprod(shrinks[:n])
+    created = row[:n] * scales
+    _raise_on_divergence(created)
+    if averaged:
+        return averaged_coefficients(created, shrinks[:n])
+    return scales[-1] * row[:n]
+
+
+def _raise_on_divergence(coeffs: np.ndarray) -> None:
+    """Raise DivergenceError(step, |a|) for the first coefficient, created at
+    that (1-based) step, that is non-finite or exceeds DIVERGENCE_LIMIT."""
+    bad = ~(np.abs(coeffs) <= DIVERGENCE_LIMIT)
+    if bad.any():
+        step = int(np.argmax(bad))
+        raise DivergenceError(step + 1, abs(float(coeffs[step])))
 
 
 def _split_stream(stream):
@@ -310,13 +323,13 @@ def finite_dim_sgd(stream, gamma: float) -> np.ndarray:
     theta_0 = 0, theta_1, ..., theta_n.
     """
     xs, ys = _split_stream(stream)
-    d = xs.shape[1]
-    theta = np.zeros(d)
-    total = np.zeros(d)
-    for n in range(ys.shape[0]):
-        a_n = -gamma * (float(theta @ xs[n]) - ys[n])
-        if not np.isfinite(a_n) or abs(a_n) > DIVERGENCE_LIMIT:
-            raise DivergenceError(n + 1, abs(a_n))
-        theta = theta + a_n * xs[n]
-        total += theta
-    return total / (ys.shape[0] + 1)
+    n = ys.shape[0]
+    theta, total = np.zeros(xs.shape[1]), np.zeros(xs.shape[1])
+    created = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            created[i] = -gamma * (float(theta @ xs[i]) - ys[i])
+            theta = theta + created[i] * xs[i]
+            total += theta
+    _raise_on_divergence(created)
+    return total / (n + 1)

@@ -21,9 +21,9 @@ import numpy as np
 from . import risk, theory
 from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (ALGORITHM_NAMES, DIVERGENCE_LIMIT, AlgorithmSpec,
-                        KernelExpansion, Online, TarresYao, averaged_coefficients,
-                        sgd_constant_grid, sgd_run)
+from .estimator import (ALGORITHM_NAMES, KernelExpansion, Online, TarresYao,
+                        averaged_coefficients, prefix_iterate, schedule,
+                        sgd_constant_grid)
 from .kernels import PeriodicSplineKernel, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
@@ -212,66 +212,63 @@ def _snapshot_risk(ctx: _Context, expansion) -> float:
 # algorithm presets
 # ---------------------------------------------------------------------------
 
-def make_algorithm_spec(name: str, alpha: float, r: float, gamma0: float,
-                        setting: str) -> AlgorithmSpec:
-    """AlgorithmSpec of the two algorithms that run through `sgd_run`: the
-    regularized tarres_yao, and ours in the online (decreasing-step)
-    setting. The finite-horizon constant-step algorithms run as one
-    `sgd_constant_grid` pass in `_algorithm_curve` and have no spec."""
+def _algorithm_schedule(name: str, alpha: float, r: float, gamma0: float, setting: str,
+                        cps: Sequence[int], override: Optional[float]):
+    """Step sizes and shrinks of the algorithm's `sgd_constant_grid` rows.
+
+    The finite-horizon constant-step algorithms (ours, zhang, ying_pontil)
+    use the step gamma0 * N**expo for horizon N: one row per checkpoint.
+    tarres_yao (regularized) and ours online (decreasing steps) are one row.
+    """
     if name == "tarres_yao":
         sched = TarresYao(r=r)
-        return AlgorithmSpec("tarres_yao", averaged=False, step=sched, reg=sched)
-    if setting != "online" or name != "ours":
-        raise ConfigurationError(f"no sgd_run schedule for {name!r} in the {setting} setting")
-    zeta = -theory.step_exponent_online(alpha, r)
-    return AlgorithmSpec("ours", averaged=True, step=Online(gamma0, zeta))
-
-
-def _fh_step_exponent(name: str, alpha: float, r: float,
-                      override: Optional[float]) -> float:
+        return schedule(sched, cps[-1], sched)
+    if setting == "online":
+        if name != "ours":
+            raise ConfigurationError(f"{name!r} has no online schedule")
+        return schedule(Online(gamma0, -theory.step_exponent_online(alpha, r)), cps[-1])
     if name == "ours":
-        return override if override is not None else theory.step_exponent_finite_horizon(alpha, r)
-    if name in ("zhang", "ying_pontil"):
-        return -2.0 * r / (2.0 * r + 1.0)
-    raise ConfigurationError(f"unknown algorithm {name!r}")
+        expo = override if override is not None else theory.step_exponent_finite_horizon(alpha, r)
+    elif name in ("zhang", "ying_pontil"):
+        expo = -2.0 * r / (2.0 * r + 1.0)
+    else:
+        raise ConfigurationError(f"unknown algorithm {name!r}")
+    return gamma0 * np.asarray(cps, dtype=float)**expo, None
 
 
 def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
                      ctx: _Context, cps: Sequence[int],
                      step_exponent: Optional[float] = None) -> np.ndarray:
     """Excess risk of the algorithm's designated output at each checkpoint,
-    for one stream. Averaged algorithms report the averaged iterate, the
-    others the last iterate.
+    for one stream. Averaged algorithms (ours, zhang) report the averaged
+    iterate, the others the last iterate.
 
-    A finite-horizon constant-step algorithm uses the step
-    gamma0 * N**expo for horizon N, so each checkpoint is its own run; all
-    of them share the stream and run as the rows of one constant-step grid,
-    each read up to its own horizon. The first checkpoint whose run holds a
-    non-finite or oversized coefficient raises DivergenceError naming that
-    coefficient's step, as a single run stopped there would.
+    Every algorithm is one `sgd_constant_grid` call: a finite-horizon
+    schedule has one row per checkpoint, each read up to its own horizon; a
+    horizon-free schedule has one row, read at every checkpoint prefix. The
+    first checkpoint whose prefix holds a non-finite or oversized coefficient
+    raises DivergenceError naming that coefficient's step.
     """
     alpha = 2.0 * m
     r = (2.0 * k - 1.0) / (4.0 * m)
-    if name == "tarres_yao" or setting == "online":
-        spec = make_algorithm_spec(name, alpha, r, gamma0, setting)
-        snaps = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), spec, cps, gram=ctx.gram)
-        return np.array([_snapshot_risk(ctx, avg if spec.averaged else last)
-                         for last, avg in snaps])
+    steps, shrinks = _algorithm_schedule(name, alpha, r, gamma0, setting, cps, step_exponent)
+    rows = sgd_constant_grid(ctx.gram, ctx.ys[:cps[-1]], steps, shrinks)
+    averaged = name in ("ours", "zhang")
+    # row i serves checkpoint i; a single horizon-free row serves them all
+    return np.array([
+        _snapshot_risk(ctx, KernelExpansion(
+            ctx.xs[:n], prefix_iterate(rows[min(i, len(rows) - 1)], n, averaged, shrinks)))
+        for i, n in enumerate(cps)])
 
-    expo = _fh_step_exponent(name, alpha, r, step_exponent)
-    horizons = np.asarray(cps, dtype=float)
-    coeffs = sgd_constant_grid(ctx.gram, ctx.ys[:cps[-1]], gamma0 * horizons**expo)
-    out = np.empty(len(cps))
-    for i, n in enumerate(cps):
-        w = coeffs[i, :n]
-        bad = ~(np.abs(w) <= DIVERGENCE_LIMIT)
-        if bad.any():
-            step = int(np.argmax(bad))
-            raise DivergenceError(step + 1, abs(w[step]))
-        if name in ("ours", "zhang"):
-            w = averaged_coefficients(w)
-        out[i] = _snapshot_risk(ctx, KernelExpansion(ctx.xs[:n], w))
-    return out
+
+def _replicate_contexts(config: ExperimentConfig):
+    """Yield the context of each replicate's stream, seeded by
+    (master_seed, replicate index, stream digest)."""
+    digest = config.stream_digest()
+    for rep in range(config.replicates):
+        xs, ys = sample_stream(replicate_seed(config.master_seed, rep, digest),
+                               config.target_index_k, config.noise_sigma, config.n_max)
+        yield _make_context(config.kernel_order_m, config.target_index_k, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +295,10 @@ def run_replicates(config: ExperimentConfig,
     (index, message) lands in ``diverged``) rather than silently dropped.
     """
     cps = list(checkpoints) if checkpoints is not None else config.checkpoints()
-    digest = config.stream_digest()
     gamma0 = config.effective_gamma0()
     rows = np.full((config.replicates, len(cps)), np.nan)
     diverged: list[tuple[int, str]] = []
-    for rep in range(config.replicates):
-        xs, ys = sample_stream(replicate_seed(config.master_seed, rep, digest),
-                               config.target_index_k, config.noise_sigma, config.n_max)
-        ctx = _make_context(config.kernel_order_m, config.target_index_k, xs, ys)
+    for rep, ctx in enumerate(_replicate_contexts(config)):
         try:
             rows[rep] = _algorithm_curve(config.algorithm, config.kernel_order_m,
                                          config.target_index_k, gamma0, config.setting,
@@ -349,13 +342,9 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
     cps = list(n_values) if n_values is not None else config.checkpoints()
     if cps[-1] > config.n_max or cps[0] < 1:
         raise ConfigurationError("n_values must lie within 1..n_max")
-    digest = config.stream_digest()
     sums = np.zeros((len(cps), grid.size))
-    for rep in range(config.replicates):
-        xs, ys = sample_stream(replicate_seed(config.master_seed, rep, digest),
-                               config.target_index_k, config.noise_sigma, config.n_max)
-        ctx = _make_context(config.kernel_order_m, config.target_index_k, xs, ys)
-        coeffs = sgd_constant_grid(ctx.gram, ys, grid)
+    for ctx in _replicate_contexts(config):
+        coeffs = sgd_constant_grid(ctx.gram, ctx.ys, grid)
         for ci, n in enumerate(cps):
             abar = averaged_coefficients(coeffs[:, :n])
             with np.errstate(invalid="ignore", over="ignore"):
@@ -438,12 +427,9 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     gamma0 = cfg.effective_gamma0()
     override = _TABLE_STEP_EXPONENTS.get((m, k)) if use_table_step else None
     cps = cfg.checkpoints()
-    digest = cfg.stream_digest()
 
     sums = {name: np.zeros(len(cps)) for name in ALGORITHM_NAMES}
-    for rep in range(replicates):
-        xs, ys = sample_stream(replicate_seed(master_seed, rep, digest), k, noise_sigma, n_max)
-        ctx = _make_context(m, k, xs, ys)
+    for ctx in _replicate_contexts(cfg):
         for name in ALGORITHM_NAMES:
             expo = override if name == "ours" else None
             sums[name] += _algorithm_curve(name, m, k, gamma0, "finite_horizon",

@@ -1,4 +1,4 @@
-"""Periodic spline kernels on [0, 1), a linear kernel, and Gram machinery.
+"""Periodic spline kernels on [0, 1), a linear kernel, and their Gram matrices.
 
 The order-m spline kernel is the reproducing kernel of zero-mean 1-periodic
 functions with m-th derivative in L2. It is translation invariant with the
@@ -103,8 +103,11 @@ class PeriodicSplineKernel:
         return _closed_form(self.m, frac(np.asarray(xs, float) - x))
 
     def gram(self, xs: np.ndarray) -> np.ndarray:
+        """K(x_i, x_j), evaluated at {x_j - x_i}: for m >= 2 the closed form
+        is symmetric only up to rounding, and this way row gram[i, :i] (what
+        the recursion reads) equals pairwise(xs[:i], xs[i]) bit for bit."""
         xs = np.asarray(xs, dtype=float)
-        return _closed_form(self.m, frac(xs[:, None] - xs[None, :]))
+        return _closed_form(self.m, frac(xs[None, :] - xs[:, None]))
 
     def doubled_gram(self, xs: np.ndarray) -> np.ndarray:
         """Matrix of section inner products <K_{x_i}, K_{x_j}> in L2.
@@ -132,14 +135,6 @@ class LinearKernel:
     def gram(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return xs @ xs.T
-
-
-def gram(kernel, xs) -> np.ndarray:
-    """Symmetric matrix of pairwise kernel evaluations K(x_i, x_j)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape[0] == 0:
-        raise ConfigurationError("gram needs at least one point")
-    return kernel.gram(xs)
 
 
 def eigen_check(m: int, i: int, s: float, quad_points: int, sine: bool = False):

@@ -86,6 +86,21 @@ def test_gamma_sweep_subcommand(tmp_path, capsys):
     assert lines[0] == "n,best_gamma,mean_excess_risk"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid-min", "1", "--grid-points", "0"],
+    ["--grid-min", "1"],
+    ["--grid-max", "12", "--grid-points", "3"],
+    ["--grid-min", "1", "--grid-max", "12", "--grid-points", "0"],
+    ["--grid-min", "12", "--grid-max", "1", "--grid-points", "3"],
+])
+def test_gamma_sweep_partial_grid_is_config_error(tmp_path, capsys, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 60\nreplicates = 1\nn_checkpoints = 4\n")
+    assert main(["gamma-sweep", "--config", str(cfg), *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
 def test_compare_subcommand(capsys):
     code = main(["compare", "--point", "4", "--n-max", "80", "--replicates", "1",
                  "--noise", "0.1"])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
                             Online, TarresYao,
                             averaged_coefficients, evaluate, finite_dim_sgd,
-                            ridge_solve, sgd_constant_grid, sgd_run)
+                            ridge_solve, schedule, sgd_constant_grid, sgd_run)
 from klms.kernels import LinearKernel, PeriodicSplineKernel
 
 K1 = PeriodicSplineKernel(1)
@@ -57,6 +58,9 @@ class TestSchedules:
             Online(1.0, 1.0)
         with pytest.raises(ConfigurationError):
             TarresYao(r=0.5, a=2.0)
+        # n0 = 0 would make the first shrink 1 - gamma_1 lambda_1 = 0
+        with pytest.raises(ConfigurationError):
+            TarresYao(r=0.5, n0=0)
 
     def test_spec_invariants(self):
         with pytest.raises(ConfigurationError):
@@ -284,9 +288,8 @@ class TestConstantGrid:
         grid = np.array([0.5, 2.0, 6.0])
         coeffs = sgd_constant_grid(K1.gram(xs), ys, grid)
         for gi, gamma in enumerate(grid):
-            spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(float(gamma)))
-            (last, _), = sgd_run(K1, (xs, ys), spec, [40])
-            assert np.allclose(coeffs[gi], last.coeffs, atol=1e-12)
+            last, _ = naive_run(K1, xs, ys, lambda i: gamma, lambda i: 0.0, 40)
+            assert np.allclose(coeffs[gi], last, atol=1e-12)
 
     def test_divergent_row_isolated(self):
         xs = np.full(300, 0.5)
@@ -298,3 +301,51 @@ class TestConstantGrid:
         # the unstable row blows past any useful magnitude and overflows,
         # without contaminating the stable row
         assert not np.all(np.isfinite(coeffs[1]))
+
+
+class TestTriangularOracle:
+    """The raw coefficients b of a grid row (a_i = S_i b_i, S the running
+    product of the shrinks) solve the lower-triangular system
+
+        (diag(S) + diag(gamma * S_prev) tril(K, -1)) b = gamma * y,
+
+    with S_prev = (1, S_1, ..., S_{n-1}); LAPACK's forward substitution is an
+    oracle that shares no code with the recursion."""
+
+    @given(n=st.integers(1, 200), kind=st.sampled_from(["constant", "online", "tarres_yao"]),
+           m=st.integers(1, 2), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_solve_the_triangular_system(self, n, kind, m, seed):
+        rng = np.random.default_rng(seed)
+        kernel = PeriodicSplineKernel(m)
+        xs, ys = rng.random(n), rng.standard_normal(n)
+        gram = kernel.gram(xs)
+        shrinks = None
+        if kind == "constant":
+            # several constant rows in one pass, stable up to gamma R^2 = 1
+            steps = rng.uniform(0.05, 1.0, 3) / kernel.sup_sq
+            coeffs = sgd_constant_grid(gram, ys, steps)
+            steps = np.repeat(steps[:, None], n, axis=1)
+        else:
+            if kind == "online":
+                sched, reg = Online(rng.uniform(0.05, 1.0) / kernel.sup_sq, rng.uniform(0, 0.9)), None
+            else:
+                sched = reg = TarresYao(r=rng.uniform(0.25, 2.0))
+            steps, shrinks = schedule(sched, n, reg)
+            coeffs = sgd_constant_grid(gram, ys, steps, shrinks)
+        scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
+        prev = np.concatenate([[1.0], scales[:-1]])
+        for row, b in zip(steps, coeffs):
+            system = np.diag(scales) + (row * prev)[:, None] * np.tril(gram, -1)
+            want = solve_triangular(system, row * ys, lower=True)
+            assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sgd_run_is_one_row(self):
+        rng = np.random.default_rng(13)
+        xs, ys = rng.random(80), rng.standard_normal(80)
+        ty = TarresYao(r=0.75)
+        spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
+        (last, _), = sgd_run(K1, (xs, ys), spec, [80])
+        steps, shrinks = schedule(ty, 80, ty)
+        b = sgd_constant_grid(K1.gram(xs), ys, steps, shrinks)[0]
+        assert np.array_equal(last.coeffs, np.cumprod(shrinks)[-1] * b)

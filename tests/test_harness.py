@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from klms.bernoulli import bernoulli_poly
 from klms.errors import ConfigurationError, DivergenceError
-from klms.estimator import AlgorithmSpec, FiniteHorizon, sgd_run
+from klms.estimator import DIVERGENCE_LIMIT
 from klms.harness import (ComparisonRow, ExperimentConfig, _algorithm_curve,
-                          _make_context, checkpoint_grid, compare_algorithms,
-                          default_gamma_grid, fit_rate, gamma_sweep,
+                          _make_context, _replicate_contexts, checkpoint_grid,
+                          compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_compare_csv, write_simulate_csv,
                           write_sweep_csv)
@@ -31,6 +32,16 @@ class TestSampleStream:
     def test_inputs_in_unit_interval(self):
         xs, _ = sample_stream(5, 1, 0.0, 1000)
         assert np.all((xs >= 0.0) & (xs < 1.0))
+
+    def test_replicate_contexts_seed_per_replicate(self):
+        cfg = ExperimentConfig(kernel_order_m=2, target_index_k=3, noise_sigma=0.2,
+                               n_max=30, replicates=3, master_seed=4)
+        contexts = list(_replicate_contexts(cfg))
+        assert len(contexts) == 3
+        for rep, ctx in enumerate(contexts):
+            xs, ys = sample_stream(replicate_seed(4, rep, cfg.stream_digest()), 3, 0.2, 30)
+            assert np.array_equal(ctx.xs, xs) and np.array_equal(ctx.ys, ys)
+            assert np.array_equal(ctx.gram, ctx.kernel.gram(xs))
 
 
 class TestConfig:
@@ -182,7 +193,9 @@ class TestRunReplicates:
 
     def test_divergence_names_first_bad_step(self):
         # oracle: one run per horizon, in checkpoint order, each with its own
-        # constant step; the first run that diverges names the step
+        # constant step gamma and solved as the triangular system
+        # (I + gamma tril(K, -1)) a = gamma y; the first run holding a
+        # coefficient beyond the limit names the step
         gamma0 = 1e3
         cfg = ExperimentConfig(n_max=200)
         cps = cfg.checkpoints()
@@ -191,18 +204,18 @@ class TestRunReplicates:
         expo = step_exponent_finite_horizon(cfg.alpha, cfg.r)
         want = None
         for horizon in cps:
-            spec = AlgorithmSpec("ours", averaged=True,
-                                 step=FiniteHorizon(gamma0 * horizon**expo))
-            try:
-                sgd_run(ctx.kernel, (xs, ys), spec, [horizon], gram=ctx.gram)
-            except DivergenceError as err:
-                want = err
+            gamma = gamma0 * horizon**expo
+            system = np.eye(horizon) + gamma * np.tril(ctx.gram[:horizon, :horizon], -1)
+            coeffs = solve_triangular(system, gamma * ys[:horizon], lower=True)
+            bad = ~(np.abs(coeffs) <= DIVERGENCE_LIMIT)
+            if bad.any():
+                want = (int(np.argmax(bad)) + 1, abs(coeffs[np.argmax(bad)]))
                 break
-        assert want is not None and horizon > cps[0] and want.step < horizon
+        assert want is not None and horizon > cps[0] and want[0] < horizon
         with pytest.raises(DivergenceError) as got:
             _algorithm_curve("ours", 1, 2, gamma0, "finite_horizon", ctx, cps)
-        assert got.value.step == want.step
-        assert got.value.value == pytest.approx(want.value, rel=1e-9)
+        assert got.value.step == want[0]
+        assert got.value.value == pytest.approx(want[1], rel=1e-9)
 
     def test_online_competitor_rejected(self):
         cfg = ExperimentConfig(algorithm="zhang", setting="online", n_max=40,

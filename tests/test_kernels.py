@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from klms.errors import ConfigurationError
-from klms.kernels import (LinearKernel, PeriodicSplineKernel, eigen_check, gram,
+from klms.kernels import (LinearKernel, PeriodicSplineKernel, eigen_check,
                           kernel_sup_sq, spline_kernel, spline_kernel_series)
 
 
@@ -71,31 +71,37 @@ class TestZeroMean:
 class TestGram:
     def test_single_point(self):
         k = PeriodicSplineKernel(1)
-        g = gram(k, [0.3])
+        g = k.gram([0.3])
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1 / 12)
 
     def test_duplicate_points_singular(self):
         k = PeriodicSplineKernel(1)
-        g = gram(k, [0.3, 0.3])
+        g = k.gram([0.3, 0.3])
         assert abs(np.linalg.det(g)) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_positive_semidefinite(self, m):
         rng = np.random.default_rng(42)
         xs = rng.random(50)
-        g = gram(PeriodicSplineKernel(m), xs)
+        g = PeriodicSplineKernel(m).gram(xs)
         eigs = np.linalg.eigvalsh(g)
         assert eigs.min() >= -1e-10
         assert eigs.min() >= -1e-9 * np.trace(g)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            gram(PeriodicSplineKernel(1), [])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_rows_equal_pairwise_columns(self, m):
+        # the recursion reads row i of the Gram matrix as the kernel column
+        # of x_i against the earlier points, bit for bit
+        xs = np.random.default_rng(m).random(40)
+        k = PeriodicSplineKernel(m)
+        g = k.gram(xs)
+        for i in range(1, 40):
+            assert np.array_equal(g[i, :i], k.pairwise(xs[:i], xs[i]))
 
     def test_linear_kernel(self):
         xs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        g = gram(LinearKernel(2), xs)
+        g = LinearKernel(2).gram(xs)
         assert np.allclose(g, xs @ xs.T)
         assert LinearKernel(2)(xs[0], xs[2]) == pytest.approx(1.0)
 
