@@ -48,16 +48,27 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a table through `harness.write_csv` to the file at `path`, or to
+    stdout when no path is given."""
+    if not path:
+        harness.write_csv(sys.stdout, header, rows)
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        harness.write_csv(out, header, rows)
+    print(f"wrote {path}")
+
+
 def _cmd_simulate(args) -> int:
     config = harness.parse_config(args.config)
     run = harness.run_replicates(config)
     if args.out:
-        harness.write_simulate_csv(args.out, run)
-        print(f"wrote {args.out}")
+        _write_csv(args.out, ("n", "replicate", "excess_risk"),
+                   ((n, rep, risks[ci])
+                    for rep, risks in enumerate(run.per_replicate)
+                    for ci, n in enumerate(run.checkpoints)))
     else:
-        print("n,mean_excess_risk")
-        for n, v in zip(run.checkpoints, run.mean):
-            print(f"{n},{v:.16e}")
+        _write_csv(None, ("n", "mean_excess_risk"), zip(run.checkpoints, run.mean))
     if run.diverged:
         for rep, msg in run.diverged:
             print(f"replicate {rep} diverged: {msg}", file=sys.stderr)
@@ -77,13 +88,8 @@ def _cmd_gamma_sweep(args) -> int:
     else:
         grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     rows = harness.gamma_sweep(config, grid)
-    if args.out:
-        harness.write_sweep_csv(args.out, rows)
-        print(f"wrote {args.out}")
-    else:
-        print("n,best_gamma,mean_excess_risk")
-        for row in rows:
-            print(f"{row.n},{row.best_gamma:.16e},{row.mean_excess_risk:.16e}")
+    _write_csv(args.out, ("n", "best_gamma", "mean_excess_risk"),
+               [(row.n, row.best_gamma, row.mean_excess_risk) for row in rows])
     fit = harness.fit_rate([(row.n, row.best_gamma) for row in rows])
     print(f"best-gamma slope over second half: {_fmt(fit.slope)}")
     return EXIT_OK
@@ -96,8 +102,9 @@ def _cmd_compare(args) -> int:
                                       master_seed=args.seed,
                                       use_table_step=args.table_step)
     if args.out:
-        harness.write_compare_csv(args.out, rows)
-        print(f"wrote {args.out}")
+        _write_csv(args.out, ("algorithm", "predicted_slope", "effective_slope", "residual_rms"),
+                   ((row.algorithm, row.predicted_slope, row.effective_slope, row.residual_rms)
+                    for row in rows))
     for row in rows:
         print(f"{row.algorithm:12s} predicted {row.predicted_slope:+.3f}  "
               f"effective {row.effective_slope:+.3f}  (rms {row.residual_rms:.3f})")
@@ -105,10 +112,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    print("n,empirical,bound,ratio")
-    for row in harness.bound_check(replicates=args.replicates, master_seed=args.seed):
-        print(f"{row.n},{row.empirical:.16e},{row.bound:.16e},"
-              f"{row.empirical / row.bound:.16e}")
+    rows = harness.bound_check(replicates=args.replicates, master_seed=args.seed)
+    _write_csv(None, ("n", "empirical", "bound", "ratio"),
+               [(row.n, row.empirical, row.bound, row.empirical / row.bound) for row in rows])
     return EXIT_OK
 
 

@@ -157,21 +157,19 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 
     `coeffs` holds each a_i as created at its own step i; `shrinks` holds the
     per-step factors (1 - gamma_k lambda_k) applied to older coefficients at
-    step k (all ones when unregularized, which reduces the formula to
-    a_i (n + 1 - i) / (n + 1)). A (p, n) stack of coefficient vectors is
-    averaged row by row.
+    step k (all ones when unregularized). With p the running product of the
+    shrinks, the average weighs a_i by (p_i + ... + p_n) / (p_i (n + 1)),
+    which is (n + 1 - i) / (n + 1) without shrinks. A (p, n) stack of
+    coefficient vectors is averaged row by row; diverged rows are not
+    detected here (see `prefix_iterate`).
     """
     a = np.asarray(coeffs, dtype=float)
     n = a.shape[-1]
-    if n == 0:
-        return a.copy()
-    if shrinks is None:
-        return a * (np.arange(n, 0, -1) / (n + 1))
-    p = np.cumprod(np.asarray(shrinks, dtype=float))
+    p = np.cumprod(np.ones(n) if shrinks is None else np.asarray(shrinks, dtype=float))
     if p.shape[0] != n:
         raise ConfigurationError("coeffs and shrinks must have equal length")
     suffix = np.cumsum(p[::-1])[::-1]
-    return a * suffix / (p * (n + 1))
+    return a * (suffix / (p * (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +187,11 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
     Each snapshot is a prefix of the run: the checkpoint-n pair depends only
     on the first n observations. When the same stream is run many times,
     pass the precomputed Gram matrix of its inputs; otherwise it is built
-    from `kernel.gram`. A non-finite or oversized coefficient at any step up
-    to the last checkpoint raises DivergenceError naming that step.
+    from `kernel.gram`. The stream is an (xs, ys) pair of arrays. A
+    coefficient that meets the `first_divergence` criterion at any step up to
+    the last checkpoint raises DivergenceError naming that step.
     """
-    xs, ys = _split_stream(stream)
+    xs, ys = (np.asarray(v, dtype=float) for v in stream)
     cps = list(checkpoints)
     if not cps or any(c2 <= c1 for c1, c2 in zip(cps, cps[1:])):
         raise ConfigurationError("checkpoints must be non-empty and strictly increasing")
@@ -204,6 +203,7 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
         gram = kernel.gram(xs[:n_run])
     steps, shrinks = schedule(spec.step, n_run, spec.reg)
     row = sgd_constant_grid(gram, ys[:n_run], steps, shrinks)[0]
+    raise_on_divergence(row, n_run, shrinks)
     return [(KernelExpansion(xs[:n], prefix_iterate(row, n, False, shrinks)),
              KernelExpansion(xs[:n], prefix_iterate(row, n, True, shrinks)))
             for n in cps]
@@ -236,8 +236,8 @@ def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
 
     The first N entries of a row depend only on the first N observations. A
     run with an unstable step grows inside its own row until it overflows to
-    non-finite values, never touching the other rows; callers decide whether
-    that is an infinite risk or an error.
+    non-finite values, never touching the other rows; callers test rows with
+    `first_divergence` and raise or exclude.
     """
     n = ys.shape[0]
     g = np.asarray(gammas, dtype=float)
@@ -255,40 +255,48 @@ def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
     return coeffs
 
 
-def prefix_iterate(row: np.ndarray, n: int, averaged: bool,
+def prefix_iterate(rows: np.ndarray, n: int, averaged: bool,
                    shrinks: Optional[np.ndarray] = None) -> np.ndarray:
-    """Last or averaged iterate after n steps of an `sgd_constant_grid` row
-    run with `shrinks`; a bad coefficient among the n raises DivergenceError."""
-    if shrinks is None:
-        _raise_on_divergence(row[:n])
-        return averaged_coefficients(row[:n]) if averaged else row[:n]
-    scales = np.cumprod(shrinks[:n])
-    created = row[:n] * scales
-    _raise_on_divergence(created)
+    """Last or averaged iterate after n steps of an `sgd_constant_grid` row,
+    or of every row of a (p, N) stack, run with `shrinks`.
+
+    A row that diverged within its first n steps (see `first_divergence`)
+    gives a meaningless, possibly non-finite iterate; callers test the rows
+    first and raise or exclude them.
+    """
+    shrinks = np.ones(n) if shrinks is None else shrinks[:n]
+    scales = np.cumprod(shrinks)
     if averaged:
-        return averaged_coefficients(created, shrinks[:n])
-    return scales[-1] * row[:n]
+        return averaged_coefficients(rows[..., :n] * scales, shrinks)
+    return scales[-1] * rows[..., :n]
 
 
-def _raise_on_divergence(coeffs: np.ndarray) -> None:
-    """Raise DivergenceError(step, |a|) for the first coefficient, created at
-    that (1-based) step, that is non-finite or exceeds DIVERGENCE_LIMIT."""
-    bad = ~(np.abs(coeffs) <= DIVERGENCE_LIMIT)
-    if bad.any():
-        step = int(np.argmax(bad))
-        raise DivergenceError(step + 1, abs(float(coeffs[step])))
+def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
+    """The divergence criterion of every run in the package.
+
+    For an `sgd_constant_grid` row, or each row of a stack, run with
+    `shrinks`: the 1-based step and |a| of the first coefficient that is
+    non-finite or exceeds DIVERGENCE_LIMIT in absolute value, judged on
+    a_i = S_i b_i as created at step i. A row with no such coefficient gets
+    step N + 1 (N its length) and |a| = 0, so a row diverged within its
+    first n steps exactly when its step is <= n.
+    """
+    created = np.abs(rows if shrinks is None else rows * np.cumprod(shrinks))
+    # a zero flagged bad after the last step stops rows that never diverge
+    created = np.concatenate([created, np.zeros(created.shape[:-1] + (1,))], axis=-1)
+    bad = ~(created <= DIVERGENCE_LIMIT)
+    bad[..., -1] = True
+    first = np.argmax(bad, axis=-1)
+    return first + 1, np.take_along_axis(created, first[..., None], axis=-1)[..., 0]
 
 
-def _split_stream(stream):
-    """Accept a stream as an (xs, ys) pair of arrays or as an iterable of
-    (x, y) observations."""
-    if isinstance(stream, tuple) and len(stream) == 2 and np.ndim(stream[0]) >= 1:
-        xs, ys = stream
-        return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    pairs = list(stream)
-    xs = np.asarray([p[0] for p in pairs], dtype=float)
-    ys = np.asarray([p[1] for p in pairs], dtype=float)
-    return xs, ys
+def raise_on_divergence(row: np.ndarray, n: int,
+                        shrinks: Optional[np.ndarray] = None) -> None:
+    """Raise DivergenceError(step, |a|) when `first_divergence` of one row
+    lies within its first n steps."""
+    step, value = first_divergence(row, shrinks)
+    if step <= n:
+        raise DivergenceError(int(step), float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +327,11 @@ def finite_dim_sgd(stream, gamma: float) -> np.ndarray:
     """Averaged constant-step least-mean-squares in R^d.
 
     Same recursion as `sgd_run` with the linear kernel, but maintained as a
-    dense weight vector (O(d) per step). Returns the uniform average of
-    theta_0 = 0, theta_1, ..., theta_n.
+    dense weight vector (O(d) per step), over an (xs, ys) stream of arrays.
+    Returns the uniform average of theta_0 = 0, theta_1, ..., theta_n;
+    raises DivergenceError when `first_divergence` finds a bad coefficient.
     """
-    xs, ys = _split_stream(stream)
+    xs, ys = (np.asarray(v, dtype=float) for v in stream)
     n = ys.shape[0]
     theta, total = np.zeros(xs.shape[1]), np.zeros(xs.shape[1])
     created = np.empty(n)
@@ -331,5 +340,5 @@ def finite_dim_sgd(stream, gamma: float) -> np.ndarray:
             created[i] = -gamma * (float(theta @ xs[i]) - ys[i])
             theta = theta + created[i] * xs[i]
             total += theta
-    _raise_on_divergence(created)
+    raise_on_divergence(created, n)
     return total / (n + 1)

@@ -14,7 +14,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from . import risk, theory
 from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (ALGORITHM_NAMES, KernelExpansion, Online, TarresYao,
-                        averaged_coefficients, prefix_iterate, schedule,
-                        sgd_constant_grid)
+                        first_divergence, prefix_iterate, raise_on_divergence,
+                        schedule, sgd_constant_grid)
 from .kernels import PeriodicSplineKernel, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
@@ -65,14 +65,14 @@ class ExperimentConfig:
             raise ConfigurationError("kernel_order_m must be in {1, 2, 3, 4}")
         if not 1 <= self.target_index_k <= 4:
             raise ConfigurationError("target_index_k must be in 1..4")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigurationError("noise_sigma must be finite and non-negative")
         if self.algorithm not in ALGORITHM_NAMES:
             raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
         if self.setting not in ("finite_horizon", "online"):
             raise ConfigurationError("setting must be finite_horizon or online")
-        if self.gamma0 is not None and not self.gamma0 > 0:
-            raise ConfigurationError("gamma0 must be positive")
+        if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise ConfigurationError("gamma0 must be finite and positive")
         if self.n_max < 1 or self.n_checkpoints < 1 or self.replicates < 1:
             raise ConfigurationError("n_max, n_checkpoints and replicates must be >= 1")
 
@@ -246,19 +246,21 @@ def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
     Every algorithm is one `sgd_constant_grid` call: a finite-horizon
     schedule has one row per checkpoint, each read up to its own horizon; a
     horizon-free schedule has one row, read at every checkpoint prefix. The
-    first checkpoint whose prefix holds a non-finite or oversized coefficient
-    raises DivergenceError naming that coefficient's step.
+    first checkpoint whose prefix diverged (`first_divergence`) raises
+    DivergenceError naming the step and |a| of its first bad coefficient.
     """
     alpha = 2.0 * m
     r = (2.0 * k - 1.0) / (4.0 * m)
     steps, shrinks = _algorithm_schedule(name, alpha, r, gamma0, setting, cps, step_exponent)
     rows = sgd_constant_grid(ctx.gram, ctx.ys[:cps[-1]], steps, shrinks)
     averaged = name in ("ours", "zhang")
-    # row i serves checkpoint i; a single horizon-free row serves them all
-    return np.array([
-        _snapshot_risk(ctx, KernelExpansion(
-            ctx.xs[:n], prefix_iterate(rows[min(i, len(rows) - 1)], n, averaged, shrinks)))
-        for i, n in enumerate(cps)])
+    curve = []
+    for i, n in enumerate(cps):
+        row = rows[min(i, len(rows) - 1)]   # a single horizon-free row serves every checkpoint
+        raise_on_divergence(row, n, shrinks)
+        curve.append(_snapshot_risk(ctx, KernelExpansion(
+            ctx.xs[:n], prefix_iterate(row, n, averaged, shrinks))))
+    return np.array(curve)
 
 
 def _replicate_contexts(config: ExperimentConfig):
@@ -287,8 +289,7 @@ class ReplicateRun:
 
 
 def run_replicates(config: ExperimentConfig,
-                   checkpoints: Optional[Sequence[int]] = None,
-                   step_exponent: Optional[float] = None) -> ReplicateRun:
+                   checkpoints: Optional[Sequence[int]] = None) -> ReplicateRun:
     """Mean excess risk of the configured algorithm over independent streams.
 
     A replicate that diverges is recorded (its row becomes NaN and the pair
@@ -302,7 +303,7 @@ def run_replicates(config: ExperimentConfig,
         try:
             rows[rep] = _algorithm_curve(config.algorithm, config.kernel_order_m,
                                          config.target_index_k, gamma0, config.setting,
-                                         ctx, cps, step_exponent=step_exponent)
+                                         ctx, cps)
         except DivergenceError as err:
             diverged.append((rep, str(err)))
     return ReplicateRun(cps, rows, diverged)
@@ -319,22 +320,27 @@ class SweepRow:
     mean_excess_risk: float
 
 
-def default_gamma_grid(R_sq: float, per_decade: int = 25) -> np.ndarray:
-    """Log-spaced grid of constant step sizes, 1e-2/R^2 up to 2/R^2."""
+def default_gamma_grid(R_sq: float) -> np.ndarray:
+    """Log-spaced grid of constant step sizes, 1e-2/R^2 up to 2/R^2, with 25
+    points per decade."""
     lo = 1e-2 / R_sq
     hi = 2.0 / R_sq
-    count = int(math.ceil(per_decade * math.log10(hi / lo))) + 1
+    count = int(math.ceil(25 * math.log10(hi / lo))) + 1
     return np.geomspace(lo, hi, count)
 
 
 def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
                 n_values: Optional[Sequence[int]] = None) -> list[SweepRow]:
-    """For each sample size, the grid constant whose averaged iterate attains
+    """For each sample size n, the grid constant whose averaged iterate attains
     the smallest mean excess risk over the configured replicates.
 
     The sweep always runs the averaged unregularized recursion (that is the
-    estimator whose optimal constant step is under study). Grid constants
-    whose runs diverge get infinite risk and are never selected.
+    estimator whose optimal constant step is under study), one grid row per
+    constant, read at each n through `prefix_iterate`. A constant whose run
+    diverged within n steps in any replicate (`first_divergence`: a
+    coefficient that is non-finite or exceeds DIVERGENCE_LIMIT) is no
+    candidate at n; with none left, DivergenceError names the step and |a|
+    of the constant that diverged last.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -343,19 +349,25 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
     if cps[-1] > config.n_max or cps[0] < 1:
         raise ConfigurationError("n_values must lie within 1..n_max")
     sums = np.zeros((len(cps), grid.size))
+    bad_step = np.full(grid.size, config.n_max + 1)
+    bad_value = np.zeros(grid.size)
     for ctx in _replicate_contexts(config):
         coeffs = sgd_constant_grid(ctx.gram, ctx.ys, grid)
+        step, value = first_divergence(coeffs)
+        earlier = step < bad_step
+        bad_step[earlier], bad_value[earlier] = step[earlier], value[earlier]
         for ci, n in enumerate(cps):
-            abar = averaged_coefficients(coeffs[:, :n])
             with np.errstate(invalid="ignore", over="ignore"):
-                sums[ci] += risk.closed_form_risk(abar, ctx.doubled_gram, ctx.inner, ctx.norm_sq)
+                sums[ci] += risk.closed_form_risk(prefix_iterate(coeffs, n, True),
+                                                  ctx.doubled_gram, ctx.inner, ctx.norm_sq)
     means = sums / config.replicates
     rows = []
     for ci, n in enumerate(cps):
-        line = np.where(np.isfinite(means[ci]), means[ci], np.inf)
-        if not np.any(np.isfinite(line)):
-            raise DivergenceError(n, math.inf)
-        best = int(np.argmin(line))
+        stable = bad_step > n
+        if not stable.any():
+            last = int(np.argmax(bad_step))
+            raise DivergenceError(int(bad_step[last]), float(bad_value[last]))
+        best = int(np.argmin(np.where(stable, means[ci], np.inf)))
         rows.append(SweepRow(n, float(grid[best]), float(means[ci, best])))
     return rows
 
@@ -489,28 +501,11 @@ _TABLE_STEP_EXPONENTS = {(1, 2): -0.5, (2, 2): 0.0, (1, 3): -3.0 / 7.0, (2, 1): 
 # CSV surface
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def write_simulate_csv(path: str, run: ReplicateRun) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("n,replicate,excess_risk\n")
-        for rep in range(run.per_replicate.shape[0]):
-            for ci, n in enumerate(run.checkpoints):
-                out.write(f"{n},{rep},{_fmt(run.per_replicate[rep, ci])}\n")
-
-
-def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("n,best_gamma,mean_excess_risk\n")
-        for row in rows:
-            out.write(f"{row.n},{_fmt(row.best_gamma)},{_fmt(row.mean_excess_risk)}\n")
-
-
-def write_compare_csv(path: str, rows: Iterable[ComparisonRow]) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("algorithm,predicted_slope,effective_slope,residual_rms\n")
-        for row in rows:
-            out.write(f"{row.algorithm},{_fmt(row.predicted_slope)},"
-                      f"{_fmt(row.effective_slope)},{_fmt(row.residual_rms)}\n")
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line and one comma-separated line per row to the text
+    stream `out`. Floats are printed as .16e (17 significant digits, so a
+    file re-parses to the same values); integers and strings as they are."""
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join(f"{v:.16e}" if isinstance(v, float) else str(v)
+                           for v in row) + "\n")

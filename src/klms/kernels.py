@@ -86,15 +86,6 @@ class PeriodicSplineKernel:
     def __post_init__(self):
         _check_order(self.m)
 
-    @property
-    def alpha(self) -> float:
-        """Eigenvalue decay exponent of the covariance operator (= 2m)."""
-        return 2.0 * self.m
-
-    @property
-    def sup_sq(self) -> float:
-        return kernel_sup_sq(self.m)
-
     def __call__(self, s, t):
         return _closed_form(self.m, frac(np.asarray(s, float) - np.asarray(t, float)))
 

@@ -68,22 +68,16 @@ def closed_form_risk(coeffs, doubled_gram: np.ndarray, inner: np.ndarray,
     return quad - 2.0 * (w @ inner[:n]) + norm_sq
 
 
-def excess_risk_closed(expansion, m: int, k: int, *,
-                       doubled_gram: np.ndarray | None = None,
-                       inner: np.ndarray | None = None) -> float:
+def excess_risk_closed(expansion, m: int, k: int) -> float:
     """Closed-form squared L2 distance between the expansion and B_k.
 
     Cost is O(n^2) in the number of centers. Callers evaluating many
-    expansions over the same centers can pass the order-doubled Gram matrix
-    and the per-center target inner products to amortize the setup (see
-    `closed_form_risk` for the prefix rule).
+    expansions over the same centers call `closed_form_risk` with the cached
+    order-doubled Gram matrix and target inner products instead.
     """
     xs = expansion.centers
-    if doubled_gram is None:
-        doubled_gram = PeriodicSplineKernel(m).doubled_gram(xs)
-    if inner is None:
-        inner = kernel_target_inner(m, k, xs)
-    return float(closed_form_risk(expansion.coeffs, doubled_gram, inner, target_norm_sq(k)))
+    return float(closed_form_risk(expansion.coeffs, PeriodicSplineKernel(m).doubled_gram(xs),
+                                  kernel_target_inner(m, k, xs), target_norm_sq(k)))
 
 
 def excess_risk_fourier(expansion, m: int, k: int, J: int,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,22 @@ def test_simulate_divergence_exits_3(tmp_path, capsys):
     assert "replicate 0 diverged" in err and "replicate 1 diverged" in err
 
 
+@pytest.mark.parametrize("line", ["noise_sigma = nan", "noise_sigma = inf",
+                                  "gamma0 = inf", "gamma0 = nan"])
+def test_simulate_non_finite_config_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_max = 30\nreplicates = 1\n{line}\n")
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
+def test_compare_non_finite_noise_exits_2(capsys):
+    assert main(["compare", "--point", "1", "--noise", "nan"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
 def test_bound_check_csv(capsys):
     assert main(["bound-check", "--replicates", "1", "--seed", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
@@ -84,6 +102,18 @@ def test_gamma_sweep_subcommand(tmp_path, capsys):
     assert code == EXIT_OK
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "n,best_gamma,mean_excess_risk"
+
+
+def test_gamma_sweep_all_diverged_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 60\nreplicates = 1\n")
+    code = main(["gamma-sweep", "--config", str(cfg), "--grid-min", "1e5",
+                 "--grid-max", "1e6", "--grid-points", "2"])
+    assert code == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert "numerical divergence" in captured.err and captured.out == ""
+    step = int(re.search(r"diverged at step (\d+) ", captured.err).group(1))
+    assert 1 <= step <= 5
 
 
 @pytest.mark.parametrize("flags", [

@@ -9,7 +9,7 @@ from klms.estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
                             Online, TarresYao,
                             averaged_coefficients, evaluate, finite_dim_sgd,
                             ridge_solve, schedule, sgd_constant_grid, sgd_run)
-from klms.kernels import LinearKernel, PeriodicSplineKernel
+from klms.kernels import LinearKernel, PeriodicSplineKernel, kernel_sup_sq
 
 K1 = PeriodicSplineKernel(1)
 
@@ -169,6 +169,10 @@ class TestAveraging:
         got = averaged_coefficients(a)
         assert np.allclose(got, [3 / 4, 2 / 4, 1 / 4])
 
+    def test_no_shrinks_is_unit_shrinks(self):
+        a = np.random.default_rng(14).uniform(-1.0, 1.0, 3162)
+        assert np.array_equal(averaged_coefficients(a), averaged_coefficients(a, np.ones(3162)))
+
     @given(st.integers(1, 200), st.booleans(), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_brute_force_oracle(self, n, regularized, seed):
@@ -323,12 +327,12 @@ class TestTriangularOracle:
         shrinks = None
         if kind == "constant":
             # several constant rows in one pass, stable up to gamma R^2 = 1
-            steps = rng.uniform(0.05, 1.0, 3) / kernel.sup_sq
+            steps = rng.uniform(0.05, 1.0, 3) / kernel_sup_sq(m)
             coeffs = sgd_constant_grid(gram, ys, steps)
             steps = np.repeat(steps[:, None], n, axis=1)
         else:
             if kind == "online":
-                sched, reg = Online(rng.uniform(0.05, 1.0) / kernel.sup_sq, rng.uniform(0, 0.9)), None
+                sched, reg = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), rng.uniform(0, 0.9)), None
             else:
                 sched = reg = TarresYao(r=rng.uniform(0.25, 2.0))
             steps, shrinks = schedule(sched, n, reg)

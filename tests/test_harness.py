@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -5,12 +7,13 @@ from scipy.linalg import solve_triangular
 from klms.bernoulli import bernoulli_poly
 from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import DIVERGENCE_LIMIT
+from klms import harness
+from klms.cli import main
 from klms.harness import (ComparisonRow, ExperimentConfig, _algorithm_curve,
                           _make_context, _replicate_contexts, checkpoint_grid,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
-                          sample_stream, write_compare_csv, write_simulate_csv,
-                          write_sweep_csv)
+                          sample_stream, write_csv)
 from klms.theory import step_exponent_finite_horizon
 
 
@@ -61,6 +64,12 @@ class TestConfig:
             ExperimentConfig(setting="batch")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(replicates=0)
+        for bad in (np.nan, np.inf, -0.1):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(noise_sigma=bad)
+        for bad in (np.nan, np.inf, 0.0):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(gamma0=bad)
 
     def test_parse_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -245,6 +254,30 @@ class TestGammaSweep:
         with pytest.raises(ConfigurationError):
             gamma_sweep(cfg, [1.0], n_values=[999])
 
+    def test_all_points_diverged_names_step_and_value(self):
+        # gamma R^2 >= 1e4: every grid point's coefficients pass the limit
+        # within the first steps, so no checkpoint has a stable candidate
+        cfg = ExperimentConfig(n_max=60, replicates=1)
+        ctx = next(_replicate_contexts(cfg))
+        for n_values in ([5, 30], [5, 30, 60]):
+            with pytest.raises(DivergenceError) as got:
+                gamma_sweep(cfg, [1e5, 1e6], n_values=n_values)
+            step = got.value.step
+            assert 1 <= step <= 5
+            # the smaller step diverges last; its coefficients solve
+            # (I + gamma tril(K, -1)) a = gamma y
+            system = np.eye(step) + 1e5 * np.tril(ctx.gram[:step, :step], -1)
+            coeffs = solve_triangular(system, 1e5 * ctx.ys[:step], lower=True)
+            assert np.all(np.abs(coeffs[:-1]) <= DIVERGENCE_LIMIT)
+            assert got.value.value == pytest.approx(abs(coeffs[-1]), rel=1e-9)
+            assert got.value.value > DIVERGENCE_LIMIT
+
+    def test_diverged_point_never_selected(self):
+        cfg = ExperimentConfig(n_max=60, replicates=1)
+        rows = gamma_sweep(cfg, [1.0, 1e5], n_values=[5, 30, 60])
+        assert [row.best_gamma for row in rows] == [1.0, 1.0, 1.0]
+        assert all(row.mean_excess_risk < 1.0 for row in rows)
+
     def test_default_grid_shape(self):
         grid = default_gamma_grid(1 / 12)
         assert grid[0] == pytest.approx(0.12)
@@ -276,11 +309,12 @@ class TestCompare:
 
 
 class TestCsv:
-    def test_simulate_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(n_max=40, replicates=2, master_seed=8)
-        run = run_replicates(cfg, checkpoints=[10, 40])
+    def test_simulate_roundtrip(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sim.cfg"
+        cfg_path.write_text("n_max = 40\nreplicates = 2\nn_checkpoints = 3\nmaster_seed = 8\n")
+        run = run_replicates(parse_config(str(cfg_path)))
         path = tmp_path / "sim.csv"
-        write_simulate_csv(str(path), run)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(path)]) == 0
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "n,replicate,excess_risk"
         got = {}
@@ -292,29 +326,41 @@ class TestCsv:
                 assert got[(n, rep)] == pytest.approx(
                     run.per_replicate[rep, ci], abs=1e-12)
 
-    def test_sweep_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(n_max=40, replicates=1, master_seed=9)
-        rows = gamma_sweep(cfg, [1.0, 6.0], n_values=[10, 40])
+    def test_sweep_roundtrip(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("n_max = 40\nreplicates = 1\nn_checkpoints = 4\nmaster_seed = 9\n")
+        rows = gamma_sweep(parse_config(str(cfg_path)), [1.0, 6.0])
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(str(path), rows)
+        assert main(["gamma-sweep", "--config", str(cfg_path), "--grid-min", "1",
+                     "--grid-max", "6", "--grid-points", "2", "--out", str(path)]) == 0
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "n,best_gamma,mean_excess_risk"
+        assert len(lines) == len(rows) + 1
         for line, row in zip(lines[1:], rows):
             n, g, v = line.split(",")
             assert int(n) == row.n
             assert float(g) == row.best_gamma
             assert float(v) == row.mean_excess_risk
 
-    def test_compare_schema(self, tmp_path):
+    def test_compare_schema(self, tmp_path, monkeypatch, capsys):
         rows = [ComparisonRow("ours", -0.75, -0.73, 0.01)]
+        monkeypatch.setattr(harness, "compare_algorithms", lambda *args, **kwargs: rows)
         path = tmp_path / "cmp.csv"
-        write_compare_csv(str(path), rows)
+        assert main(["compare", "--point", "1", "--out", str(path)]) == 0
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "algorithm,predicted_slope,effective_slope,residual_rms"
         name, p, e, r = lines[1].split(",")
         assert name == "ours"
         assert float(p) == -0.75
         assert float(e) == -0.73
+
+    def test_write_csv_formats(self):
+        out = io.StringIO()
+        write_csv(out, ("n", "name", "value"),
+                  [(3, "ours", 0.1), (np.int64(4), "zhang", np.float64(-2.5))])
+        assert out.getvalue() == ("n,name,value\n"
+                                  "3,ours,1.0000000000000001e-01\n"
+                                  "4,zhang,-2.5000000000000000e+00\n")
 
 
 class TestSeeding:

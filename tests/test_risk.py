@@ -5,7 +5,7 @@ import pytest
 
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion
-from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
+from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
 
@@ -91,10 +91,8 @@ class TestClosedForm:
         exp = random_expansion(rng, max_centers=20)
         k2 = PeriodicSplineKernel(2)
         full = excess_risk_closed(exp, 2, 1)
-        cached = excess_risk_closed(
-            exp, 2, 1,
-            doubled_gram=k2.doubled_gram(exp.centers),
-            inner=kernel_target_inner(2, 1, exp.centers))
+        cached = closed_form_risk(exp.coeffs, k2.doubled_gram(exp.centers),
+                                  kernel_target_inner(2, 1, exp.centers), target_norm_sq(1))
         assert cached == pytest.approx(full, abs=1e-16)
 
 
