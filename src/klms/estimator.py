@@ -9,7 +9,7 @@ previous coefficients by (1 - gamma_n lambda_n); that multiplication is
 carried in a single global scale factor so each step stays O(n). The
 averaged output is g_bar_n = (g_0 + ... + g_n) / (n + 1), maintained in
 coefficient form as well. `sgd_constant_grid` is the one loop over a kernel
-expansion; `sgd_run` and the harness call it.
+expansion; `sgd_run` runs one `AlgorithmSpec` through it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ from .errors import ConfigurationError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
 
-ALGORITHM_NAMES = ("ours", "zhang", "ying_pontil", "tarres_yao")
+# The algorithms compared in the benchmarks: name -> (averaged, regularized).
+PRESETS = {"ours": (True, False), "zhang": (True, False),
+           "ying_pontil": (False, False), "tarres_yao": (False, True)}
+ALGORITHM_NAMES = tuple(PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -32,16 +35,18 @@ ALGORITHM_NAMES = ("ours", "zhang", "ying_pontil", "tarres_yao")
 
 @dataclass(frozen=True)
 class FiniteHorizon:
-    """Constant step size, chosen by the caller as a function of the horizon."""
+    """Constant step gamma0 * N**exponent for a run of horizon N."""
 
-    gamma: float
+    gamma0: float
+    exponent: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigurationError("step size must be positive")
+        if not (np.isfinite(self.gamma0) and self.gamma0 > 0 and np.isfinite(self.exponent)):
+            raise ConfigurationError("need a finite positive step size and a finite exponent")
 
-    def step(self, i: int) -> float:
-        return self.gamma
+    def at(self, horizons) -> np.ndarray:
+        """The constant step of a run of horizon N, for each N in `horizons`."""
+        return self.gamma0 * np.asarray(horizons, dtype=float)**self.exponent
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,7 @@ StepSchedule = Union[FiniteHorizon, Online, TarresYao]
 class AlgorithmSpec:
     """Which recursion to run: averaging flag, step schedule, regularization.
 
-    The four preset names pin the combinations studied in the benchmarks:
-    ours and zhang are averaged and unregularized, ying_pontil is the plain
-    last iterate, tarres_yao is the regularized last iterate.
+    `PRESETS` pins the (averaged, regularized) pair of each name.
     """
 
     name: str
@@ -111,14 +114,13 @@ class AlgorithmSpec:
     reg: Optional[TarresYao] = None
 
     def __post_init__(self):
-        if self.name not in ALGORITHM_NAMES:
-            raise ConfigurationError(f"unknown algorithm {self.name!r}")
-        if self.name in ("ours", "zhang") and (not self.averaged or self.reg is not None):
-            raise ConfigurationError(f"{self.name} must be averaged and unregularized")
-        if self.name == "ying_pontil" and (self.averaged or self.reg is not None):
-            raise ConfigurationError("ying_pontil is non-averaged and unregularized")
-        if self.name == "tarres_yao" and (self.averaged or self.reg is None):
-            raise ConfigurationError("tarres_yao is non-averaged and regularized")
+        flags = (self.averaged, self.reg is not None)
+        if PRESETS.get(self.name) != flags:
+            raise ConfigurationError(f"no preset {self.name!r} with (averaged, regularized) "
+                                     f"= {flags}; the presets are {PRESETS}")
+        if isinstance(self.step, FiniteHorizon) and self.reg is not None:
+            # its rows, one per horizon, would each need shrinks of their own
+            raise ConfigurationError("a finite-horizon step takes no regularization")
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +180,45 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 
 def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
             *, gram: Optional[np.ndarray] = None):
-    """Run one schedule over the stream, snapshotting at each checkpoint.
+    """Run one algorithm over the stream, snapshotting at each checkpoint.
 
-    A thin wrapper over a one-row `sgd_constant_grid` call with the spec's
-    per-step sizes and, for a regularized spec, its shrink factors. Returns
-    a list of (last iterate, averaged iterate) KernelExpansion pairs, one
-    per checkpoint (checkpoints must be sorted and within 1..len(stream)).
-    Each snapshot is a prefix of the run: the checkpoint-n pair depends only
-    on the first n observations. When the same stream is run many times,
-    pass the precomputed Gram matrix of its inputs; otherwise it is built
-    from `kernel.gram`. The stream is an (xs, ys) pair of arrays. A
-    coefficient that meets the `first_divergence` criterion at any step up to
-    the last checkpoint raises DivergenceError naming that step.
+    One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
+    row per checkpoint N, step `spec.step.at(N)`; other schedules run one
+    row of per-step sizes (and shrinks, when regularized). Returns a list of
+    (last iterate, averaged iterate) KernelExpansion pairs, one per
+    checkpoint (see `check_checkpoints`), each depending only on the first N
+    observations. Pass the Gram matrix of a stream run many times; otherwise
+    it is built from `kernel.gram`. The stream is an (xs, ys) pair of
+    arrays. The first checkpoint N whose row meets the `first_divergence`
+    criterion within N steps raises DivergenceError naming that step.
     """
     xs, ys = (np.asarray(v, dtype=float) for v in stream)
-    cps = list(checkpoints)
-    if not cps or any(c2 <= c1 for c1, c2 in zip(cps, cps[1:])):
-        raise ConfigurationError("checkpoints must be non-empty and strictly increasing")
-    if cps[0] < 1 or cps[-1] > ys.shape[0]:
-        raise ConfigurationError("checkpoints must lie within 1..len(stream)")
-
+    cps = check_checkpoints(checkpoints, ys.shape[0])
     n_run = cps[-1]
     if gram is None:
         gram = kernel.gram(xs[:n_run])
-    steps, shrinks = schedule(spec.step, n_run, spec.reg)
-    row = sgd_constant_grid(gram, ys[:n_run], steps, shrinks)[0]
-    raise_on_divergence(row, n_run, shrinks)
+    if isinstance(spec.step, FiniteHorizon):
+        steps, shrinks = spec.step.at(cps), None
+    else:
+        steps, shrinks = schedule(spec.step, n_run, spec.reg)
+    # a single horizon-free row serves every checkpoint
+    rows = np.broadcast_to(sgd_constant_grid(gram, ys[:n_run], steps, shrinks),
+                           (len(cps), n_run))
+    for row, n in zip(rows, cps):
+        raise_on_divergence(row, n, shrinks)
     return [(KernelExpansion(xs[:n], prefix_iterate(row, n, False, shrinks)),
              KernelExpansion(xs[:n], prefix_iterate(row, n, True, shrinks)))
-            for n in cps]
+            for row, n in zip(rows, cps)]
+
+
+def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
+    """The checkpoints as a list, if non-empty, strictly increasing and in 1..n."""
+    cps = list(checkpoints)
+    if not cps or any(c2 <= c1 for c1, c2 in zip(cps, cps[1:])):
+        raise ConfigurationError("checkpoints must be non-empty and strictly increasing")
+    if cps[0] < 1 or cps[-1] > n:
+        raise ConfigurationError(f"checkpoints must lie within 1..{n}")
+    return cps
 
 
 def schedule(step: StepSchedule, n: int, reg: Optional[TarresYao] = None):
@@ -311,8 +323,8 @@ def ridge_solve(kernel, xs, ys, lam: float) -> KernelExpansion:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if lam < 0:
-        raise ConfigurationError("lam must be non-negative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigurationError("lam must be finite and non-negative")
     mat = kernel.gram(xs) + lam * np.eye(ys.shape[0])
     coeffs = np.linalg.solve(mat, ys)
     resid = float(np.linalg.norm(mat @ coeffs - ys))

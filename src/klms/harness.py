@@ -21,9 +21,9 @@ import numpy as np
 from . import risk, theory
 from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (ALGORITHM_NAMES, KernelExpansion, Online, TarresYao,
-                        first_divergence, prefix_iterate, raise_on_divergence,
-                        schedule, sgd_constant_grid)
+from .estimator import (ALGORITHM_NAMES, PRESETS, AlgorithmSpec, FiniteHorizon, Online,
+                        TarresYao, check_checkpoints, first_divergence, prefix_iterate,
+                        sgd_constant_grid, sgd_run)
 from .kernels import PeriodicSplineKernel, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
@@ -67,14 +67,14 @@ class ExperimentConfig:
             raise ConfigurationError("target_index_k must be in 1..4")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigurationError("noise_sigma must be finite and non-negative")
-        if self.algorithm not in ALGORITHM_NAMES:
-            raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
         if self.setting not in ("finite_horizon", "online"):
             raise ConfigurationError("setting must be finite_horizon or online")
         if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ConfigurationError("gamma0 must be finite and positive")
         if self.n_max < 1 or self.n_checkpoints < 1 or self.replicates < 1:
             raise ConfigurationError("n_max, n_checkpoints and replicates must be >= 1")
+        _algorithm_spec(self.algorithm, self.kernel_order_m, self.target_index_k,
+                        self.effective_gamma0(), self.setting)
 
     @property
     def alpha(self) -> float:
@@ -212,55 +212,43 @@ def _snapshot_risk(ctx: _Context, expansion) -> float:
 # algorithm presets
 # ---------------------------------------------------------------------------
 
-def _algorithm_schedule(name: str, alpha: float, r: float, gamma0: float, setting: str,
-                        cps: Sequence[int], override: Optional[float]):
-    """Step sizes and shrinks of the algorithm's `sgd_constant_grid` rows.
-
-    The finite-horizon constant-step algorithms (ours, zhang, ying_pontil)
-    use the step gamma0 * N**expo for horizon N: one row per checkpoint.
-    tarres_yao (regularized) and ours online (decreasing steps) are one row.
-    """
-    if name == "tarres_yao":
-        sched = TarresYao(r=r)
-        return schedule(sched, cps[-1], sched)
-    if setting == "online":
+def _algorithm_spec(name: str, m: int, k: int, gamma0: float, setting: str,
+                    step_exponent: Optional[float] = None) -> AlgorithmSpec:
+    """The preset `name` on problem (m, k), alpha = 2m, r = (2k - 1)/(4m):
+    tarres_yao's regularized schedule pair, or the finite-horizon step
+    gamma0 * N**expo with the optimal exponent for ours (or `step_exponent`)
+    and -2r/(2r + 1) for zhang and ying_pontil. Online, only ours has a
+    schedule, with the optimal online exponent."""
+    if name not in PRESETS:
+        raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
+    alpha, r = 2.0 * m, (2.0 * k - 1.0) / (4.0 * m)
+    reg = None
+    if PRESETS[name][1]:
+        step = reg = TarresYao(r=r)
+    elif setting == "online":
         if name != "ours":
             raise ConfigurationError(f"{name!r} has no online schedule")
-        return schedule(Online(gamma0, -theory.step_exponent_online(alpha, r)), cps[-1])
-    if name == "ours":
-        expo = override if override is not None else theory.step_exponent_finite_horizon(alpha, r)
-    elif name in ("zhang", "ying_pontil"):
-        expo = -2.0 * r / (2.0 * r + 1.0)
+        step = Online(gamma0, -theory.step_exponent_online(alpha, r))
+    elif name == "ours":
+        step = FiniteHorizon(gamma0, step_exponent if step_exponent is not None
+                             else theory.step_exponent_finite_horizon(alpha, r))
     else:
-        raise ConfigurationError(f"unknown algorithm {name!r}")
-    return gamma0 * np.asarray(cps, dtype=float)**expo, None
+        step = FiniteHorizon(gamma0, -2.0 * r / (2.0 * r + 1.0))
+    return AlgorithmSpec(name, PRESETS[name][0], step, reg)
 
 
 def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
                      ctx: _Context, cps: Sequence[int],
                      step_exponent: Optional[float] = None) -> np.ndarray:
     """Excess risk of the algorithm's designated output at each checkpoint,
-    for one stream. Averaged algorithms (ours, zhang) report the averaged
-    iterate, the others the last iterate.
-
-    Every algorithm is one `sgd_constant_grid` call: a finite-horizon
-    schedule has one row per checkpoint, each read up to its own horizon; a
-    horizon-free schedule has one row, read at every checkpoint prefix. The
-    first checkpoint whose prefix diverged (`first_divergence`) raises
-    DivergenceError naming the step and |a| of its first bad coefficient.
+    for one stream: the averaged iterate of an averaged preset, the last
+    iterate otherwise. One `sgd_run` call, which raises DivergenceError at
+    the first checkpoint that diverged.
     """
-    alpha = 2.0 * m
-    r = (2.0 * k - 1.0) / (4.0 * m)
-    steps, shrinks = _algorithm_schedule(name, alpha, r, gamma0, setting, cps, step_exponent)
-    rows = sgd_constant_grid(ctx.gram, ctx.ys[:cps[-1]], steps, shrinks)
-    averaged = name in ("ours", "zhang")
-    curve = []
-    for i, n in enumerate(cps):
-        row = rows[min(i, len(rows) - 1)]   # a single horizon-free row serves every checkpoint
-        raise_on_divergence(row, n, shrinks)
-        curve.append(_snapshot_risk(ctx, KernelExpansion(
-            ctx.xs[:n], prefix_iterate(row, n, averaged, shrinks))))
-    return np.array(curve)
+    spec = _algorithm_spec(name, m, k, gamma0, setting, step_exponent)
+    snapshots = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), spec, cps, gram=ctx.gram)
+    return np.array([_snapshot_risk(ctx, avg if spec.averaged else last)
+                     for last, avg in snapshots])
 
 
 def _replicate_contexts(config: ExperimentConfig):
@@ -345,9 +333,8 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ConfigurationError("grid must be positive and strictly increasing")
-    cps = list(n_values) if n_values is not None else config.checkpoints()
-    if cps[-1] > config.n_max or cps[0] < 1:
-        raise ConfigurationError("n_values must lie within 1..n_max")
+    cps = check_checkpoints(n_values if n_values is not None else config.checkpoints(),
+                            config.n_max)
     sums = np.zeros((len(cps), grid.size))
     bad_step = np.full(grid.size, config.n_max + 1)
     bad_value = np.zeros(grid.size)
@@ -443,9 +430,8 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     sums = {name: np.zeros(len(cps)) for name in ALGORITHM_NAMES}
     for ctx in _replicate_contexts(cfg):
         for name in ALGORITHM_NAMES:
-            expo = override if name == "ours" else None
             sums[name] += _algorithm_curve(name, m, k, gamma0, "finite_horizon",
-                                           ctx, cps, step_exponent=expo)
+                                           ctx, cps, step_exponent=override)
 
     rows = []
     for name in ALGORITHM_NAMES:

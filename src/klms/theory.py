@@ -31,10 +31,10 @@ def _setting(value: str) -> str:
 
 
 def _check_alpha_r(alpha: float, r: float) -> None:
-    if not alpha > 1:
-        raise ConfigurationError("alpha must exceed 1")
-    if not r > 0:
-        raise ConfigurationError("r must be positive")
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ConfigurationError("alpha must be finite and exceed 1")
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigurationError("r must be finite and positive")
 
 
 class Regime(enum.Enum):
@@ -112,8 +112,8 @@ def predicted_rate(alpha: float, r: float, setting: str = "fh") -> float:
 def competitor_rate(r: float) -> float:
     """Rate -2r/(2r+1) shared by the benchmark competitors, which do not
     exploit the eigenvalue decay."""
-    if not r > 0:
-        raise ConfigurationError("r must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigurationError("r must be finite and positive")
     return -2.0 * r / (2.0 * r + 1.0)
 
 

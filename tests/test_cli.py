@@ -20,6 +20,14 @@ def test_theory_online(capsys):
     assert "bias_dominated_constant_step" in out
 
 
+@pytest.mark.parametrize("alpha, r", [("inf", "0.5"), ("nan", "0.5"),
+                                      ("2", "inf"), ("2", "nan")])
+def test_theory_non_finite_exits_2(capsys, alpha, r):
+    assert main(["theory", "--alpha", alpha, "--r", r]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "nan" not in captured.out
+
+
 def test_bernoulli_subcommand(capsys):
     assert main(["bernoulli", "--k", "2", "--x", "0"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "0.166666666667"

@@ -36,7 +36,12 @@ def naive_run(kernel, xs, ys, step_fn, lam_fn, n):
 class TestSchedules:
     def test_finite_horizon_constant(self):
         s = FiniteHorizon(0.5)
-        assert s.step(1) == s.step(100) == 0.5
+        assert s.at(1) == s.at(100) == 0.5
+        assert np.array_equal(s.at([1, 10, 100]), [0.5, 0.5, 0.5])
+        t = FiniteHorizon(2.0, -0.5)
+        assert t.at(1) == 2.0
+        assert t.at(100) == pytest.approx(0.2)
+        assert np.allclose(t.at([4, 16]), [1.0, 0.5])
 
     def test_online_decay(self):
         s = Online(2.0, 0.5)
@@ -52,8 +57,9 @@ class TestSchedules:
         assert all(l >= 0 for l in lams)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FiniteHorizon(0.0)
+        for bad in ((0.0,), (np.inf,), (np.nan,), (1.0, np.nan), (1.0, -np.inf)):
+            with pytest.raises(ConfigurationError):
+                FiniteHorizon(*bad)
         with pytest.raises(ConfigurationError):
             Online(1.0, 1.0)
         with pytest.raises(ConfigurationError):
@@ -71,6 +77,10 @@ class TestSchedules:
             AlgorithmSpec("tarres_yao", averaged=False, step=FiniteHorizon(1.0))
         with pytest.raises(ConfigurationError):
             AlgorithmSpec("sgd", averaged=True, step=FiniteHorizon(1.0))
+        # finite-horizon rows differ in the step but share the shrinks
+        ty = TarresYao(r=0.5)
+        with pytest.raises(ConfigurationError):
+            AlgorithmSpec("tarres_yao", averaged=False, step=FiniteHorizon(1.0), reg=ty)
 
 
 class TestRecursion:
@@ -105,6 +115,28 @@ class TestRecursion:
         nc, nav = naive_run(K1, xs, ys, ty.step, ty.lam, 40)
         assert np.allclose(last.coeffs, nc, atol=1e-13)
         assert np.allclose(avg.coeffs, nav, atol=1e-13)
+
+    def test_finite_horizon_step_per_checkpoint(self):
+        # checkpoint N is a run of horizon N with the constant step g0 * N**e
+        rng = np.random.default_rng(15)
+        xs, ys = rng.random(40), rng.standard_normal(40)
+        step = FiniteHorizon(6.0, -0.5)
+        spec = AlgorithmSpec("ours", averaged=True, step=step)
+        for (last, avg), n in zip(sgd_run(K1, (xs, ys), spec, [9, 40]), [9, 40]):
+            nc, nav = naive_run(K1, xs, ys, lambda i: 6.0 * n**-0.5, lambda i: 0.0, n)
+            assert np.allclose(last.coeffs, nc, atol=1e-13)
+            assert np.allclose(avg.coeffs, nav, atol=1e-13)
+
+    def test_finite_horizon_divergence_is_per_checkpoint(self):
+        # with K(x, x) = 1/12, the step 1e6 / N**3 grows each coefficient
+        # 665-fold per step at N = 5 and is stable at N = 60: the longer
+        # run's own row never diverges, the shorter one does
+        xs = np.full(60, 0.5)
+        ys = np.full(60, 1.0)
+        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1e6, -3.0))
+        assert len(sgd_run(K1, (xs, ys), spec, [60])) == 1
+        with pytest.raises(DivergenceError):
+            sgd_run(K1, (xs, ys), spec, [5, 60])
 
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
@@ -155,6 +187,10 @@ class TestRecursion:
             sgd_run(K1, (xs, ys), spec, [3])
         with pytest.raises(ConfigurationError):
             sgd_run(K1, (xs, ys), spec, [2, 2])
+        with pytest.raises(ConfigurationError):
+            sgd_run(K1, (xs, ys), spec, [2, 1])
+        with pytest.raises(ConfigurationError):
+            sgd_run(K1, (xs, ys), spec, [0, 2])
 
 
 class TestAveraging:
@@ -251,6 +287,11 @@ class TestRidge:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
             ridge_solve(K1, np.array([0.1]), np.array([1.0]), -0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigurationError):
+            ridge_solve(K1, np.array([0.1]), np.array([1.0]), lam)
 
 
 class TestFiniteDim:

@@ -63,6 +63,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(setting="batch")
         with pytest.raises(ConfigurationError):
+            ExperimentConfig(algorithm="zhang", setting="online")
+        with pytest.raises(ConfigurationError):
             ExperimentConfig(replicates=0)
         for bad in (np.nan, np.inf, -0.1):
             with pytest.raises(ConfigurationError):
@@ -227,10 +229,17 @@ class TestRunReplicates:
         assert got.value.value == pytest.approx(want[1], rel=1e-9)
 
     def test_online_competitor_rejected(self):
-        cfg = ExperimentConfig(algorithm="zhang", setting="online", n_max=40,
-                               replicates=1)
+        # rejected by the config, before any replicate's Gram matrix is built
         with pytest.raises(ConfigurationError):
+            cfg = ExperimentConfig(algorithm="zhang", setting="online", n_max=40,
+                                   replicates=1)
             run_replicates(cfg, checkpoints=[40])
+
+    @pytest.mark.parametrize("checkpoints", [[10, 100], [40, 10], [0, 10], [10, 10], []])
+    def test_bad_checkpoints_rejected(self, checkpoints):
+        cfg = ExperimentConfig(n_max=40, replicates=1)
+        with pytest.raises(ConfigurationError):
+            run_replicates(cfg, checkpoints=checkpoints)
 
 
 class TestGammaSweep:
@@ -253,6 +262,12 @@ class TestGammaSweep:
             gamma_sweep(cfg, [2.0, 1.0])
         with pytest.raises(ConfigurationError):
             gamma_sweep(cfg, [1.0], n_values=[999])
+
+    @pytest.mark.parametrize("n_values", [[100, 5], [30, 5], [0, 5], [5, 5], []])
+    def test_bad_n_values_rejected(self, n_values):
+        cfg = ExperimentConfig(n_max=60, replicates=1)
+        with pytest.raises(ConfigurationError):
+            gamma_sweep(cfg, [1.0, 2.0], n_values=n_values)
 
     def test_all_points_diverged_names_step_and_value(self):
         # gamma R^2 >= 1e4: every grid point's coefficients pass the limit

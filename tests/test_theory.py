@@ -46,6 +46,14 @@ class TestStepExponents:
         with pytest.raises(ConfigurationError):
             step_exponent_online(2.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, r", [(math.inf, 0.5), (math.nan, 0.5),
+                                          (2.0, math.inf), (2.0, math.nan)])
+    def test_non_finite_rejected(self, alpha, r):
+        for fn in (step_exponent_finite_horizon, step_exponent_online, predicted_rate,
+                   classify_regime):
+            with pytest.raises(ConfigurationError):
+                fn(alpha, r)
+
 
 class TestPredictedRates:
     def test_table_values(self):
@@ -93,6 +101,11 @@ class TestPredictedRates:
         assert competitor_rate(0.75) == pytest.approx(-0.6)
         assert competitor_rate(0.375) == pytest.approx(-3 / 7)
         assert competitor_rate(1.25) == pytest.approx(-5 / 7)
+
+    @pytest.mark.parametrize("r", [0.0, math.inf, math.nan])
+    def test_competitor_rejects_bad_r(self, r):
+        with pytest.raises(ConfigurationError):
+            competitor_rate(r)
 
 
 class TestRegimes:
