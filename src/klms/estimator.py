@@ -183,8 +183,9 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
     """Run one algorithm over the stream, snapshotting at each checkpoint.
 
     One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
-    row per checkpoint N, step `spec.step.at(N)`; other schedules run one
-    row of per-step sizes (and shrinks, when regularized). Returns a list of
+    row per distinct step `spec.step.at(N)` over the checkpoints N; other
+    schedules run one row of per-step sizes (and shrinks, when regularized),
+    which serves every checkpoint. Returns a list of
     (last iterate, averaged iterate) KernelExpansion pairs, one per
     checkpoint (see `check_checkpoints`), each depending only on the first N
     observations. Pass the Gram matrix of a stream run many times; otherwise
@@ -198,12 +199,14 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
     if gram is None:
         gram = kernel.gram(xs[:n_run])
     if isinstance(spec.step, FiniteHorizon):
-        steps, shrinks = spec.step.at(cps), None
+        # checkpoints with the same step (exponent 0) share one row
+        steps, row_of = np.unique(spec.step.at(cps), return_inverse=True)
+        shrinks = None
     else:
+        # a single horizon-free row serves every checkpoint
         steps, shrinks = schedule(spec.step, n_run, spec.reg)
-    # a single horizon-free row serves every checkpoint
-    rows = np.broadcast_to(sgd_constant_grid(gram, ys[:n_run], steps, shrinks),
-                           (len(cps), n_run))
+        row_of = np.zeros(len(cps), dtype=int)
+    rows = sgd_constant_grid(gram, ys[:n_run], steps, shrinks)[row_of]
     for row, n in zip(rows, cps):
         raise_on_divergence(row, n, shrinks)
     return [(KernelExpansion(xs[:n], prefix_iterate(row, n, False, shrinks)),

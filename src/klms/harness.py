@@ -24,7 +24,7 @@ from .errors import ConfigurationError, DivergenceError
 from .estimator import (ALGORITHM_NAMES, PRESETS, AlgorithmSpec, FiniteHorizon, Online,
                         TarresYao, check_checkpoints, first_divergence, prefix_iterate,
                         sgd_constant_grid, sgd_run)
-from .kernels import PeriodicSplineKernel, kernel_sup_sq
+from .kernels import PeriodicSplineKernel, _spline_grams, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -191,13 +191,14 @@ class _Context:
 
 
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
-    kernel = PeriodicSplineKernel(m)
+    # the Gram and doubled Gram matrices share each block of w = u(1 - u)
+    gram, doubled_gram = _spline_grams((m, 2 * m), xs)
     return _Context(
-        kernel=kernel,
+        kernel=PeriodicSplineKernel(m),
         xs=xs,
         ys=ys,
-        gram=kernel.gram(xs),
-        doubled_gram=kernel.doubled_gram(xs),
+        gram=gram,
+        doubled_gram=doubled_gram,
         inner=risk.kernel_target_inner(m, k, xs),
         norm_sq=risk.target_norm_sq(k),
     )
@@ -283,7 +284,8 @@ def run_replicates(config: ExperimentConfig,
     A replicate that diverges is recorded (its row becomes NaN and the pair
     (index, message) lands in ``diverged``) rather than silently dropped.
     """
-    cps = list(checkpoints) if checkpoints is not None else config.checkpoints()
+    cps = check_checkpoints(checkpoints if checkpoints is not None else config.checkpoints(),
+                            config.n_max)
     gamma0 = config.effective_gamma0()
     rows = np.full((config.replicates, len(cps)), np.nan)
     diverged: list[tuple[int, str]] = []

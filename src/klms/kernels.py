@@ -12,22 +12,39 @@ independent oracle. Under the uniform design on [0, 1) the associated
 covariance operator has eigenfunctions sqrt(2) cos(2 pi i t) and
 sqrt(2) sin(2 pi i t), both with eigenvalue (2 pi i)^{-2m};
 `eigen_check` verifies that numerically by quadrature.
+
+The closed form is evaluated without the fractional part or a polynomial in
+u = {s - t}. B_{2m} is symmetric about 1/2, so it is a degree-m polynomial in
+w = u(1 - u) (B_2 = 1/6 - w, B_4 = w^2 - 1/30), and w = |d|(1 - |d|) for the
+difference d in [-1, 1] of two points reduced into [0, 1]. The coefficients in
+w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
+every kernel value in the package, Gram matrices included, is one Horner pass
+in w (`_spline_w`). A Gram matrix is built in row blocks that stay in cache,
+and one block of w serves every order asked for (`_spline_grams`): the Gram
+and order-doubled Gram matrices of a stream share it. |d| makes every Gram
+matrix exactly symmetric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .bernoulli import bernoulli_poly, frac
+from .bernoulli import bernoulli_poly_coeffs
 from .errors import ConfigurationError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4)
 
 _SQRT2 = math.sqrt(2.0)
+
+# entries of w per Gram row block: 512 KB, small enough to stay in cache
+# through the Horner passes of every order
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _check_order(m: int) -> None:
@@ -37,21 +54,76 @@ def _check_order(m: int) -> None:
         )
 
 
-def _closed_form(order: int, u):
-    """(-1)^(order-1) B_{2 order}(u) / (2 order)! for u already in [0, 1).
+@lru_cache(maxsize=None)
+def _w_coeffs(order: int) -> tuple[float, ...]:
+    """Coefficients, highest degree first, of the degree-`order` polynomial P
+    with P(u(1 - u)) = (-1)^(order-1) B_{2 order}(u) / (2 order)!.
 
-    Valid for any order with 2*order <= 16; public entry points restrict the
-    KERNEL order to SUPPORTED_ORDERS, but the order-doubled form (used for L2
-    inner products of kernel sections) needs orders up to 8.
+    B_{2 order}(1/2 + v) is even in v, and v^2 = 1/4 - w; both substitutions
+    are done in exact rational arithmetic. Valid for 2*order <= 16: public
+    entry points restrict the KERNEL order to SUPPORTED_ORDERS, but the
+    order-doubled form (used for L2 inner products of kernel sections)
+    needs orders up to 8.
     """
-    sign = 1.0 if order % 2 == 1 else -1.0
-    return sign * bernoulli_poly(2 * order, u) / math.factorial(2 * order)
+    b = bernoulli_poly_coeffs(2 * order)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    even = [sum(b[j] * math.comb(j, 2 * i) * half ** (j - 2 * i)
+                for j in range(2 * i, 2 * order + 1)) for i in range(order + 1)]
+    scale = Fraction((-1) ** (order - 1), math.factorial(2 * order))
+    poly = [scale * sum(even[i] * math.comb(i, l) * quarter ** (i - l) * (-1) ** l
+                        for i in range(l, order + 1)) for l in range(order + 1)]
+    return tuple(float(c) for c in reversed(poly))
+
+
+def _spline_w(order: int, w, out=None):
+    """R_order at the kernel arguments whose w = u(1 - u) is given: Horner's
+    rule in w, written into `out` (an array of w's shape) when given."""
+    c = _w_coeffs(order)
+    out = np.multiply(w, c[0], out=out)
+    out += c[1]
+    for ck in c[2:]:
+        out *= w
+        out += ck
+    return out
+
+
+def _on_circle(x) -> np.ndarray:
+    """x reduced into [0, 1]; two such points differ by d in [-1, 1]."""
+    return np.mod(np.asarray(x, dtype=float), 1.0)
+
+
+def _circle_w(d: np.ndarray) -> np.ndarray:
+    """w = |d|(1 - |d|) in place over the differences d in [-1, 1]."""
+    np.abs(d, out=d)
+    d *= 1.0 - d
+    return d
+
+
+def _kernel_values(order: int, s, t):
+    """R_order(s, t), broadcast over s and t; a float for scalar arguments."""
+    d = np.asarray(_on_circle(s) - _on_circle(t))
+    out = _spline_w(order, _circle_w(d))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _spline_grams(orders, xs) -> list[np.ndarray]:
+    """The matrix R_order(x_i, x_j) for each order in `orders`, built block of
+    rows by block of rows from one w per block, which every order reads."""
+    xs = _on_circle(xs)
+    n = xs.shape[0]
+    grams = [np.empty((n, n)) for _ in orders]
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for i in range(0, n, rows):
+        w = _circle_w(np.subtract.outer(xs[i:i + rows], xs))
+        for order, gram in zip(orders, grams):
+            _spline_w(order, w, out=gram[i:i + rows])
+    return grams
 
 
 def spline_kernel(m: int, s, t):
     """Closed-form R_m(s, t)."""
     _check_order(m)
-    return _closed_form(m, frac(np.asarray(s, float) - np.asarray(t, float)))
+    return _kernel_values(m, s, t)
 
 
 def spline_kernel_series(m: int, s: float, t: float, J: int) -> float:
@@ -64,7 +136,8 @@ def spline_kernel_series(m: int, s: float, t: float, J: int) -> float:
     """
     if m < 1 or J < 1:
         raise ConfigurationError("need m >= 1 and J >= 1")
-    u = frac(s - t)
+    d = s - t
+    u = abs(d - round(d))          # distance on the circle; cos is even
     j = np.arange(1, J + 1, dtype=float)
     val = float(np.sum(2.0 * np.cos(2.0 * np.pi * j * u) / (2.0 * np.pi * j) ** (2 * m)))
     if u == 0.0:
@@ -87,18 +160,16 @@ class PeriodicSplineKernel:
         _check_order(self.m)
 
     def __call__(self, s, t):
-        return _closed_form(self.m, frac(np.asarray(s, float) - np.asarray(t, float)))
+        return _kernel_values(self.m, s, t)
 
     def pairwise(self, xs: np.ndarray, x) -> np.ndarray:
         """Vector of K(xs[i], x)."""
-        return _closed_form(self.m, frac(np.asarray(xs, float) - x))
+        return _kernel_values(self.m, xs, x)
 
     def gram(self, xs: np.ndarray) -> np.ndarray:
-        """K(x_i, x_j), evaluated at {x_j - x_i}: for m >= 2 the closed form
-        is symmetric only up to rounding, and this way row gram[i, :i] (what
-        the recursion reads) equals pairwise(xs[:i], xs[i]) bit for bit."""
-        xs = np.asarray(xs, dtype=float)
-        return _closed_form(self.m, frac(xs[None, :] - xs[:, None]))
+        """Matrix K(x_i, x_j); row gram[i, :i] (what the recursion reads)
+        equals pairwise(xs[:i], xs[i]) bit for bit."""
+        return _spline_grams((self.m,), xs)[0]
 
     def doubled_gram(self, xs: np.ndarray) -> np.ndarray:
         """Matrix of section inner products <K_{x_i}, K_{x_j}> in L2.
@@ -107,8 +178,7 @@ class PeriodicSplineKernel:
         form R_{2m}(x_i, x_j); the test suite validates the identity against
         the truncated series before anything downstream relies on it.
         """
-        xs = np.asarray(xs, dtype=float)
-        return _closed_form(2 * self.m, frac(xs[:, None] - xs[None, :]))
+        return _spline_grams((2 * self.m,), xs)[0]
 
 
 @dataclass(frozen=True)
@@ -143,7 +213,7 @@ def eigen_check(m: int, i: int, s: float, quad_points: int, sine: bool = False):
     ts = np.linspace(0.0, 1.0, quad_points + 1)
     trig = np.sin if sine else np.cos
     phi = _SQRT2 * trig(2.0 * np.pi * i * ts)
-    vals = _closed_form(m, frac(s - ts)) * phi
+    vals = _kernel_values(m, s, ts) * phi
     lhs = float(np.trapezoid(vals, ts))
     rhs = (2.0 * np.pi * i) ** (-2 * m) * _SQRT2 * float(trig(2.0 * np.pi * i * s))
     return lhs, rhs

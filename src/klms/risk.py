@@ -25,7 +25,7 @@ from scipy.special import zeta as _hurwitz_zeta
 
 from .bernoulli import bernoulli_poly, bernoulli_poly_coeffs, frac
 from .errors import ConfigurationError
-from .kernels import PeriodicSplineKernel, _check_order, _closed_form
+from .kernels import PeriodicSplineKernel, _check_order, _kernel_values
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -129,7 +129,7 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     ts = np.linspace(0.0, 1.0, grid_size + 1)
     w = expansion.coeffs
     if w.shape[0]:
-        vals = w @ _closed_form(m, frac(np.asarray(expansion.centers, float)[:, None] - ts[None, :]))
+        vals = w @ _kernel_values(m, np.asarray(expansion.centers, float)[:, None], ts)
     else:
         vals = np.zeros_like(ts)
     diff = vals - bernoulli_poly(k, ts)

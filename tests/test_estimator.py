@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from klms import estimator
 from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
                             Online, TarresYao,
                             averaged_coefficients, evaluate, finite_dim_sgd,
-                            ridge_solve, schedule, sgd_constant_grid, sgd_run)
+                            prefix_iterate, ridge_solve, schedule, sgd_constant_grid,
+                            sgd_run)
 from klms.kernels import LinearKernel, PeriodicSplineKernel, kernel_sup_sq
 
 K1 = PeriodicSplineKernel(1)
@@ -137,6 +139,29 @@ class TestRecursion:
         assert len(sgd_run(K1, (xs, ys), spec, [60])) == 1
         with pytest.raises(DivergenceError):
             sgd_run(K1, (xs, ys), spec, [5, 60])
+
+    def test_repeated_finite_horizon_step_runs_once(self, monkeypatch):
+        # exponent 0 gives every checkpoint the same step: one grid row
+        # serves them all, matching one row per checkpoint to rounding
+        rng = np.random.default_rng(16)
+        xs, ys = rng.random(300), rng.standard_normal(300)
+        cps = [50, 120, 300]
+        gram = PeriodicSplineKernel(2).gram(xs)
+        rows = sgd_constant_grid(gram, ys, np.full(len(cps), 0.3))
+        ran = []
+
+        def grid(*args):
+            ran.append(np.size(args[2]))
+            return sgd_constant_grid(*args)
+
+        monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
+        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(0.3))
+        got = sgd_run(PeriodicSplineKernel(2), (xs, ys), spec, cps, gram=gram)
+        assert ran == [1]
+        for (last, avg), row, n in zip(got, rows, cps):
+            for snap, averaged in ((last, False), (avg, True)):
+                want = prefix_iterate(row, n, averaged)
+                assert np.abs(snap.coeffs - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)

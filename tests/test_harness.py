@@ -241,6 +241,17 @@ class TestRunReplicates:
         with pytest.raises(ConfigurationError):
             run_replicates(cfg, checkpoints=checkpoints)
 
+    def test_bad_checkpoints_build_no_context(self, monkeypatch):
+        # the checkpoints are checked before any n x n matrix is built
+        def no_context(*args):
+            raise AssertionError("context built before the checkpoint check")
+
+        monkeypatch.setattr(harness, "_make_context", no_context)
+        with pytest.raises(ConfigurationError):
+            run_replicates(ExperimentConfig(replicates=1), checkpoints=[0, 10])
+        with pytest.raises(ConfigurationError):
+            gamma_sweep(ExperimentConfig(replicates=1), [1.0], n_values=[0, 10])
+
 
 class TestGammaSweep:
     def test_single_element_grid(self):

@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
+from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
-from klms.kernels import (LinearKernel, PeriodicSplineKernel, eigen_check,
-                          kernel_sup_sq, spline_kernel, spline_kernel_series)
+from klms.kernels import (LinearKernel, PeriodicSplineKernel, _spline_grams, _spline_w,
+                          eigen_check, kernel_sup_sq, spline_kernel,
+                          spline_kernel_series)
+
+
+def bernoulli_form(order, u):
+    """The closed form as a polynomial in u = {s - t}: the oracle for the
+    evaluation in w = u(1 - u)."""
+    sign = 1.0 if order % 2 == 1 else -1.0
+    return sign * bernoulli_poly(2 * order, u) / math.factorial(2 * order)
 
 
 class TestClosedForm:
@@ -39,6 +50,21 @@ class TestClosedForm:
         assert kernel_sup_sq(1) == pytest.approx(1 / 12)
         assert kernel_sup_sq(2) == pytest.approx(1 / 720)
         assert 1.0 / kernel_sup_sq(1) == pytest.approx(12.0)
+
+
+class TestWPolynomial:
+    U = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-15, 0.5, 1.0 - 1e-15]])
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_matches_bernoulli_polynomial(self, order):
+        got = _spline_w(order, self.U * (1.0 - self.U))
+        assert np.abs(got - bernoulli_form(order, self.U)).max() <= 1e-15
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_series(self, order):
+        for u in self.U[::40]:
+            closed = _spline_w(order, u * (1.0 - u))
+            assert abs(closed - spline_kernel_series(order, float(u), 0.0, 10**5)) <= 1e-8
 
 
 class TestSeriesOracle:
@@ -98,6 +124,32 @@ class TestGram:
         g = k.gram(xs)
         for i in range(1, 40):
             assert np.array_equal(g[i, :i], k.pairwise(xs[:i], xs[i]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exactly_symmetric(self, m):
+        g = PeriodicSplineKernel(m).gram(np.random.default_rng(m).random(300))
+        assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_production_size_matches_bernoulli_form(self, m):
+        # n = 3162 as in the experiments; the oracle is the closed form as a
+        # polynomial in u = {x_j - x_i}, built in row blocks to bound memory
+        xs = np.random.default_rng(10 + m).random(3162)
+        kernel = PeriodicSplineKernel(m)
+        for order, got in ((m, kernel.gram(xs)), (2 * m, kernel.doubled_gram(xs))):
+            worst = 0.0
+            for i in range(0, xs.size, 500):
+                want = bernoulli_form(order, frac(xs[None, :] - xs[i:i + 500, None]))
+                worst = max(worst, float(np.abs(got[i:i + 500] - want).max()))
+            assert worst <= 1e-12 * np.abs(got).max()
+
+    def test_shared_pair_equals_each_matrix(self):
+        # the context builds both matrices from one w per row block
+        xs = np.random.default_rng(5).random(257)
+        kernel = PeriodicSplineKernel(2)
+        gram, doubled = _spline_grams((2, 4), xs)
+        assert np.array_equal(gram, kernel.gram(xs))
+        assert np.array_equal(doubled, kernel.doubled_gram(xs))
 
     def test_linear_kernel(self):
         xs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
