@@ -6,10 +6,16 @@ Starting from g_0 = 0, each observation (x_n, y_n) appends one coefficient
 
 so g_n = sum_i a_i K_{x_i}. A regularized variant additionally shrinks all
 previous coefficients by (1 - gamma_n lambda_n); that multiplication is
-carried in a single global scale factor so each step stays O(n). The
-averaged output is g_bar_n = (g_0 + ... + g_n) / (n + 1), maintained in
-coefficient form as well. `sgd_constant_grid` is the one loop over a kernel
-expansion; `sgd_run` runs one `AlgorithmSpec` through it.
+carried in a single global scale factor. The averaged output is
+g_bar_n = (g_0 + ... + g_n) / (n + 1), read off the same coefficients.
+
+The coefficients of a run are the solution of one lower-triangular system,
+row i being step i. `sgd_constant_grid` is the one solver: forward
+substitution in blocks of _TIME_BLOCK steps, one GEMM per block for the
+predictions from earlier steps and one BLAS triangular solve per run inside
+the block, for a grid of runs that share one stream. A run stops at its
+horizon, the last step anyone reads. `sgd_run` runs one `AlgorithmSpec`
+through it, each row up to the last checkpoint that reads it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
+
+# steps per block of the recursion's forward substitution (see sgd_constant_grid)
+_TIME_BLOCK = 128
 
 # The algorithms compared in the benchmarks: name -> (averaged, regularized).
 PRESETS = {"ours": (True, False), "zhang": (True, False),
@@ -57,13 +66,14 @@ class Online:
     zeta: float
 
     def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ConfigurationError("gamma0 must be positive")
+        if not (np.isfinite(self.gamma0) and self.gamma0 > 0):
+            raise ConfigurationError("gamma0 must be finite and positive")
         if not 0.0 <= self.zeta < 1.0:
             raise ConfigurationError("zeta must lie in [0, 1)")
 
-    def step(self, i: int) -> float:
-        return self.gamma0 / float(i) ** self.zeta
+    def steps(self, n: int) -> np.ndarray:
+        """gamma_1 .. gamma_n."""
+        return self.gamma0 / np.arange(1.0, n + 1) ** self.zeta
 
 
 @dataclass(frozen=True)
@@ -84,18 +94,20 @@ class TarresYao:
     n0: int = 1
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ConfigurationError("r must be positive")
-        if self.a < 4.0:
-            raise ConfigurationError("the schedule requires a >= 4")
-        if self.n0 < 1:
-            raise ConfigurationError("n0 must be at least 1")
+        if not (np.isfinite(self.r) and self.r > 0):
+            raise ConfigurationError("r must be finite and positive")
+        if not (np.isfinite(self.a) and self.a >= 4.0):
+            raise ConfigurationError("the schedule requires a finite a >= 4")
+        if not (np.isfinite(self.n0) and self.n0 >= 1):
+            raise ConfigurationError("n0 must be finite and at least 1")
 
-    def step(self, i: int) -> float:
-        return self.a * (self.n0 + i) ** (-2.0 * self.r / (2.0 * self.r + 1.0))
+    def steps(self, n: int) -> np.ndarray:
+        """gamma_1 .. gamma_n."""
+        return self.a * (self.n0 + np.arange(1.0, n + 1)) ** (-2.0 * self.r / (2.0 * self.r + 1.0))
 
-    def lam(self, i: int) -> float:
-        return (self.n0 + i) ** (-1.0 / (2.0 * self.r + 1.0)) / self.a
+    def lams(self, n: int) -> np.ndarray:
+        """lambda_1 .. lambda_n."""
+        return (self.n0 + np.arange(1.0, n + 1)) ** (-1.0 / (2.0 * self.r + 1.0)) / self.a
 
 
 StepSchedule = Union[FiniteHorizon, Online, TarresYao]
@@ -183,9 +195,10 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
     """Run one algorithm over the stream, snapshotting at each checkpoint.
 
     One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
-    row per distinct step `spec.step.at(N)` over the checkpoints N; other
-    schedules run one row of per-step sizes (and shrinks, when regularized),
-    which serves every checkpoint. Returns a list of
+    row per distinct step `spec.step.at(N)` over the checkpoints N, each up
+    to the largest N it serves; other schedules run one row of per-step
+    sizes (and shrinks, when regularized), which serves every checkpoint.
+    Returns a list of
     (last iterate, averaged iterate) KernelExpansion pairs, one per
     checkpoint (see `check_checkpoints`), each depending only on the first N
     observations. Pass the Gram matrix of a stream run many times; otherwise
@@ -206,7 +219,10 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
         # a single horizon-free row serves every checkpoint
         steps, shrinks = schedule(spec.step, n_run, spec.reg)
         row_of = np.zeros(len(cps), dtype=int)
-    rows = sgd_constant_grid(gram, ys[:n_run], steps, shrinks)[row_of]
+    # each row runs up to the last checkpoint that reads it
+    horizons = np.zeros(np.shape(steps)[0], dtype=int)
+    np.maximum.at(horizons, row_of, cps)
+    rows = sgd_constant_grid(gram, ys[:n_run], steps, shrinks, horizons=horizons)[row_of]
     for row, n in zip(rows, cps):
         raise_on_divergence(row, n, shrinks)
     return [(KernelExpansion(xs[:n], prefix_iterate(row, n, False, shrinks)),
@@ -227,46 +243,66 @@ def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
 def schedule(step: StepSchedule, n: int, reg: Optional[TarresYao] = None):
     """One `sgd_constant_grid` row of per-step sizes gamma_1..gamma_n, shape
     (1, n), and the shrinks 1 - gamma_i lambda_i of `reg` (None without)."""
-    steps = np.array([[step.step(i) for i in range(1, n + 1)]])
-    if reg is None:
-        return steps, None
-    return steps, 1.0 - steps[0] * np.array([reg.lam(i) for i in range(1, n + 1)])
+    steps = step.steps(n)
+    return steps[None, :], None if reg is None else 1.0 - steps * reg.lams(n)
 
 
 def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
-                      shrinks: Optional[np.ndarray] = None) -> np.ndarray:
+                      shrinks: Optional[np.ndarray] = None, *,
+                      horizons: Optional[Sequence[int]] = None) -> np.ndarray:
     """The kernel recursion for a grid of step-size schedules on one stream;
-    every run in the package goes through this loop.
+    every run in the package goes through this solver.
 
     `gammas` holds one constant step per row, shape (rows,): the step-size
     sweep, or the finite-horizon steps gamma0 * N**expo with one row per
     horizon N. Or it holds per-step sizes, shape (rows, n): the horizon-free
-    schedules. Step i reads the contiguous row gram[i, :i] once for all rows.
-    `shrinks`, shared by all rows, multiplies every older coefficient by
-    shrinks[i] at step i; the product S_i = shrinks[0] * ... * shrinks[i] is
-    carried as one global scale, so the (rows, n) result holds raw
-    coefficients b: a_i = S_i b_i was created at step i and S_N b[:N] is the
-    last iterate after N steps (without shrinks, b = a). `prefix_iterate`
-    reads the last or averaged iterate off a row prefix.
+    schedules. `shrinks`, shared by all rows, multiplies every older
+    coefficient by shrinks[i] at step i; the product S_i = shrinks[0] * ...
+    * shrinks[i] is carried as one global scale, so the (rows, n) result
+    holds raw coefficients b: a_i = S_i b_i was created at step i and
+    S_N b[:N] is the last iterate after N steps (without shrinks, b = a).
+    `prefix_iterate` reads the last or averaged iterate off a row prefix.
 
-    The first N entries of a row depend only on the first N observations. A
-    run with an unstable step grows inside its own row until it overflows to
-    non-finite values, never touching the other rows; callers test rows with
-    `first_divergence` and raise or exclude.
+    Step i of a row is row i of the lower-triangular system
+    (diag(S) + diag(gamma * S_prev) tril(K, -1)) b = gamma * y, with
+    S_prev = (1, S_0, ..., S_{n-2}). Divided by gamma_i S_{i-1} (S_{-1} = 1),
+    row i reads (shrinks_i / gamma_i) b_i + sum_{j<i} K_ij b_j = y_i / S_{i-1},
+    and the system is solved by forward substitution over blocks of _TIME_BLOCK
+    steps: one GEMM gives a block the predictions of every live row from
+    all earlier coefficients, then one BLAS triangular solve per row covers
+    the block. Rows differ only in the diagonal, so one Fortran-ordered copy
+    of the block's Gram entries serves them all.
+
+    `horizons`, one per row, says how many leading entries of the row are
+    read; a row stops at the end of the block that reaches its horizon, and
+    its later entries stay zero. Without `horizons` every row runs all n
+    steps. The first N entries of a row depend only on the first N
+    observations. A run with an unstable step grows inside its own row
+    until it overflows to non-finite values, never touching the other rows;
+    callers test rows with `first_divergence` and raise or exclude.
     """
+    # scipy.linalg costs ~0.07 s to import; only the recursion needs it
+    from scipy.linalg.blas import dtrsv
+
     n = ys.shape[0]
     g = np.asarray(gammas, dtype=float)
     if g.ndim == 1:
         g = g[:, None]
-    steps = np.broadcast_to(g, (g.shape[0], n))
-    scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
+    shrinks = np.ones(n) if shrinks is None else np.asarray(shrinks, dtype=float)
+    diags = shrinks / np.broadcast_to(g, (g.shape[0], n))
+    targets = ys / np.concatenate([[1.0], np.cumprod(shrinks)[:-1]])
+    horizons = np.full(g.shape[0], n) if horizons is None else np.asarray(horizons)
     coeffs = np.zeros((g.shape[0], n))
-    prev = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            preds = prev * (coeffs[:, :i] @ gram[i, :i])
-            coeffs[:, i] = -steps[:, i] * (preds - ys[i]) / scales[i]
-            prev = scales[i]
+        for s in range(0, n, _TIME_BLOCK):
+            e = min(s + _TIME_BLOCK, n)
+            live = np.flatnonzero(horizons > s)
+            rhs = targets[s:e] - coeffs[live, :s] @ gram[s:e, :s].T
+            block = np.array(gram[s:e, s:e], dtype=float, order="F")
+            on_diag = np.arange(e - s)
+            for row, r in zip(live, rhs):
+                block[on_diag, on_diag] = diags[row, s:e]
+                coeffs[row, s:e] = dtrsv(block, r, lower=1)
     return coeffs
 
 

@@ -9,8 +9,9 @@ from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
                             Online, TarresYao,
                             averaged_coefficients, evaluate, finite_dim_sgd,
-                            prefix_iterate, ridge_solve, schedule, sgd_constant_grid,
-                            sgd_run)
+                            first_divergence, prefix_iterate, ridge_solve, schedule,
+                            sgd_constant_grid, sgd_run)
+from klms.harness import default_gamma_grid
 from klms.kernels import LinearKernel, PeriodicSplineKernel, kernel_sup_sq
 
 K1 = PeriodicSplineKernel(1)
@@ -35,6 +36,33 @@ def naive_run(kernel, xs, ys, step_fn, lam_fn, n):
     return np.array(coeffs), acc / (n + 1)
 
 
+def tarres_yao_fns(r, a=4.0, n0=1):
+    """The TarresYao step and regularization at step i, restated from its
+    definition for `naive_run`."""
+    return (lambda i: a * (n0 + i) ** (-2.0 * r / (2.0 * r + 1.0)),
+            lambda i: (n0 + i) ** (-1.0 / (2.0 * r + 1.0)) / a)
+
+
+def stepwise_grid(gram, ys, gammas, shrinks=None):
+    """The recursion one step at a time, for every row at once: step i
+    predicts from gram[i, :i] and appends one coefficient per row. Reference
+    for the blocked solver of `sgd_constant_grid`; shares no code with it."""
+    n = ys.shape[0]
+    g = np.asarray(gammas, dtype=float)
+    if g.ndim == 1:
+        g = g[:, None]
+    steps = np.broadcast_to(g, (g.shape[0], n))
+    scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
+    coeffs = np.zeros((g.shape[0], n))
+    prev = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            preds = prev * (coeffs[:, :i] @ gram[i, :i])
+            coeffs[:, i] = -steps[:, i] * (preds - ys[i]) / scales[i]
+            prev = scales[i]
+    return coeffs
+
+
 class TestSchedules:
     def test_finite_horizon_constant(self):
         s = FiniteHorizon(0.5)
@@ -46,26 +74,33 @@ class TestSchedules:
         assert np.allclose(t.at([4, 16]), [1.0, 0.5])
 
     def test_online_decay(self):
-        s = Online(2.0, 0.5)
-        assert s.step(1) == 2.0
-        assert s.step(4) == pytest.approx(1.0)
+        steps = Online(2.0, 0.5).steps(4)
+        assert steps.shape == (4,)
+        assert steps[0] == 2.0
+        assert steps[3] == pytest.approx(1.0)
 
     def test_tarres_yao_pairing(self):
         s = TarresYao(r=0.75)
-        assert s.step(1) == pytest.approx(4.0 * 2.0 ** (-0.6))
-        assert s.lam(1) == pytest.approx(0.25 * 2.0 ** (-0.4))
-        lams = [s.lam(i) for i in range(1, 50)]
-        assert all(b < a for a, b in zip(lams, lams[1:]))
-        assert all(l >= 0 for l in lams)
+        steps, lams = s.steps(49), s.lams(49)
+        assert steps[0] == pytest.approx(4.0 * 2.0 ** (-0.6))
+        assert lams[0] == pytest.approx(0.25 * 2.0 ** (-0.4))
+        assert np.all(np.diff(lams) < 0)
+        assert np.all(lams >= 0)
+        # gamma_i lambda_i = 1 / (n0 + i)
+        assert np.allclose(steps * lams, 1.0 / np.arange(2, 51), rtol=1e-14)
 
     def test_validation(self):
         for bad in ((0.0,), (np.inf,), (np.nan,), (1.0, np.nan), (1.0, -np.inf)):
             with pytest.raises(ConfigurationError):
                 FiniteHorizon(*bad)
-        with pytest.raises(ConfigurationError):
-            Online(1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            TarresYao(r=0.5, a=2.0)
+        # a non-finite parameter is a bad config, not a divergence at step 1
+        for bad in ((1.0, 1.0), (np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan)):
+            with pytest.raises(ConfigurationError):
+                Online(*bad)
+        for bad in (dict(r=0.5, a=2.0), dict(r=np.inf), dict(r=np.nan),
+                    dict(r=0.5, a=np.inf), dict(r=0.5, a=np.nan), dict(r=0.5, n0=np.inf)):
+            with pytest.raises(ConfigurationError):
+                TarresYao(**bad)
         # n0 = 0 would make the first shrink 1 - gamma_1 lambda_1 = 0
         with pytest.raises(ConfigurationError):
             TarresYao(r=0.5, n0=0)
@@ -114,7 +149,7 @@ class TestRecursion:
         ty = TarresYao(r=0.75)
         spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
         (last, avg), = sgd_run(K1, (xs, ys), spec, [40])
-        nc, nav = naive_run(K1, xs, ys, ty.step, ty.lam, 40)
+        nc, nav = naive_run(K1, xs, ys, *tarres_yao_fns(0.75), 40)
         assert np.allclose(last.coeffs, nc, atol=1e-13)
         assert np.allclose(avg.coeffs, nav, atol=1e-13)
 
@@ -150,9 +185,9 @@ class TestRecursion:
         rows = sgd_constant_grid(gram, ys, np.full(len(cps), 0.3))
         ran = []
 
-        def grid(*args):
+        def grid(*args, **kwargs):
             ran.append(np.size(args[2]))
-            return sgd_constant_grid(*args)
+            return sgd_constant_grid(*args, **kwargs)
 
         monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
         spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(0.3))
@@ -257,7 +292,7 @@ class TestAveraging:
         ty = TarresYao(r=0.375)
         spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
         (last, avg), = sgd_run(K1, (xs, ys), spec, [100])
-        nc, nav = naive_run(K1, xs, ys, ty.step, ty.lam, 100)
+        nc, nav = naive_run(K1, xs, ys, *tarres_yao_fns(0.375), 100)
         assert np.allclose(last.coeffs, nc, atol=1e-12)
         assert np.allclose(avg.coeffs, nav, atol=1e-12)
 
@@ -373,16 +408,81 @@ class TestConstantGrid:
         assert not np.all(np.isfinite(coeffs[1]))
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids=["m1", "m2"])
+def production(request):
+    """A kernel, a 3162-point stream and its Gram matrix, as one replicate
+    of the rate table."""
+    m = request.param
+    rng = np.random.default_rng(20 + m)
+    xs, ys = rng.random(3162), rng.standard_normal(3162)
+    kernel = PeriodicSplineKernel(m)
+    return kernel, xs, ys, kernel.gram(xs)
+
+
+class TestBlockedSolver:
+    """`sgd_constant_grid` solves in blocks of _TIME_BLOCK steps; the
+    stepwise recursion is the reference, at production size and across the
+    block boundaries."""
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 3162])
+    @pytest.mark.parametrize("kind", ["sweep", "online", "tarres_yao"])
+    def test_rows_match_stepwise(self, production, kind, n):
+        kernel, _, ys, gram = production
+        R_sq = kernel_sup_sq(kernel.m)
+        ty = TarresYao(r=0.75)
+        steps, shrinks = {"sweep": (default_gamma_grid(R_sq), None),
+                          "online": schedule(Online(1.0 / R_sq, 0.5), n),
+                          "tarres_yao": schedule(ty, n, ty)}[kind]
+        got = sgd_constant_grid(gram[:n, :n], ys[:n], steps, shrinks)
+        want = stepwise_grid(gram[:n, :n], ys[:n], steps, shrinks)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
+
+    def test_rows_stop_at_their_horizon(self, production):
+        _, _, ys, gram = production
+        horizons = np.array([3162, 1, 128, 129, 700])
+        rows = sgd_constant_grid(gram, ys, np.full(5, 0.5), horizons=horizons)
+        for row, h in zip(rows, horizons):
+            stop = -(-h // estimator._TIME_BLOCK) * estimator._TIME_BLOCK
+            assert np.all(row[:stop] != 0.0)
+            assert np.all(row[stop:] == 0.0)
+
+    def test_trimmed_rows_equal_full_rows(self, production):
+        # 20 finite-horizon checkpoints: sgd_run stops each row at its own
+        # checkpoint; every prefix it reads matches the full row
+        kernel, xs, ys, gram = production
+        cps = np.unique(np.geomspace(10, 3162, 20).astype(int))
+        step = FiniteHorizon(1.0 / kernel_sup_sq(kernel.m), -0.5)
+        got = sgd_run(kernel, (xs, ys), AlgorithmSpec("ours", True, step), cps, gram=gram)
+        full = sgd_constant_grid(gram, ys, step.at(cps))
+        for (last, avg), row, n in zip(got, full, cps):
+            for snap, averaged in ((last, False), (avg, True)):
+                want = prefix_iterate(row, n, averaged)
+                assert np.abs(snap.coeffs - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_unstable_grid_diverges_at_the_same_steps(self, production):
+        kernel, _, ys, gram = production
+        grid = np.geomspace(1.0, 1e4, 30) / kernel_sup_sq(kernel.m)
+        step, value = first_divergence(sgd_constant_grid(gram, ys, grid))
+        want_step, want_value = first_divergence(stepwise_grid(gram, ys, grid))
+        assert np.count_nonzero(step <= 3162) >= 25
+        assert np.array_equal(step, want_step)
+        assert np.allclose(value, want_value, rtol=1e-12, atol=0.0)
+
+
 class TestTriangularOracle:
     """The raw coefficients b of a grid row (a_i = S_i b_i, S the running
     product of the shrinks) solve the lower-triangular system
 
         (diag(S) + diag(gamma * S_prev) tril(K, -1)) b = gamma * y,
 
-    with S_prev = (1, S_1, ..., S_{n-1}); LAPACK's forward substitution is an
-    oracle that shares no code with the recursion."""
+    with S_prev = (1, S_1, ..., S_{n-1}). The recursion itself solves this
+    system by BLAS triangular solves, so LAPACK's forward substitution
+    checks the algebra rather than giving an independent implementation;
+    the independent oracles are `stepwise_grid` and `naive_run`. n up to
+    300 crosses the first time-block boundary."""
 
-    @given(n=st.integers(1, 200), kind=st.sampled_from(["constant", "online", "tarres_yao"]),
+    @given(n=st.integers(1, 300), kind=st.sampled_from(["constant", "online", "tarres_yao"]),
            m=st.integers(1, 2), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_rows_solve_the_triangular_system(self, n, kind, m, seed):
