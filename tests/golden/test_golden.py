@@ -17,8 +17,8 @@ import pytest
 
 from klms.estimator import ALGORITHM_NAMES
 from klms.harness import (TABLE_POINTS, ExperimentConfig, _algorithm_curve,
-                          _make_context, _TABLE_STEP_EXPONENTS, default_gamma_grid,
-                          gamma_sweep, replicate_seed, sample_stream)
+                          _make_context, _TABLE_STEP_EXPONENTS, compare_algorithms,
+                          default_gamma_grid, gamma_sweep, replicate_seed, sample_stream)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-10
@@ -57,8 +57,15 @@ def _sweep() -> dict:
     return {f"n={row.n}": [row.best_gamma, row.mean_excess_risk] for row in rows}
 
 
+def _compare_slopes() -> dict:
+    """The effective slope of every algorithm in `compare_algorithms`."""
+    return {f"p{point}/{row.algorithm}": row.effective_slope
+            for point in TABLE_POINTS
+            for row in compare_algorithms(point, n_max=N_MAX, replicates=REPLICATES)}
+
+
 def compute() -> dict:
-    return {"curves": _curves(), "gamma_sweep": _sweep()}
+    return {"compare_slopes": _compare_slopes(), "curves": _curves(), "gamma_sweep": _sweep()}
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +86,10 @@ def test_algorithm_curves(golden):
 
 def test_gamma_sweep(golden):
     _assert_matches(_sweep(), golden["gamma_sweep"])
+
+
+def test_compare_slopes(golden):
+    _assert_matches(_compare_slopes(), golden["compare_slopes"])
 
 
 if __name__ == "__main__":
