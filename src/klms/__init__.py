@@ -11,9 +11,9 @@ and rate theory (`theory`), and the experiment harness with its CLI
 from .bernoulli import (bernoulli_fourier_eval, bernoulli_numbers, bernoulli_poly,
                         bernoulli_poly_coeffs, frac)
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion, Online,
-                        TarresYao, averaged_coefficients, evaluate, finite_dim_sgd,
-                        ridge_solve, sgd_run)
+from .estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
+                        averaged_coefficients, evaluate, finite_dim_sgd, ridge_solve,
+                        sgd_run)
 from .harness import (ComparisonRow, ExperimentConfig, RateFit, SweepRow,
                       compare_algorithms, fit_rate, gamma_sweep, parse_config,
                       run_replicates, sample_stream)

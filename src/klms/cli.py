@@ -22,8 +22,8 @@ import numpy as np
 
 from . import bernoulli, harness, kernels, risk, theory
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
-                        averaged_coefficients, evaluate, finite_dim_sgd, sgd_run)
+from .estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients, evaluate,
+                        finite_dim_sgd, sgd_run)
 from .kernels import LinearKernel
 
 EXIT_OK = 0
@@ -207,8 +207,7 @@ def _check_finite_dim() -> tuple[bool, str]:
     ys = xs @ np.array([0.5, -1.0]) + 0.1 * rng.standard_normal(n)
     gamma = 0.05
     theta_bar = finite_dim_sgd((xs, ys), gamma)
-    spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(gamma))
-    _, avg = sgd_run(LinearKernel(d), (xs, ys), spec, [n])[0]
+    _, avg = sgd_run(LinearKernel(d), (xs, ys), FiniteHorizon(gamma), [n])[0]
     test_points = rng.standard_normal((5, d))
     worst = max(abs(float(theta_bar @ p) - evaluate(avg, LinearKernel(d), p))
                 for p in test_points)

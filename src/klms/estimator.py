@@ -14,8 +14,10 @@ row i being step i. `sgd_constant_grid` is the one solver: forward
 substitution in blocks of _TIME_BLOCK steps, one GEMM per block for the
 predictions from earlier steps and one BLAS triangular solve per run inside
 the block, for a grid of runs that share one stream. A run stops at its
-horizon, the last step anyone reads. `sgd_run` runs one `AlgorithmSpec`
-through it, each row up to the last checkpoint that reads it.
+horizon, the last step anyone reads. `sgd_run` runs one step schedule
+through it, each row up to the last checkpoint that reads it, and returns
+both the last and the averaged iterate; which of them an algorithm reports
+is the harness's business.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ DIVERGENCE_LIMIT = 1e12
 
 # steps per block of the recursion's forward substitution (see sgd_constant_grid)
 _TIME_BLOCK = 128
-
-# The algorithms compared in the benchmarks: name -> (averaged, regularized).
-PRESETS = {"ours": (True, False), "zhang": (True, False),
-           "ying_pontil": (False, False), "tarres_yao": (False, True)}
-ALGORITHM_NAMES = tuple(PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -113,28 +110,6 @@ class TarresYao:
 StepSchedule = Union[FiniteHorizon, Online, TarresYao]
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """Which recursion to run: averaging flag, step schedule, regularization.
-
-    `PRESETS` pins the (averaged, regularized) pair of each name.
-    """
-
-    name: str
-    averaged: bool
-    step: StepSchedule
-    reg: Optional[TarresYao] = None
-
-    def __post_init__(self):
-        flags = (self.averaged, self.reg is not None)
-        if PRESETS.get(self.name) != flags:
-            raise ConfigurationError(f"no preset {self.name!r} with (averaged, regularized) "
-                                     f"= {flags}; the presets are {PRESETS}")
-        if isinstance(self.step, FiniteHorizon) and self.reg is not None:
-            # its rows, one per horizon, would each need shrinks of their own
-            raise ConfigurationError("a finite-horizon step takes no regularization")
-
-
 # ---------------------------------------------------------------------------
 # expansions
 # ---------------------------------------------------------------------------
@@ -190,15 +165,16 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 # the recursion
 # ---------------------------------------------------------------------------
 
-def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
+def sgd_run(kernel, stream, step: StepSchedule, checkpoints: Sequence[int],
             *, gram: Optional[np.ndarray] = None):
-    """Run one algorithm over the stream, snapshotting at each checkpoint.
+    """Run the recursion with one step schedule over the stream, snapshotting
+    at each checkpoint.
 
     One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
-    row per distinct step `spec.step.at(N)` over the checkpoints N, each up
-    to the largest N it serves; other schedules run one row of per-step
-    sizes (and shrinks, when regularized), which serves every checkpoint.
-    Returns a list of
+    row per distinct step `step.at(N)` over the checkpoints N, each up to
+    the largest N it serves; an `Online` or `TarresYao` schedule runs one
+    row of per-step sizes (with the shrinks of `schedule` for `TarresYao`),
+    which serves every checkpoint. Returns a list of
     (last iterate, averaged iterate) KernelExpansion pairs, one per
     checkpoint (see `check_checkpoints`), each depending only on the first N
     observations. Pass the Gram matrix of a stream run many times; otherwise
@@ -211,13 +187,13 @@ def sgd_run(kernel, stream, spec: AlgorithmSpec, checkpoints: Sequence[int],
     n_run = cps[-1]
     if gram is None:
         gram = kernel.gram(xs[:n_run])
-    if isinstance(spec.step, FiniteHorizon):
+    if isinstance(step, FiniteHorizon):
         # checkpoints with the same step (exponent 0) share one row
-        steps, row_of = np.unique(spec.step.at(cps), return_inverse=True)
+        steps, row_of = np.unique(step.at(cps), return_inverse=True)
         shrinks = None
     else:
         # a single horizon-free row serves every checkpoint
-        steps, shrinks = schedule(spec.step, n_run, spec.reg)
+        steps, shrinks = schedule(step, n_run)
         row_of = np.zeros(len(cps), dtype=int)
     # each row runs up to the last checkpoint that reads it
     horizons = np.zeros(np.shape(steps)[0], dtype=int)
@@ -240,11 +216,13 @@ def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
     return cps
 
 
-def schedule(step: StepSchedule, n: int, reg: Optional[TarresYao] = None):
+def schedule(step: Union[Online, TarresYao], n: int):
     """One `sgd_constant_grid` row of per-step sizes gamma_1..gamma_n, shape
-    (1, n), and the shrinks 1 - gamma_i lambda_i of `reg` (None without)."""
+    (1, n), and the shrinks 1 - gamma_i lambda_i of a `TarresYao` schedule
+    (None for `Online`)."""
     steps = step.steps(n)
-    return steps[None, :], None if reg is None else 1.0 - steps * reg.lams(n)
+    shrinks = 1.0 - steps * step.lams(n) if isinstance(step, TarresYao) else None
+    return steps[None, :], shrinks
 
 
 def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,

@@ -21,9 +21,8 @@ import numpy as np
 from . import risk, theory
 from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (ALGORITHM_NAMES, PRESETS, AlgorithmSpec, FiniteHorizon, Online,
-                        TarresYao, check_checkpoints, first_divergence, prefix_iterate,
-                        sgd_constant_grid, sgd_run)
+from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
+                        first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
 from .kernels import PeriodicSplineKernel, _spline_grams, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
@@ -73,6 +72,9 @@ class ExperimentConfig:
             raise ConfigurationError("gamma0 must be finite and positive")
         if self.n_max < 1 or self.n_checkpoints < 1 or self.replicates < 1:
             raise ConfigurationError("n_max, n_checkpoints and replicates must be >= 1")
+        if self.master_seed < 0:
+            # numpy's SeedSequence takes only non-negative entropy
+            raise ConfigurationError("master_seed must be non-negative")
         _algorithm_spec(self.algorithm, self.kernel_order_m, self.target_index_k,
                         self.effective_gamma0(), self.setting)
 
@@ -213,29 +215,33 @@ def _snapshot_risk(ctx: _Context, expansion) -> float:
 # algorithm presets
 # ---------------------------------------------------------------------------
 
+# The algorithms compared in the benchmarks: name -> whether it reports the
+# averaged iterate (otherwise the last one). `_algorithm_spec` gives each its
+# step schedule.
+PRESETS = {"ours": True, "zhang": True, "ying_pontil": False, "tarres_yao": False}
+ALGORITHM_NAMES = tuple(PRESETS)
+
+
 def _algorithm_spec(name: str, m: int, k: int, gamma0: float, setting: str,
-                    step_exponent: Optional[float] = None) -> AlgorithmSpec:
-    """The preset `name` on problem (m, k), alpha = 2m, r = (2k - 1)/(4m):
-    tarres_yao's regularized schedule pair, or the finite-horizon step
-    gamma0 * N**expo with the optimal exponent for ours (or `step_exponent`)
-    and -2r/(2r + 1) for zhang and ying_pontil. Online, only ours has a
-    schedule, with the optimal online exponent."""
+                    step_exponent: Optional[float] = None) -> StepSchedule:
+    """The step schedule of preset `name` on problem (m, k), alpha = 2m,
+    r = (2k - 1)/(4m): tarres_yao's regularized schedule pair, or the
+    finite-horizon step gamma0 * N**expo with the optimal exponent for ours
+    (or `step_exponent`) and -2r/(2r + 1) for zhang and ying_pontil. Online,
+    only ours has a schedule, with the optimal online exponent."""
     if name not in PRESETS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
     alpha, r = 2.0 * m, (2.0 * k - 1.0) / (4.0 * m)
-    reg = None
-    if PRESETS[name][1]:
-        step = reg = TarresYao(r=r)
-    elif setting == "online":
+    if name == "tarres_yao":
+        return TarresYao(r=r)
+    if setting == "online":
         if name != "ours":
             raise ConfigurationError(f"{name!r} has no online schedule")
-        step = Online(gamma0, -theory.step_exponent_online(alpha, r))
-    elif name == "ours":
-        step = FiniteHorizon(gamma0, step_exponent if step_exponent is not None
+        return Online(gamma0, -theory.step_exponent_online(alpha, r))
+    if name == "ours":
+        return FiniteHorizon(gamma0, step_exponent if step_exponent is not None
                              else theory.step_exponent_finite_horizon(alpha, r))
-    else:
-        step = FiniteHorizon(gamma0, -2.0 * r / (2.0 * r + 1.0))
-    return AlgorithmSpec(name, PRESETS[name][0], step, reg)
+    return FiniteHorizon(gamma0, -2.0 * r / (2.0 * r + 1.0))
 
 
 def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
@@ -246,9 +252,9 @@ def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
     iterate otherwise. One `sgd_run` call, which raises DivergenceError at
     the first checkpoint that diverged.
     """
-    spec = _algorithm_spec(name, m, k, gamma0, setting, step_exponent)
-    snapshots = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), spec, cps, gram=ctx.gram)
-    return np.array([_snapshot_risk(ctx, avg if spec.averaged else last)
+    step = _algorithm_spec(name, m, k, gamma0, setting, step_exponent)
+    snapshots = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), step, cps, gram=ctx.gram)
+    return np.array([_snapshot_risk(ctx, avg if PRESETS[name] else last)
                      for last, avg in snapshots])
 
 

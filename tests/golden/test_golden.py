@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klms.estimator import ALGORITHM_NAMES
-from klms.harness import (TABLE_POINTS, ExperimentConfig, _algorithm_curve,
+from klms.harness import (ALGORITHM_NAMES, TABLE_POINTS, ExperimentConfig, _algorithm_curve,
                           _make_context, _TABLE_STEP_EXPONENTS, compare_algorithms,
                           default_gamma_grid, gamma_sweep, replicate_seed, sample_stream)
 

@@ -90,6 +90,17 @@ def test_compare_non_finite_noise_exits_2(capsys):
     assert "configuration error" in captured.err and captured.out == ""
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # numpy's SeedSequence rejects negative entropy; the config must first
+    assert main(["compare", "--point", "1", "--n-max", "40", "--replicates", "1",
+                 "--seed", "-1"]) == EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 30\nreplicates = 1\nmaster_seed = -1\n")
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.count("configuration error") == 2 and captured.out == ""
+
+
 def test_bound_check_csv(capsys):
     assert main(["bound-check", "--replicates", "1", "--seed", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")

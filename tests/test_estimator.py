@@ -6,8 +6,7 @@ from scipy.linalg import solve_triangular
 
 from klms import estimator
 from klms.errors import ConfigurationError, DivergenceError
-from klms.estimator import (AlgorithmSpec, FiniteHorizon, KernelExpansion,
-                            Online, TarresYao,
+from klms.estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
                             averaged_coefficients, evaluate, finite_dim_sgd,
                             first_divergence, prefix_iterate, ridge_solve, schedule,
                             sgd_constant_grid, sgd_run)
@@ -105,40 +104,23 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             TarresYao(r=0.5, n0=0)
 
-    def test_spec_invariants(self):
-        with pytest.raises(ConfigurationError):
-            AlgorithmSpec("ours", averaged=False, step=FiniteHorizon(1.0))
-        with pytest.raises(ConfigurationError):
-            AlgorithmSpec("ying_pontil", averaged=True, step=FiniteHorizon(1.0))
-        with pytest.raises(ConfigurationError):
-            AlgorithmSpec("tarres_yao", averaged=False, step=FiniteHorizon(1.0))
-        with pytest.raises(ConfigurationError):
-            AlgorithmSpec("sgd", averaged=True, step=FiniteHorizon(1.0))
-        # finite-horizon rows differ in the step but share the shrinks
-        ty = TarresYao(r=0.5)
-        with pytest.raises(ConfigurationError):
-            AlgorithmSpec("tarres_yao", averaged=False, step=FiniteHorizon(1.0), reg=ty)
-
 
 class TestRecursion:
     def test_single_step_base_case(self):
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(0.7))
-        (last, avg), = sgd_run(K1, (np.array([0.3]), np.array([2.0])), spec, [1])
+        (last, avg), = sgd_run(K1, (np.array([0.3]), np.array([2.0])), FiniteHorizon(0.7), [1])
         assert last.coeffs[0] == pytest.approx(0.7 * 2.0)
         assert avg.coeffs[0] == pytest.approx(0.7 * 2.0 / 2.0)
 
     def test_zero_targets_stay_zero(self):
         xs = np.random.default_rng(1).random(20)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1.0))
-        (last, avg), = sgd_run(K1, (xs, np.zeros(20)), spec, [20])
+        (last, avg), = sgd_run(K1, (xs, np.zeros(20)), FiniteHorizon(1.0), [20])
         assert np.all(last.coeffs == 0.0)
         assert np.all(avg.coeffs == 0.0)
 
     def test_transcript_oracle_unregularized(self):
         rng = np.random.default_rng(5)
         xs, ys = rng.random(5), rng.standard_normal(5)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(3.0))
-        (last, avg), = sgd_run(K1, (xs, ys), spec, [5])
+        (last, avg), = sgd_run(K1, (xs, ys), FiniteHorizon(3.0), [5])
         nc, nav = naive_run(K1, xs, ys, lambda i: 3.0, lambda i: 0.0, 5)
         assert np.allclose(last.coeffs, nc, atol=1e-14)
         assert np.allclose(avg.coeffs, nav, atol=1e-14)
@@ -147,8 +129,7 @@ class TestRecursion:
         rng = np.random.default_rng(6)
         xs, ys = rng.random(40), rng.standard_normal(40)
         ty = TarresYao(r=0.75)
-        spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
-        (last, avg), = sgd_run(K1, (xs, ys), spec, [40])
+        (last, avg), = sgd_run(K1, (xs, ys), ty, [40])
         nc, nav = naive_run(K1, xs, ys, *tarres_yao_fns(0.75), 40)
         assert np.allclose(last.coeffs, nc, atol=1e-13)
         assert np.allclose(avg.coeffs, nav, atol=1e-13)
@@ -158,8 +139,7 @@ class TestRecursion:
         rng = np.random.default_rng(15)
         xs, ys = rng.random(40), rng.standard_normal(40)
         step = FiniteHorizon(6.0, -0.5)
-        spec = AlgorithmSpec("ours", averaged=True, step=step)
-        for (last, avg), n in zip(sgd_run(K1, (xs, ys), spec, [9, 40]), [9, 40]):
+        for (last, avg), n in zip(sgd_run(K1, (xs, ys), step, [9, 40]), [9, 40]):
             nc, nav = naive_run(K1, xs, ys, lambda i: 6.0 * n**-0.5, lambda i: 0.0, n)
             assert np.allclose(last.coeffs, nc, atol=1e-13)
             assert np.allclose(avg.coeffs, nav, atol=1e-13)
@@ -170,10 +150,10 @@ class TestRecursion:
         # run's own row never diverges, the shorter one does
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1e6, -3.0))
-        assert len(sgd_run(K1, (xs, ys), spec, [60])) == 1
+        step = FiniteHorizon(1e6, -3.0)
+        assert len(sgd_run(K1, (xs, ys), step, [60])) == 1
         with pytest.raises(DivergenceError):
-            sgd_run(K1, (xs, ys), spec, [5, 60])
+            sgd_run(K1, (xs, ys), step, [5, 60])
 
     def test_repeated_finite_horizon_step_runs_once(self, monkeypatch):
         # exponent 0 gives every checkpoint the same step: one grid row
@@ -190,8 +170,8 @@ class TestRecursion:
             return sgd_constant_grid(*args, **kwargs)
 
         monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(0.3))
-        got = sgd_run(PeriodicSplineKernel(2), (xs, ys), spec, cps, gram=gram)
+        step = FiniteHorizon(0.3)
+        got = sgd_run(PeriodicSplineKernel(2), (xs, ys), step, cps, gram=gram)
         assert ran == [1]
         for (last, avg), row, n in zip(got, rows, cps):
             for snap, averaged in ((last, False), (avg, True)):
@@ -201,56 +181,54 @@ class TestRecursion:
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.random(30), rng.standard_normal(30)
-        spec = AlgorithmSpec("ours", averaged=True, step=Online(3.0, 0.5))
-        (last, _), = sgd_run(K1, (xs, ys), spec, [30])
+        (last, _), = sgd_run(K1, (xs, ys), Online(3.0, 0.5), [30])
         nc, _ = naive_run(K1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
         assert np.allclose(last.coeffs, nc, atol=1e-13)
 
     def test_checkpoint_snapshots_prefix_property(self):
         rng = np.random.default_rng(8)
         xs, ys = rng.random(50), rng.standard_normal(50)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(2.0))
-        snaps = sgd_run(K1, (xs, ys), spec, [10, 50])
+        snaps = sgd_run(K1, (xs, ys), FiniteHorizon(2.0), [10, 50])
         (short, _), (full, _) = snaps
         assert np.allclose(short.coeffs, full.coeffs[:10], atol=1e-15)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
         xs, ys = rng.random(25), rng.standard_normal(25)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1.5))
-        a = sgd_run(K1, (xs, ys), spec, [25])[0][0].coeffs
-        b = sgd_run(K1, (xs, ys), spec, [25])[0][0].coeffs
+        step = FiniteHorizon(1.5)
+        a = sgd_run(K1, (xs, ys), step, [25])[0][0].coeffs
+        b = sgd_run(K1, (xs, ys), step, [25])[0][0].coeffs
         assert np.array_equal(a, b)
 
     def test_gram_shortcut_equals_direct(self):
         rng = np.random.default_rng(10)
         xs, ys = rng.random(30), rng.standard_normal(30)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(2.0))
-        direct = sgd_run(K1, (xs, ys), spec, [30])[0][0].coeffs
-        cached = sgd_run(K1, (xs, ys), spec, [30], gram=K1.gram(xs))[0][0].coeffs
+        step = FiniteHorizon(2.0)
+        direct = sgd_run(K1, (xs, ys), step, [30])[0][0].coeffs
+        cached = sgd_run(K1, (xs, ys), step, [30], gram=K1.gram(xs))[0][0].coeffs
         assert np.array_equal(direct, cached)
 
     def test_divergence_diagnostic_names_step(self):
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(100.0))
+        step = FiniteHorizon(100.0)
         with pytest.raises(DivergenceError) as err:
-            sgd_run(K1, (xs, ys), spec, [60])
+            sgd_run(K1, (xs, ys), step, [60])
         assert err.value.step > 1
 
     def test_checkpoint_validation(self):
         xs, ys = np.array([0.1, 0.2]), np.array([0.0, 0.0])
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(1.0))
+        step = FiniteHorizon(1.0)
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), spec, [])
+            sgd_run(K1, (xs, ys), step, [])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), spec, [3])
+            sgd_run(K1, (xs, ys), step, [3])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), spec, [2, 2])
+            sgd_run(K1, (xs, ys), step, [2, 2])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), spec, [2, 1])
+            sgd_run(K1, (xs, ys), step, [2, 1])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), spec, [0, 2])
+            sgd_run(K1, (xs, ys), step, [0, 2])
 
 
 class TestAveraging:
@@ -290,8 +268,7 @@ class TestAveraging:
         rng = np.random.default_rng(12)
         xs, ys = rng.random(100), rng.standard_normal(100)
         ty = TarresYao(r=0.375)
-        spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
-        (last, avg), = sgd_run(K1, (xs, ys), spec, [100])
+        (last, avg), = sgd_run(K1, (xs, ys), ty, [100])
         nc, nav = naive_run(K1, xs, ys, *tarres_yao_fns(0.375), 100)
         assert np.allclose(last.coeffs, nc, atol=1e-12)
         assert np.allclose(avg.coeffs, nav, atol=1e-12)
@@ -374,8 +351,7 @@ class TestFiniteDim:
         ys = xs @ np.array([1.0, -0.5]) + 0.05 * rng.standard_normal(50)
         gamma = 0.05
         theta_bar = finite_dim_sgd((xs, ys), gamma)
-        spec = AlgorithmSpec("ours", averaged=True, step=FiniteHorizon(gamma))
-        (_, avg), = sgd_run(LinearKernel(2), (xs, ys), spec, [50])
+        (_, avg), = sgd_run(LinearKernel(2), (xs, ys), FiniteHorizon(gamma), [50])
         for p in rng.standard_normal((10, 2)):
             assert abs(float(theta_bar @ p) - evaluate(avg, LinearKernel(2), p)) <= 1e-10
 
@@ -432,7 +408,7 @@ class TestBlockedSolver:
         ty = TarresYao(r=0.75)
         steps, shrinks = {"sweep": (default_gamma_grid(R_sq), None),
                           "online": schedule(Online(1.0 / R_sq, 0.5), n),
-                          "tarres_yao": schedule(ty, n, ty)}[kind]
+                          "tarres_yao": schedule(ty, n)}[kind]
         got = sgd_constant_grid(gram[:n, :n], ys[:n], steps, shrinks)
         want = stepwise_grid(gram[:n, :n], ys[:n], steps, shrinks)
         err = np.linalg.norm(got - want, axis=1)
@@ -453,7 +429,7 @@ class TestBlockedSolver:
         kernel, xs, ys, gram = production
         cps = np.unique(np.geomspace(10, 3162, 20).astype(int))
         step = FiniteHorizon(1.0 / kernel_sup_sq(kernel.m), -0.5)
-        got = sgd_run(kernel, (xs, ys), AlgorithmSpec("ours", True, step), cps, gram=gram)
+        got = sgd_run(kernel, (xs, ys), step, cps, gram=gram)
         full = sgd_constant_grid(gram, ys, step.at(cps))
         for (last, avg), row, n in zip(got, full, cps):
             for snap, averaged in ((last, False), (avg, True)):
@@ -498,10 +474,10 @@ class TestTriangularOracle:
             steps = np.repeat(steps[:, None], n, axis=1)
         else:
             if kind == "online":
-                sched, reg = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), rng.uniform(0, 0.9)), None
+                sched = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), rng.uniform(0, 0.9))
             else:
-                sched = reg = TarresYao(r=rng.uniform(0.25, 2.0))
-            steps, shrinks = schedule(sched, n, reg)
+                sched = TarresYao(r=rng.uniform(0.25, 2.0))
+            steps, shrinks = schedule(sched, n)
             coeffs = sgd_constant_grid(gram, ys, steps, shrinks)
         scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
         prev = np.concatenate([[1.0], scales[:-1]])
@@ -514,8 +490,7 @@ class TestTriangularOracle:
         rng = np.random.default_rng(13)
         xs, ys = rng.random(80), rng.standard_normal(80)
         ty = TarresYao(r=0.75)
-        spec = AlgorithmSpec("tarres_yao", averaged=False, step=ty, reg=ty)
-        (last, _), = sgd_run(K1, (xs, ys), spec, [80])
-        steps, shrinks = schedule(ty, 80, ty)
+        (last, _), = sgd_run(K1, (xs, ys), ty, [80])
+        steps, shrinks = schedule(ty, 80)
         b = sgd_constant_grid(K1.gram(xs), ys, steps, shrinks)[0]
         assert np.array_equal(last.coeffs, np.cumprod(shrinks)[-1] * b)

@@ -66,6 +66,8 @@ class TestConfig:
             ExperimentConfig(algorithm="zhang", setting="online")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(replicates=0)
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(master_seed=-1)
         for bad in (np.nan, np.inf, -0.1):
             with pytest.raises(ConfigurationError):
                 ExperimentConfig(noise_sigma=bad)
