@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -59,6 +60,11 @@ def _write_csv(path, header, rows) -> None:
     print(f"wrote {path}")
 
 
+def _write_rows(path, cls, rows) -> None:
+    """`_write_csv` of dataclass rows, one column per field of `cls`."""
+    _write_csv(path, [f.name for f in dataclasses.fields(cls)], map(dataclasses.astuple, rows))
+
+
 def _cmd_simulate(args) -> int:
     config = harness.parse_config(args.config)
     run = harness.run_replicates(config)
@@ -69,11 +75,9 @@ def _cmd_simulate(args) -> int:
                     for ci, n in enumerate(run.checkpoints)))
     else:
         _write_csv(None, ("n", "mean_excess_risk"), zip(run.checkpoints, run.mean))
-    if run.diverged:
-        for rep, msg in run.diverged:
-            print(f"replicate {rep} diverged: {msg}", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    for rep, err in run.diverged:
+        print(f"replicate {rep} diverged: {err}", file=sys.stderr)
+    return EXIT_DIVERGED if run.diverged else EXIT_OK
 
 
 def _cmd_gamma_sweep(args) -> int:
@@ -88,8 +92,7 @@ def _cmd_gamma_sweep(args) -> int:
     else:
         grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     rows = harness.gamma_sweep(config, grid)
-    _write_csv(args.out, ("n", "best_gamma", "mean_excess_risk"),
-               [(row.n, row.best_gamma, row.mean_excess_risk) for row in rows])
+    _write_rows(args.out, harness.SweepRow, rows)
     fit = harness.fit_rate([(row.n, row.best_gamma) for row in rows])
     print(f"best-gamma slope over second half: {_fmt(fit.slope)}")
     return EXIT_OK
@@ -102,9 +105,7 @@ def _cmd_compare(args) -> int:
                                       master_seed=args.seed,
                                       use_table_step=args.table_step)
     if args.out:
-        _write_csv(args.out, ("algorithm", "predicted_slope", "effective_slope", "residual_rms"),
-                   ((row.algorithm, row.predicted_slope, row.effective_slope, row.residual_rms)
-                    for row in rows))
+        _write_rows(args.out, harness.ComparisonRow, rows)
     for row in rows:
         print(f"{row.algorithm:12s} predicted {row.predicted_slope:+.3f}  "
               f"effective {row.effective_slope:+.3f}  (rms {row.residual_rms:.3f})")
@@ -113,8 +114,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bound_check(args) -> int:
     rows = harness.bound_check(replicates=args.replicates, master_seed=args.seed)
-    _write_csv(None, ("n", "empirical", "bound", "ratio"),
-               [(row.n, row.empirical, row.bound, row.empirical / row.bound) for row in rows])
+    _write_rows(None, harness.BoundRow, rows)
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ sweeps, rate fitting, the four-algorithm comparison, and the bound check.
 All randomness flows through numpy SeedSequences built from
 (master_seed, replicate_index, stream_digest), so replicates are independent
 of execution order and two configs that describe the same data distribution
-see the same streams. Excess risks are evaluated with the closed form from
-`klms.risk`, amortized per replicate through precomputed Gram matrices.
+see the same streams. Every preset runs through one driver, `_replicate_runs`:
+per replicate it builds one context (the Gram matrices behind the closed-form
+risk of `klms.risk`) and one `sgd_run` per distinct step schedule; each preset
+scores its own iterate of that run and records its own divergences.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ class ExperimentConfig:
         if self.master_seed < 0:
             # numpy's SeedSequence takes only non-negative entropy
             raise ConfigurationError("master_seed must be non-negative")
-        _algorithm_spec(self.algorithm, self.kernel_order_m, self.target_index_k,
-                        self.effective_gamma0(), self.setting)
+        _algorithm_spec(self, self.algorithm)
 
     @property
     def alpha(self) -> float:
@@ -150,9 +151,7 @@ def _coerce_field(key: str, raw: str, path: str, lineno: int):
 
 def checkpoint_grid(n_max: int, count: int) -> list[int]:
     """count log-spaced sample sizes from 1 to n_max, deduplicated."""
-    lo = min(CHECKPOINT_FLOOR, n_max)
-    vals = np.unique(np.round(np.geomspace(lo, n_max, count)).astype(int))
-    vals = vals[(vals >= 1) & (vals <= n_max)]
+    vals = np.unique(np.round(np.geomspace(CHECKPOINT_FLOOR, n_max, count)).astype(int))
     return [int(v) for v in vals]
 
 
@@ -222,19 +221,18 @@ PRESETS = {"ours": True, "zhang": True, "ying_pontil": False, "tarres_yao": Fals
 ALGORITHM_NAMES = tuple(PRESETS)
 
 
-def _algorithm_spec(name: str, m: int, k: int, gamma0: float, setting: str,
+def _algorithm_spec(config: ExperimentConfig, name: str,
                     step_exponent: Optional[float] = None) -> StepSchedule:
-    """The step schedule of preset `name` on problem (m, k), alpha = 2m,
-    r = (2k - 1)/(4m): tarres_yao's regularized schedule pair, or the
-    finite-horizon step gamma0 * N**expo with the optimal exponent for ours
-    (or `step_exponent`) and -2r/(2r + 1) for zhang and ying_pontil. Online,
-    only ours has a schedule, with the optimal online exponent."""
+    """The step schedule of preset `name` in the config's problem and setting:
+    tarres_yao's regularized schedule pair, or the finite-horizon step
+    gamma0 * N**expo with the optimal exponent for ours (or `step_exponent`)
+    and -2r/(2r + 1) for zhang and ying_pontil. Online, only ours has one."""
     if name not in PRESETS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
-    alpha, r = 2.0 * m, (2.0 * k - 1.0) / (4.0 * m)
+    alpha, r, gamma0 = config.alpha, config.r, config.effective_gamma0()
     if name == "tarres_yao":
         return TarresYao(r=r)
-    if setting == "online":
+    if config.setting == "online":
         if name != "ours":
             raise ConfigurationError(f"{name!r} has no online schedule")
         return Online(gamma0, -theory.step_exponent_online(alpha, r))
@@ -242,20 +240,6 @@ def _algorithm_spec(name: str, m: int, k: int, gamma0: float, setting: str,
         return FiniteHorizon(gamma0, step_exponent if step_exponent is not None
                              else theory.step_exponent_finite_horizon(alpha, r))
     return FiniteHorizon(gamma0, -2.0 * r / (2.0 * r + 1.0))
-
-
-def _algorithm_curve(name: str, m: int, k: int, gamma0: float, setting: str,
-                     ctx: _Context, cps: Sequence[int],
-                     step_exponent: Optional[float] = None) -> np.ndarray:
-    """Excess risk of the algorithm's designated output at each checkpoint,
-    for one stream: the averaged iterate of an averaged preset, the last
-    iterate otherwise. One `sgd_run` call, which raises DivergenceError at
-    the first checkpoint that diverged.
-    """
-    step = _algorithm_spec(name, m, k, gamma0, setting, step_exponent)
-    snapshots = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), step, cps, gram=ctx.gram)
-    return np.array([_snapshot_risk(ctx, avg if PRESETS[name] else last)
-                     for last, avg in snapshots])
 
 
 def _replicate_contexts(config: ExperimentConfig):
@@ -276,11 +260,36 @@ def _replicate_contexts(config: ExperimentConfig):
 class ReplicateRun:
     checkpoints: list[int]
     per_replicate: np.ndarray          # shape (replicates, len(checkpoints))
-    diverged: list[tuple[int, str]] = field(default_factory=list)
+    diverged: list[tuple[int, DivergenceError]] = field(default_factory=list)
 
     @property
     def mean(self) -> np.ndarray:
         return self.per_replicate.mean(axis=0)
+
+
+def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequence[int],
+                    step_exponent: Optional[float] = None) -> dict[str, ReplicateRun]:
+    """Curves of the presets `names` at `cps` on the config's replicates. Per
+    replicate each distinct schedule runs once, in order of first appearance,
+    and each preset scores its iterate (see PRESETS); a DivergenceError lands
+    as (replicate, error) in ``diverged`` of each preset sharing the run."""
+    by_step: dict[StepSchedule, list[str]] = {}
+    for name in names:
+        by_step.setdefault(_algorithm_spec(config, name, step_exponent), []).append(name)
+    runs = {name: ReplicateRun(cps, np.full((config.replicates, len(cps)), np.nan))
+            for name in names}
+    for rep, ctx in enumerate(_replicate_contexts(config)):
+        for step, group in by_step.items():
+            try:
+                snapshots = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), step, cps, gram=ctx.gram)
+            except DivergenceError as err:
+                for name in group:
+                    runs[name].diverged.append((rep, err))
+                continue
+            for name in group:
+                runs[name].per_replicate[rep] = [
+                    _snapshot_risk(ctx, avg if PRESETS[name] else last) for last, avg in snapshots]
+    return runs
 
 
 def run_replicates(config: ExperimentConfig,
@@ -288,21 +297,11 @@ def run_replicates(config: ExperimentConfig,
     """Mean excess risk of the configured algorithm over independent streams.
 
     A replicate that diverges is recorded (its row becomes NaN and the pair
-    (index, message) lands in ``diverged``) rather than silently dropped.
+    (index, error) lands in ``diverged``) rather than silently dropped.
     """
     cps = check_checkpoints(checkpoints if checkpoints is not None else config.checkpoints(),
                             config.n_max)
-    gamma0 = config.effective_gamma0()
-    rows = np.full((config.replicates, len(cps)), np.nan)
-    diverged: list[tuple[int, str]] = []
-    for rep, ctx in enumerate(_replicate_contexts(config)):
-        try:
-            rows[rep] = _algorithm_curve(config.algorithm, config.kernel_order_m,
-                                         config.target_index_k, gamma0, config.setting,
-                                         ctx, cps)
-        except DivergenceError as err:
-            diverged.append((rep, str(err)))
-    return ReplicateRun(cps, rows, diverged)
+    return _replicate_runs(config, [config.algorithm], cps)[config.algorithm]
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +415,12 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     """Run the four algorithms on one of the benchmark problems and report
     predicted versus fitted log-log slopes.
 
-    All algorithms see the same streams within each replicate. The default
-    noise level is the per-problem calibration in POINT_NOISE; pass
-    ``noise_sigma`` to override. With ``use_table_step`` the step exponent
-    of `ours` follows the published experiment table instead of the
-    optimizing formula (they differ for the saturated problem, point 3).
+    All algorithms see the same streams within each replicate (zhang and
+    ying_pontil the same run). The default noise level is the per-problem
+    calibration in POINT_NOISE; pass ``noise_sigma`` to override. With
+    ``use_table_step`` the step exponent of `ours` follows the published
+    experiment table instead of the optimizing formula (they differ for the
+    saturated problem, point 3). A divergence raises after all replicates.
     """
     if point not in TABLE_POINTS:
         raise ConfigurationError(f"point must be one of {sorted(TABLE_POINTS)}")
@@ -430,23 +430,15 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, noise_sigma=noise_sigma,
                            n_max=n_max, n_checkpoints=n_checkpoints,
                            replicates=replicates, master_seed=master_seed)
-    alpha, r = cfg.alpha, cfg.r
-    gamma0 = cfg.effective_gamma0()
     override = _TABLE_STEP_EXPONENTS.get((m, k)) if use_table_step else None
-    cps = cfg.checkpoints()
-
-    sums = {name: np.zeros(len(cps)) for name in ALGORITHM_NAMES}
-    for ctx in _replicate_contexts(cfg):
-        for name in ALGORITHM_NAMES:
-            sums[name] += _algorithm_curve(name, m, k, gamma0, "finite_horizon",
-                                           ctx, cps, step_exponent=override)
-
+    runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints(), step_exponent=override)
     rows = []
-    for name in ALGORITHM_NAMES:
-        mean = sums[name] / replicates
-        fit = fit_rate(list(zip(cps, mean)))
-        predicted = (theory.predicted_rate(alpha, r, "fh") if name == "ours"
-                     else theory.competitor_rate(r))
+    for name, run in runs.items():
+        if run.diverged:
+            raise run.diverged[0][1]
+        fit = fit_rate(list(zip(run.checkpoints, run.mean)))
+        predicted = (theory.predicted_rate(cfg.alpha, cfg.r, "fh") if name == "ours"
+                     else theory.competitor_rate(cfg.r))
         rows.append(ComparisonRow(name, predicted, fit.slope, fit.residual_rms))
     return rows
 
@@ -456,6 +448,7 @@ class BoundRow:
     n: int
     empirical: float
     bound: float
+    ratio: float                       # empirical / bound
 
 
 def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
@@ -467,7 +460,7 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
     exponent and gamma0 = 1/(4 R^2), which satisfies the bound's step-size
     condition at every horizon. The bound's source norm is evaluated just
     below its divergence boundary (r = 0.95 r_true), truncated at 1e6
-    frequencies.
+    frequencies. A divergence raises after all replicates.
     """
     m, k = 1, 2
     R_sq = kernel_sup_sq(m)
@@ -481,9 +474,12 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
         source_norm_sq=theory.source_norm_sq_truncated(m, k, r_eval, 10**6))
     expo = theory.step_exponent_finite_horizon(cfg.alpha, cfg.r)
     run = run_replicates(cfg)
-    return [BoundRow(n, float(emp),
-                     theory.finite_horizon_bound(n, cfg.gamma0 * n**expo, params))
-            for n, emp in zip(run.checkpoints, run.mean)]
+    if run.diverged:
+        raise run.diverged[0][1]
+    bounds = [theory.finite_horizon_bound(n, cfg.gamma0 * n**expo, params)
+              for n in run.checkpoints]
+    return [BoundRow(n, float(emp), bound, float(emp) / bound)
+            for n, emp, bound in zip(run.checkpoints, run.mean, bounds)]
 
 
 # Step exponents as listed in the published experiment table; the entry for

@@ -2,12 +2,15 @@
 
 The values in ``golden.json`` were produced by this module's ``compute``
 and are the reference any refactor of the recursions, the averaging or the
-risk evaluation must reproduce. Regenerate them only when an output is meant
-to change:
+risk evaluation must reproduce. ``--write`` adds the entries of ``compute``
+that ``golden.json`` lacks and leaves every pinned entry as it is, byte for
+byte; to re-pin an entry whose output is meant to change, delete it from
+``golden.json`` first:
 
     PYTHONPATH=src python tests/golden/test_golden.py --write
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klms.harness import (ALGORITHM_NAMES, TABLE_POINTS, ExperimentConfig, _algorithm_curve,
-                          _make_context, _TABLE_STEP_EXPONENTS, compare_algorithms,
-                          default_gamma_grid, gamma_sweep, replicate_seed, sample_stream)
+from klms.harness import (ALGORITHM_NAMES, TABLE_POINTS, ExperimentConfig, _replicate_runs,
+                          _TABLE_STEP_EXPONENTS, compare_algorithms, default_gamma_grid,
+                          gamma_sweep)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-10
@@ -32,19 +35,14 @@ def _curves() -> dict:
     for point, (m, k) in TABLE_POINTS.items():
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, n_max=N_MAX,
                                replicates=REPLICATES)
-        gamma0 = cfg.effective_gamma0()
         cps = cfg.checkpoints()
-        for rep in range(REPLICATES):
-            xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
-                                   k, cfg.noise_sigma, N_MAX)
-            ctx = _make_context(m, k, xs, ys)
-            runs = [(name, name, "finite_horizon", None) for name in ALGORITHM_NAMES]
-            runs += [("ours/online", "ours", "online", None),
-                     ("ours/table_step", "ours", "finite_horizon",
-                      _TABLE_STEP_EXPONENTS[(m, k)])]
-            for label, name, setting, expo in runs:
-                curve = _algorithm_curve(name, m, k, gamma0, setting, ctx, cps,
-                                         step_exponent=expo)
+        online = dataclasses.replace(cfg, setting="online")
+        runs = {**_replicate_runs(cfg, ALGORITHM_NAMES, cps),
+                "ours/online": _replicate_runs(online, ["ours"], cps)["ours"],
+                "ours/table_step": _replicate_runs(
+                    cfg, ["ours"], cps, step_exponent=_TABLE_STEP_EXPONENTS[(m, k)])["ours"]}
+        for label, run in runs.items():
+            for rep, curve in enumerate(run.per_replicate):
                 out[f"p{point}/rep{rep}/{label}"] = [float(v) for v in curve]
     return out
 
@@ -94,6 +92,10 @@ def test_compare_slopes(golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for section, values in compute().items():
+        for key, value in values.items():
+            pinned.setdefault(section, {}).setdefault(key, value)
     with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(compute(), handle, indent=1)
+        json.dump(pinned, handle, indent=1)
         handle.write("\n")

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import klms.estimator
 from klms import harness
 from klms.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, _SELFCHECKS, main)
 
@@ -110,6 +111,19 @@ def test_bound_check_csv(capsys):
     for n, emp, bound, ratio in rows:
         assert emp > 0 and bound > 0
         assert ratio == emp / bound
+
+
+@pytest.mark.parametrize("argv", [["bound-check", "--replicates", "1"],
+                                  ["compare", "--point", "1", "--n-max", "60",
+                                   "--replicates", "2"]])
+def test_mean_reports_exit_3_on_divergence(monkeypatch, capsys, argv):
+    # the limit is read at call time; every run now diverges at its first
+    # coefficient above 1e-3, and no mean is printed over NaN rows
+    monkeypatch.setattr(klms.estimator, "DIVERGENCE_LIMIT", 1e-3)
+    assert main(argv) == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert re.search(r"numerical divergence: coefficient diverged at step \d+ ", captured.err)
 
 
 def test_gamma_sweep_subcommand(tmp_path, capsys):

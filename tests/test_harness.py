@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,11 +7,11 @@ from scipy.linalg import solve_triangular
 
 from klms.bernoulli import bernoulli_poly
 from klms.errors import ConfigurationError, DivergenceError
-from klms.estimator import DIVERGENCE_LIMIT
+from klms.estimator import DIVERGENCE_LIMIT, sgd_run
 from klms import harness
 from klms.cli import main
-from klms.harness import (ComparisonRow, ExperimentConfig, _algorithm_curve,
-                          _make_context, _replicate_contexts, checkpoint_grid,
+from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
+                          _replicate_contexts, _replicate_runs, checkpoint_grid,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
@@ -201,7 +202,7 @@ class TestRunReplicates:
         cfg = ExperimentConfig(algorithm=name, gamma0=1e4, n_max=60, replicates=2)
         run = run_replicates(cfg)
         assert [rep for rep, _ in run.diverged] == [0, 1]
-        assert all("diverged at step" in msg for _, msg in run.diverged)
+        assert all("diverged at step" in str(err) for _, err in run.diverged)
         assert np.all(np.isnan(run.per_replicate))
 
     def test_divergence_names_first_bad_step(self):
@@ -210,25 +211,23 @@ class TestRunReplicates:
         # (I + gamma tril(K, -1)) a = gamma y; the first run holding a
         # coefficient beyond the limit names the step
         gamma0 = 1e3
-        cfg = ExperimentConfig(n_max=200)
+        cfg = ExperimentConfig(n_max=200, gamma0=gamma0, replicates=1)
         cps = cfg.checkpoints()
-        xs, ys = sample_stream(0, 2, 0.1, 200)
-        ctx = _make_context(1, 2, xs, ys)
+        ctx = next(_replicate_contexts(cfg))
         expo = step_exponent_finite_horizon(cfg.alpha, cfg.r)
         want = None
         for horizon in cps:
             gamma = gamma0 * horizon**expo
             system = np.eye(horizon) + gamma * np.tril(ctx.gram[:horizon, :horizon], -1)
-            coeffs = solve_triangular(system, gamma * ys[:horizon], lower=True)
+            coeffs = solve_triangular(system, gamma * ctx.ys[:horizon], lower=True)
             bad = ~(np.abs(coeffs) <= DIVERGENCE_LIMIT)
             if bad.any():
                 want = (int(np.argmax(bad)) + 1, abs(coeffs[np.argmax(bad)]))
                 break
         assert want is not None and horizon > cps[0] and want[0] < horizon
-        with pytest.raises(DivergenceError) as got:
-            _algorithm_curve("ours", 1, 2, gamma0, "finite_horizon", ctx, cps)
-        assert got.value.step == want[0]
-        assert got.value.value == pytest.approx(want[1], rel=1e-9)
+        [(_, got)] = _replicate_runs(cfg, ["ours"], cps)["ours"].diverged
+        assert got.step == want[0]
+        assert got.value == pytest.approx(want[1], rel=1e-9)
 
     def test_online_competitor_rejected(self):
         # rejected by the config, before any replicate's Gram matrix is built
@@ -327,6 +326,26 @@ class TestCompare:
     def test_invalid_point(self):
         with pytest.raises(ConfigurationError):
             compare_algorithms(5, n_max=50, replicates=1)
+
+    def test_one_run_per_distinct_schedule(self, monkeypatch):
+        # zhang and ying_pontil share a schedule: 3 sgd_run calls per replicate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return sgd_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sgd_run", counting)
+        compare_algorithms(1, n_max=60, replicates=2, n_checkpoints=6)
+        assert len(calls) == 2 * 3 and len(set(calls)) == 3
+
+    def test_shared_run_matches_standalone_runs(self):
+        # each preset's curve is bitwise its run_replicates curve
+        cfg = ExperimentConfig(kernel_order_m=2, target_index_k=2, n_max=120, replicates=2)
+        runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints())
+        for name in ALGORITHM_NAMES:
+            alone = run_replicates(dataclasses.replace(cfg, algorithm=name))
+            assert np.array_equal(runs[name].per_replicate, alone.per_replicate)
 
     def test_end_to_end_determinism(self):
         a = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1,
