@@ -7,12 +7,14 @@ class ConfigurationError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A stochastic recursion produced a non-finite or absurdly large
-    coefficient, which almost always means the step size is too large."""
+    coefficient, which almost always means the step size is too large.
+    `where`, when given, names the run (preset and replicate, or step size)
+    at the end of the message."""
 
-    def __init__(self, step: int, value: float):
+    def __init__(self, step: int, value: float, where: str = ""):
         self.step = step
         self.value = value
         super().__init__(
             f"coefficient diverged at step {step} (|a_n| = {value:.3e}); "
-            "the step size is probably too large"
+            "the step size is probably too large" + (f" ({where})" if where else "")
         )

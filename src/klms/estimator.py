@@ -34,6 +34,12 @@ DIVERGENCE_LIMIT = 1e12
 # steps per block of the recursion's forward substitution (see sgd_constant_grid)
 _TIME_BLOCK = 128
 
+# TarresYao's scale a (the smallest the source analysis allows, a >= 4) and
+# index shift n0 (gamma_i lambda_i = 1 / (n0 + i), so n0 = 1 keeps every
+# shrink factor 1 - gamma_i lambda_i at least 1/2)
+_TY_A = 4.0
+_TY_N0 = 1
+
 
 # ---------------------------------------------------------------------------
 # step-size and regularization schedules
@@ -78,33 +84,24 @@ class TarresYao:
     """Paired per-step schedules of the regularized recursion:
 
     gamma_i  = a (n0 + i)^{-2r/(2r+1)},
-    lambda_i = (1/a) (n0 + i)^{-1/(2r+1)}.
+    lambda_i = (1/a) (n0 + i)^{-1/(2r+1)},
 
-    The index shift n0 keeps the first steps finite; a >= 4 in the source
-    analysis and we default to the smallest allowed value. Since
-    gamma_i lambda_i = 1 / (n0 + i), n0 >= 1 keeps every shrink factor
-    1 - gamma_i lambda_i at least 1/2.
+    with a = _TY_A = 4 and n0 = _TY_N0 = 1.
     """
 
     r: float
-    a: float = 4.0
-    n0: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r > 0):
             raise ConfigurationError("r must be finite and positive")
-        if not (np.isfinite(self.a) and self.a >= 4.0):
-            raise ConfigurationError("the schedule requires a finite a >= 4")
-        if not (np.isfinite(self.n0) and self.n0 >= 1):
-            raise ConfigurationError("n0 must be finite and at least 1")
 
     def steps(self, n: int) -> np.ndarray:
         """gamma_1 .. gamma_n."""
-        return self.a * (self.n0 + np.arange(1.0, n + 1)) ** (-2.0 * self.r / (2.0 * self.r + 1.0))
+        return _TY_A * (_TY_N0 + np.arange(1.0, n + 1)) ** (-2.0 * self.r / (2.0 * self.r + 1.0))
 
     def lams(self, n: int) -> np.ndarray:
         """lambda_1 .. lambda_n."""
-        return (self.n0 + np.arange(1.0, n + 1)) ** (-1.0 / (2.0 * self.r + 1.0)) / self.a
+        return (_TY_N0 + np.arange(1.0, n + 1)) ** (-1.0 / (2.0 * self.r + 1.0)) / _TY_A
 
 
 StepSchedule = Union[FiniteHorizon, Online, TarresYao]

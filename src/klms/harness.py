@@ -292,6 +292,14 @@ def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequenc
     return runs
 
 
+def _raise_first_divergence(name: str, run: ReplicateRun) -> None:
+    """Re-raise the first recorded divergence of preset `name`, naming the
+    preset and the replicate."""
+    if run.diverged:
+        rep, err = run.diverged[0]
+        raise DivergenceError(err.step, err.value, f"{name}, replicate {rep}") from err
+
+
 def run_replicates(config: ExperimentConfig,
                    checkpoints: Optional[Sequence[int]] = None) -> ReplicateRun:
     """Mean excess risk of the configured algorithm over independent streams.
@@ -334,8 +342,8 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
     constant, read at each n through `prefix_iterate`. A constant whose run
     diverged within n steps in any replicate (`first_divergence`: a
     coefficient that is non-finite or exceeds DIVERGENCE_LIMIT) is no
-    candidate at n; with none left, DivergenceError names the step and |a|
-    of the constant that diverged last.
+    candidate at n; with none left, DivergenceError names the step, |a| and
+    gamma of the constant that diverged last.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -360,7 +368,8 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
         stable = bad_step > n
         if not stable.any():
             last = int(np.argmax(bad_step))
-            raise DivergenceError(int(bad_step[last]), float(bad_value[last]))
+            raise DivergenceError(int(bad_step[last]), float(bad_value[last]),
+                                  f"gamma = {grid[last]:.6g}")
         best = int(np.argmin(np.where(stable, means[ci], np.inf)))
         rows.append(SweepRow(n, float(grid[best]), float(means[ci, best])))
     return rows
@@ -410,7 +419,6 @@ class ComparisonRow:
 
 def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
                        noise_sigma: Optional[float] = None, master_seed: int = 0,
-                       n_checkpoints: int = 20,
                        use_table_step: bool = False) -> list[ComparisonRow]:
     """Run the four algorithms on one of the benchmark problems and report
     predicted versus fitted log-log slopes.
@@ -420,7 +428,8 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     calibration in POINT_NOISE; pass ``noise_sigma`` to override. With
     ``use_table_step`` the step exponent of `ours` follows the published
     experiment table instead of the optimizing formula (they differ for the
-    saturated problem, point 3). A divergence raises after all replicates.
+    saturated problem, point 3). A divergence raises after all replicates,
+    naming its preset and replicate.
     """
     if point not in TABLE_POINTS:
         raise ConfigurationError(f"point must be one of {sorted(TABLE_POINTS)}")
@@ -428,14 +437,12 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
         noise_sigma = POINT_NOISE[point]
     m, k = TABLE_POINTS[point]
     cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, noise_sigma=noise_sigma,
-                           n_max=n_max, n_checkpoints=n_checkpoints,
-                           replicates=replicates, master_seed=master_seed)
+                           n_max=n_max, replicates=replicates, master_seed=master_seed)
     override = _TABLE_STEP_EXPONENTS.get((m, k)) if use_table_step else None
     runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints(), step_exponent=override)
     rows = []
     for name, run in runs.items():
-        if run.diverged:
-            raise run.diverged[0][1]
+        _raise_first_divergence(name, run)
         fit = fit_rate(list(zip(run.checkpoints, run.mean)))
         predicted = (theory.predicted_rate(cfg.alpha, cfg.r, "fh") if name == "ours"
                      else theory.competitor_rate(cfg.r))
@@ -460,7 +467,8 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
     exponent and gamma0 = 1/(4 R^2), which satisfies the bound's step-size
     condition at every horizon. The bound's source norm is evaluated just
     below its divergence boundary (r = 0.95 r_true), truncated at 1e6
-    frequencies. A divergence raises after all replicates.
+    frequencies. A divergence raises after all replicates, naming its
+    replicate.
     """
     m, k = 1, 2
     R_sq = kernel_sup_sq(m)
@@ -474,8 +482,7 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
         source_norm_sq=theory.source_norm_sq_truncated(m, k, r_eval, 10**6))
     expo = theory.step_exponent_finite_horizon(cfg.alpha, cfg.r)
     run = run_replicates(cfg)
-    if run.diverged:
-        raise run.diverged[0][1]
+    _raise_first_divergence(cfg.algorithm, run)
     bounds = [theory.finite_horizon_bound(n, cfg.gamma0 * n**expo, params)
               for n in run.checkpoints]
     return [BoundRow(n, float(emp), bound, float(emp) / bound)

@@ -7,16 +7,17 @@ closed form
     R_m(s, t) = (-1)^(m-1) / (2m)! * B_{2m}({s - t}),
 
 and the equivalent Fourier form sum_j 2 cos(2 pi j (s-t)) / (2 pi j)^{2m},
-which `spline_kernel_series` truncates and which the test suite uses as an
+the B_{2m} series of `bernoulli.bernoulli_fourier_eval` with the same scale.
+`spline_kernel_series` truncates it, and the test suite uses it as an
 independent oracle. Under the uniform design on [0, 1) the associated
 covariance operator has eigenfunctions sqrt(2) cos(2 pi i t) and
 sqrt(2) sin(2 pi i t), both with eigenvalue (2 pi i)^{-2m};
 `eigen_check` verifies that numerically by quadrature.
 
-The closed form is evaluated without the fractional part or a polynomial in
-u = {s - t}. B_{2m} is symmetric about 1/2, so it is a degree-m polynomial in
-w = u(1 - u) (B_2 = 1/6 - w, B_4 = w^2 - 1/30), and w = |d|(1 - |d|) for the
-difference d in [-1, 1] of two points reduced into [0, 1]. The coefficients in
+The closed form is evaluated without a polynomial in u = {s - t}. B_{2m} is
+symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
+(B_2 = 1/6 - w, B_4 = w^2 - 1/30), and w = |d|(1 - |d|) for the difference
+d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
 every kernel value in the package, Gram matrices included, is one Horner pass
 in w (`_spline_w`). A Gram matrix is built in row blocks that stay in cache,
@@ -33,9 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
-from .bernoulli import bernoulli_poly_coeffs
+from .bernoulli import bernoulli_fourier_eval, bernoulli_poly_coeffs, frac
 from .errors import ConfigurationError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4)
@@ -87,13 +87,9 @@ def _spline_w(order: int, w, out=None):
     return out
 
 
-def _on_circle(x) -> np.ndarray:
-    """x reduced into [0, 1]; two such points differ by d in [-1, 1]."""
-    return np.mod(np.asarray(x, dtype=float), 1.0)
-
-
 def _circle_w(d: np.ndarray) -> np.ndarray:
-    """w = |d|(1 - |d|) in place over the differences d in [-1, 1]."""
+    """w = |d|(1 - |d|) in place over the differences d in (-1, 1) of two
+    points reduced into [0, 1) by `frac`."""
     np.abs(d, out=d)
     d *= 1.0 - d
     return d
@@ -101,7 +97,7 @@ def _circle_w(d: np.ndarray) -> np.ndarray:
 
 def _kernel_values(order: int, s, t):
     """R_order(s, t), broadcast over s and t; a float for scalar arguments."""
-    d = np.asarray(_on_circle(s) - _on_circle(t))
+    d = np.asarray(frac(s) - frac(t))
     out = _spline_w(order, _circle_w(d))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -109,7 +105,7 @@ def _kernel_values(order: int, s, t):
 def _spline_grams(orders, xs) -> list[np.ndarray]:
     """The matrix R_order(x_i, x_j) for each order in `orders`, built block of
     rows by block of rows from one w per block, which every order reads."""
-    xs = _on_circle(xs)
+    xs = frac(xs)
     n = xs.shape[0]
     grams = [np.empty((n, n)) for _ in orders]
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
@@ -127,22 +123,13 @@ def spline_kernel(m: int, s, t):
 
 
 def spline_kernel_series(m: int, s: float, t: float, J: int) -> float:
-    """Truncated Fourier form of R_m(s, t), summed over frequencies 1..J.
-
-    At s - t integer all cosines are 1 and the slowly decaying tail is added
-    exactly via the Hurwitz zeta function; elsewhere oscillation makes the
-    plain truncation accurate (see `bernoulli_fourier_eval` for the same
-    treatment of the target series).
-    """
+    """Truncated Fourier form of R_m(s, t), summed over frequencies 1..J:
+    the B_{2m} series of `bernoulli_fourier_eval` at s - t, scaled by
+    (-1)^(m-1) / (2m)!, with its exact tail at integer s - t."""
     if m < 1 or J < 1:
         raise ConfigurationError("need m >= 1 and J >= 1")
-    d = s - t
-    u = abs(d - round(d))          # distance on the circle; cos is even
-    j = np.arange(1, J + 1, dtype=float)
-    val = float(np.sum(2.0 * np.cos(2.0 * np.pi * j * u) / (2.0 * np.pi * j) ** (2 * m)))
-    if u == 0.0:
-        val += 2.0 * (2.0 * np.pi) ** (-2 * m) * float(_hurwitz_zeta(2 * m, J + 1))
-    return val
+    scale = (-1) ** (m - 1) / math.factorial(2 * m)
+    return scale * bernoulli_fourier_eval(2 * m, s - t, J)
 
 
 def kernel_sup_sq(m: int) -> float:

@@ -18,16 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-_SETTINGS = {"fh": "fh", "finite_horizon": "fh", "online": "online"}
+_SETTINGS = ("fh", "online")
 
 
 def _setting(value: str) -> str:
-    try:
-        return _SETTINGS[value]
-    except KeyError:
-        raise ConfigurationError(
-            f"setting must be one of {sorted(set(_SETTINGS))}, got {value!r}"
-        ) from None
+    if value not in _SETTINGS:
+        raise ConfigurationError(f"setting must be one of {list(_SETTINGS)}, got {value!r}")
+    return value
 
 
 def _check_alpha_r(alpha: float, r: float) -> None:

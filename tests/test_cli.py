@@ -1,4 +1,7 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +127,8 @@ def test_mean_reports_exit_3_on_divergence(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert "nan" not in captured.out
     assert re.search(r"numerical divergence: coefficient diverged at step \d+ ", captured.err)
+    # ours is the first preset, and it diverges in every replicate
+    assert "(ours, replicate 0)" in captured.err
 
 
 def test_gamma_sweep_subcommand(tmp_path, capsys):
@@ -174,10 +179,28 @@ def test_compare_subcommand(capsys):
 
 
 def test_selfcheck_functions_individually():
-    # the CLI selfcheck suites are the oracle-equivalence checks; run the
-    # cheap ones here (the full set runs in the acceptance suite)
+    # the two cheapest selfcheck suites, called directly; test_selfcheck_subcommand
+    # runs all six through the CLI
     by_name = {name: fn for name, fn in _SELFCHECKS}
     ok, detail = by_name["averaged coefficients vs brute force"]()
     assert ok, detail
     ok, detail = by_name["finite-dimensional vs expansion recursion"]()
     assert ok, detail
+
+
+def test_selfcheck_subcommand(capsys):
+    assert main(["selfcheck"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(_SELFCHECKS) == 6
+    assert all(line.startswith("PASS  ") for line in lines)
+
+
+def test_cli_import_loads_no_scipy_special_or_linalg():
+    # only the Fourier oracles need scipy.special and only the recursion
+    # scipy.linalg; both import them on first call
+    src = str(Path(klms.estimator.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import klms.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

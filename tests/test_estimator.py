@@ -96,13 +96,9 @@ class TestSchedules:
         for bad in ((1.0, 1.0), (np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan)):
             with pytest.raises(ConfigurationError):
                 Online(*bad)
-        for bad in (dict(r=0.5, a=2.0), dict(r=np.inf), dict(r=np.nan),
-                    dict(r=0.5, a=np.inf), dict(r=0.5, a=np.nan), dict(r=0.5, n0=np.inf)):
+        for bad in (np.inf, np.nan):
             with pytest.raises(ConfigurationError):
-                TarresYao(**bad)
-        # n0 = 0 would make the first shrink 1 - gamma_1 lambda_1 = 0
-        with pytest.raises(ConfigurationError):
-            TarresYao(r=0.5, n0=0)
+                TarresYao(r=bad)
 
 
 class TestRecursion:

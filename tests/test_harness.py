@@ -298,6 +298,7 @@ class TestGammaSweep:
             assert np.all(np.abs(coeffs[:-1]) <= DIVERGENCE_LIMIT)
             assert got.value.value == pytest.approx(abs(coeffs[-1]), rel=1e-9)
             assert got.value.value > DIVERGENCE_LIMIT
+            assert str(got.value).endswith("(gamma = 100000)")
 
     def test_diverged_point_never_selected(self):
         cfg = ExperimentConfig(n_max=60, replicates=1)
@@ -314,8 +315,7 @@ class TestGammaSweep:
 
 class TestCompare:
     def test_smoke_rows(self):
-        rows = compare_algorithms(1, n_max=120, replicates=2, noise_sigma=0.1,
-                                  n_checkpoints=8)
+        rows = compare_algorithms(1, n_max=120, replicates=2, noise_sigma=0.1)
         assert [r.algorithm for r in rows] == ["ours", "zhang", "ying_pontil",
                                                "tarres_yao"]
         ours = rows[0]
@@ -336,7 +336,7 @@ class TestCompare:
             return sgd_run(*args, **kwargs)
 
         monkeypatch.setattr(harness, "sgd_run", counting)
-        compare_algorithms(1, n_max=60, replicates=2, n_checkpoints=6)
+        compare_algorithms(1, n_max=60, replicates=2)
         assert len(calls) == 2 * 3 and len(set(calls)) == 3
 
     def test_shared_run_matches_standalone_runs(self):
@@ -348,10 +348,8 @@ class TestCompare:
             assert np.array_equal(runs[name].per_replicate, alone.per_replicate)
 
     def test_end_to_end_determinism(self):
-        a = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1,
-                               n_checkpoints=6, master_seed=7)
-        b = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1,
-                               n_checkpoints=6, master_seed=7)
+        a = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1, master_seed=7)
+        b = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1, master_seed=7)
         assert a == b
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from klms.errors import ConfigurationError
-from klms.estimator import KernelExpansion
+from klms.estimator import KernelExpansion, sgd_run
+from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
+                          _replicate_contexts, _snapshot_risk)
 from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
@@ -114,6 +116,22 @@ class TestFourierOracle:
         full = excess_risk_fourier(EMPTY, 1, 1, 10**5)
         assert abs(bare - 1 / 12) > 1e-8
         assert full == pytest.approx(1 / 12, abs=1e-10)
+
+
+    @pytest.mark.parametrize("point", sorted(TABLE_POINTS))
+    def test_production_scale_averaged_iterate(self, point):
+        # the averaged iterate of ours after n = 3162 steps on replicate 0 of
+        # a table point: the closed form the harness reports against the
+        # Fourier oracle
+        m, k = TABLE_POINTS[point]
+        cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
+                               noise_sigma=POINT_NOISE[point], n_max=3162, replicates=1)
+        ctx = next(_replicate_contexts(cfg))
+        (_, avg), = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), _algorithm_spec(cfg, "ours"),
+                            [cfg.n_max], gram=ctx.gram)
+        assert len(avg) == 3162
+        assert _snapshot_risk(ctx, avg) == pytest.approx(
+            excess_risk_fourier(avg, m, k, 2000), rel=1e-8)
 
 
 class TestQuadratureOracle:
