@@ -23,7 +23,6 @@ from .risk import (excess_risk_closed, excess_risk_finite_dim, excess_risk_fouri
                    excess_risk_mc, kernel_target_inner, target_norm_sq)
 from .theory import (BoundParams, Regime, classify_regime, competitor_rate,
                      finite_horizon_bound, predicted_rate, source_norm_sq_truncated,
-                     spectral_s_sq, step_exponent_finite_horizon,
-                     step_exponent_online)
+                     spectral_s_sq, step_exponent)
 
 __version__ = "0.1.0"

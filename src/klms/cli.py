@@ -39,8 +39,7 @@ def _fmt(x: float) -> str:
 
 def _cmd_theory(args) -> int:
     setting = args.setting
-    expo = (theory.step_exponent_finite_horizon(args.alpha, args.r)
-            if setting == "fh" else theory.step_exponent_online(args.alpha, args.r))
+    expo = theory.step_exponent(args.alpha, args.r, setting)
     print(f"alpha = {_fmt(args.alpha)}  r = {_fmt(args.r)}  setting = {setting}")
     print(f"step_exponent     = {_fmt(expo)}")
     print(f"predicted_rate    = {_fmt(theory.predicted_rate(args.alpha, args.r, setting))}")
@@ -296,7 +295,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except DivergenceError as err:
-        print(f"numerical divergence: {err}", file=sys.stderr)
+        for each in (err, *err.also):
+            print(f"numerical divergence: {each}", file=sys.stderr)
         return EXIT_DIVERGED
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)

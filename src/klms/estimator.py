@@ -195,12 +195,14 @@ def sgd_run(kernel, stream, step: StepSchedule, checkpoints: Sequence[int],
     # each row runs up to the last checkpoint that reads it
     horizons = np.zeros(np.shape(steps)[0], dtype=int)
     np.maximum.at(horizons, row_of, cps)
-    rows = sgd_constant_grid(gram, ys[:n_run], steps, shrinks, horizons=horizons)[row_of]
-    for row, n in zip(rows, cps):
-        raise_on_divergence(row, n, shrinks)
-    return [(KernelExpansion(xs[:n], prefix_iterate(row, n, False, shrinks)),
-             KernelExpansion(xs[:n], prefix_iterate(row, n, True, shrinks)))
-            for row, n in zip(rows, cps)]
+    rows = sgd_constant_grid(gram, ys[:n_run], steps, shrinks, horizons=horizons)
+    bad_step, bad_value = first_divergence(rows, shrinks)
+    for row, n in zip(row_of, cps):
+        if bad_step[row] <= n:
+            raise DivergenceError(int(bad_step[row]), float(bad_value[row]))
+    return [(KernelExpansion(xs[:n], prefix_iterate(rows[row], n, False, shrinks)),
+             KernelExpansion(xs[:n], prefix_iterate(rows[row], n, True, shrinks)))
+            for row, n in zip(row_of, cps)]
 
 
 def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
@@ -316,15 +318,6 @@ def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
     return first + 1, np.take_along_axis(created, first[..., None], axis=-1)[..., 0]
 
 
-def raise_on_divergence(row: np.ndarray, n: int,
-                        shrinks: Optional[np.ndarray] = None) -> None:
-    """Raise DivergenceError(step, |a|) when `first_divergence` of one row
-    lies within its first n steps."""
-    step, value = first_divergence(row, shrinks)
-    if step <= n:
-        raise DivergenceError(int(step), float(value))
-
-
 # ---------------------------------------------------------------------------
 # batch ridge baseline and the finite-dimensional special case
 # ---------------------------------------------------------------------------
@@ -366,5 +359,7 @@ def finite_dim_sgd(stream, gamma: float) -> np.ndarray:
             created[i] = -gamma * (float(theta @ xs[i]) - ys[i])
             theta = theta + created[i] * xs[i]
             total += theta
-    raise_on_divergence(created, n)
+    step, value = first_divergence(created)
+    if step <= n:
+        raise DivergenceError(int(step), float(value))
     return total / (n + 1)

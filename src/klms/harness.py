@@ -12,9 +12,9 @@ scores its own iterate of that run and records its own divergences.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -25,7 +25,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
                         first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import PeriodicSplineKernel, _spline_grams, kernel_sup_sq
+from .kernels import SUPPORTED_ORDERS, PeriodicSplineKernel, _spline_grams, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -62,8 +62,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.kernel_order_m not in (1, 2, 3, 4):
-            raise ConfigurationError("kernel_order_m must be in {1, 2, 3, 4}")
+        if self.kernel_order_m not in SUPPORTED_ORDERS:
+            raise ConfigurationError("kernel_order_m must be in {%s}"
+                                     % ", ".join(map(str, SUPPORTED_ORDERS)))
         if not 1 <= self.target_index_k <= 4:
             raise ConfigurationError("target_index_k must be in 1..4")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -109,7 +110,9 @@ class ExperimentConfig:
         return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-_CONFIG_TYPES = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# a config value's type -> the noun of its error message
+_TYPE_NOUNS = {int: "an integer", float: "a number", str: "text"}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -126,27 +129,24 @@ def parse_config(path: str) -> ExperimentConfig:
             key, _, raw = text.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in _FIELD_TYPES:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _coerce_field(key, raw, path, lineno)
     return ExperimentConfig(**values)
 
 
 def _coerce_field(key: str, raw: str, path: str, lineno: int):
-    if key in ("kernel_order_m", "target_index_k", "n_max", "n_checkpoints",
-               "replicates", "master_seed"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: {key} must be an integer") from None
-    if key in ("noise_sigma", "gamma0"):
-        if key == "gamma0" and raw.lower() in ("none", "default"):
+    """`raw` as the type of field `key`; an Optional[X] field reads "none" or
+    "default" (any case) as None."""
+    kind = _FIELD_TYPES[key]
+    if typing.get_origin(kind) is typing.Union:
+        if raw.lower() in ("none", "default"):
             return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: {key} must be a number") from None
-    return raw
+        kind = typing.get_args(kind)[0]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigurationError(f"{path}:{lineno}: {key} must be {_TYPE_NOUNS[kind]}") from None
 
 
 def checkpoint_grid(n_max: int, count: int) -> list[int]:
@@ -225,8 +225,9 @@ def _algorithm_spec(config: ExperimentConfig, name: str,
                     step_exponent: Optional[float] = None) -> StepSchedule:
     """The step schedule of preset `name` in the config's problem and setting:
     tarres_yao's regularized schedule pair, or the finite-horizon step
-    gamma0 * N**expo with the optimal exponent for ours (or `step_exponent`)
-    and -2r/(2r + 1) for zhang and ying_pontil. Online, only ours has one."""
+    gamma0 * N**expo with `theory.step_exponent` for ours (or
+    `step_exponent`) and `theory.competitor_rate` for zhang and ying_pontil.
+    Online, only ours has one."""
     if name not in PRESETS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
     alpha, r, gamma0 = config.alpha, config.r, config.effective_gamma0()
@@ -235,11 +236,11 @@ def _algorithm_spec(config: ExperimentConfig, name: str,
     if config.setting == "online":
         if name != "ours":
             raise ConfigurationError(f"{name!r} has no online schedule")
-        return Online(gamma0, -theory.step_exponent_online(alpha, r))
+        return Online(gamma0, -theory.step_exponent(alpha, r, "online"))
     if name == "ours":
         return FiniteHorizon(gamma0, step_exponent if step_exponent is not None
-                             else theory.step_exponent_finite_horizon(alpha, r))
-    return FiniteHorizon(gamma0, -2.0 * r / (2.0 * r + 1.0))
+                             else theory.step_exponent(alpha, r))
+    return FiniteHorizon(gamma0, theory.competitor_rate(r))
 
 
 def _replicate_contexts(config: ExperimentConfig):
@@ -292,12 +293,15 @@ def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequenc
     return runs
 
 
-def _raise_first_divergence(name: str, run: ReplicateRun) -> None:
-    """Re-raise the first recorded divergence of preset `name`, naming the
-    preset and the replicate."""
-    if run.diverged:
-        rep, err = run.diverged[0]
-        raise DivergenceError(err.step, err.value, f"{name}, replicate {rep}") from err
+def _raise_divergences(runs: dict[str, ReplicateRun]) -> None:
+    """Raise the first recorded divergence of `runs`, by preset and then
+    replicate, with every later one in its ``also``; each names its preset
+    and replicate."""
+    errors = [DivergenceError(err.step, err.value, f"{name}, replicate {rep}")
+              for name, run in runs.items() for rep, err in run.diverged]
+    if errors:
+        errors[0].also = tuple(errors[1:])
+        raise errors[0]
 
 
 def run_replicates(config: ExperimentConfig,
@@ -429,7 +433,7 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     ``use_table_step`` the step exponent of `ours` follows the published
     experiment table instead of the optimizing formula (they differ for the
     saturated problem, point 3). A divergence raises after all replicates,
-    naming its preset and replicate.
+    naming its preset and replicate, and carries every other one.
     """
     if point not in TABLE_POINTS:
         raise ConfigurationError(f"point must be one of {sorted(TABLE_POINTS)}")
@@ -440,9 +444,9 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
                            n_max=n_max, replicates=replicates, master_seed=master_seed)
     override = _TABLE_STEP_EXPONENTS.get((m, k)) if use_table_step else None
     runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints(), step_exponent=override)
+    _raise_divergences(runs)
     rows = []
     for name, run in runs.items():
-        _raise_first_divergence(name, run)
         fit = fit_rate(list(zip(run.checkpoints, run.mean)))
         predicted = (theory.predicted_rate(cfg.alpha, cfg.r, "fh") if name == "ours"
                      else theory.competitor_rate(cfg.r))
@@ -468,7 +472,7 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
     condition at every horizon. The bound's source norm is evaluated just
     below its divergence boundary (r = 0.95 r_true), truncated at 1e6
     frequencies. A divergence raises after all replicates, naming its
-    replicate.
+    replicate, and carries every other one.
     """
     m, k = 1, 2
     R_sq = kernel_sup_sq(m)
@@ -480,11 +484,11 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
         alpha=cfg.alpha, r=r_eval, s_sq=theory.spectral_s_sq(m),
         sigma_sq=cfg.noise_sigma**2, R_sq=R_sq,
         source_norm_sq=theory.source_norm_sq_truncated(m, k, r_eval, 10**6))
-    expo = theory.step_exponent_finite_horizon(cfg.alpha, cfg.r)
     run = run_replicates(cfg)
-    _raise_first_divergence(cfg.algorithm, run)
-    bounds = [theory.finite_horizon_bound(n, cfg.gamma0 * n**expo, params)
-              for n in run.checkpoints]
+    _raise_divergences({cfg.algorithm: run})
+    steps = _algorithm_spec(cfg, cfg.algorithm).at(run.checkpoints)
+    bounds = [theory.finite_horizon_bound(n, float(gamma), params)
+              for n, gamma in zip(run.checkpoints, steps)]
     return [BoundRow(n, float(emp), bound, float(emp) / bound)
             for n, emp, bound in zip(run.checkpoints, run.mean, bounds)]
 

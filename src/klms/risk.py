@@ -122,6 +122,7 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     polynomial on [0, 1] (not periodized), so the endpoint jump of the k = 1
     target is integrated correctly; the expansion itself is periodic.
     """
+    _check_order(m)
     if grid_size < 1000:
         raise ConfigurationError("grid_size must be at least 1000")
     ts = np.linspace(0.0, 1.0, grid_size + 1)

@@ -5,7 +5,8 @@ constants of the spline testbed.
 Conventions. alpha > 1 is the eigenvalue decay exponent of the covariance
 operator (mu_i <= s^2 / i^alpha) and r > 0 the source smoothness of the best
 predictor (finite ||T^{-r} g||). Exponents and rates are returned as log-log
-slopes, so "rate -0.75" means excess risk ~ n^{-0.75}.
+slopes, so "rate -0.75" means excess risk ~ n^{-0.75}. One regime rule,
+`_regime`, sets every exponent and rate (Dieuleveut & Bach, 2014).
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-_SETTINGS = ("fh", "online")
-
-
-def _setting(value: str) -> str:
-    if value not in _SETTINGS:
-        raise ConfigurationError(f"setting must be one of {list(_SETTINGS)}, got {value!r}")
-    return value
-
 
 def _check_alpha_r(alpha: float, r: float) -> None:
     if not (math.isfinite(alpha) and alpha > 1):
@@ -64,51 +56,55 @@ class BoundParams:
                 raise ConfigurationError(f"{name} must be non-negative")
 
 
-def step_exponent_finite_horizon(alpha: float, r: float) -> float:
-    """log-log slope of the optimal constant step Gamma(n).
-
-    Zero (a plain constant step) when r < (alpha-1)/(2 alpha); otherwise
-    (-2 alpha min(r,1) - 1 + alpha) / (2 alpha min(r,1) + 1). The formula
-    itself vanishes at the threshold, so the two cases agree there.
-    """
+def _regime(alpha: float, r: float, setting: str) -> tuple[Regime, float]:
+    """The Regime of (alpha, r) in `setting` and c = min(r, cap): a plain
+    constant step below the threshold r = (alpha-1)/(2 alpha), saturation
+    above the cap, 1 with a finite horizon ("fh") and (2 alpha - 1)/(2 alpha)
+    online. Both boundaries belong to the optimal region."""
     _check_alpha_r(alpha, r)
+    caps = {"fh": 1.0, "online": (2.0 * alpha - 1.0) / (2.0 * alpha)}
+    if setting not in caps:
+        raise ConfigurationError(f"setting must be one of {list(caps)}, got {setting!r}")
+    c = min(r, caps[setting])
     if r < (alpha - 1.0) / (2.0 * alpha):
-        return 0.0
-    rm = min(r, 1.0)
-    return (-2.0 * alpha * rm - 1.0 + alpha) / (2.0 * alpha * rm + 1.0)
+        return Regime.BIAS_DOMINATED_CONSTANT_STEP, c
+    # r > c exactly when r exceeds the cap
+    return (Regime.SATURATION if r > c else Regime.OPTIMAL_REGION), c
 
 
-def step_exponent_online(alpha: float, r: float) -> float:
-    """log-log slope of the optimal horizon-free step sequence gamma_n."""
-    _check_alpha_r(alpha, r)
-    low = (alpha - 1.0) / (2.0 * alpha)
-    high = (2.0 * alpha - 1.0) / (2.0 * alpha)
-    if r < low:
+def step_exponent(alpha: float, r: float, setting: str = "fh") -> float:
+    """log-log slope of the optimal constant step Gamma(N) of a run of
+    horizon N ("fh"), or of the horizon-free steps gamma_n ("online").
+
+    Zero below the threshold; otherwise (-2 alpha c - 1 + alpha) /
+    (2 alpha c + 1), which vanishes at the threshold and is -1/2 at the
+    online cap, where the formula can miss -1/2 by an ulp; saturated online
+    steps return -1/2 exactly.
+    """
+    regime, c = _regime(alpha, r, setting)
+    if regime is Regime.BIAS_DOMINATED_CONSTANT_STEP:
         return 0.0
-    if r > high:
+    if regime is Regime.SATURATION and setting == "online":
         return -0.5
-    return (-2.0 * alpha * r - 1.0 + alpha) / (2.0 * alpha * r + 1.0)
+    return (-2.0 * alpha * c - 1.0 + alpha) / (2.0 * alpha * c + 1.0)
 
 
 def predicted_rate(alpha: float, r: float, setting: str = "fh") -> float:
     """Predicted log-log slope of the excess risk under the optimal step.
 
-    -2r in the bias-dominated region; otherwise -2 alpha c / (2 alpha c + 1)
-    with c = min(r, cap), where the saturation cap is 1 in the finite-horizon
-    setting and (2 alpha - 1)/(2 alpha) online. The two formulas coincide at
-    the region boundary.
+    -2r in the bias-dominated region; otherwise -2 alpha c / (2 alpha c + 1).
+    The two formulas coincide at the threshold.
     """
-    _check_alpha_r(alpha, r)
-    if r < (alpha - 1.0) / (2.0 * alpha):
+    regime, c = _regime(alpha, r, setting)
+    if regime is Regime.BIAS_DOMINATED_CONSTANT_STEP:
         return -2.0 * r
-    cap = 1.0 if _setting(setting) == "fh" else (2.0 * alpha - 1.0) / (2.0 * alpha)
-    c = min(r, cap)
     return -2.0 * alpha * c / (2.0 * alpha * c + 1.0)
 
 
 def competitor_rate(r: float) -> float:
-    """Rate -2r/(2r+1) shared by the benchmark competitors, which do not
-    exploit the eigenvalue decay."""
+    """-2r/(2r+1), both the rate shared by the benchmark competitors, which
+    do not exploit the eigenvalue decay, and the log-log slope of their
+    finite-horizon step gamma0 N**(-2r/(2r+1)) (Ying & Pontil, 2008)."""
     if not (math.isfinite(r) and r > 0):
         raise ConfigurationError("r must be finite and positive")
     return -2.0 * r / (2.0 * r + 1.0)
@@ -116,13 +112,7 @@ def competitor_rate(r: float) -> float:
 
 def classify_regime(alpha: float, r: float, setting: str = "fh") -> Regime:
     """Classify (alpha, r); boundary values belong to the optimal region."""
-    _check_alpha_r(alpha, r)
-    if r < (alpha - 1.0) / (2.0 * alpha):
-        return Regime.BIAS_DOMINATED_CONSTANT_STEP
-    cap = 1.0 if _setting(setting) == "fh" else (2.0 * alpha - 1.0) / (2.0 * alpha)
-    if r > cap:
-        return Regime.SATURATION
-    return Regime.OPTIMAL_REGION
+    return _regime(alpha, r, setting)[0]
 
 
 def finite_horizon_bound(n: int, gamma: float, params: BoundParams) -> float:
@@ -149,7 +139,8 @@ def finite_horizon_bound(n: int, gamma: float, params: BoundParams) -> float:
         q = (params.R_sq**alpha * gamma ** (1.0 + alpha) * n * params.s_sq) ** ((2.0 * r - 1.0) / alpha)
     else:
         q = 0.0
-    bias = 4.0 * (1.0 + q) * params.source_norm_sq / (gamma ** (2.0 * r) * n ** (2.0 * min(r, 1.0)))
+    c = _regime(alpha, r, "fh")[1]
+    bias = 4.0 * (1.0 + q) * params.source_norm_sq / (gamma ** (2.0 * r) * n ** (2.0 * c))
     return variance + bias
 
 

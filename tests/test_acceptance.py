@@ -20,7 +20,7 @@ from klms.kernels import (PeriodicSplineKernel, eigen_check, spline_kernel,
                           spline_kernel_series)
 from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc)
-from klms.theory import step_exponent_finite_horizon
+from klms.theory import step_exponent
 
 PAPER_EFFECTIVE = {1: -0.7, 2: -0.71, 3: -0.69, 4: -0.29}
 
@@ -205,7 +205,7 @@ def test_c10_ridge_baseline():
     cfg = ExperimentConfig(kernel_order_m=1, target_index_k=2,
                            noise_sigma=POINT_NOISE[1])
     n = 1000
-    gamma = cfg.effective_gamma0() * n ** step_exponent_finite_horizon(cfg.alpha, cfg.r)
+    gamma = cfg.effective_gamma0() * n ** step_exponent(cfg.alpha, cfg.r)
     lam = 1.0 / (gamma * n)
     ridge_risks, sgd_risks = [], []
     for rep in range(10):

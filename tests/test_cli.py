@@ -116,7 +116,7 @@ def test_bound_check_csv(capsys):
         assert ratio == emp / bound
 
 
-@pytest.mark.parametrize("argv", [["bound-check", "--replicates", "1"],
+@pytest.mark.parametrize("argv", [["bound-check", "--replicates", "2"],
                                   ["compare", "--point", "1", "--n-max", "60",
                                    "--replicates", "2"]])
 def test_mean_reports_exit_3_on_divergence(monkeypatch, capsys, argv):
@@ -129,6 +129,14 @@ def test_mean_reports_exit_3_on_divergence(monkeypatch, capsys, argv):
     assert re.search(r"numerical divergence: coefficient diverged at step \d+ ", captured.err)
     # ours is the first preset, and it diverges in every replicate
     assert "(ours, replicate 0)" in captured.err
+    # every record is printed, one line per (preset, replicate)
+    presets = harness.ALGORITHM_NAMES if argv[0] == "compare" else ("ours",)
+    lines = captured.err.strip().split("\n")
+    assert lines[0].endswith("(ours, replicate 0)")
+    assert [line[line.rindex("(") + 1:-1] for line in lines] == [
+        f"{name}, replicate {rep}" for name in presets for rep in (0, 1)]
+    assert all(line.startswith("numerical divergence: coefficient diverged at step ")
+               for line in lines)
 
 
 def test_gamma_sweep_subcommand(tmp_path, capsys):

@@ -15,7 +15,7 @@ from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
-from klms.theory import step_exponent_finite_horizon
+from klms.theory import step_exponent
 
 
 class TestSampleStream:
@@ -105,6 +105,17 @@ class TestConfig:
         path.write_text("n_max = soon\n")
         with pytest.raises(ConfigurationError):
             parse_config(str(path))
+        # each value is read as its field's type, with the same messages
+        for line, message in (("n_max = 1.5", "n_max must be an integer"),
+                              ("noise_sigma = loud", "noise_sigma must be a number"),
+                              ("gamma0 = nothing", "gamma0 must be a number"),
+                              ("kernel_order_m = 5", "kernel_order_m must be in {1, 2, 3, 4}")):
+            path.write_text(f"\n{line}\n")
+            with pytest.raises(ConfigurationError) as info:
+                parse_config(str(path))
+            assert str(info.value) in (f"{path}:2: {message}", message)
+        path.write_text("gamma0 = DEFAULT\nalgorithm = zhang\nn_max = 7\n")
+        assert parse_config(str(path)) == ExperimentConfig(algorithm="zhang", n_max=7)
 
     def test_stream_digest_ignores_algorithm(self):
         a = ExperimentConfig(algorithm="ours").stream_digest()
@@ -214,7 +225,7 @@ class TestRunReplicates:
         cfg = ExperimentConfig(n_max=200, gamma0=gamma0, replicates=1)
         cps = cfg.checkpoints()
         ctx = next(_replicate_contexts(cfg))
-        expo = step_exponent_finite_horizon(cfg.alpha, cfg.r)
+        expo = step_exponent(cfg.alpha, cfg.r)
         want = None
         for horizon in cps:
             gamma = gamma0 * horizon**expo

@@ -148,6 +148,15 @@ class TestQuadratureOracle:
         with pytest.raises(ConfigurationError):
             excess_risk_mc(EMPTY, 1, 1, 10)
 
+    def test_rejects_unsupported_order(self):
+        # all three oracles check the kernel order
+        exp = KernelExpansion(np.array([0.3]), np.array([1.0]))
+        for oracle, size in ((excess_risk_mc, 1000), (excess_risk_fourier, 100)):
+            with pytest.raises(ConfigurationError):
+                oracle(exp, 5, 1, size)
+        with pytest.raises(ConfigurationError):
+            excess_risk_closed(exp, 5, 1)
+
 
 class TestFiniteDimRisk:
     def test_zero_distance(self):

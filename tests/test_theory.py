@@ -8,25 +8,45 @@ from hypothesis import strategies as st
 from klms.errors import ConfigurationError
 from klms.theory import (BoundParams, Regime, classify_regime, competitor_rate,
                          finite_horizon_bound, predicted_rate,
-                         source_norm_sq_truncated, spectral_s_sq,
-                         step_exponent_finite_horizon, step_exponent_online)
+                         source_norm_sq_truncated, spectral_s_sq, step_exponent)
 
 alphas = st.floats(1.01, 8.0)
 rs = st.floats(0.01, 3.0)
 
+# the four table points (alpha, r) -> exact values per setting
+TABLE_VALUES = {
+    (2, 0.75): {"fh": (-0.5, -0.75, Regime.OPTIMAL_REGION),
+                "online": (-0.5, -0.75, Regime.OPTIMAL_REGION)},
+    (4, 0.375): {"fh": (0.0, -0.75, Regime.OPTIMAL_REGION),
+                 "online": (0.0, -0.75, Regime.OPTIMAL_REGION)},
+    (2, 1.25): {"fh": (-0.6, -0.8, Regime.SATURATION),
+                "online": (-0.5, -0.75, Regime.SATURATION)},
+    (4, 0.125): {"fh": (0.0, -0.25, Regime.BIAS_DOMINATED_CONSTANT_STEP),
+                 "online": (0.0, -0.25, Regime.BIAS_DOMINATED_CONSTANT_STEP)},
+}
+
 
 class TestStepExponents:
     def test_finite_horizon_table_values(self):
-        assert step_exponent_finite_horizon(2, 0.75) == pytest.approx(-0.5)
-        assert step_exponent_finite_horizon(4, 0.375) == pytest.approx(0.0)
+        assert step_exponent(2, 0.75) == pytest.approx(-0.5)
+        assert step_exponent(4, 0.375) == pytest.approx(0.0)
         # saturated problem: the formula says -3/5 (the published table lists
         # -3/7 for this cell; the harness takes an override flag for that)
-        assert step_exponent_finite_horizon(2, 1.25) == pytest.approx(-3 / 5)
+        assert step_exponent(2, 1.25) == pytest.approx(-3 / 5)
+        for (alpha, r), by_setting in TABLE_VALUES.items():
+            for setting, (expo, _, _) in by_setting.items():
+                assert step_exponent(alpha, r, setting) == expo
+        assert step_exponent(2, 0.75) == step_exponent(2, 0.75, "fh")
 
     def test_online_cases(self):
-        assert step_exponent_online(2, 0.75) == pytest.approx(-0.5)
-        assert step_exponent_online(2, 1.25) == pytest.approx(-0.5)
-        assert step_exponent_online(4, 0.125) == pytest.approx(0.0)
+        assert step_exponent(2, 0.75, "online") == pytest.approx(-0.5)
+        assert step_exponent(2, 1.25, "online") == pytest.approx(-0.5)
+        assert step_exponent(4, 0.125, "online") == pytest.approx(0.0)
+        # saturated online steps are exactly -1/2; at the last alpha the
+        # formula evaluated at the cap gives -0.4999999999999999
+        for alpha in (2.0, 4.0, 6.0, 8.0, 1.0814707353676838):
+            for r in ((2 * alpha - 1) / (2 * alpha) + 1e-9, 1.0, 3.0):
+                assert step_exponent(alpha, r, "online") == -0.5
 
     def test_online_continuous_at_upper_threshold(self):
         for alpha in (2.0, 3.0, 4.0):
@@ -37,22 +57,22 @@ class TestStepExponents:
     @given(alphas, rs)
     @settings(max_examples=200, deadline=None)
     def test_exponents_non_positive(self, alpha, r):
-        assert step_exponent_finite_horizon(alpha, r) <= 0.0
-        assert -0.5 <= step_exponent_online(alpha, r) <= 0.0
+        assert step_exponent(alpha, r) <= 0.0
+        assert -0.5 <= step_exponent(alpha, r, "online") <= 0.0
 
     def test_preconditions(self):
         with pytest.raises(ConfigurationError):
-            step_exponent_finite_horizon(1.0, 0.5)
+            step_exponent(1.0, 0.5)
         with pytest.raises(ConfigurationError):
-            step_exponent_online(2.0, 0.0)
+            step_exponent(2.0, 0.0, "online")
 
     @pytest.mark.parametrize("alpha, r", [(math.inf, 0.5), (math.nan, 0.5),
                                           (2.0, math.inf), (2.0, math.nan)])
     def test_non_finite_rejected(self, alpha, r):
-        for fn in (step_exponent_finite_horizon, step_exponent_online, predicted_rate,
-                   classify_regime):
-            with pytest.raises(ConfigurationError):
-                fn(alpha, r)
+        for fn in (step_exponent, predicted_rate, classify_regime):
+            for setting in ("fh", "online"):
+                with pytest.raises(ConfigurationError):
+                    fn(alpha, r, setting)
 
 
 class TestPredictedRates:
@@ -61,6 +81,9 @@ class TestPredictedRates:
         assert predicted_rate(2, 1.25, "fh") == pytest.approx(-0.8)
         assert predicted_rate(4, 0.125, "fh") == pytest.approx(-0.25)
         assert predicted_rate(4, 0.375, "fh") == pytest.approx(-0.75)
+        for (alpha, r), by_setting in TABLE_VALUES.items():
+            for setting, (_, rate, _) in by_setting.items():
+                assert predicted_rate(alpha, r, setting) == rate
 
     def test_online_saturation_cap(self):
         # beyond r = (2 alpha - 1)/(2 alpha) the online rate freezes
@@ -114,6 +137,9 @@ class TestRegimes:
         assert classify_regime(4, 0.375, "fh") is Regime.OPTIMAL_REGION
         assert classify_regime(2, 1.25, "fh") is Regime.SATURATION
         assert classify_regime(4, 0.125, "fh") is Regime.BIAS_DOMINATED_CONSTANT_STEP
+        for (alpha, r), by_setting in TABLE_VALUES.items():
+            for setting, (_, _, regime) in by_setting.items():
+                assert classify_regime(alpha, r, setting) is regime
 
     def test_boundaries_assigned_to_optimal(self):
         assert classify_regime(2, 0.25, "fh") is Regime.OPTIMAL_REGION
@@ -131,8 +157,12 @@ class TestRegimes:
         assert classify_regime(alpha, r, "online") in Regime
 
     def test_setting_validation(self):
-        with pytest.raises(ConfigurationError):
-            classify_regime(2, 0.5, "batch")
+        # in every region: below the threshold (0.25 at alpha = 2), inside
+        # and saturated
+        for r in (0.1, 0.5, 2.0):
+            for fn in (step_exponent, predicted_rate, classify_regime):
+                with pytest.raises(ConfigurationError):
+                    fn(2, r, "batch")
 
 
 class TestFiniteHorizonBound:
