@@ -12,13 +12,12 @@ from .bernoulli import (bernoulli_fourier_eval, bernoulli_numbers, bernoulli_pol
                         bernoulli_poly_coeffs, frac)
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
-                        averaged_coefficients, evaluate, finite_dim_sgd, ridge_solve,
-                        sgd_run)
+                        averaged_coefficients, finite_dim_sgd, ridge_solve, sgd_run)
 from .harness import (ComparisonRow, ExperimentConfig, RateFit, SweepRow,
                       compare_algorithms, fit_rate, gamma_sweep, parse_config,
                       run_replicates, sample_stream)
-from .kernels import (LinearKernel, PeriodicSplineKernel, eigen_check, kernel_sup_sq,
-                      spline_kernel, spline_kernel_series)
+from .kernels import (PeriodicSplineKernel, eigen_check, kernel_sup_sq, spline_kernel,
+                      spline_kernel_series)
 from .risk import (excess_risk_closed, excess_risk_finite_dim, excess_risk_fourier,
                    excess_risk_mc, kernel_target_inner, target_norm_sq)
 from .theory import (BoundParams, Regime, classify_regime, competitor_rate,

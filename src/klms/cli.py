@@ -23,9 +23,8 @@ import numpy as np
 
 from . import bernoulli, harness, kernels, risk, theory
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients, evaluate,
-                        finite_dim_sgd, sgd_run)
-from .kernels import LinearKernel
+from .estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients, finite_dim_sgd,
+                        sgd_run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +80,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_gamma_sweep(args) -> int:
     config = harness.parse_config(args.config)
+    # the best-gamma slope is fitted over one row per checkpoint
+    harness.check_fit_points(len(config.checkpoints()))
     bounds = (args.grid_min, args.grid_max, args.grid_points)
     if all(v is None for v in bounds):
         grid = harness.default_gamma_grid(config.R_sq)
@@ -206,9 +207,9 @@ def _check_finite_dim() -> tuple[bool, str]:
     ys = xs @ np.array([0.5, -1.0]) + 0.1 * rng.standard_normal(n)
     gamma = 0.05
     theta_bar = finite_dim_sgd((xs, ys), gamma)
-    _, avg = sgd_run(LinearKernel(d), (xs, ys), FiniteHorizon(gamma), [n])[0]
+    _, avg = sgd_run(xs @ xs.T, (xs, ys), FiniteHorizon(gamma), [n])[0]
     test_points = rng.standard_normal((5, d))
-    worst = max(abs(float(theta_bar @ p) - evaluate(avg, LinearKernel(d), p))
+    worst = max(abs(float(theta_bar @ p) - float(avg.coeffs @ (xs @ p)))
                 for p in test_points)
     return worst <= 1e-10, f"max primal/expansion gap = {worst:.2e}"
 

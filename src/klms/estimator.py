@@ -8,6 +8,8 @@ so g_n = sum_i a_i K_{x_i}. A regularized variant additionally shrinks all
 previous coefficients by (1 - gamma_n lambda_n); that multiplication is
 carried in a single global scale factor. The averaged output is
 g_bar_n = (g_0 + ... + g_n) / (n + 1), read off the same coefficients.
+The kernel enters only through the Gram matrix K_ij = K(x_i, x_j) of the
+stream, so every solver here takes that matrix rather than a kernel.
 
 The coefficients of a run are the solution of one lower-triangular system,
 row i being step i. `sgd_constant_grid` is the one solver: forward
@@ -83,25 +85,26 @@ class Online:
 class TarresYao:
     """Paired per-step schedules of the regularized recursion:
 
-    gamma_i  = a (n0 + i)^{-2r/(2r+1)},
-    lambda_i = (1/a) (n0 + i)^{-1/(2r+1)},
+    gamma_i  = a (n0 + i)^{-zeta},
+    lambda_i = (1/a) (n0 + i)^{zeta - 1},
 
-    with a = _TY_A = 4 and n0 = _TY_N0 = 1.
+    with a = _TY_A = 4 and n0 = _TY_N0 = 1; zeta = 2r/(2r+1) in the
+    benchmark (see `theory.competitor_rate`).
     """
 
-    r: float
+    zeta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise ConfigurationError("r must be finite and positive")
+        if not 0.0 < self.zeta < 1.0:
+            raise ConfigurationError("zeta must lie in (0, 1)")
 
     def steps(self, n: int) -> np.ndarray:
         """gamma_1 .. gamma_n."""
-        return _TY_A * (_TY_N0 + np.arange(1.0, n + 1)) ** (-2.0 * self.r / (2.0 * self.r + 1.0))
+        return _TY_A * (_TY_N0 + np.arange(1.0, n + 1)) ** -self.zeta
 
     def lams(self, n: int) -> np.ndarray:
         """lambda_1 .. lambda_n."""
-        return (_TY_N0 + np.arange(1.0, n + 1)) ** (-1.0 / (2.0 * self.r + 1.0)) / _TY_A
+        return (_TY_N0 + np.arange(1.0, n + 1)) ** (self.zeta - 1.0) / _TY_A
 
 
 StepSchedule = Union[FiniteHorizon, Online, TarresYao]
@@ -131,13 +134,6 @@ class KernelExpansion:
         return self.coeffs.shape[0]
 
 
-def evaluate(expansion, kernel, x) -> float:
-    """Value of the expansion at a point; empty expansions are the zero function."""
-    if len(expansion) == 0:
-        return 0.0
-    return float(expansion.coeffs @ kernel.pairwise(expansion.centers, x))
-
-
 def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
     """Coefficients of the uniform average of iterates g_0 .. g_n.
 
@@ -162,10 +158,9 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 # the recursion
 # ---------------------------------------------------------------------------
 
-def sgd_run(kernel, stream, step: StepSchedule, checkpoints: Sequence[int],
-            *, gram: Optional[np.ndarray] = None):
-    """Run the recursion with one step schedule over the stream, snapshotting
-    at each checkpoint.
+def sgd_run(gram: np.ndarray, stream, step: StepSchedule, checkpoints: Sequence[int]):
+    """Run the recursion with one step schedule over the stream, whose Gram
+    matrix is `gram`, snapshotting at each checkpoint.
 
     One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
     row per distinct step `step.at(N)` over the checkpoints N, each up to
@@ -174,16 +169,18 @@ def sgd_run(kernel, stream, step: StepSchedule, checkpoints: Sequence[int],
     which serves every checkpoint. Returns a list of
     (last iterate, averaged iterate) KernelExpansion pairs, one per
     checkpoint (see `check_checkpoints`), each depending only on the first N
-    observations. Pass the Gram matrix of a stream run many times; otherwise
-    it is built from `kernel.gram`. The stream is an (xs, ys) pair of
-    arrays. The first checkpoint N whose row meets the `first_divergence`
-    criterion within N steps raises DivergenceError naming that step.
+    observations. The stream is an (xs, ys) pair of arrays; only the
+    leading (N, N) block of `gram` is read, N the last checkpoint, so the
+    Gram matrix of a longer stream serves as well. The first checkpoint N
+    whose row meets the `first_divergence` criterion within N steps raises
+    DivergenceError naming that step.
     """
     xs, ys = (np.asarray(v, dtype=float) for v in stream)
     cps = check_checkpoints(checkpoints, ys.shape[0])
     n_run = cps[-1]
-    if gram is None:
-        gram = kernel.gram(xs[:n_run])
+    if np.ndim(gram) != 2 or min(np.shape(gram)) < n_run:
+        raise ConfigurationError(f"the Gram matrix must cover the first {n_run} points, "
+                                 f"got shape {np.shape(gram)}")
     if isinstance(step, FiniteHorizon):
         # checkpoints with the same step (exponent 0) share one row
         steps, row_of = np.unique(step.at(cps), return_inverse=True)
@@ -322,17 +319,22 @@ def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
 # batch ridge baseline and the finite-dimensional special case
 # ---------------------------------------------------------------------------
 
-def ridge_solve(kernel, xs, ys, lam: float) -> KernelExpansion:
-    """Solve (K + lam I) a = y for the regularized empirical risk minimizer.
+def ridge_solve(gram: np.ndarray, xs, ys, lam: float) -> KernelExpansion:
+    """Solve (K + lam I) a = y for the regularized empirical risk minimizer,
+    K = `gram` the (n, n) Gram matrix of the n points xs.
 
     With lam = 0 the Gram matrix must be numerically invertible; a singular
     or near-singular system raises numpy's LinAlgError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    n = ys.shape[0]
+    if np.shape(gram) != (n, n):
+        raise ConfigurationError(f"the Gram matrix must be ({n}, {n}), "
+                                 f"got shape {np.shape(gram)}")
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError("lam must be finite and non-negative")
-    mat = kernel.gram(xs) + lam * np.eye(ys.shape[0])
+    mat = gram + lam * np.eye(n)
     coeffs = np.linalg.solve(mat, ys)
     resid = float(np.linalg.norm(mat @ coeffs - ys))
     if not np.isfinite(resid) or resid > 1e-6 * (1.0 + float(np.linalg.norm(ys))):
@@ -345,10 +347,11 @@ def ridge_solve(kernel, xs, ys, lam: float) -> KernelExpansion:
 def finite_dim_sgd(stream, gamma: float) -> np.ndarray:
     """Averaged constant-step least-mean-squares in R^d.
 
-    Same recursion as `sgd_run` with the linear kernel, but maintained as a
-    dense weight vector (O(d) per step), over an (xs, ys) stream of arrays.
-    Returns the uniform average of theta_0 = 0, theta_1, ..., theta_n;
-    raises DivergenceError when `first_divergence` finds a bad coefficient.
+    Same recursion as `sgd_run` on the linear Gram matrix xs @ xs.T, but
+    maintained as a dense weight vector (O(d) per step), over an (xs, ys)
+    stream of arrays. Returns the uniform average of theta_0 = 0, theta_1,
+    ..., theta_n; raises DivergenceError when `first_divergence` finds a bad
+    coefficient.
     """
     xs, ys = (np.asarray(v, dtype=float) for v in stream)
     n = ys.shape[0]

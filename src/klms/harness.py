@@ -25,7 +25,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
                         first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import SUPPORTED_ORDERS, PeriodicSplineKernel, _spline_grams, kernel_sup_sq
+from .kernels import SUPPORTED_ORDERS, _spline_grams, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -182,7 +182,6 @@ def replicate_seed(master_seed: int, rep: int, digest: int) -> np.random.SeedSeq
 
 @dataclass
 class _Context:
-    kernel: PeriodicSplineKernel
     xs: np.ndarray
     ys: np.ndarray
     gram: np.ndarray
@@ -195,7 +194,6 @@ def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
     # the Gram and doubled Gram matrices share each block of w = u(1 - u)
     gram, doubled_gram = _spline_grams((m, 2 * m), xs)
     return _Context(
-        kernel=PeriodicSplineKernel(m),
         xs=xs,
         ys=ys,
         gram=gram,
@@ -232,7 +230,7 @@ def _algorithm_spec(config: ExperimentConfig, name: str,
         raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
     alpha, r, gamma0 = config.alpha, config.r, config.effective_gamma0()
     if name == "tarres_yao":
-        return TarresYao(r=r)
+        return TarresYao(-theory.competitor_rate(r))
     if config.setting == "online":
         if name != "ours":
             raise ConfigurationError(f"{name!r} has no online schedule")
@@ -282,7 +280,7 @@ def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequenc
     for rep, ctx in enumerate(_replicate_contexts(config)):
         for step, group in by_step.items():
             try:
-                snapshots = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), step, cps, gram=ctx.gram)
+                snapshots = sgd_run(ctx.gram, (ctx.xs, ctx.ys), step, cps)
             except DivergenceError as err:
                 for name in group:
                     runs[name].diverged.append((rep, err))
@@ -391,13 +389,19 @@ class RateFit:
     residual_rms: float
 
 
+def check_fit_points(count: int) -> None:
+    """Raise ConfigurationError if `count` points are too few for `fit_rate`;
+    callers check before computing the points."""
+    if count < 4:
+        raise ConfigurationError("need at least 4 points to fit a rate")
+
+
 def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
     """Least-squares affine fit of log10(value) against log10(n), restricted
     to the second half of the points (by index); the slope is the effective
     rate."""
     pts = list(points)
-    if len(pts) < 4:
-        raise ConfigurationError("need at least 4 points to fit a rate")
+    check_fit_points(len(pts))
     start = len(pts) // 2
     window = pts[start:]
     ns = np.array([p[0] for p in window], dtype=float)
@@ -432,8 +436,10 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     calibration in POINT_NOISE; pass ``noise_sigma`` to override. With
     ``use_table_step`` the step exponent of `ours` follows the published
     experiment table instead of the optimizing formula (they differ for the
-    saturated problem, point 3). A divergence raises after all replicates,
-    naming its preset and replicate, and carries every other one.
+    saturated problem, point 3). Too few checkpoints to fit a rate raise
+    ConfigurationError before any replicate runs. A divergence raises after
+    all replicates, naming its preset and replicate, and carries every
+    other one.
     """
     if point not in TABLE_POINTS:
         raise ConfigurationError(f"point must be one of {sorted(TABLE_POINTS)}")
@@ -442,8 +448,10 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     m, k = TABLE_POINTS[point]
     cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, noise_sigma=noise_sigma,
                            n_max=n_max, replicates=replicates, master_seed=master_seed)
+    cps = cfg.checkpoints()
+    check_fit_points(len(cps))
     override = _TABLE_STEP_EXPONENTS.get((m, k)) if use_table_step else None
-    runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints(), step_exponent=override)
+    runs = _replicate_runs(cfg, ALGORITHM_NAMES, cps, step_exponent=override)
     _raise_divergences(runs)
     rows = []
     for name, run in runs.items():

@@ -1,4 +1,4 @@
-"""Periodic spline kernels on [0, 1), a linear kernel, and their Gram matrices.
+"""Periodic spline kernels on [0, 1) and their Gram matrices.
 
 The order-m spline kernel is the reproducing kernel of zero-mean 1-periodic
 functions with m-th derivative in L2. It is translation invariant with the
@@ -146,16 +146,10 @@ class PeriodicSplineKernel:
     def __post_init__(self):
         _check_order(self.m)
 
-    def __call__(self, s, t):
-        return _kernel_values(self.m, s, t)
-
-    def pairwise(self, xs: np.ndarray, x) -> np.ndarray:
-        """Vector of K(xs[i], x)."""
-        return _kernel_values(self.m, xs, x)
-
     def gram(self, xs: np.ndarray) -> np.ndarray:
-        """Matrix K(x_i, x_j); row gram[i, :i] (what the recursion reads)
-        equals pairwise(xs[:i], xs[i]) bit for bit."""
+        """Matrix K(x_i, x_j), the input of every solver in `estimator`; row
+        gram[i, :i] (what the recursion reads) equals
+        spline_kernel(m, xs[:i], xs[i]) bit for bit."""
         return _spline_grams((self.m,), xs)[0]
 
     def doubled_gram(self, xs: np.ndarray) -> np.ndarray:
@@ -166,23 +160,6 @@ class PeriodicSplineKernel:
         the truncated series before anything downstream relies on it.
         """
         return _spline_grams((2 * self.m,), xs)[0]
-
-
-@dataclass(frozen=True)
-class LinearKernel:
-    """K(u, v) = u . v on R^d; ordinary parametric least squares."""
-
-    dim: int
-
-    def __call__(self, u, v) -> float:
-        return float(np.dot(u, v))
-
-    def pairwise(self, xs: np.ndarray, x) -> np.ndarray:
-        return np.asarray(xs, float) @ np.asarray(x, float)
-
-    def gram(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return xs @ xs.T
 
 
 def eigen_check(m: int, i: int, s: float, quad_points: int, sine: bool = False):

@@ -111,13 +111,12 @@ def test_c05_consistency_constant_step():
     cfg = ExperimentConfig(kernel_order_m=1, target_index_k=2, noise_sigma=0.1,
                            n_max=3162, replicates=15, master_seed=0)
     gamma = 1.0 / (4.0 * cfg.R_sq)
-    kernel = PeriodicSplineKernel(1)
     risks = np.zeros(2)
     for rep in range(cfg.replicates):
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, 0.1, cfg.n_max)
         ctx = _make_context(1, 2, xs, ys)
-        snaps = sgd_run(kernel, (xs, ys), FiniteHorizon(gamma), [100, 3162], gram=ctx.gram)
+        snaps = sgd_run(ctx.gram, (xs, ys), FiniteHorizon(gamma), [100, 3162])
         risks += [_snapshot_risk(ctx, avg) for _, avg in snaps]
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
@@ -196,7 +195,7 @@ def test_c10_ridge_baseline():
         xs = rng.random(200)
         ys = bernoulli_poly(2, xs) + 0.1 * rng.standard_normal(200)
         lam = 10.0 ** rng.uniform(-4, 0)
-        exp = ridge_solve(kernel, xs, ys, lam)
+        exp = ridge_solve(kernel.gram(xs), xs, ys, lam)
         mat = kernel.gram(xs) + lam * np.eye(200)
         worst_resid = max(worst_resid, float(np.linalg.norm(mat @ exp.coeffs - ys)))
 
@@ -212,8 +211,8 @@ def test_c10_ridge_baseline():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
         ctx = _make_context(1, 2, xs, ys)
-        ridge_risks.append(_snapshot_risk(ctx, ridge_solve(kernel, xs, ys, n * lam)))
-        (_, avg), = sgd_run(kernel, (xs, ys), FiniteHorizon(gamma), [n], gram=ctx.gram)
+        ridge_risks.append(_snapshot_risk(ctx, ridge_solve(ctx.gram, xs, ys, n * lam)))
+        (_, avg), = sgd_run(ctx.gram, (xs, ys), FiniteHorizon(gamma), [n])
         sgd_risks.append(_snapshot_risk(ctx, avg))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))
     ok = worst_resid <= 1e-8 and (1.0 / 3.0) <= ratio <= 3.0

@@ -177,6 +177,27 @@ def test_gamma_sweep_partial_grid_is_config_error(tmp_path, capsys, flags):
     assert "configuration error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["gamma-sweep", "--config", "{cfg}", "--out", "{out}"],
+                                  ["compare", "--point", "1", "--n-max", "3", "--out", "{out}"]])
+def test_too_few_points_to_fit_exits_2_before_running(tmp_path, monkeypatch, capsys, argv):
+    # n_max = 3 gives 3 checkpoints, one short of a rate fit: the command
+    # fails before it runs a replicate or writes a file
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n_max = 3\nreplicates = 1\n")
+    out = tmp_path / "tiny.csv"
+    ran = []
+
+    def contexts(config):
+        ran.append(config)
+        return iter(())
+
+    monkeypatch.setattr(harness, "_replicate_contexts", contexts)
+    assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error: need at least 4 points to fit a rate" in captured.err
+    assert captured.out == "" and ran == [] and not out.exists()
+
+
 def test_compare_subcommand(capsys):
     code = main(["compare", "--point", "4", "--n-max", "80", "--replicates", "1",
                  "--noise", "0.1"])

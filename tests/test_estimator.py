@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,15 @@ from scipy.linalg import solve_triangular
 from klms import estimator
 from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
-                            averaged_coefficients, evaluate, finite_dim_sgd,
-                            first_divergence, prefix_iterate, ridge_solve, schedule,
-                            sgd_constant_grid, sgd_run)
+                            averaged_coefficients, finite_dim_sgd, first_divergence,
+                            prefix_iterate, ridge_solve, schedule, sgd_constant_grid, sgd_run)
 from klms.harness import default_gamma_grid
-from klms.kernels import LinearKernel, PeriodicSplineKernel, kernel_sup_sq
+from klms.kernels import PeriodicSplineKernel, kernel_sup_sq, spline_kernel
+from klms.theory import competitor_rate
 
 K1 = PeriodicSplineKernel(1)
+# the same kernel as a function of two points, for the naive oracles
+R1 = partial(spline_kernel, 1)
 
 
 def naive_run(kernel, xs, ys, step_fn, lam_fn, n):
@@ -79,7 +83,7 @@ class TestSchedules:
         assert steps[3] == pytest.approx(1.0)
 
     def test_tarres_yao_pairing(self):
-        s = TarresYao(r=0.75)
+        s = TarresYao(-competitor_rate(0.75))
         steps, lams = s.steps(49), s.lams(49)
         assert steps[0] == pytest.approx(4.0 * 2.0 ** (-0.6))
         assert lams[0] == pytest.approx(0.25 * 2.0 ** (-0.4))
@@ -98,35 +102,36 @@ class TestSchedules:
                 Online(*bad)
         for bad in (np.inf, np.nan):
             with pytest.raises(ConfigurationError):
-                TarresYao(r=bad)
+                TarresYao(zeta=bad)
 
 
 class TestRecursion:
     def test_single_step_base_case(self):
-        (last, avg), = sgd_run(K1, (np.array([0.3]), np.array([2.0])), FiniteHorizon(0.7), [1])
+        xs = np.array([0.3])
+        (last, avg), = sgd_run(K1.gram(xs), (xs, np.array([2.0])), FiniteHorizon(0.7), [1])
         assert last.coeffs[0] == pytest.approx(0.7 * 2.0)
         assert avg.coeffs[0] == pytest.approx(0.7 * 2.0 / 2.0)
 
     def test_zero_targets_stay_zero(self):
         xs = np.random.default_rng(1).random(20)
-        (last, avg), = sgd_run(K1, (xs, np.zeros(20)), FiniteHorizon(1.0), [20])
+        (last, avg), = sgd_run(K1.gram(xs), (xs, np.zeros(20)), FiniteHorizon(1.0), [20])
         assert np.all(last.coeffs == 0.0)
         assert np.all(avg.coeffs == 0.0)
 
     def test_transcript_oracle_unregularized(self):
         rng = np.random.default_rng(5)
         xs, ys = rng.random(5), rng.standard_normal(5)
-        (last, avg), = sgd_run(K1, (xs, ys), FiniteHorizon(3.0), [5])
-        nc, nav = naive_run(K1, xs, ys, lambda i: 3.0, lambda i: 0.0, 5)
+        (last, avg), = sgd_run(K1.gram(xs), (xs, ys), FiniteHorizon(3.0), [5])
+        nc, nav = naive_run(R1, xs, ys, lambda i: 3.0, lambda i: 0.0, 5)
         assert np.allclose(last.coeffs, nc, atol=1e-14)
         assert np.allclose(avg.coeffs, nav, atol=1e-14)
 
     def test_transcript_oracle_regularized(self):
         rng = np.random.default_rng(6)
         xs, ys = rng.random(40), rng.standard_normal(40)
-        ty = TarresYao(r=0.75)
-        (last, avg), = sgd_run(K1, (xs, ys), ty, [40])
-        nc, nav = naive_run(K1, xs, ys, *tarres_yao_fns(0.75), 40)
+        ty = TarresYao(-competitor_rate(0.75))
+        (last, avg), = sgd_run(K1.gram(xs), (xs, ys), ty, [40])
+        nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.75), 40)
         assert np.allclose(last.coeffs, nc, atol=1e-13)
         assert np.allclose(avg.coeffs, nav, atol=1e-13)
 
@@ -135,8 +140,8 @@ class TestRecursion:
         rng = np.random.default_rng(15)
         xs, ys = rng.random(40), rng.standard_normal(40)
         step = FiniteHorizon(6.0, -0.5)
-        for (last, avg), n in zip(sgd_run(K1, (xs, ys), step, [9, 40]), [9, 40]):
-            nc, nav = naive_run(K1, xs, ys, lambda i: 6.0 * n**-0.5, lambda i: 0.0, n)
+        for (last, avg), n in zip(sgd_run(K1.gram(xs), (xs, ys), step, [9, 40]), [9, 40]):
+            nc, nav = naive_run(R1, xs, ys, lambda i: 6.0 * n**-0.5, lambda i: 0.0, n)
             assert np.allclose(last.coeffs, nc, atol=1e-13)
             assert np.allclose(avg.coeffs, nav, atol=1e-13)
 
@@ -147,9 +152,9 @@ class TestRecursion:
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
         step = FiniteHorizon(1e6, -3.0)
-        assert len(sgd_run(K1, (xs, ys), step, [60])) == 1
+        assert len(sgd_run(K1.gram(xs), (xs, ys), step, [60])) == 1
         with pytest.raises(DivergenceError):
-            sgd_run(K1, (xs, ys), step, [5, 60])
+            sgd_run(K1.gram(xs), (xs, ys), step, [5, 60])
 
     def test_repeated_finite_horizon_step_runs_once(self, monkeypatch):
         # exponent 0 gives every checkpoint the same step: one grid row
@@ -167,7 +172,7 @@ class TestRecursion:
 
         monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
         step = FiniteHorizon(0.3)
-        got = sgd_run(PeriodicSplineKernel(2), (xs, ys), step, cps, gram=gram)
+        got = sgd_run(gram, (xs, ys), step, cps)
         assert ran == [1]
         for (last, avg), row, n in zip(got, rows, cps):
             for snap, averaged in ((last, False), (avg, True)):
@@ -177,14 +182,14 @@ class TestRecursion:
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.random(30), rng.standard_normal(30)
-        (last, _), = sgd_run(K1, (xs, ys), Online(3.0, 0.5), [30])
-        nc, _ = naive_run(K1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
+        (last, _), = sgd_run(K1.gram(xs), (xs, ys), Online(3.0, 0.5), [30])
+        nc, _ = naive_run(R1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
         assert np.allclose(last.coeffs, nc, atol=1e-13)
 
     def test_checkpoint_snapshots_prefix_property(self):
         rng = np.random.default_rng(8)
         xs, ys = rng.random(50), rng.standard_normal(50)
-        snaps = sgd_run(K1, (xs, ys), FiniteHorizon(2.0), [10, 50])
+        snaps = sgd_run(K1.gram(xs), (xs, ys), FiniteHorizon(2.0), [10, 50])
         (short, _), (full, _) = snaps
         assert np.allclose(short.coeffs, full.coeffs[:10], atol=1e-15)
 
@@ -192,39 +197,51 @@ class TestRecursion:
         rng = np.random.default_rng(9)
         xs, ys = rng.random(25), rng.standard_normal(25)
         step = FiniteHorizon(1.5)
-        a = sgd_run(K1, (xs, ys), step, [25])[0][0].coeffs
-        b = sgd_run(K1, (xs, ys), step, [25])[0][0].coeffs
+        a = sgd_run(K1.gram(xs), (xs, ys), step, [25])[0][0].coeffs
+        b = sgd_run(K1.gram(xs), (xs, ys), step, [25])[0][0].coeffs
         assert np.array_equal(a, b)
 
-    def test_gram_shortcut_equals_direct(self):
+    def test_leading_block_of_longer_gram(self):
+        # the harness passes the Gram matrix of the whole stream; a run up
+        # to N reads only its leading (N, N) block
         rng = np.random.default_rng(10)
-        xs, ys = rng.random(30), rng.standard_normal(30)
+        xs, ys = rng.random(60), rng.standard_normal(60)
         step = FiniteHorizon(2.0)
-        direct = sgd_run(K1, (xs, ys), step, [30])[0][0].coeffs
-        cached = sgd_run(K1, (xs, ys), step, [30], gram=K1.gram(xs))[0][0].coeffs
-        assert np.array_equal(direct, cached)
+        (long_last, long_avg), = sgd_run(K1.gram(xs), (xs, ys), step, [30])
+        (last, avg), = sgd_run(K1.gram(xs[:30]), (xs[:30], ys[:30]), step, [30])
+        assert np.array_equal(long_last.coeffs, last.coeffs)
+        assert np.array_equal(long_avg.coeffs, avg.coeffs)
+
+    def test_gram_must_cover_the_run(self):
+        rng = np.random.default_rng(17)
+        xs, ys = rng.random(300), rng.standard_normal(300)
+        step = FiniteHorizon(1.0)
+        for gram in (K1.gram(xs[:200]), K1.gram(xs)[:, :200], K1.gram(xs)[0]):
+            with pytest.raises(ConfigurationError, match="Gram matrix"):
+                sgd_run(gram, (xs, ys), step, [100, 300])
+        assert len(sgd_run(K1.gram(xs[:200]), (xs, ys), step, [100, 200])) == 2
 
     def test_divergence_diagnostic_names_step(self):
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
         step = FiniteHorizon(100.0)
         with pytest.raises(DivergenceError) as err:
-            sgd_run(K1, (xs, ys), step, [60])
+            sgd_run(K1.gram(xs), (xs, ys), step, [60])
         assert err.value.step > 1
 
     def test_checkpoint_validation(self):
         xs, ys = np.array([0.1, 0.2]), np.array([0.0, 0.0])
         step = FiniteHorizon(1.0)
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), step, [])
+            sgd_run(K1.gram(xs), (xs, ys), step, [])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), step, [3])
+            sgd_run(K1.gram(xs), (xs, ys), step, [3])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), step, [2, 2])
+            sgd_run(K1.gram(xs), (xs, ys), step, [2, 2])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), step, [2, 1])
+            sgd_run(K1.gram(xs), (xs, ys), step, [2, 1])
         with pytest.raises(ConfigurationError):
-            sgd_run(K1, (xs, ys), step, [0, 2])
+            sgd_run(K1.gram(xs), (xs, ys), step, [0, 2])
 
 
 class TestAveraging:
@@ -263,29 +280,14 @@ class TestAveraging:
         # naive per-coefficient multiplication at every step
         rng = np.random.default_rng(12)
         xs, ys = rng.random(100), rng.standard_normal(100)
-        ty = TarresYao(r=0.375)
-        (last, avg), = sgd_run(K1, (xs, ys), ty, [100])
-        nc, nav = naive_run(K1, xs, ys, *tarres_yao_fns(0.375), 100)
+        ty = TarresYao(-competitor_rate(0.375))
+        (last, avg), = sgd_run(K1.gram(xs), (xs, ys), ty, [100])
+        nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.375), 100)
         assert np.allclose(last.coeffs, nc, atol=1e-12)
         assert np.allclose(avg.coeffs, nav, atol=1e-12)
 
 
 class TestEvaluate:
-    def test_empty_expansion(self):
-        exp = KernelExpansion(np.zeros(0), np.zeros(0))
-        assert evaluate(exp, K1, 0.3) == 0.0
-
-    def test_single_term(self):
-        exp = KernelExpansion(np.array([0.2]), np.array([1.0]))
-        assert evaluate(exp, K1, 0.7) == pytest.approx(K1(0.2, 0.7))
-
-    def test_hand_summed(self):
-        xs = np.array([0.1, 0.5, 0.9])
-        ws = np.array([0.5, -1.0, 2.0])
-        exp = KernelExpansion(xs, ws)
-        want = sum(w * K1(x, 0.25) for x, w in zip(xs, ws))
-        assert evaluate(exp, K1, 0.25) == pytest.approx(want, abs=1e-14)
-
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             KernelExpansion(np.array([0.1, 0.2]), np.array([1.0]))
@@ -293,21 +295,22 @@ class TestEvaluate:
 
 class TestRidge:
     def test_scalar_solve(self):
-        exp = ridge_solve(K1, np.array([0.3]), np.array([2.0]), 0.5)
+        xs = np.array([0.3])
+        exp = ridge_solve(K1.gram(xs), xs, np.array([2.0]), 0.5)
         assert exp.coeffs[0] == pytest.approx(2.0 / (1 / 12 + 0.5))
 
     def test_large_lambda_shrinks(self):
         rng = np.random.default_rng(0)
         xs, ys = rng.random(15), rng.standard_normal(15)
         lam = 1e6
-        exp = ridge_solve(K1, xs, ys, lam)
+        exp = ridge_solve(K1.gram(xs), xs, ys, lam)
         assert np.linalg.norm(exp.coeffs) <= np.linalg.norm(ys) / lam
 
     def test_residual(self):
         rng = np.random.default_rng(1)
         xs, ys = rng.random(10), rng.standard_normal(10)
         lam = 0.05
-        exp = ridge_solve(K1, xs, ys, lam)
+        exp = ridge_solve(K1.gram(xs), xs, ys, lam)
         mat = K1.gram(xs) + lam * np.eye(10)
         assert np.linalg.norm(mat @ exp.coeffs - ys) <= 1e-8
 
@@ -315,16 +318,24 @@ class TestRidge:
         xs = np.array([0.3, 0.3, 0.7])
         ys = np.array([1.0, 2.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
-            ridge_solve(K1, xs, ys, 0.0)
+            ridge_solve(K1.gram(xs), xs, ys, 0.0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
-            ridge_solve(K1, np.array([0.1]), np.array([1.0]), -0.1)
+            ridge_solve(K1.gram(np.array([0.1])), np.array([0.1]), np.array([1.0]), -0.1)
+
+    def test_gram_must_match_the_points(self):
+        rng = np.random.default_rng(2)
+        xs, ys = rng.random(10), rng.standard_normal(10)
+        for gram in (K1.gram(xs[:9]), K1.gram(np.append(xs, 0.5)), K1.gram(xs)[:, :9],
+                     K1.gram(xs)[0]):
+            with pytest.raises(ConfigurationError, match="Gram matrix"):
+                ridge_solve(gram, xs, ys, 0.1)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ConfigurationError):
-            ridge_solve(K1, np.array([0.1]), np.array([1.0]), lam)
+            ridge_solve(K1.gram(np.array([0.1])), np.array([0.1]), np.array([1.0]), lam)
 
 
 class TestFiniteDim:
@@ -347,9 +358,9 @@ class TestFiniteDim:
         ys = xs @ np.array([1.0, -0.5]) + 0.05 * rng.standard_normal(50)
         gamma = 0.05
         theta_bar = finite_dim_sgd((xs, ys), gamma)
-        (_, avg), = sgd_run(LinearKernel(2), (xs, ys), FiniteHorizon(gamma), [50])
+        (_, avg), = sgd_run(xs @ xs.T, (xs, ys), FiniteHorizon(gamma), [50])
         for p in rng.standard_normal((10, 2)):
-            assert abs(float(theta_bar @ p) - evaluate(avg, LinearKernel(2), p)) <= 1e-10
+            assert abs(float(theta_bar @ p) - float(avg.coeffs @ (xs @ p))) <= 1e-10
 
     def test_divergence_guard(self):
         xs = np.ones((50, 1)) * 3.0
@@ -365,7 +376,7 @@ class TestConstantGrid:
         grid = np.array([0.5, 2.0, 6.0])
         coeffs = sgd_constant_grid(K1.gram(xs), ys, grid)
         for gi, gamma in enumerate(grid):
-            last, _ = naive_run(K1, xs, ys, lambda i: gamma, lambda i: 0.0, 40)
+            last, _ = naive_run(R1, xs, ys, lambda i: gamma, lambda i: 0.0, 40)
             assert np.allclose(coeffs[gi], last, atol=1e-12)
 
     def test_divergent_row_isolated(self):
@@ -401,7 +412,7 @@ class TestBlockedSolver:
     def test_rows_match_stepwise(self, production, kind, n):
         kernel, _, ys, gram = production
         R_sq = kernel_sup_sq(kernel.m)
-        ty = TarresYao(r=0.75)
+        ty = TarresYao(-competitor_rate(0.75))
         steps, shrinks = {"sweep": (default_gamma_grid(R_sq), None),
                           "online": schedule(Online(1.0 / R_sq, 0.5), n),
                           "tarres_yao": schedule(ty, n)}[kind]
@@ -425,7 +436,7 @@ class TestBlockedSolver:
         kernel, xs, ys, gram = production
         cps = np.unique(np.geomspace(10, 3162, 20).astype(int))
         step = FiniteHorizon(1.0 / kernel_sup_sq(kernel.m), -0.5)
-        got = sgd_run(kernel, (xs, ys), step, cps, gram=gram)
+        got = sgd_run(gram, (xs, ys), step, cps)
         full = sgd_constant_grid(gram, ys, step.at(cps))
         for (last, avg), row, n in zip(got, full, cps):
             for snap, averaged in ((last, False), (avg, True)):
@@ -472,7 +483,7 @@ class TestTriangularOracle:
             if kind == "online":
                 sched = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), rng.uniform(0, 0.9))
             else:
-                sched = TarresYao(r=rng.uniform(0.25, 2.0))
+                sched = TarresYao(-competitor_rate(rng.uniform(0.25, 2.0)))
             steps, shrinks = schedule(sched, n)
             coeffs = sgd_constant_grid(gram, ys, steps, shrinks)
         scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
@@ -485,8 +496,8 @@ class TestTriangularOracle:
     def test_sgd_run_is_one_row(self):
         rng = np.random.default_rng(13)
         xs, ys = rng.random(80), rng.standard_normal(80)
-        ty = TarresYao(r=0.75)
-        (last, _), = sgd_run(K1, (xs, ys), ty, [80])
+        ty = TarresYao(-competitor_rate(0.75))
+        (last, _), = sgd_run(K1.gram(xs), (xs, ys), ty, [80])
         steps, shrinks = schedule(ty, 80)
         b = sgd_constant_grid(K1.gram(xs), ys, steps, shrinks)[0]
         assert np.array_equal(last.coeffs, np.cumprod(shrinks)[-1] * b)

@@ -127,8 +127,8 @@ class TestFourierOracle:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[point], n_max=3162, replicates=1)
         ctx = next(_replicate_contexts(cfg))
-        (_, avg), = sgd_run(ctx.kernel, (ctx.xs, ctx.ys), _algorithm_spec(cfg, "ours"),
-                            [cfg.n_max], gram=ctx.gram)
+        (_, avg), = sgd_run(ctx.gram, (ctx.xs, ctx.ys), _algorithm_spec(cfg, "ours"),
+                            [cfg.n_max])
         assert len(avg) == 3162
         assert _snapshot_risk(ctx, avg) == pytest.approx(
             excess_risk_fourier(avg, m, k, 2000), rel=1e-8)
