@@ -11,8 +11,15 @@ The 1-periodic extension of B_k has the Fourier expansion
     B_k({x}) = -2 k! * sum_{j>=1} cos(2 pi j x - k pi / 2) / (2 pi j)^k,
 
 valid pointwise for k >= 2 (and for k = 1 away from the jump at integer x).
-``bernoulli_fourier_eval`` sums this series and is used throughout the test
-suite as an oracle that is independent of the polynomial coefficients.
+``bernoulli_fourier_eval`` sums this series, at a point or over an array of
+points, and is used throughout the test suite as an oracle that is
+independent of the polynomial coefficients.
+
+Every truncated Fourier sum over frequencies 1..J in the package (this
+series and the Fourier risk oracle in `risk`) factors its phases through
+`_phase_tables`: with B = isqrt(J), j = qB + r splits e^{2 pi i j x} into
+e^{2 pi i qB x} e^{2 pi i r x}, so about 2 sqrt(J) complex exponentials per
+point and one matrix product replace J cosines per point.
 """
 
 from __future__ import annotations
@@ -93,9 +100,34 @@ def zeta_tail(s: float, J: int) -> float:
     return (2.0 * np.pi) ** (-s) * float(zeta(s, J + 1))
 
 
-def bernoulli_fourier_eval(k: int, x: float, J: int) -> float:
+def _phase_tables(x: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase tables (U, V) of the 1-D points x for the frequencies 0..J.
+
+    With B = isqrt(J) and Q = J // B + 1, every j = qB + r with 0 <= q < Q
+    and 0 <= r < B is one frequency, and they cover 0..J, so
+    e^{2 pi i j x_n} = U[n, q] * V[n, r] with U[n, q] = e^{2 pi i qB x_n}
+    (n x Q) and V[n, r] = e^{2 pi i r x_n} (n x B). A sum over j of weights
+    laid out as a (Q, B) array is then a matrix product with V followed by
+    a sum against U.
+    """
+    b = math.isqrt(J)
+    q = J // b + 1
+    u = np.exp(2j * np.pi * np.multiply.outer(x, np.arange(q) * float(b)))
+    v = np.exp(2j * np.pi * np.multiply.outer(x, np.arange(b, dtype=float)))
+    return u, v
+
+
+def bernoulli_fourier_eval(k: int, x, J: int):
     """Fourier partial sum (frequencies 1..J) of the periodized B_k, with the
     slowly converging tail components added in closed form.
+
+    Accepts a scalar x (giving a float) or an array (giving an array of its
+    shape); a scalar call returns exactly the matching element of an array
+    call, since every point is summed by the same sequence of operations.
+    The weights (2 pi j)^{-k} are laid out as a (Q, B) array and summed
+    through `_phase_tables`, one matrix product per point, and the phase
+    e^{-i k pi / 2} is applied once to the sum. An array call holds a few
+    complex arrays of sqrt(J) entries per point.
 
     For k >= 2 away from integer x the bare truncation error decays like
     J^{-k} with extra cancellation from the oscillating cosines, and nothing
@@ -108,20 +140,31 @@ def bernoulli_fourier_eval(k: int, x: float, J: int) -> float:
     """
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
-    u = frac(x)
-    j = np.arange(1, J + 1, dtype=float)
+    u = np.asarray(frac(x))
+    n = u.size
+    phase_q, phase_r = _phase_tables(u.ravel(), J)
+    q, b = phase_q.shape[1], phase_r.shape[1]
+    weights = np.zeros(q * b)
+    weights[1:J + 1] = (2.0 * np.pi * np.arange(1, J + 1, dtype=float)) ** -k
+    # one (Q, B) @ (B, 2) product per point, on the real and imaginary parts
+    # of its row of V, so a point's sum does not depend on the others
+    partial = weights.reshape(q, b) @ phase_r.view(float).reshape(n, b, 2)
+    sums = np.sum(phase_q * partial.view(complex).reshape(n, q), axis=1).reshape(u.shape)
+    # Re(e^{-i k pi / 2} S), exactly
+    rotated = (sums.real, sums.imag, -sums.real, -sums.imag)[k % 4]
     kfac = float(math.factorial(k))
-    s = -2.0 * kfac * float(np.sum(np.cos(2.0 * np.pi * j * u - k * np.pi / 2.0)
-                                   / (2.0 * np.pi * j) ** k))
-    if u == 0.0 and k >= 2:
+    s = -2.0 * kfac * rotated
+    if k >= 2:
         phase = math.cos(k * np.pi / 2.0)
-        if phase != 0.0:
-            s += -2.0 * kfac * phase * zeta_tail(k, J)
-    elif k == 1 and u != 0.0:
+        if phase != 0.0 and np.any(u == 0.0):
+            s = np.where(u == 0.0, s + -2.0 * kfac * phase * zeta_tail(k, J), s)
+    elif np.any(u != 0.0):
         # bare sum is -(1/pi) sum_{j<=J} sin(2 pi j u) / j, and the full sine
         # sum equals -Im log(1 - e^{2 pi i u}); add the exact tail difference
-        full_im = float(np.imag(np.log(1.0 - np.exp(2j * np.pi * u))))
+        # (u = 1/2 stands in at u = 0, where the log diverges and no tail is
+        # added)
+        full_im = np.imag(np.log(1.0 - np.exp(2j * np.pi * np.where(u != 0.0, u, 0.5))))
         partial_im = -np.pi * s
         tail_im = -full_im - partial_im
-        s += -tail_im / np.pi
-    return s
+        s = np.where(u != 0.0, s + -tail_im / np.pi, s)
+    return float(s) if s.ndim == 0 else s

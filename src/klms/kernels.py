@@ -8,11 +8,11 @@ closed form
 
 and the equivalent Fourier form sum_j 2 cos(2 pi j (s-t)) / (2 pi j)^{2m},
 the B_{2m} series of `bernoulli.bernoulli_fourier_eval` with the same scale.
-`spline_kernel_series` truncates it, and the test suite uses it as an
-independent oracle. Under the uniform design on [0, 1) the associated
-covariance operator has eigenfunctions sqrt(2) cos(2 pi i t) and
-sqrt(2) sin(2 pi i t), both with eigenvalue (2 pi i)^{-2m};
-`eigen_check` verifies that numerically by quadrature.
+`spline_kernel_series` truncates it, over arrays of points as well, and the
+test suite uses it as an independent oracle. Under the uniform design on
+[0, 1) the associated covariance operator has eigenfunctions
+sqrt(2) cos(2 pi i t) and sqrt(2) sin(2 pi i t), both with eigenvalue
+(2 pi i)^{-2m}; `eigen_check` verifies that numerically by quadrature.
 
 The closed form is evaluated without a polynomial in u = {s - t}. B_{2m} is
 symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
@@ -122,10 +122,11 @@ def spline_kernel(m: int, s, t):
     return _kernel_values(m, s, t)
 
 
-def spline_kernel_series(m: int, s: float, t: float, J: int) -> float:
+def spline_kernel_series(m: int, s, t, J: int):
     """Truncated Fourier form of R_m(s, t), summed over frequencies 1..J:
     the B_{2m} series of `bernoulli_fourier_eval` at s - t, scaled by
-    (-1)^(m-1) / (2m)!, with its exact tail at integer s - t."""
+    (-1)^(m-1) / (2m)!, with its exact tail at integer s - t. Broadcast over
+    array s and t; a float for scalar arguments."""
     if m < 1 or J < 1:
         raise ConfigurationError("need m >= 1 and J >= 1")
     scale = (-1) ** (m - 1) / math.factorial(2 * m)

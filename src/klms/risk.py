@@ -12,10 +12,14 @@ ingredients:
 None of these formulas is taken on faith: the module ships a truncated
 Fourier evaluator and a quadrature evaluator of the same quantity, and the
 test suite requires three-way agreement before the experiment harness is
-allowed to rely on the closed form. The Fourier evaluator adds the target's
-tail beyond its last frequency through `bernoulli.zeta_tail`, so this module
-imports no scipy. An expansion without centers is the zero function in all
-three evaluators, with no special case.
+allowed to rely on the closed form. The Fourier evaluator sums its
+frequencies 1..J through the sqrt(J) phase tables of
+`bernoulli._phase_tables` (j = qB + r, B = isqrt(J): one matrix product
+instead of J x n cosines and sines) and adds the target's tail beyond its
+last frequency through `bernoulli.zeta_tail`, so this module imports no
+scipy. The quadrature evaluator reads the kernel in column blocks of the
+grid, as `kernels` builds Gram matrices. An expansion without centers is
+the zero function in all three evaluators, with no special case.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import bernoulli_poly, bernoulli_poly_coeffs, frac, zeta_tail
+from .bernoulli import _phase_tables, bernoulli_poly, bernoulli_poly_coeffs, frac, zeta_tail
 from .errors import ConfigurationError
-from .kernels import PeriodicSplineKernel, _check_order, _kernel_values
+from .kernels import (_BLOCK_ENTRIES, PeriodicSplineKernel, _check_order, _circle_w,
+                      _spline_w)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -89,7 +94,10 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int,
     Sums (A_j - T_j^c)^2 + (B_j - T_j^s)^2 over frequencies 1..J, where
     (A_j, B_j) are the expansion's coordinates on sqrt(2) cos(2 pi j .) and
     sqrt(2) sin(2 pi j .), each center contributing (2 pi j)^{-2m} times its
-    trig values, and (T_j^c, T_j^s) are the target's coordinates. By default
+    trig values, and (T_j^c, T_j^s) are the target's coordinates. The
+    center sums sum_i w_i e^{2 pi i j x_i} come from the phase tables of
+    `bernoulli._phase_tables`: about 2 sqrt(J) exponentials per center and
+    one matrix product, with no J x n array. By default
     the target's coordinate tail beyond J (a zeta value) is added as well,
     since for k = 1 it decays too slowly to ignore; the expansion's own tail
     is negligible at the orders handled here. With
@@ -99,16 +107,17 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int,
     _check_order(m)
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
-    w = expansion.coeffs
     freqs = np.arange(1, J + 1, dtype=float)
     omega = 2.0 * np.pi * freqs
     kfac = float(math.factorial(k))
     t_cos = -_SQRT2 * kfac * math.cos(k * np.pi / 2.0) / omega**k
     t_sin = -_SQRT2 * kfac * math.sin(k * np.pi / 2.0) / omega**k
-    phases = omega[:, None] * np.asarray(expansion.centers, float)[None, :]
+    # S_j = sum_i w_i e^{2 pi i j x_i} for j = 0..QB-1, one (Q, B) product
+    phase_q, phase_r = _phase_tables(expansion.centers, J)
+    sums = ((phase_q * expansion.coeffs[:, None]).T @ phase_r).ravel()[1:J + 1]
     sect = omega ** (-2.0 * m)
-    a = _SQRT2 * sect * (np.cos(phases) @ w)
-    b = _SQRT2 * sect * (np.sin(phases) @ w)
+    a = _SQRT2 * sect * sums.real
+    b = _SQRT2 * sect * sums.imag
     total = float(np.sum((a - t_cos) ** 2 + (b - t_sin) ** 2))
     if include_target_tail:
         total += 2.0 * kfac**2 * zeta_tail(2 * k, J)
@@ -120,14 +129,21 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
 
     The grid has grid_size subintervals. The target is evaluated as a plain
     polynomial on [0, 1] (not periodized), so the endpoint jump of the k = 1
-    target is integrated correctly; the expansion itself is periodic.
+    target is integrated correctly; the expansion itself is periodic. The
+    expansion is evaluated over blocks of grid nodes, as `kernels` builds
+    Gram matrices, so no centers x grid array is held.
     """
     _check_order(m)
     if grid_size < 1000:
         raise ConfigurationError("grid_size must be at least 1000")
     ts = np.linspace(0.0, 1.0, grid_size + 1)
-    centers = np.asarray(expansion.centers, float)
-    vals = expansion.coeffs @ _kernel_values(m, centers[:, None], ts)
+    centers, nodes = frac(expansion.centers), frac(ts)
+    # the kernel matrix R_m(x_i, t) in column blocks of about _BLOCK_ENTRIES
+    cols = max(1, _BLOCK_ENTRIES // max(centers.shape[0], 1))
+    vals = np.empty_like(ts)
+    for j in range(0, ts.shape[0], cols):
+        w = _circle_w(np.subtract.outer(centers, nodes[j:j + cols]))
+        vals[j:j + cols] = expansion.coeffs @ _spline_w(m, w)
     diff = vals - bernoulli_poly(k, ts)
     return float(np.trapezoid(diff * diff, ts))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klms.bernoulli import (bernoulli_fourier_eval, bernoulli_numbers,
-                            bernoulli_poly, bernoulli_poly_coeffs, frac)
+                            bernoulli_poly, bernoulli_poly_coeffs, frac, zeta_tail)
 from klms.errors import ConfigurationError
 
 
@@ -101,17 +101,60 @@ class TestFrac:
         assert 0.0 <= r < 1.0
 
 
+def direct_fourier_eval(k, x, J):
+    """The B_k series summed directly at one point, J cosines, with the same
+    two tails as `bernoulli_fourier_eval`."""
+    u = frac(x)
+    j = np.arange(1, J + 1, dtype=float)
+    kfac = float(math.factorial(k))
+    s = -2.0 * kfac * float(np.sum(np.cos(2.0 * np.pi * j * u - k * np.pi / 2.0)
+                                   / (2.0 * np.pi * j) ** k))
+    if u == 0.0 and k >= 2:
+        s += -2.0 * kfac * math.cos(k * np.pi / 2.0) * zeta_tail(k, J)
+    elif k == 1 and u != 0.0:
+        full_im = float(np.imag(np.log(1.0 - np.exp(2j * np.pi * u))))
+        s += (full_im - np.pi * s) / np.pi
+    return s
+
+
 class TestFourierSeries:
     def test_grid_agreement(self):
         # 101-point grid of [0, 1); k = 1 excludes the jump at x = 0
         xs = np.linspace(0.0, 1.0, 101, endpoint=False)
         for k in range(1, 9):
             tol = 1e-6
-            for x in xs:
-                if k == 1 and x == 0.0:
-                    continue
-                got = bernoulli_fourier_eval(k, float(x), 10**5)
-                assert abs(got - bernoulli_poly(k, float(x))) <= tol, (k, x)
+            x = xs[1:] if k == 1 else xs
+            gap = np.abs(bernoulli_fourier_eval(k, x, 10**5) - bernoulli_poly(k, x))
+            assert np.max(gap) <= tol, (k, x[np.argmax(gap)])
+
+    def test_factored_sum_equals_direct_sum(self):
+        # u = 0 takes the zeta tail (k >= 2) or none (k = 1), u != 0 with
+        # k = 1 the log tail; x outside [0, 1) is reduced first. The gap is
+        # measured against 2 k! sum_j (2 pi j)^{-k}, the size of the terms,
+        # since the value itself vanishes at u = 0 or 1/2 for odd k.
+        xs = np.concatenate([[0.0, 0.5, 0.25, -0.3, 1.7],
+                             np.random.default_rng(5).random(10)])
+        for J in (1, 2, 3, 4, 7, 99, 100, 101, 1000):
+            for k in range(1, 9):
+                scale = 2.0 * math.factorial(k) * np.sum(
+                    (2.0 * np.pi * np.arange(1, J + 1)) ** -float(k))
+                got = bernoulli_fourier_eval(k, xs, J)
+                for x, value in zip(xs, got):
+                    gap = abs(value - direct_fourier_eval(k, x, J))
+                    assert gap <= 1e-13 * scale, (J, k, x)
+
+    def test_array_call_equals_scalar_calls(self):
+        # bitwise: every point is summed by the same operations, alone or not
+        xs = np.concatenate([[0.0, 0.5, 1.0, -0.25],
+                             np.random.default_rng(3).random(20)])
+        for J in (1, 7, 100, 10**5):
+            for k in range(1, 9):
+                grid = bernoulli_fourier_eval(k, xs.reshape(4, 6), J)
+                assert grid.shape == (4, 6)
+                for x, value in zip(xs, grid.ravel()):
+                    scalar = bernoulli_fourier_eval(k, float(x), J)
+                    assert type(scalar) is float
+                    assert scalar == value, (J, k, x)
 
     def test_spec_examples(self):
         assert bernoulli_fourier_eval(2, 0.3, 10**5) == pytest.approx(

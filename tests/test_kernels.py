@@ -77,12 +77,23 @@ class TestSeriesOracle:
 
     def test_grid_agreement(self):
         grid = np.linspace(0.0, 1.0, 51, endpoint=False)
+        s, t = grid[:, None], grid[None, ::10]
         for m in (1, 2):
-            for s in grid:
-                for t in grid[::10]:
-                    closed = spline_kernel(m, s, t)
-                    series = spline_kernel_series(m, float(s), float(t), 10**5)
-                    assert abs(closed - series) <= 1e-8, (m, s, t)
+            gap = np.abs(spline_kernel(m, s, t) - spline_kernel_series(m, s, t, 10**5))
+            i, j = np.unravel_index(np.argmax(gap), gap.shape)
+            assert gap[i, j] <= 1e-8, (m, s[i, 0], t[0, j])
+
+    def test_array_call_equals_scalar_calls(self):
+        # bitwise: every point is summed by the same operations, alone or not
+        grid = np.linspace(0.0, 1.0, 11, endpoint=False)
+        for m in (1, 2):
+            for J in (7, 10**5):
+                series = spline_kernel_series(m, grid[:, None], grid[None, ::3], J)
+                assert series.shape == (11, 4)
+                for (i, j), value in np.ndenumerate(series):
+                    scalar = spline_kernel_series(m, float(grid[i]), float(grid[3 * j]), J)
+                    assert type(scalar) is float
+                    assert scalar == value, (m, J, i, j)
 
 
 class TestZeroMean:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from klms.bernoulli import zeta_tail
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
@@ -12,6 +13,23 @@ from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_
                        target_norm_sq)
 
 EMPTY = KernelExpansion(np.zeros(0), np.zeros(0))
+
+
+def direct_fourier_risk(expansion, m, k, J, include_target_tail):
+    """The Fourier oracle summed directly: J x n cosines and sines."""
+    w = expansion.coeffs
+    omega = 2.0 * np.pi * np.arange(1, J + 1, dtype=float)
+    kfac = float(math.factorial(k))
+    t_cos = -np.sqrt(2.0) * kfac * math.cos(k * np.pi / 2.0) / omega**k
+    t_sin = -np.sqrt(2.0) * kfac * math.sin(k * np.pi / 2.0) / omega**k
+    phases = omega[:, None] * expansion.centers[None, :]
+    sect = omega ** (-2.0 * m)
+    a = np.sqrt(2.0) * sect * (np.cos(phases) @ w)
+    b = np.sqrt(2.0) * sect * (np.sin(phases) @ w)
+    total = float(np.sum((a - t_cos) ** 2 + (b - t_sin) ** 2))
+    if include_target_tail:
+        total += 2.0 * kfac**2 * zeta_tail(2 * k, J)
+    return total
 
 
 def random_expansion(rng, max_centers=50):
@@ -108,6 +126,20 @@ class TestFourierOracle:
                 for J in (1, 10, 100)]
         assert vals[0] <= vals[1] <= vals[2]
         assert vals[2] <= excess_risk_closed(exp, 1, 2) + 1e-12
+
+    def test_factored_sum_equals_direct_sum(self):
+        # squares, non-squares and primes J, so the last row of the sqrt(J)
+        # phase tables is full, partial or a single frequency
+        rng = np.random.default_rng(31)
+        for J in (1, 2, 3, 4, 7, 99, 100, 101, 1000):
+            for n in (0, 1, 20):
+                exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
+                for m in (1, 2):
+                    for k in (1, 2, 3):
+                        for tail in (False, True):
+                            direct = direct_fourier_risk(exp, m, k, J, tail)
+                            assert excess_risk_fourier(exp, m, k, J, tail) == pytest.approx(
+                                direct, rel=1e-13, abs=0.0), (J, n, m, k, tail)
 
     def test_k1_needs_tail(self):
         # the k = 1 target tail beyond 1e5 frequencies is ~5e-7 and the
