@@ -5,9 +5,11 @@ All randomness flows through numpy SeedSequences built from
 (master_seed, replicate_index, stream_digest), so replicates are independent
 of execution order and two configs that describe the same data distribution
 see the same streams. Every preset runs through one driver, `_replicate_runs`:
-per replicate it builds one context (the Gram matrices behind the closed-form
+per replicate it builds one context (the Gram matrix the recursion reads, and
+the `kernels.DoubledForm` and target inner products behind the closed-form
 risk of `klms.risk`) and one `sgd_run` per distinct step schedule; each preset
-scores its own iterate of that run and records its own divergences.
+scores all its snapshots of that run in one stacked closed-form call and
+records its own divergences.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
                         first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import SUPPORTED_ORDERS, _spline_grams, kernel_sup_sq
+from .kernels import SUPPORTED_ORDERS, DoubledForm, _spline_grams, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -185,27 +187,26 @@ class _Context:
     xs: np.ndarray
     ys: np.ndarray
     gram: np.ndarray
-    doubled_gram: np.ndarray
+    form: DoubledForm
     inner: np.ndarray
     norm_sq: float
 
+    def excess_risk(self, coeffs):
+        """The closed-form excess risk of coefficients on a prefix of the
+        stream, or of each row of a (p, n) stack of them."""
+        return risk.closed_form_risk(coeffs, self.form, self.inner, self.norm_sq)
+
 
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
-    # the Gram and doubled Gram matrices share each block of w = u(1 - u)
-    gram, doubled_gram = _spline_grams((m, 2 * m), xs)
+    # the Gram matrix is the one n x n array: the recursion reads it
     return _Context(
         xs=xs,
         ys=ys,
-        gram=gram,
-        doubled_gram=doubled_gram,
+        gram=_spline_grams((m,), xs)[0],
+        form=DoubledForm(m, xs),
         inner=risk.kernel_target_inner(m, k, xs),
         norm_sq=risk.target_norm_sq(k),
     )
-
-
-def _snapshot_risk(ctx: _Context, expansion) -> float:
-    return float(risk.closed_form_risk(expansion.coeffs, ctx.doubled_gram, ctx.inner,
-                                       ctx.norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +287,13 @@ def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequenc
                     runs[name].diverged.append((rep, err))
                 continue
             for name in group:
-                runs[name].per_replicate[rep] = [
-                    _snapshot_risk(ctx, avg if PRESETS[name] else last) for last, avg in snapshots]
+                # one stacked call scores every snapshot of the preset, each
+                # zero-padded to the run's last checkpoint
+                stack = np.zeros((len(cps), cps[-1]))
+                for row, (last, avg) in zip(stack, snapshots):
+                    iterate = avg if PRESETS[name] else last
+                    row[:len(iterate)] = iterate.coeffs
+                runs[name].per_replicate[rep] = ctx.excess_risk(stack)
     return runs
 
 
@@ -362,8 +368,7 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
         bad_step[earlier], bad_value[earlier] = step[earlier], value[earlier]
         for ci, n in enumerate(cps):
             with np.errstate(invalid="ignore", over="ignore"):
-                sums[ci] += risk.closed_form_risk(prefix_iterate(coeffs, n, True),
-                                                  ctx.doubled_gram, ctx.inner, ctx.norm_sq)
+                sums[ci] += ctx.excess_risk(prefix_iterate(coeffs, n, True))
     means = sums / config.replicates
     rows = []
     for ci, n in enumerate(cps):

@@ -21,9 +21,14 @@ d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
 every kernel value in the package, Gram matrices included, is one Horner pass
 in w (`_spline_w`). A Gram matrix is built in row blocks that stay in cache,
-and one block of w serves every order asked for (`_spline_grams`): the Gram
-and order-doubled Gram matrices of a stream share it. |d| makes every Gram
-matrix exactly symmetric.
+and one block of w serves every order asked for (`_spline_grams`). |d| makes
+every Gram matrix exactly symmetric.
+
+The order-doubled Gram matrix D_ij = R_2m(x_i, x_j) of a stream is never
+built outside the tests, where `_spline_grams((2 * m,), xs)` is the dense
+oracle: `DoubledForm` gives the quadratic form w'Dw exactly from per-bin
+moments of w, as R_2m is a polynomial in {s - t}, and dense blocks of the
+pairs inside one bin.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ _SQRT2 = math.sqrt(2.0)
 # through the Horner passes of every order
 _BLOCK_ENTRIES = 1 << 16
 
+# coefficient vectors per product in DoubledForm.quad
+_ROW_BLOCK = 32
+
 
 def _check_order(m: int) -> None:
     if m not in SUPPORTED_ORDERS:
@@ -56,6 +64,12 @@ def _check_order(m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _w_coeffs(order: int) -> tuple[float, ...]:
+    """`_w_coeffs_exact`, each rounded once to a float."""
+    return tuple(float(c) for c in _w_coeffs_exact(order))
+
+
+@lru_cache(maxsize=None)
+def _w_coeffs_exact(order: int) -> tuple[Fraction, ...]:
     """Coefficients, highest degree first, of the degree-`order` polynomial P
     with P(u(1 - u)) = (-1)^(order-1) B_{2 order}(u) / (2 order)!.
 
@@ -72,7 +86,7 @@ def _w_coeffs(order: int) -> tuple[float, ...]:
     scale = Fraction((-1) ** (order - 1), math.factorial(2 * order))
     poly = [scale * sum(even[i] * math.comb(i, l) * quarter ** (i - l) * (-1) ** l
                         for i in range(l, order + 1)) for l in range(order + 1)]
-    return tuple(float(c) for c in reversed(poly))
+    return tuple(reversed(poly))
 
 
 def _spline_w(order: int, w, out=None):
@@ -102,6 +116,37 @@ def _kernel_values(order: int, s, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
+@lru_cache(maxsize=16)
+def _far_field_blocks(order: int, bins: int) -> np.ndarray:
+    """The (bins, L, L) blocks, L = 2 order + 1, of the far-field form of
+    `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) at
+    (p, q), P the degree-2 order polynomial with P({s - t}) = R_order(s, t),
+    and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart
+    is exact, so every entry is computed in rational arithmetic and rounded
+    once."""
+    deg = 2 * order
+    scale = Fraction((-1) ** (order - 1), math.factorial(deg))
+    poly = [scale * c for c in bernoulli_poly_coeffs(deg)]
+    # ascending coefficients of P^(s), s = 0..deg
+    derivs = [[poly[k + s] * math.perm(k + s, s) for k in range(deg + 1 - s)]
+              for s in range(deg + 1)]
+    weights = [[Fraction((-1) ** q, math.factorial(p) * math.factorial(q))
+                for q in range(deg + 1 - p)] for p in range(deg + 1)]
+    blocks = np.zeros((bins, deg + 1, deg + 1))
+    for shift in range(1, bins):
+        u = Fraction(shift, bins)
+        at = []
+        for coeffs in derivs:
+            value = Fraction(0)
+            for c in reversed(coeffs):
+                value = value * u + c
+            at.append(value)
+        for p, row in enumerate(weights):
+            blocks[shift, p, :len(row)] = [float(at[p + q] * f) for q, f in enumerate(row)]
+    blocks.setflags(write=False)
+    return blocks
+
+
 def _spline_grams(orders, xs) -> list[np.ndarray]:
     """The matrix R_order(x_i, x_j) for each order in `orders`, built block of
     rows by block of rows from one w per block, which every order reads."""
@@ -114,6 +159,93 @@ def _spline_grams(orders, xs) -> list[np.ndarray]:
         for order, gram in zip(orders, grams):
             _spline_w(order, w, out=gram[i:i + rows])
     return grams
+
+
+class DoubledForm:
+    """The quadratic form w'Dw of the order-doubled Gram matrix
+    D_ij = R_2m(x_i, x_j) of a stream, for coefficient vectors on any prefix
+    of it, without D: w'Dw is the squared L2 norm of sum_i w_i K_{x_i}.
+
+    The points go into B = round(2 sqrt(n)) equal bins [b/B, (b+1)/B) with
+    centres c_b. For x_i in bin b' and x_j in another bin b,
+    frac(x_i - x_j) = frac(c_b' - c_b) + d_i - d_j with d = x - c never
+    wraps, and R_2m is a polynomial P in it, so Taylor's formula, exact for
+    a polynomial, splits those pairs into per-bin moments
+    mu_{b,q} = sum_{j in b} w_j d_j^q, q = 0..4m:
+
+        sum_{p,q} mu_{b',p} mu_{b,q} P^(p+q)(frac(c_b' - c_b)) (-1)^q / (p! q!),
+
+    one (B L, B L) table, L = 4m + 1, of the blocks of `_far_field_blocks`.
+    Pairs inside one bin read the dense entries of `_spline_w`, bitwise the
+    entries of `_spline_grams`, from per-bin blocks padded to the fullest
+    bin. Empty bins are dropped, the others are laid out in the order the
+    stream first enters them, and a bin keeps its points in stream order,
+    so a prefix of n' points fills the leading slots of the leading bins
+    and its form reads only those: the cost follows the prefix.
+    """
+
+    def __init__(self, m: int, xs):
+        _check_order(m)
+        order = 2 * m
+        xs = frac(np.asarray(xs, dtype=float))
+        n = self.n = xs.shape[0]
+        bins = max(1, round(2.0 * math.sqrt(n)))
+        # label the occupied bins 0, 1, ... in the order the stream enters them
+        bin_of = np.minimum((xs * bins).astype(np.intp), bins - 1)
+        occupied, first, bin_of = np.unique(bin_of, return_index=True, return_inverse=True)
+        entered = np.argsort(first)
+        occupied = occupied[entered]
+        bin_of = np.argsort(entered)[bin_of]
+        counts = np.bincount(bin_of, minlength=occupied.size)
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.argsort(bin_of, kind="stable")] = (
+            np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+        # slot (b, r) holds the index of the r-th point of bin b, or n
+        self._slots = np.full((occupied.size, int(counts.max(initial=0))), n)
+        self._slots[bin_of, rank] = np.arange(n)
+        # the bins and the slots of each bin that a prefix of n' points fills
+        self._bins = np.maximum.accumulate(bin_of) + 1
+        self._widths = np.maximum.accumulate(rank) + 1
+        # padding slots read x = 0; their weight is always 0
+        x = np.append(xs, 0.0)[self._slots]
+        d = x - (occupied[:, None] + 0.5) / bins
+        self._powers = d[:, None, :] ** np.arange(2 * order + 1)[:, None]
+        self._near = _spline_w(order, _circle_w(x[:, :, None] - x[:, None, :]))
+        blocks = _far_field_blocks(order, bins)[(occupied[:, None] - occupied) % bins]
+        size = occupied.size * (2 * order + 1)
+        self._far = blocks.transpose(0, 2, 1, 3).reshape(size, size)
+
+    def quad(self, coeffs):
+        """w'Dw for coefficients w on the first n' = w.shape[-1] points, or
+        for each row of a (p, n') stack.
+
+        Rows go through the products _ROW_BLOCK at a time, zero rows
+        padding the last block, so every row meets products of one shape
+        and its value does not depend on the other rows: a non-finite row
+        spoils only its own value."""
+        w = np.asarray(coeffs, dtype=float)
+        n = w.shape[-1]
+        if n > self.n:
+            raise ConfigurationError(f"{n} coefficients on a stream of {self.n} points")
+        rows = w.reshape(math.prod(w.shape[:-1]), n)
+        count = rows.shape[0]
+        bins, width = (self._bins[n - 1], self._widths[n - 1]) if n else (0, 0)
+        # slots past the prefix read the zero row n of `columns`
+        slots = np.minimum(self._slots[:bins, :width], n)
+        near = self._near[:bins, :width, :width]
+        powers = self._powers[:bins, :, :width]
+        size = bins * powers.shape[1]
+        far = self._far[:size, :size]
+        columns = np.zeros((n + 1, -(-count // _ROW_BLOCK) * _ROW_BLOCK))
+        columns[:n, :count] = rows.T
+        out = np.empty(columns.shape[1])
+        for s in range(0, count, _ROW_BLOCK):
+            # (B, width, block) weights per slot
+            slotted = columns[:, s:s + _ROW_BLOCK][slots]
+            moments = (powers @ slotted).reshape(-1, _ROW_BLOCK)
+            out[s:s + _ROW_BLOCK] = ((slotted * (near @ slotted)).sum(axis=(0, 1))
+                                     + (moments * (far @ moments)).sum(axis=0))
+        return out[:count].reshape(w.shape[:-1])
 
 
 def spline_kernel(m: int, s, t):
@@ -152,15 +284,6 @@ class PeriodicSplineKernel:
         gram[i, :i] (what the recursion reads) equals
         spline_kernel(m, xs[:i], xs[i]) bit for bit."""
         return _spline_grams((self.m,), xs)[0]
-
-    def doubled_gram(self, xs: np.ndarray) -> np.ndarray:
-        """Matrix of section inner products <K_{x_i}, K_{x_j}> in L2.
-
-        By matching Fourier coefficients this is the order-doubled closed
-        form R_{2m}(x_i, x_j); the test suite validates the identity against
-        the truncated series before anything downstream relies on it.
-        """
-        return _spline_grams((2 * self.m,), xs)[0]
 
 
 def eigen_check(m: int, i: int, s: float, quad_points: int, sine: bool = False):

@@ -9,6 +9,11 @@ ingredients:
   * <K_x, B_k>   = (-1)^m k!/(2m+k)! B_{2m+k}({x})    (`kernel_target_inner`),
   * ||B_k||^2    = exact rational integral            (`target_norm_sq`).
 
+The first gives ||f||^2 = w'Dw with D the order-doubled Gram matrix, which
+`kernels.DoubledForm` evaluates exactly from per-bin moments of w without
+building D; `closed_form_risk` is the one closed form, for single
+expansions, prefixes of a stream and stacks of coefficient vectors.
+
 None of these formulas is taken on faith: the module ships a truncated
 Fourier evaluator and a quadrature evaluator of the same quantity, and the
 test suite requires three-way agreement before the experiment harness is
@@ -31,8 +36,7 @@ import numpy as np
 
 from .bernoulli import _phase_tables, bernoulli_poly, bernoulli_poly_coeffs, frac, zeta_tail
 from .errors import ConfigurationError
-from .kernels import (_BLOCK_ENTRIES, PeriodicSplineKernel, _check_order, _circle_w,
-                      _spline_w)
+from .kernels import _BLOCK_ENTRIES, DoubledForm, _check_order, _circle_w, _spline_w
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -59,31 +63,34 @@ def kernel_target_inner(m: int, k: int, x):
     return scale * bernoulli_poly(2 * m + k, frac(x))
 
 
-def closed_form_risk(coeffs, doubled_gram: np.ndarray, inner: np.ndarray,
-                     norm_sq: float):
+def closed_form_risk(coeffs, form: DoubledForm, inner: np.ndarray, norm_sq: float):
     """w'Dw - 2 w'i + ||B_k||^2 for coefficients w on the first n centers.
 
-    D is the order-doubled Gram matrix and i the vector of target inner
-    products of a stream; both may cover a longer stream than w, in which
-    case only their leading n = w.shape[-1] block is read, so one cached
-    full-stream pair serves every prefix. ``coeffs`` is one coefficient
-    vector (giving a scalar) or a (p, n) stack of them (giving p risks).
+    `form` is the `kernels.DoubledForm` of a stream (w'Dw, D the
+    order-doubled Gram matrix) and i the vector of target inner products of
+    that stream; both may cover a longer stream than w, in which case only
+    its first n = w.shape[-1] points are read, so one cached full-stream
+    pair serves every prefix. ``coeffs`` is one coefficient vector (giving
+    a scalar) or a (p, n) stack of them (giving p risks). A row's risk is
+    bitwise its risk computed alone: w'i is summed row by row, as
+    `DoubledForm.quad` keeps rows apart.
     """
     w = np.asarray(coeffs, dtype=float)
     n = w.shape[-1]
-    quad = np.einsum("...i,...i->...", w @ doubled_gram[:n, :n], w)
-    return quad - 2.0 * (w @ inner[:n]) + norm_sq
+    return form.quad(w) - 2.0 * (w * inner[:n]).sum(axis=-1) + norm_sq
 
 
 def excess_risk_closed(expansion, m: int, k: int) -> float:
     """Closed-form squared L2 distance between the expansion and B_k.
 
-    Cost is O(n^2) in the number of centers. Callers evaluating many
-    expansions over the same centers call `closed_form_risk` with the cached
-    order-doubled Gram matrix and target inner products instead.
+    Builds the expansion's `DoubledForm`: about n^1.5 / 2 kernel values for
+    n spread-out centers (n^2 when they crowd into one bin), against n^2 for
+    the dense order-doubled Gram matrix. Callers evaluating many expansions
+    over the same centers call `closed_form_risk` with the cached form and
+    target inner products instead.
     """
     xs = expansion.centers
-    return float(closed_form_risk(expansion.coeffs, PeriodicSplineKernel(m).doubled_gram(xs),
+    return float(closed_form_risk(expansion.coeffs, DoubledForm(m, xs),
                                   kernel_target_inner(m, k, xs), target_norm_sq(k)))
 
 

@@ -13,9 +13,8 @@ from klms.bernoulli import bernoulli_fourier_eval, bernoulli_poly
 from klms.estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients,
                             finite_dim_sgd, ridge_solve, sgd_run)
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _make_context,
-                          _snapshot_risk, bound_check, compare_algorithms,
-                          default_gamma_grid, fit_rate, gamma_sweep, replicate_seed,
-                          sample_stream)
+                          bound_check, compare_algorithms, default_gamma_grid, fit_rate,
+                          gamma_sweep, replicate_seed, sample_stream)
 from klms.kernels import (PeriodicSplineKernel, eigen_check, spline_kernel,
                           spline_kernel_series)
 from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
@@ -114,7 +113,7 @@ def test_c05_consistency_constant_step():
                                2, 0.1, cfg.n_max)
         ctx = _make_context(1, 2, xs, ys)
         snaps = sgd_run(ctx.gram, (xs, ys), FiniteHorizon(gamma), [100, 3162])
-        risks += [_snapshot_risk(ctx, avg) for _, avg in snaps]
+        risks += [ctx.excess_risk(avg.coeffs) for _, avg in snaps]
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
             f"mean excess risk {risks[0]:.3e} at n=100 -> {risks[1]:.3e} at n=3162")
@@ -208,9 +207,9 @@ def test_c10_ridge_baseline():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
         ctx = _make_context(1, 2, xs, ys)
-        ridge_risks.append(_snapshot_risk(ctx, ridge_solve(ctx.gram, xs, ys, n * lam)))
+        ridge_risks.append(ctx.excess_risk(ridge_solve(ctx.gram, xs, ys, n * lam).coeffs))
         (_, avg), = sgd_run(ctx.gram, (xs, ys), FiniteHorizon(gamma), [n])
-        sgd_risks.append(_snapshot_risk(ctx, avg))
+        sgd_risks.append(ctx.excess_risk(avg.coeffs))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))
     ok = worst_resid <= 1e-8 and (1.0 / 3.0) <= ratio <= 3.0
     _report("c10 ridge baseline", ok,

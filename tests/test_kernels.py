@@ -5,7 +5,7 @@ import pytest
 
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
-from klms.kernels import (PeriodicSplineKernel, _spline_grams, _spline_w,
+from klms.kernels import (DoubledForm, PeriodicSplineKernel, _spline_grams, _spline_w,
                           eigen_check, kernel_sup_sq, spline_kernel,
                           spline_kernel_series)
 
@@ -147,7 +147,7 @@ class TestGram:
         # polynomial in u = {x_j - x_i}, built in row blocks to bound memory
         xs = np.random.default_rng(10 + m).random(3162)
         kernel = PeriodicSplineKernel(m)
-        for order, got in ((m, kernel.gram(xs)), (2 * m, kernel.doubled_gram(xs))):
+        for order, got in ((m, kernel.gram(xs)), (2 * m, _spline_grams((2 * m,), xs)[0])):
             worst = 0.0
             for i in range(0, xs.size, 500):
                 want = bernoulli_form(order, frac(xs[None, :] - xs[i:i + 500, None]))
@@ -155,12 +155,11 @@ class TestGram:
             assert worst <= 1e-12 * np.abs(got).max()
 
     def test_shared_pair_equals_each_matrix(self):
-        # the context builds both matrices from one w per row block
+        # one w per row block serves every order asked for
         xs = np.random.default_rng(5).random(257)
-        kernel = PeriodicSplineKernel(2)
         gram, doubled = _spline_grams((2, 4), xs)
-        assert np.array_equal(gram, kernel.gram(xs))
-        assert np.array_equal(doubled, kernel.doubled_gram(xs))
+        assert np.array_equal(gram, PeriodicSplineKernel(2).gram(xs))
+        assert np.array_equal(doubled, _spline_grams((4,), xs)[0])
 
 
 class TestSectionInner:
@@ -175,15 +174,64 @@ class TestSectionInner:
                 x, y = rng.random(2)
                 inner_fourier = float(np.sum(
                     2.0 * lam**2 * np.cos(2.0 * np.pi * j * (x - y))))
-                doubled = PeriodicSplineKernel(m).doubled_gram(np.array([x, y]))[0, 1]
+                doubled = _spline_grams((2 * m,), np.array([x, y]))[0][0, 1]
                 assert doubled == pytest.approx(inner_fourier, abs=1e-8)
 
     def test_matches_doubled_gram(self):
         # order doubling: the section Gram of the order-2 kernel is the Gram
         # matrix of the order-4 kernel
         xs = np.array([0.1, 0.4, 0.9])
-        g2 = PeriodicSplineKernel(2).doubled_gram(xs)
+        g2 = _spline_grams((4,), xs)[0]
         assert np.allclose(g2, PeriodicSplineKernel(4).gram(xs), rtol=0, atol=1e-16)
+
+
+def edge_stream(n, seed):
+    """n points with, as far as n allows, x = 0, x just below 1, every bin
+    edge b/B of `DoubledForm` (B = round(2 sqrt(n))) and repeated points
+    (one of them on a bin edge) among uniform ones."""
+    bins = round(2.0 * math.sqrt(n))
+    special = [0.0, np.nextafter(1.0, 0.0), *(np.arange(1, bins) / bins)]
+    xs = np.random.default_rng(seed).random(n)
+    xs[:len(special)] = special[:n]
+    if n >= 50:
+        xs[-4:-2] = xs[len(special)]
+        xs[-2:] = special[2]
+    return xs
+
+
+class TestDoubledForm:
+    # w'Dw against the dense order-doubled Gram matrix; the gap is pinned
+    # relative to |w|'|D||w|, the size of the rounding of any evaluation
+    # order (measured at most 3.2e-16 over these cases)
+    RTOL = 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 3162])
+    def test_matches_dense_form(self, m, n):
+        xs = edge_stream(n, 100 * m + n)
+        dense = _spline_grams((2 * m,), xs)[0]
+        form = DoubledForm(m, xs)
+        w = np.random.default_rng(n).standard_normal((4, n))
+        # whole stream, prefixes of it, and the empty prefix
+        for size in sorted({n, n - 1, n // 3, 1, 0}):
+            stack, block = w[:, :size], dense[:size, :size]
+            want = np.einsum("pi,pi->p", stack @ block, stack)
+            scale = np.einsum("pi,pi->p", np.abs(stack) @ np.abs(block), np.abs(stack))
+            assert np.all(np.abs(form.quad(stack) - want) <= self.RTOL * scale), size
+            single = form.quad(stack[0])
+            assert np.ndim(single) == 0
+            assert abs(single - want[0]) <= self.RTOL * scale[0]
+
+    def test_repeated_points_only(self):
+        # every point in one bin: the form is the near field alone
+        xs = np.full(30, 0.3)
+        w = np.random.default_rng(4).standard_normal(30)
+        assert DoubledForm(1, xs).quad(w) == pytest.approx(
+            w.sum() ** 2 * spline_kernel(2, 0.0, 0.0), rel=1e-14)
+
+    def test_rejects_more_coefficients_than_points(self):
+        with pytest.raises(ConfigurationError):
+            DoubledForm(1, np.random.default_rng(0).random(10)).quad(np.ones(11))
 
 
 class TestEigenCheck:
