@@ -242,9 +242,13 @@ class DoubledForm:
         for s in range(0, count, _ROW_BLOCK):
             # (B, width, block) weights per slot
             slotted = columns[:, s:s + _ROW_BLOCK][slots]
-            moments = (powers @ slotted).reshape(-1, _ROW_BLOCK)
-            out[s:s + _ROW_BLOCK] = ((slotted * (near @ slotted)).sum(axis=(0, 1))
-                                     + (moments * (far @ moments)).sum(axis=0))
+            moments = powers @ slotted
+            far_part = far @ moments.reshape(size, _ROW_BLOCK)
+            # per bin, then pairwise over the bins along each row's own
+            # contiguous partial sums
+            per_bin = ((slotted * (near @ slotted)).sum(axis=1)
+                       + (moments * far_part.reshape(moments.shape)).sum(axis=1))
+            out[s:s + _ROW_BLOCK] = np.ascontiguousarray(per_bin.T).sum(axis=1)
         return out[:count].reshape(w.shape[:-1])
 
 

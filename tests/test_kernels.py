@@ -202,7 +202,7 @@ def edge_stream(n, seed):
 class TestDoubledForm:
     # w'Dw against the dense order-doubled Gram matrix; the gap is pinned
     # relative to |w|'|D||w|, the size of the rounding of any evaluation
-    # order (measured at most 3.2e-16 over these cases)
+    # order (measured at most 3.5e-16 over these cases)
     RTOL = 1e-14
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
