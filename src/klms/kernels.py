@@ -120,8 +120,8 @@ def _kernel_values(order: int, s, t):
 def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     """The (bins, L, L) blocks, L = 2 order + 1, of the far-field form of
     `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) at
-    (p, q), P the degree-2 order polynomial with P({s - t}) = R_order(s, t),
-    and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart
+    (p, q), P the polynomial of degree 2 * order with
+    P({s - t}) = R_order(s, t), and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart
     is exact, so every entry is computed in rational arithmetic and rounded
     once."""
     deg = 2 * order
