@@ -16,7 +16,7 @@ from .estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
 from .harness import (ComparisonRow, ExperimentConfig, RateFit, SweepRow,
                       compare_algorithms, fit_rate, gamma_sweep, parse_config,
                       run_replicates, sample_stream)
-from .kernels import (PeriodicSplineKernel, eigen_check, kernel_sup_sq, spline_kernel,
+from .kernels import (eigen_check, gram_matrix, kernel_sup_sq, spline_kernel,
                       spline_kernel_series)
 from .risk import (excess_risk_closed, excess_risk_finite_dim, excess_risk_fourier,
                    excess_risk_mc, kernel_target_inner, target_norm_sq)

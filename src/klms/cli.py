@@ -87,8 +87,8 @@ def _cmd_gamma_sweep(args) -> int:
         grid = harness.default_gamma_grid(config.R_sq)
     elif any(v is None for v in bounds):
         raise ConfigurationError("give all of --grid-min, --grid-max, --grid-points or none")
-    elif args.grid_min <= 0 or args.grid_max <= args.grid_min or args.grid_points < 1:
-        raise ConfigurationError("need 0 < grid-min < grid-max and grid-points >= 1")
+    elif not 0 < args.grid_min < args.grid_max < np.inf or args.grid_points < 1:
+        raise ConfigurationError("need 0 < grid-min < grid-max < inf and grid-points >= 1")
     else:
         grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
     rows = harness.gamma_sweep(config, grid)
@@ -206,9 +206,9 @@ def _check_finite_dim() -> tuple[bool, str]:
     ys = xs @ np.array([0.5, -1.0]) + 0.1 * rng.standard_normal(n)
     gamma = 0.05
     theta_bar = finite_dim_sgd((xs, ys), gamma)
-    _, avg = sgd_run(xs @ xs.T, (xs, ys), FiniteHorizon(gamma), [n])[0]
+    _, averaged = sgd_run(xs @ xs.T, ys, FiniteHorizon(gamma), [n])
     test_points = rng.standard_normal((5, d))
-    worst = max(abs(float(theta_bar @ p) - float(avg.coeffs @ (xs @ p)))
+    worst = max(abs(float(theta_bar @ p) - float(averaged[0] @ (xs @ p)))
                 for p in test_points)
     return worst <= 1e-10, f"max primal/expansion gap = {worst:.2e}"
 

@@ -18,8 +18,8 @@ predictions from earlier steps and one BLAS triangular solve per run inside
 the block, for a grid of runs that share one stream. A run stops at its
 horizon, the last step anyone reads. `sgd_run` runs one step schedule
 through it, each row up to the last checkpoint that reads it, and returns
-both the last and the averaged iterate; which of them an algorithm reports
-is the harness's business.
+both the last and the averaged iterate at every checkpoint; which of them
+an algorithm reports is the harness's business.
 """
 
 from __future__ import annotations
@@ -116,10 +116,8 @@ StepSchedule = Union[FiniteHorizon, Online, TarresYao]
 
 @dataclass
 class KernelExpansion:
-    """g(x) = sum_i coeffs[i] K(centers[i], x).
-
-    Iterates, averaged iterates and ridge solutions all take this form.
-    """
+    """g(x) = sum_i coeffs[i] K(centers[i], x), the input of the risk
+    oracles of `risk`: coefficients with the centers they sit on."""
 
     centers: np.ndarray
     coeffs: np.ndarray
@@ -158,24 +156,25 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 # the recursion
 # ---------------------------------------------------------------------------
 
-def sgd_run(gram: np.ndarray, stream, step: StepSchedule, checkpoints: Sequence[int]):
-    """Run the recursion with one step schedule over the stream, whose Gram
-    matrix is `gram`, snapshotting at each checkpoint.
+def sgd_run(gram: np.ndarray, ys, step: StepSchedule, checkpoints: Sequence[int]):
+    """Run the recursion with one step schedule over the responses ys of a
+    stream whose Gram matrix is `gram`, snapshotting at each checkpoint.
 
     One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
     row per distinct step `step.at(N)` over the checkpoints N, each up to
     the largest N it serves; an `Online` or `TarresYao` schedule runs one
     row of per-step sizes (with the shrinks of `schedule` for `TarresYao`),
-    which serves every checkpoint. Returns a list of
-    (last iterate, averaged iterate) KernelExpansion pairs, one per
-    checkpoint (see `check_checkpoints`), each depending only on the first N
-    observations. The stream is an (xs, ys) pair of arrays; only the
-    leading (N, N) block of `gram` is read, N the last checkpoint, so the
-    Gram matrix of a longer stream serves as well. The first checkpoint N
-    whose row meets the `first_divergence` criterion within N steps raises
-    DivergenceError naming that step.
+    which serves every checkpoint. Returns (last, averaged), two
+    (len(checkpoints), N) arrays, N the last checkpoint (see
+    `check_checkpoints`): row c holds that iterate after checkpoints[c]
+    steps in its leading checkpoints[c] entries, depending only on the
+    first checkpoints[c] observations, and zeros after them. Only the
+    leading (N, N) block of `gram` is read, so the Gram matrix of a longer
+    stream serves as well. The first checkpoint whose row meets the
+    `first_divergence` criterion within its steps raises DivergenceError
+    naming that step.
     """
-    xs, ys = (np.asarray(v, dtype=float) for v in stream)
+    ys = np.asarray(ys, dtype=float)
     cps = check_checkpoints(checkpoints, ys.shape[0])
     n_run = cps[-1]
     if np.ndim(gram) != 2 or min(np.shape(gram)) < n_run:
@@ -197,9 +196,11 @@ def sgd_run(gram: np.ndarray, stream, step: StepSchedule, checkpoints: Sequence[
     for row, n in zip(row_of, cps):
         if bad_step[row] <= n:
             raise DivergenceError(int(bad_step[row]), float(bad_value[row]))
-    return [(KernelExpansion(xs[:n], prefix_iterate(rows[row], n, False, shrinks)),
-             KernelExpansion(xs[:n], prefix_iterate(rows[row], n, True, shrinks)))
-            for row, n in zip(row_of, cps)]
+    last, averaged = np.zeros((2, len(cps), n_run))
+    for c, (row, n) in enumerate(zip(row_of, cps)):
+        last[c, :n] = prefix_iterate(rows[row], n, False, shrinks)
+        averaged[c, :n] = prefix_iterate(rows[row], n, True, shrinks)
+    return last, averaged
 
 
 def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
@@ -319,14 +320,14 @@ def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
 # batch ridge baseline and the finite-dimensional special case
 # ---------------------------------------------------------------------------
 
-def ridge_solve(gram: np.ndarray, xs, ys, lam: float) -> KernelExpansion:
-    """Solve (K + lam I) a = y for the regularized empirical risk minimizer,
-    K = `gram` the (n, n) Gram matrix of the n points xs.
+def ridge_solve(gram: np.ndarray, ys, lam: float) -> np.ndarray:
+    """The coefficients a of the regularized empirical risk minimizer, the
+    solution of (K + lam I) a = y with K = `gram` the (n, n) Gram matrix of
+    the n points whose responses are ys.
 
     With lam = 0 the Gram matrix must be numerically invertible; a singular
     or near-singular system raises numpy's LinAlgError.
     """
-    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[0]
     if np.shape(gram) != (n, n):
@@ -341,7 +342,7 @@ def ridge_solve(gram: np.ndarray, xs, ys, lam: float) -> KernelExpansion:
         raise np.linalg.LinAlgError(
             f"system is numerically singular (residual {resid:.3e} at lam={lam})"
         )
-    return KernelExpansion(xs, coeffs)
+    return coeffs
 
 
 def finite_dim_sgd(stream, gamma: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
                         first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import SUPPORTED_ORDERS, DoubledForm, _spline_grams, kernel_sup_sq
+from .kernels import SUPPORTED_ORDERS, DoubledForm, gram_matrix, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -119,7 +119,7 @@ _TYPE_NOUNS = {int: "an integer", float: "a number", str: "text"}
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read a flat ``key = value`` file with exactly the ExperimentConfig
-    field names; unknown keys are errors."""
+    field names; unknown and repeated keys are errors."""
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -133,6 +133,8 @@ def parse_config(path: str) -> ExperimentConfig:
             raw = raw.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
             values[key] = _coerce_field(key, raw, path, lineno)
     return ExperimentConfig(**values)
 
@@ -202,7 +204,7 @@ def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
     return _Context(
         xs=xs,
         ys=ys,
-        gram=_spline_grams((m,), xs)[0],
+        gram=gram_matrix(m, xs),
         form=DoubledForm(m, xs),
         inner=risk.kernel_target_inner(m, k, xs),
         norm_sq=risk.target_norm_sq(k),
@@ -281,19 +283,15 @@ def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequenc
     for rep, ctx in enumerate(_replicate_contexts(config)):
         for step, group in by_step.items():
             try:
-                snapshots = sgd_run(ctx.gram, (ctx.xs, ctx.ys), step, cps)
+                last, averaged = sgd_run(ctx.gram, ctx.ys, step, cps)
             except DivergenceError as err:
                 for name in group:
                     runs[name].diverged.append((rep, err))
                 continue
             for name in group:
-                # one stacked call scores every snapshot of the preset, each
-                # zero-padded to the run's last checkpoint
-                stack = np.zeros((len(cps), cps[-1]))
-                for row, (last, avg) in zip(stack, snapshots):
-                    iterate = avg if PRESETS[name] else last
-                    row[:len(iterate)] = iterate.coeffs
-                runs[name].per_replicate[rep] = ctx.excess_risk(stack)
+                # one stacked call scores every snapshot of the preset
+                runs[name].per_replicate[rep] = ctx.excess_risk(
+                    averaged if PRESETS[name] else last)
     return runs
 
 
@@ -354,8 +352,9 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
     gamma of the constant that diverged last.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ConfigurationError("grid must be positive and strictly increasing")
+    if (grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0)
+            or np.any(np.diff(grid) <= 0)):
+        raise ConfigurationError("grid must be finite, positive and strictly increasing")
     cps = check_checkpoints(n_values if n_values is not None else config.checkpoints(),
                             config.n_max)
     sums = np.zeros((len(cps), grid.size))

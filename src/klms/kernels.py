@@ -20,21 +20,20 @@ symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
 d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
 every kernel value in the package, Gram matrices included, is one Horner pass
-in w (`_spline_w`). A Gram matrix is built in row blocks that stay in cache,
-and one block of w serves every order asked for (`_spline_grams`). |d| makes
-every Gram matrix exactly symmetric.
+in w (`_spline_w`). `gram_matrix` is the one Gram builder: it fills the
+matrix in row blocks of w that stay in cache, and |d| makes every Gram
+matrix exactly symmetric.
 
 The order-doubled Gram matrix D_ij = R_2m(x_i, x_j) of a stream is never
-built outside the tests, where `_spline_grams((2 * m,), xs)` is the dense
-oracle: `DoubledForm` gives the quadratic form w'Dw exactly from per-bin
-moments of w, as R_2m is a polynomial in {s - t}, and dense blocks of the
-pairs inside one bin.
+built outside the tests, where `gram_matrix(2 * m, xs)` is the dense oracle:
+`DoubledForm` gives the quadratic form w'Dw exactly from per-bin moments of
+w, as R_2m is a polynomial in {s - t}, and dense blocks of the pairs inside
+one bin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,7 +47,7 @@ SUPPORTED_ORDERS = (1, 2, 3, 4)
 _SQRT2 = math.sqrt(2.0)
 
 # entries of w per Gram row block: 512 KB, small enough to stay in cache
-# through the Horner passes of every order
+# through the Horner pass
 _BLOCK_ENTRIES = 1 << 16
 
 # coefficient vectors per product in DoubledForm.quad
@@ -147,18 +146,23 @@ def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     return blocks
 
 
-def _spline_grams(orders, xs) -> list[np.ndarray]:
-    """The matrix R_order(x_i, x_j) for each order in `orders`, built block of
-    rows by block of rows from one w per block, which every order reads."""
+def gram_matrix(order: int, xs) -> np.ndarray:
+    """The matrix R_order(x_i, x_j) of the points xs, built block of rows by
+    block of rows: the input of every solver in `estimator`, and at twice a
+    supported order the dense oracle of `DoubledForm`. Row gram[i, :i] (what
+    the recursion reads) equals spline_kernel(order, xs[:i], xs[i]) bit for
+    bit."""
+    if order not in range(1, 2 * max(SUPPORTED_ORDERS) + 1):
+        raise ConfigurationError(
+            f"Gram matrix order must lie in 1..{2 * max(SUPPORTED_ORDERS)}, got {order!r}")
     xs = frac(xs)
     n = xs.shape[0]
-    grams = [np.empty((n, n)) for _ in orders]
+    gram = np.empty((n, n))
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     for i in range(0, n, rows):
-        w = _circle_w(np.subtract.outer(xs[i:i + rows], xs))
-        for order, gram in zip(orders, grams):
-            _spline_w(order, w, out=gram[i:i + rows])
-    return grams
+        _spline_w(order, _circle_w(np.subtract.outer(xs[i:i + rows], xs)),
+                  out=gram[i:i + rows])
+    return gram
 
 
 class DoubledForm:
@@ -177,7 +181,7 @@ class DoubledForm:
 
     one (B L, B L) table, L = 4m + 1, of the blocks of `_far_field_blocks`.
     Pairs inside one bin read the dense entries of `_spline_w`, bitwise the
-    entries of `_spline_grams`, from per-bin blocks padded to the fullest
+    entries of `gram_matrix`, from per-bin blocks padded to the fullest
     bin. Empty bins are dropped, the others are laid out in the order the
     stream first enters them, and a bin keeps its points in stream order,
     so a prefix of n' points fills the leading slots of the leading bins
@@ -272,22 +276,6 @@ def spline_kernel_series(m: int, s, t, J: int):
 def kernel_sup_sq(m: int) -> float:
     """sup_x K(x, x) = R_m(0, 0); the step-size scale 1/R^2 comes from here."""
     return float(spline_kernel(m, 0.0, 0.0))
-
-
-@dataclass(frozen=True)
-class PeriodicSplineKernel:
-    """Spline kernel of smoothness order m on the circle [0, 1)."""
-
-    m: int
-
-    def __post_init__(self):
-        _check_order(self.m)
-
-    def gram(self, xs: np.ndarray) -> np.ndarray:
-        """Matrix K(x_i, x_j), the input of every solver in `estimator`; row
-        gram[i, :i] (what the recursion reads) equals
-        spline_kernel(m, xs[:i], xs[i]) bit for bit."""
-        return _spline_grams((self.m,), xs)[0]
 
 
 def eigen_check(m: int, i: int, s: float, quad_points: int, sine: bool = False):

@@ -15,8 +15,7 @@ from klms.estimator import (FiniteHorizon, KernelExpansion, averaged_coefficient
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _make_context,
                           bound_check, compare_algorithms, default_gamma_grid, fit_rate,
                           gamma_sweep, replicate_seed, sample_stream)
-from klms.kernels import (PeriodicSplineKernel, eigen_check, spline_kernel,
-                          spline_kernel_series)
+from klms.kernels import eigen_check, gram_matrix, spline_kernel, spline_kernel_series
 from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc)
 from klms.theory import step_exponent
@@ -112,8 +111,8 @@ def test_c05_consistency_constant_step():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, 0.1, cfg.n_max)
         ctx = _make_context(1, 2, xs, ys)
-        snaps = sgd_run(ctx.gram, (xs, ys), FiniteHorizon(gamma), [100, 3162])
-        risks += [ctx.excess_risk(avg.coeffs) for _, avg in snaps]
+        _, averaged = sgd_run(ctx.gram, ys, FiniteHorizon(gamma), [100, 3162])
+        risks += ctx.excess_risk(averaged)
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
             f"mean excess risk {risks[0]:.3e} at n=100 -> {risks[1]:.3e} at n=3162")
@@ -182,7 +181,6 @@ def test_c09_finite_dimensional_bound():
 
 
 def test_c10_ridge_baseline():
-    kernel = PeriodicSplineKernel(1)
     rng = np.random.default_rng(5)
 
     # (a) solver residual at system size 200
@@ -191,9 +189,9 @@ def test_c10_ridge_baseline():
         xs = rng.random(200)
         ys = bernoulli_poly(2, xs) + 0.1 * rng.standard_normal(200)
         lam = 10.0 ** rng.uniform(-4, 0)
-        exp = ridge_solve(kernel.gram(xs), xs, ys, lam)
-        mat = kernel.gram(xs) + lam * np.eye(200)
-        worst_resid = max(worst_resid, float(np.linalg.norm(mat @ exp.coeffs - ys)))
+        coeffs = ridge_solve(gram_matrix(1, xs), ys, lam)
+        mat = gram_matrix(1, xs) + lam * np.eye(200)
+        worst_resid = max(worst_resid, float(np.linalg.norm(mat @ coeffs - ys)))
 
     # (b) matched regularization: lambda = 1/(gamma n) in the 1/n-normalized
     # objective, i.e. the linear system uses n * lambda = 1/gamma
@@ -207,9 +205,9 @@ def test_c10_ridge_baseline():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
         ctx = _make_context(1, 2, xs, ys)
-        ridge_risks.append(ctx.excess_risk(ridge_solve(ctx.gram, xs, ys, n * lam).coeffs))
-        (_, avg), = sgd_run(ctx.gram, (xs, ys), FiniteHorizon(gamma), [n])
-        sgd_risks.append(ctx.excess_risk(avg.coeffs))
+        ridge_risks.append(ctx.excess_risk(ridge_solve(ctx.gram, ys, n * lam)))
+        _, averaged = sgd_run(ctx.gram, ys, FiniteHorizon(gamma), [n])
+        sgd_risks.append(ctx.excess_risk(averaged[0]))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))
     ok = worst_resid <= 1e-8 and (1.0 / 3.0) <= ratio <= 3.0
     _report("c10 ridge baseline", ok,

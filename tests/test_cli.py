@@ -168,6 +168,8 @@ def test_gamma_sweep_all_diverged_exits_3(tmp_path, capsys):
     ["--grid-max", "12", "--grid-points", "3"],
     ["--grid-min", "1", "--grid-max", "12", "--grid-points", "0"],
     ["--grid-min", "12", "--grid-max", "1", "--grid-points", "3"],
+    ["--grid-min", "nan", "--grid-max", "1", "--grid-points", "3"],
+    ["--grid-min", "0.1", "--grid-max", "inf", "--grid-points", "3"],
 ])
 def test_gamma_sweep_partial_grid_is_config_error(tmp_path, capsys, flags):
     cfg = tmp_path / "run.cfg"

@@ -15,7 +15,7 @@ from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
-from klms.kernels import PeriodicSplineKernel
+from klms.kernels import gram_matrix
 from klms.theory import step_exponent
 
 
@@ -46,7 +46,7 @@ class TestSampleStream:
         for rep, ctx in enumerate(contexts):
             xs, ys = sample_stream(replicate_seed(4, rep, cfg.stream_digest()), 3, 0.2, 30)
             assert np.array_equal(ctx.xs, xs) and np.array_equal(ctx.ys, ys)
-            assert np.array_equal(ctx.gram, PeriodicSplineKernel(2).gram(xs))
+            assert np.array_equal(ctx.gram, gram_matrix(2, xs))
 
 
 class TestConfig:
@@ -100,6 +100,14 @@ class TestConfig:
         path.write_text("kernel_order = 2\n")
         with pytest.raises(ConfigurationError):
             parse_config(str(path))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value must not win silently
+        path = tmp_path / "twice.cfg"
+        path.write_text("n_max = 100\nreplicates = 2\nn_max = 200\n")
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(str(path))
+        assert str(info.value) == f"{path}:3: repeated key 'n_max'"
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -284,6 +292,10 @@ class TestGammaSweep:
             gamma_sweep(cfg, [])
         with pytest.raises(ConfigurationError):
             gamma_sweep(cfg, [2.0, 1.0])
+        # non-finite constants are a bad grid, not a divergence or a winner
+        for grid in ([np.nan, 0.5, 1.0], [0.1, np.inf], [0.1, np.inf, np.inf]):
+            with pytest.raises(ConfigurationError, match="finite"):
+                gamma_sweep(cfg, grid)
         with pytest.raises(ConfigurationError):
             gamma_sweep(cfg, [1.0], n_values=[999])
 

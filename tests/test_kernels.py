@@ -5,9 +5,8 @@ import pytest
 
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
-from klms.kernels import (DoubledForm, PeriodicSplineKernel, _spline_grams, _spline_w,
-                          eigen_check, kernel_sup_sq, spline_kernel,
-                          spline_kernel_series)
+from klms.kernels import (DoubledForm, _spline_w, eigen_check, gram_matrix, kernel_sup_sq,
+                          spline_kernel, spline_kernel_series)
 
 
 def bernoulli_form(order, u):
@@ -44,7 +43,9 @@ class TestClosedForm:
         with pytest.raises(ConfigurationError):
             spline_kernel(5, 0.0, 0.0)
         with pytest.raises(ConfigurationError):
-            PeriodicSplineKernel(0)
+            gram_matrix(0, [0.1])
+        with pytest.raises(ConfigurationError):
+            gram_matrix(9, [0.1])
 
     def test_sup_sq(self):
         assert kernel_sup_sq(1) == pytest.approx(1 / 12)
@@ -107,21 +108,19 @@ class TestZeroMean:
 
 class TestGram:
     def test_single_point(self):
-        k = PeriodicSplineKernel(1)
-        g = k.gram([0.3])
+        g = gram_matrix(1, [0.3])
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1 / 12)
 
     def test_duplicate_points_singular(self):
-        k = PeriodicSplineKernel(1)
-        g = k.gram([0.3, 0.3])
+        g = gram_matrix(1, [0.3, 0.3])
         assert abs(np.linalg.det(g)) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_positive_semidefinite(self, m):
         rng = np.random.default_rng(42)
         xs = rng.random(50)
-        g = PeriodicSplineKernel(m).gram(xs)
+        g = gram_matrix(m, xs)
         eigs = np.linalg.eigvalsh(g)
         assert eigs.min() >= -1e-10
         assert eigs.min() >= -1e-9 * np.trace(g)
@@ -131,14 +130,13 @@ class TestGram:
         # the recursion reads row i of the Gram matrix as the kernel column
         # of x_i against the earlier points, bit for bit
         xs = np.random.default_rng(m).random(40)
-        k = PeriodicSplineKernel(m)
-        g = k.gram(xs)
+        g = gram_matrix(m, xs)
         for i in range(1, 40):
             assert np.array_equal(g[i, :i], spline_kernel(m, xs[:i], xs[i]))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exactly_symmetric(self, m):
-        g = PeriodicSplineKernel(m).gram(np.random.default_rng(m).random(300))
+        g = gram_matrix(m, np.random.default_rng(m).random(300))
         assert np.array_equal(g, g.T)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -146,20 +144,13 @@ class TestGram:
         # n = 3162 as in the experiments; the oracle is the closed form as a
         # polynomial in u = {x_j - x_i}, built in row blocks to bound memory
         xs = np.random.default_rng(10 + m).random(3162)
-        kernel = PeriodicSplineKernel(m)
-        for order, got in ((m, kernel.gram(xs)), (2 * m, _spline_grams((2 * m,), xs)[0])):
+        for order in (m, 2 * m):
+            got = gram_matrix(order, xs)
             worst = 0.0
             for i in range(0, xs.size, 500):
                 want = bernoulli_form(order, frac(xs[None, :] - xs[i:i + 500, None]))
                 worst = max(worst, float(np.abs(got[i:i + 500] - want).max()))
             assert worst <= 1e-12 * np.abs(got).max()
-
-    def test_shared_pair_equals_each_matrix(self):
-        # one w per row block serves every order asked for
-        xs = np.random.default_rng(5).random(257)
-        gram, doubled = _spline_grams((2, 4), xs)
-        assert np.array_equal(gram, PeriodicSplineKernel(2).gram(xs))
-        assert np.array_equal(doubled, _spline_grams((4,), xs)[0])
 
 
 class TestSectionInner:
@@ -174,15 +165,15 @@ class TestSectionInner:
                 x, y = rng.random(2)
                 inner_fourier = float(np.sum(
                     2.0 * lam**2 * np.cos(2.0 * np.pi * j * (x - y))))
-                doubled = _spline_grams((2 * m,), np.array([x, y]))[0][0, 1]
+                doubled = gram_matrix(2 * m, np.array([x, y]))[0, 1]
                 assert doubled == pytest.approx(inner_fourier, abs=1e-8)
 
     def test_matches_doubled_gram(self):
-        # order doubling: the section Gram of the order-2 kernel is the Gram
-        # matrix of the order-4 kernel
+        # order doubling: the section Gram of the order-2 kernel is the
+        # order-4 kernel at every pair of points
         xs = np.array([0.1, 0.4, 0.9])
-        g2 = _spline_grams((4,), xs)[0]
-        assert np.allclose(g2, PeriodicSplineKernel(4).gram(xs), rtol=0, atol=1e-16)
+        g2 = gram_matrix(2 * 2, xs)
+        assert np.allclose(g2, spline_kernel(4, xs[:, None], xs[None, :]), rtol=0, atol=1e-16)
 
 
 def edge_stream(n, seed):
@@ -209,7 +200,7 @@ class TestDoubledForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 3162])
     def test_matches_dense_form(self, m, n):
         xs = edge_stream(n, 100 * m + n)
-        dense = _spline_grams((2 * m,), xs)[0]
+        dense = gram_matrix(2 * m, xs)
         form = DoubledForm(m, xs)
         w = np.random.default_rng(n).standard_normal((4, n))
         # whole stream, prefixes of it, and the empty prefix

@@ -8,7 +8,7 @@ from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, default_gamma_grid)
-from klms.kernels import DoubledForm, _spline_grams, _w_coeffs_exact
+from klms.kernels import DoubledForm, _w_coeffs_exact, gram_matrix
 from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
@@ -144,13 +144,12 @@ class TestClosedFormAtProductionSize:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[2], n_max=3162, replicates=3)
         for ctx in _replicate_contexts(cfg):
-            (_, avg), = sgd_run(ctx.gram, (ctx.xs, ctx.ys), _algorithm_spec(cfg, "ours"),
-                                [cfg.n_max])
-            w = avg.coeffs
+            _, averaged = sgd_run(ctx.gram, ctx.ys, _algorithm_spec(cfg, "ours"), [cfg.n_max])
+            w = averaged[0]
             reference = long_double_quad(2 * m, ctx.xs, w)
             risk = float(reference - 2.0 * np.longdouble(w @ ctx.inner) + ctx.norm_sq)
             binned = ctx.form.quad(w)
-            dense = w @ _spline_grams((2 * m,), ctx.xs)[0] @ w
+            dense = w @ gram_matrix(2 * m, ctx.xs) @ w
             assert abs(float(binned - reference)) <= 1e-10 * risk
             assert abs(float(dense - reference)) <= 1e-10 * risk
 
@@ -215,11 +214,11 @@ class TestFourierOracle:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[point], n_max=3162, replicates=1)
         ctx = next(_replicate_contexts(cfg))
-        (_, avg), = sgd_run(ctx.gram, (ctx.xs, ctx.ys), _algorithm_spec(cfg, "ours"),
-                            [cfg.n_max])
-        assert len(avg) == 3162
-        assert ctx.excess_risk(avg.coeffs) == pytest.approx(
-            excess_risk_fourier(avg, m, k, 2000), rel=1e-8)
+        _, averaged = sgd_run(ctx.gram, ctx.ys, _algorithm_spec(cfg, "ours"), [cfg.n_max])
+        w = averaged[0]
+        assert len(w) == 3162
+        assert ctx.excess_risk(w) == pytest.approx(
+            excess_risk_fourier(KernelExpansion(ctx.xs, w), m, k, 2000), rel=1e-8)
 
 
 class TestQuadratureOracle:
