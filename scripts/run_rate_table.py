@@ -9,15 +9,15 @@ problem, <out-prefix><point>.csv. Every other flag (--n-max, --replicates,
 import argparse
 import sys
 
-from klms.cli import main
+from klms import cli, harness
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-prefix", default="rates_point")
     args, rest = parser.parse_known_args()
-    for point in (1, 2, 3, 4):
+    for point in harness.TABLE_POINTS:
         print(f"--- point {point}")
-        code = main(["compare", "--point", str(point),
-                     "--out", f"{args.out_prefix}{point}.csv", *rest])
+        code = cli.main(["compare", "--point", str(point),
+                         "--out", f"{args.out_prefix}{point}.csv", *rest])
         if code:
             sys.exit(code)

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="step exponents, rates and regime")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--setting", choices=["fh", "online"], default="fh")
+    p.add_argument("--setting", choices=theory.SETTINGS, default="finite_horizon")
     p.set_defaults(fn=_cmd_theory)
 
     p = sub.add_parser("simulate", help="run replicates from a config file")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gamma_sweep)
 
     p = sub.add_parser("compare", help="four-algorithm rate comparison")
-    p.add_argument("--point", type=int, choices=[1, 2, 3, 4], required=True)
+    p.add_argument("--point", type=int, choices=sorted(harness.TABLE_POINTS), required=True)
     p.add_argument("--n-max", type=int, default=3162)
     p.add_argument("--replicates", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)

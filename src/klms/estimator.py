@@ -65,46 +65,46 @@ class FiniteHorizon:
 
 @dataclass(frozen=True)
 class Online:
-    """Horizon-free decreasing steps gamma_i = gamma0 / i**zeta."""
+    """Horizon-free steps gamma_i = gamma0 * i**exponent, exponent in (-1, 0]."""
 
     gamma0: float
-    zeta: float
+    exponent: float
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ConfigurationError("gamma0 must be finite and positive")
-        if not 0.0 <= self.zeta < 1.0:
-            raise ConfigurationError("zeta must lie in [0, 1)")
+        if not -1.0 < self.exponent <= 0.0:
+            raise ConfigurationError("exponent must lie in (-1, 0]")
 
     def steps(self, n: int) -> np.ndarray:
         """gamma_1 .. gamma_n."""
-        return self.gamma0 / np.arange(1.0, n + 1) ** self.zeta
+        return self.gamma0 / np.arange(1.0, n + 1) ** -self.exponent
 
 
 @dataclass(frozen=True)
 class TarresYao:
     """Paired per-step schedules of the regularized recursion:
 
-    gamma_i  = a (n0 + i)^{-zeta},
-    lambda_i = (1/a) (n0 + i)^{zeta - 1},
+    gamma_i  = a (n0 + i)^exponent,
+    lambda_i = (1/a) (n0 + i)^{-exponent - 1},
 
-    with a = _TY_A = 4 and n0 = _TY_N0 = 1; zeta = 2r/(2r+1) in the
-    benchmark (see `theory.competitor_rate`).
+    with a = _TY_A = 4, n0 = _TY_N0 = 1 and the exponent a signed log-log
+    slope in (-1, 0); -2r/(2r+1) in the benchmark (`theory.competitor_rate`).
     """
 
-    zeta: float
+    exponent: float
 
     def __post_init__(self):
-        if not 0.0 < self.zeta < 1.0:
-            raise ConfigurationError("zeta must lie in (0, 1)")
+        if not -1.0 < self.exponent < 0.0:
+            raise ConfigurationError("exponent must lie in (-1, 0)")
 
     def steps(self, n: int) -> np.ndarray:
         """gamma_1 .. gamma_n."""
-        return _TY_A * (_TY_N0 + np.arange(1.0, n + 1)) ** -self.zeta
+        return _TY_A * (_TY_N0 + np.arange(1.0, n + 1)) ** self.exponent
 
     def lams(self, n: int) -> np.ndarray:
         """lambda_1 .. lambda_n."""
-        return (_TY_N0 + np.arange(1.0, n + 1)) ** (self.zeta - 1.0) / _TY_A
+        return (_TY_N0 + np.arange(1.0, n + 1)) ** (-self.exponent - 1.0) / _TY_A
 
 
 StepSchedule = Union[FiniteHorizon, Online, TarresYao]

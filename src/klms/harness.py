@@ -40,6 +40,10 @@ TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
 # needs more noise so the non-averaged competitor pays its variance.
 POINT_NOISE = {1: 0.1, 2: 0.05, 3: 0.5, 4: 0.1}
 
+# Step exponents of ours as listed in the published experiment table; the
+# entry for point 3 differs from the optimizing formula.
+_TABLE_STEP_EXPONENTS = {1: -0.5, 2: 0.0, 3: -3.0 / 7.0, 4: 0.0}
+
 # Sample-size grids start at 1, mirroring the source experiments (sizes
 # distributed exponentially between 1 and n_max); the second-half fitting
 # window then starts near sqrt(n_max).
@@ -71,8 +75,8 @@ class ExperimentConfig:
             raise ConfigurationError("target_index_k must be in 1..4")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigurationError("noise_sigma must be finite and non-negative")
-        if self.setting not in ("finite_horizon", "online"):
-            raise ConfigurationError("setting must be finite_horizon or online")
+        if self.setting not in theory.SETTINGS:
+            raise ConfigurationError(f"setting must be one of {list(theory.SETTINGS)}")
         if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ConfigurationError("gamma0 must be finite and positive")
         if self.n_max < 1 or self.n_checkpoints < 1 or self.replicates < 1:
@@ -105,10 +109,10 @@ class ExperimentConfig:
         return checkpoint_grid(self.n_max, self.n_checkpoints)
 
     def stream_digest(self) -> int:
-        """Stable hash of the fields that determine the data stream, so runs
-        that only differ in the algorithm see identical samples."""
+        """Stable hash of the fields that determine the data stream, with sigma
+        as a float (0 == -0.0), so runs differing only in algorithm share it."""
         text = (f"m={self.kernel_order_m};k={self.target_index_k};"
-                f"sigma={self.noise_sigma!r};n={self.n_max}")
+                f"sigma={float(self.noise_sigma) + 0.0!r};n={self.n_max}")
         return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
@@ -154,9 +158,9 @@ def _coerce_field(key: str, raw: str, path: str, lineno: int):
 
 
 def checkpoint_grid(n_max: int, count: int) -> list[int]:
-    """count log-spaced sample sizes from 1 to n_max, deduplicated."""
-    vals = np.unique(np.round(np.geomspace(CHECKPOINT_FLOOR, n_max, count)).astype(int))
-    return [int(v) for v in vals]
+    """count log-spaced sample sizes from 1 to n_max, deduplicated, the last n_max."""
+    grid = np.append(np.geomspace(CHECKPOINT_FLOOR, n_max, count)[:-1], n_max)
+    return np.unique(np.round(grid).astype(int)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +228,22 @@ ALGORITHM_NAMES = tuple(PRESETS)
 
 def _algorithm_spec(config: ExperimentConfig, name: str,
                     step_exponent: Optional[float] = None) -> StepSchedule:
-    """The step schedule of preset `name` in the config's problem and setting:
-    tarres_yao's regularized schedule pair, or the finite-horizon step
-    gamma0 * N**expo with `theory.step_exponent` for ours (or
-    `step_exponent`) and `theory.competitor_rate` for zhang and ying_pontil.
-    Online, only ours has one."""
+    """The step schedule of preset `name` in the config's problem and setting,
+    its exponent taken unchanged from `theory`: tarres_yao's regularized
+    schedule pair and the finite-horizon steps of zhang and ying_pontil read
+    `theory.competitor_rate`, ours reads `theory.step_exponent` (or
+    `step_exponent`) in either setting. Online, only ours has a schedule."""
     if name not in PRESETS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
     alpha, r, gamma0 = config.alpha, config.r, config.effective_gamma0()
     if name == "tarres_yao":
-        return TarresYao(-theory.competitor_rate(r))
-    if config.setting == "online":
-        if name != "ours":
-            raise ConfigurationError(f"{name!r} has no online schedule")
-        return Online(gamma0, -theory.step_exponent(alpha, r, "online"))
+        return TarresYao(theory.competitor_rate(r))
     if name == "ours":
-        return FiniteHorizon(gamma0, step_exponent if step_exponent is not None
-                             else theory.step_exponent(alpha, r))
+        return (Online if config.setting == "online" else FiniteHorizon)(
+            gamma0, step_exponent if step_exponent is not None
+            else theory.step_exponent(alpha, r, config.setting))
+    if config.setting == "online":
+        raise ConfigurationError(f"{name!r} has no online schedule")
     return FiniteHorizon(gamma0, theory.competitor_rate(r))
 
 
@@ -447,20 +450,19 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     """
     if point not in TABLE_POINTS:
         raise ConfigurationError(f"point must be one of {sorted(TABLE_POINTS)}")
-    if noise_sigma is None:
-        noise_sigma = POINT_NOISE[point]
     m, k = TABLE_POINTS[point]
-    cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, noise_sigma=noise_sigma,
-                           n_max=n_max, replicates=replicates, master_seed=master_seed)
+    cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, n_max=n_max,
+                           noise_sigma=POINT_NOISE[point] if noise_sigma is None else noise_sigma,
+                           replicates=replicates, master_seed=master_seed)
     cps = cfg.checkpoints()
     check_fit_points(len(cps))
-    override = _TABLE_STEP_EXPONENTS.get((m, k)) if use_table_step else None
-    runs = _replicate_runs(cfg, ALGORITHM_NAMES, cps, step_exponent=override)
+    runs = _replicate_runs(cfg, ALGORITHM_NAMES, cps, step_exponent=(
+        _TABLE_STEP_EXPONENTS[point] if use_table_step else None))
     _raise_divergences(runs)
     rows = []
     for name, run in runs.items():
         fit = fit_rate(list(zip(run.checkpoints, run.mean)))
-        predicted = (theory.predicted_rate(cfg.alpha, cfg.r, "fh") if name == "ours"
+        predicted = (theory.predicted_rate(cfg.alpha, cfg.r, cfg.setting) if name == "ours"
                      else theory.competitor_rate(cfg.r))
         rows.append(ComparisonRow(name, predicted, fit.slope, fit.residual_rms))
     return rows
@@ -503,11 +505,6 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
               for n, gamma in zip(run.checkpoints, steps)]
     return [BoundRow(n, float(emp), bound, float(emp) / bound)
             for n, emp, bound in zip(run.checkpoints, run.mean, bounds)]
-
-
-# Step exponents as listed in the published experiment table; the entry for
-# (m, k) = (1, 3) differs from the optimizing formula (see the ours override).
-_TABLE_STEP_EXPONENTS = {(1, 2): -0.5, (2, 2): 0.0, (1, 3): -3.0 / 7.0, (2, 1): 0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -68,23 +68,26 @@ def _w_coeffs(order: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
+def _spline_poly(order: int) -> tuple[Fraction, ...]:
+    """Exact ascending coefficients of P with P({s - t}) = R_order(s, t), order
+    1..8: B_{2 order} times (-1)^(order-1) / (2 order)!, the last (B is monic)."""
+    scale = Fraction((-1) ** (order - 1), math.factorial(2 * order))
+    return tuple(scale * c for c in bernoulli_poly_coeffs(2 * order))
+
+
+@lru_cache(maxsize=None)
 def _w_coeffs_exact(order: int) -> tuple[Fraction, ...]:
-    """Coefficients, highest degree first, of the degree-`order` polynomial P
-    with P(u(1 - u)) = (-1)^(order-1) B_{2 order}(u) / (2 order)!.
+    """Coefficients, highest degree first, of the degree-`order` polynomial
+    Q with Q(u(1 - u)) = P(u), P the polynomial of `_spline_poly(order)`.
 
     B_{2 order}(1/2 + v) is even in v, and v^2 = 1/4 - w; both substitutions
-    are done in exact rational arithmetic. Valid for 2*order <= 16: public
-    entry points restrict the KERNEL order to SUPPORTED_ORDERS, but the
-    order-doubled form (used for L2 inner products of kernel sections)
-    needs orders up to 8.
-    """
-    b = bernoulli_poly_coeffs(2 * order)
+    are done in exact rational arithmetic."""
+    b = _spline_poly(order)
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     even = [sum(b[j] * math.comb(j, 2 * i) * half ** (j - 2 * i)
                 for j in range(2 * i, 2 * order + 1)) for i in range(order + 1)]
-    scale = Fraction((-1) ** (order - 1), math.factorial(2 * order))
-    poly = [scale * sum(even[i] * math.comb(i, l) * quarter ** (i - l) * (-1) ** l
-                        for i in range(l, order + 1)) for l in range(order + 1)]
+    poly = [sum(even[i] * math.comb(i, l) * quarter ** (i - l) * (-1) ** l
+                for i in range(l, order + 1)) for l in range(order + 1)]
     return tuple(reversed(poly))
 
 
@@ -119,13 +122,11 @@ def _kernel_values(order: int, s, t):
 def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     """The (bins, L, L) blocks, L = 2 order + 1, of the far-field form of
     `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) at
-    (p, q), P the polynomial of degree 2 * order with
-    P({s - t}) = R_order(s, t), and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart
-    is exact, so every entry is computed in rational arithmetic and rounded
-    once."""
+    (p, q), P the polynomial of `_spline_poly(order)`, and block 0 is zero.
+    s / bins = frac(c_b' - c_b) for two bins s apart is exact, so every
+    entry is computed in rational arithmetic and rounded once."""
     deg = 2 * order
-    scale = Fraction((-1) ** (order - 1), math.factorial(deg))
-    poly = [scale * c for c in bernoulli_poly_coeffs(deg)]
+    poly = _spline_poly(order)
     # ascending coefficients of P^(s), s = 0..deg
     derivs = [[poly[k + s] * math.perm(k + s, s) for k in range(deg + 1 - s)]
               for s in range(deg + 1)]
@@ -264,13 +265,12 @@ def spline_kernel(m: int, s, t):
 
 def spline_kernel_series(m: int, s, t, J: int):
     """Truncated Fourier form of R_m(s, t), summed over frequencies 1..J:
-    the B_{2m} series of `bernoulli_fourier_eval` at s - t, scaled by
-    (-1)^(m-1) / (2m)!, with its exact tail at integer s - t. Broadcast over
-    array s and t; a float for scalar arguments."""
+    the B_{2m} series of `bernoulli_fourier_eval` at s - t, scaled as in
+    `_spline_poly` (m <= 8), with its exact tail at integer s - t. Broadcast
+    over array s and t; a float for scalar arguments."""
     if m < 1 or J < 1:
         raise ConfigurationError("need m >= 1 and J >= 1")
-    scale = (-1) ** (m - 1) / math.factorial(2 * m)
-    return scale * bernoulli_fourier_eval(2 * m, s - t, J)
+    return float(_spline_poly(m)[-1]) * bernoulli_fourier_eval(2 * m, s - t, J)
 
 
 def kernel_sup_sq(m: int) -> float:

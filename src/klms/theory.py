@@ -4,9 +4,9 @@ constants of the spline testbed.
 
 Conventions. alpha > 1 is the eigenvalue decay exponent of the covariance
 operator (mu_i <= s^2 / i^alpha) and r > 0 the source smoothness of the best
-predictor (finite ||T^{-r} g||). Exponents and rates are returned as log-log
-slopes, so "rate -0.75" means excess risk ~ n^{-0.75}. One regime rule,
-`_regime`, sets every exponent and rate (Dieuleveut & Bach, 2014).
+predictor (finite ||T^{-r} g||). Exponents and rates are signed log-log slopes
+(rate -0.75: excess risk ~ n^{-0.75}), taken as they are by the schedules of
+`estimator`; `_regime` sets them all in each of the SETTINGS (Dieuleveut & Bach, 2014).
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+
+SETTINGS = ("finite_horizon", "online")
+
 
 def _check_alpha_r(alpha: float, r: float) -> None:
     if not (math.isfinite(alpha) and alpha > 1):
@@ -59,10 +62,10 @@ class BoundParams:
 def _regime(alpha: float, r: float, setting: str) -> tuple[Regime, float]:
     """The Regime of (alpha, r) in `setting` and c = min(r, cap): a plain
     constant step below the threshold r = (alpha-1)/(2 alpha), saturation
-    above the cap, 1 with a finite horizon ("fh") and (2 alpha - 1)/(2 alpha)
+    above the cap, 1 with a finite horizon and (2 alpha - 1)/(2 alpha)
     online. Both boundaries belong to the optimal region."""
     _check_alpha_r(alpha, r)
-    caps = {"fh": 1.0, "online": (2.0 * alpha - 1.0) / (2.0 * alpha)}
+    caps = dict(zip(SETTINGS, (1.0, (2.0 * alpha - 1.0) / (2.0 * alpha))))
     if setting not in caps:
         raise ConfigurationError(f"setting must be one of {list(caps)}, got {setting!r}")
     c = min(r, caps[setting])
@@ -72,9 +75,9 @@ def _regime(alpha: float, r: float, setting: str) -> tuple[Regime, float]:
     return (Regime.SATURATION if r > c else Regime.OPTIMAL_REGION), c
 
 
-def step_exponent(alpha: float, r: float, setting: str = "fh") -> float:
-    """log-log slope of the optimal constant step Gamma(N) of a run of
-    horizon N ("fh"), or of the horizon-free steps gamma_n ("online").
+def step_exponent(alpha: float, r: float, setting: str = "finite_horizon") -> float:
+    """log-log slope of the optimal constant step Gamma(N) of a run of horizon
+    N ("finite_horizon"), or of the horizon-free steps gamma_n ("online").
 
     Zero below the threshold; otherwise (-2 alpha c - 1 + alpha) /
     (2 alpha c + 1), which vanishes at the threshold and is -1/2 at the
@@ -89,7 +92,7 @@ def step_exponent(alpha: float, r: float, setting: str = "fh") -> float:
     return (-2.0 * alpha * c - 1.0 + alpha) / (2.0 * alpha * c + 1.0)
 
 
-def predicted_rate(alpha: float, r: float, setting: str = "fh") -> float:
+def predicted_rate(alpha: float, r: float, setting: str = "finite_horizon") -> float:
     """Predicted log-log slope of the excess risk under the optimal step.
 
     -2r in the bias-dominated region; otherwise -2 alpha c / (2 alpha c + 1).
@@ -110,7 +113,7 @@ def competitor_rate(r: float) -> float:
     return -2.0 * r / (2.0 * r + 1.0)
 
 
-def classify_regime(alpha: float, r: float, setting: str = "fh") -> Regime:
+def classify_regime(alpha: float, r: float, setting: str = "finite_horizon") -> Regime:
     """Classify (alpha, r); boundary values belong to the optimal region."""
     return _regime(alpha, r, setting)[0]
 
@@ -139,7 +142,7 @@ def finite_horizon_bound(n: int, gamma: float, params: BoundParams) -> float:
         q = (params.R_sq**alpha * gamma ** (1.0 + alpha) * n * params.s_sq) ** ((2.0 * r - 1.0) / alpha)
     else:
         q = 0.0
-    c = _regime(alpha, r, "fh")[1]
+    c = _regime(alpha, r, "finite_horizon")[1]
     bias = 4.0 * (1.0 + q) * params.source_norm_sq / (gamma ** (2.0 * r) * n ** (2.0 * c))
     return variance + bias
 

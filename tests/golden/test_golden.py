@@ -40,7 +40,7 @@ def _curves() -> dict:
         runs = {**_replicate_runs(cfg, ALGORITHM_NAMES, cps),
                 "ours/online": _replicate_runs(online, ["ours"], cps)["ours"],
                 "ours/table_step": _replicate_runs(
-                    cfg, ["ours"], cps, step_exponent=_TABLE_STEP_EXPONENTS[(m, k)])["ours"]}
+                    cfg, ["ours"], cps, step_exponent=_TABLE_STEP_EXPONENTS[point])["ours"]}
         for label, run in runs.items():
             for rep, curve in enumerate(run.per_replicate):
                 out[f"p{point}/rep{rep}/{label}"] = [float(v) for v in curve]

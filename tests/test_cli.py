@@ -18,6 +18,24 @@ def test_theory_subcommand(capsys):
     assert "optimal_region" in out
 
 
+def test_theory_finite_horizon_is_the_default(capsys):
+    assert main(["theory", "--alpha", "2", "--r", "0.75"]) == EXIT_OK
+    default = capsys.readouterr().out
+    assert main(["theory", "--alpha", "2", "--r", "0.75",
+                 "--setting", "finite_horizon"]) == EXIT_OK
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("argv", ["theory --alpha 2 --r 0.75 --setting fh",
+                                  "compare --point 5"])
+def test_unlisted_choice_exits_2(capsys, argv):
+    # the settings are theory.SETTINGS and the points harness.TABLE_POINTS
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_theory_online(capsys):
     assert main(["theory", "--alpha", "4", "--r", "0.125", "--setting", "online"]) == EXIT_OK
     out = capsys.readouterr().out

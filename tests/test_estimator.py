@@ -77,13 +77,13 @@ class TestSchedules:
         assert np.allclose(t.at([4, 16]), [1.0, 0.5])
 
     def test_online_decay(self):
-        steps = Online(2.0, 0.5).steps(4)
+        steps = Online(2.0, -0.5).steps(4)
         assert steps.shape == (4,)
         assert steps[0] == 2.0
         assert steps[3] == pytest.approx(1.0)
 
     def test_tarres_yao_pairing(self):
-        s = TarresYao(-competitor_rate(0.75))
+        s = TarresYao(competitor_rate(0.75))
         steps, lams = s.steps(49), s.lams(49)
         assert steps[0] == pytest.approx(4.0 * 2.0 ** (-0.6))
         assert lams[0] == pytest.approx(0.25 * 2.0 ** (-0.4))
@@ -97,12 +97,14 @@ class TestSchedules:
             with pytest.raises(ConfigurationError):
                 FiniteHorizon(*bad)
         # a non-finite parameter is a bad config, not a divergence at step 1
-        for bad in ((1.0, 1.0), (np.inf, 0.5), (np.nan, 0.5), (1.0, np.nan)):
+        for bad in ((1.0, -1.0), (1.0, 0.5), (np.inf, -0.5), (np.nan, -0.5), (1.0, np.nan)):
             with pytest.raises(ConfigurationError):
                 Online(*bad)
-        for bad in (np.inf, np.nan):
+        for bad in (-1.0, 0.0, 0.5, -np.inf, np.nan):
             with pytest.raises(ConfigurationError):
-                TarresYao(zeta=bad)
+                TarresYao(exponent=bad)
+        # the exponents are theory's signed slopes: a constant online step is 0
+        assert np.array_equal(Online(2.0, 0.0).steps(3), [2.0, 2.0, 2.0])
 
 
 class TestRecursion:
@@ -129,7 +131,7 @@ class TestRecursion:
     def test_transcript_oracle_regularized(self):
         rng = np.random.default_rng(6)
         xs, ys = rng.random(40), rng.standard_normal(40)
-        ty = TarresYao(-competitor_rate(0.75))
+        ty = TarresYao(competitor_rate(0.75))
         last, avg = sgd_run(G1(xs), ys, ty, [40])
         nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.75), 40)
         assert np.allclose(last[0], nc, atol=1e-13)
@@ -184,7 +186,7 @@ class TestRecursion:
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.random(30), rng.standard_normal(30)
-        last, _ = sgd_run(G1(xs), ys, Online(3.0, 0.5), [30])
+        last, _ = sgd_run(G1(xs), ys, Online(3.0, -0.5), [30])
         nc, _ = naive_run(R1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
         assert np.allclose(last[0], nc, atol=1e-13)
 
@@ -281,7 +283,7 @@ class TestAveraging:
         # naive per-coefficient multiplication at every step
         rng = np.random.default_rng(12)
         xs, ys = rng.random(100), rng.standard_normal(100)
-        ty = TarresYao(-competitor_rate(0.375))
+        ty = TarresYao(competitor_rate(0.375))
         last, avg = sgd_run(G1(xs), ys, ty, [100])
         nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.375), 100)
         assert np.allclose(last[0], nc, atol=1e-12)
@@ -412,9 +414,9 @@ class TestBlockedSolver:
     def test_rows_match_stepwise(self, production, kind, n):
         m, _, ys, gram = production
         R_sq = kernel_sup_sq(m)
-        ty = TarresYao(-competitor_rate(0.75))
+        ty = TarresYao(competitor_rate(0.75))
         steps, shrinks = {"sweep": (default_gamma_grid(R_sq), None),
-                          "online": schedule(Online(1.0 / R_sq, 0.5), n),
+                          "online": schedule(Online(1.0 / R_sq, -0.5), n),
                           "tarres_yao": schedule(ty, n)}[kind]
         got = sgd_constant_grid(gram[:n, :n], ys[:n], steps, shrinks)
         want = stepwise_grid(gram[:n, :n], ys[:n], steps, shrinks)
@@ -481,9 +483,9 @@ class TestTriangularOracle:
             steps = np.repeat(steps[:, None], n, axis=1)
         else:
             if kind == "online":
-                sched = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), rng.uniform(0, 0.9))
+                sched = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), -rng.uniform(0, 0.9))
             else:
-                sched = TarresYao(-competitor_rate(rng.uniform(0.25, 2.0)))
+                sched = TarresYao(competitor_rate(rng.uniform(0.25, 2.0)))
             steps, shrinks = schedule(sched, n)
             coeffs = sgd_constant_grid(gram, ys, steps, shrinks)
         scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
@@ -496,7 +498,7 @@ class TestTriangularOracle:
     def test_sgd_run_is_one_row(self):
         rng = np.random.default_rng(13)
         xs, ys = rng.random(80), rng.standard_normal(80)
-        ty = TarresYao(-competitor_rate(0.75))
+        ty = TarresYao(competitor_rate(0.75))
         last, _ = sgd_run(G1(xs), ys, ty, [80])
         steps, shrinks = schedule(ty, 80)
         b = sgd_constant_grid(G1(xs), ys, steps, shrinks)[0]

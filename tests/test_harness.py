@@ -15,8 +15,9 @@ from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
+from klms.estimator import FiniteHorizon, Online
 from klms.kernels import gram_matrix
-from klms.theory import step_exponent
+from klms.theory import SETTINGS, step_exponent
 
 
 class TestSampleStream:
@@ -133,6 +134,25 @@ class TestConfig:
         assert a == b
         assert a != c
 
+    def test_stream_digest_ignores_the_spelling_of_sigma(self):
+        # one distribution, one stream: an int, a float or a negative zero
+        for spellings in ((0, 0.0, -0.0), (1, 1.0)):
+            digests = {ExperimentConfig(noise_sigma=s).stream_digest() for s in spellings}
+            assert len(digests) == 1, spellings
+        # float configs keep the streams they had before the normalisation
+        assert ExperimentConfig().stream_digest() == 6576167344725927395
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("point", sorted(harness.TABLE_POINTS))
+    def test_ours_takes_theorys_exponent_unchanged(self, point, setting):
+        # every setting theory knows is a config setting, and ours's exponent
+        # is theory's, neither negated nor re-derived
+        m, k = harness.TABLE_POINTS[point]
+        cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, setting=setting)
+        kind = Online if setting == "online" else FiniteHorizon
+        assert harness._algorithm_spec(cfg, "ours") == kind(
+            cfg.effective_gamma0(), step_exponent(cfg.alpha, cfg.r, setting))
+
 
 class TestCheckpoints:
     def test_grid_properties(self):
@@ -143,6 +163,19 @@ class TestCheckpoints:
 
     def test_small_n_max(self):
         assert checkpoint_grid(5, 10)[-1] == 5
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 500, 3162, 10**5])
+    def test_last_checkpoint_is_n_max(self, n_max):
+        assert checkpoint_grid(n_max, 1) == [n_max]
+        for count in range(2, 26):
+            cps = checkpoint_grid(n_max, count)
+            # unchanged from the plain rounded geometric grid
+            want = np.unique(np.round(np.geomspace(1, n_max, count)).astype(int))
+            assert cps == want.tolist() and cps[-1] == n_max, count
+
+    def test_single_checkpoint_run_reaches_n_max(self):
+        cfg = ExperimentConfig(n_max=500, n_checkpoints=1, replicates=1)
+        assert run_replicates(cfg).checkpoints == [500]
 
 
 class TestFitRate:

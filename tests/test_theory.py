@@ -15,13 +15,13 @@ rs = st.floats(0.01, 3.0)
 
 # the four table points (alpha, r) -> exact values per setting
 TABLE_VALUES = {
-    (2, 0.75): {"fh": (-0.5, -0.75, Regime.OPTIMAL_REGION),
+    (2, 0.75): {"finite_horizon": (-0.5, -0.75, Regime.OPTIMAL_REGION),
                 "online": (-0.5, -0.75, Regime.OPTIMAL_REGION)},
-    (4, 0.375): {"fh": (0.0, -0.75, Regime.OPTIMAL_REGION),
+    (4, 0.375): {"finite_horizon": (0.0, -0.75, Regime.OPTIMAL_REGION),
                  "online": (0.0, -0.75, Regime.OPTIMAL_REGION)},
-    (2, 1.25): {"fh": (-0.6, -0.8, Regime.SATURATION),
+    (2, 1.25): {"finite_horizon": (-0.6, -0.8, Regime.SATURATION),
                 "online": (-0.5, -0.75, Regime.SATURATION)},
-    (4, 0.125): {"fh": (0.0, -0.25, Regime.BIAS_DOMINATED_CONSTANT_STEP),
+    (4, 0.125): {"finite_horizon": (0.0, -0.25, Regime.BIAS_DOMINATED_CONSTANT_STEP),
                  "online": (0.0, -0.25, Regime.BIAS_DOMINATED_CONSTANT_STEP)},
 }
 
@@ -36,7 +36,7 @@ class TestStepExponents:
         for (alpha, r), by_setting in TABLE_VALUES.items():
             for setting, (expo, _, _) in by_setting.items():
                 assert step_exponent(alpha, r, setting) == expo
-        assert step_exponent(2, 0.75) == step_exponent(2, 0.75, "fh")
+        assert step_exponent(2, 0.75) == step_exponent(2, 0.75, "finite_horizon")
 
     def test_online_cases(self):
         assert step_exponent(2, 0.75, "online") == pytest.approx(-0.5)
@@ -70,17 +70,17 @@ class TestStepExponents:
                                           (2.0, math.inf), (2.0, math.nan)])
     def test_non_finite_rejected(self, alpha, r):
         for fn in (step_exponent, predicted_rate, classify_regime):
-            for setting in ("fh", "online"):
+            for setting in ("finite_horizon", "online"):
                 with pytest.raises(ConfigurationError):
                     fn(alpha, r, setting)
 
 
 class TestPredictedRates:
     def test_table_values(self):
-        assert predicted_rate(2, 0.75, "fh") == pytest.approx(-0.75)
-        assert predicted_rate(2, 1.25, "fh") == pytest.approx(-0.8)
-        assert predicted_rate(4, 0.125, "fh") == pytest.approx(-0.25)
-        assert predicted_rate(4, 0.375, "fh") == pytest.approx(-0.75)
+        assert predicted_rate(2, 0.75, "finite_horizon") == pytest.approx(-0.75)
+        assert predicted_rate(2, 1.25, "finite_horizon") == pytest.approx(-0.8)
+        assert predicted_rate(4, 0.125, "finite_horizon") == pytest.approx(-0.25)
+        assert predicted_rate(4, 0.375, "finite_horizon") == pytest.approx(-0.75)
         for (alpha, r), by_setting in TABLE_VALUES.items():
             for setting, (_, rate, _) in by_setting.items():
                 assert predicted_rate(alpha, r, setting) == rate
@@ -89,7 +89,7 @@ class TestPredictedRates:
         # beyond r = (2 alpha - 1)/(2 alpha) the online rate freezes
         assert predicted_rate(2, 0.75, "online") == pytest.approx(-0.75)
         assert predicted_rate(2, 2.0, "online") == pytest.approx(-0.75)
-        assert predicted_rate(2, 2.0, "fh") == pytest.approx(-0.8)
+        assert predicted_rate(2, 2.0, "finite_horizon") == pytest.approx(-0.8)
 
     def test_boundary_consistency(self):
         # at r = (alpha-1)/(2 alpha) both branch formulas coincide
@@ -97,13 +97,14 @@ class TestPredictedRates:
             r = (alpha - 1) / (2 * alpha)
             assert -2 * r == pytest.approx(
                 -2 * alpha * r / (2 * alpha * r + 1), abs=1e-12)
-            assert predicted_rate(alpha, r, "fh") == pytest.approx(-2 * r, abs=1e-12)
+            assert predicted_rate(alpha, r, "finite_horizon") == pytest.approx(-2 * r, abs=1e-12)
 
     @given(alphas, rs, rs)
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_r(self, alpha, r1, r2):
         lo, hi = sorted((r1, r2))
-        assert predicted_rate(alpha, hi, "fh") <= predicted_rate(alpha, lo, "fh") + 1e-12
+        assert (predicted_rate(alpha, hi, "finite_horizon")
+                <= predicted_rate(alpha, lo, "finite_horizon") + 1e-12)
 
     @given(alphas, alphas, rs)
     @settings(max_examples=200, deadline=None)
@@ -112,13 +113,14 @@ class TestPredictedRates:
         # rate only improves with a stronger capacity assumption when the
         # bias branch is not active for either alpha
         if r >= (hi - 1) / (2 * hi) and r >= (lo - 1) / (2 * lo):
-            assert predicted_rate(hi, r, "fh") <= predicted_rate(lo, r, "fh") + 1e-12
+            assert (predicted_rate(hi, r, "finite_horizon")
+                    <= predicted_rate(lo, r, "finite_horizon") + 1e-12)
 
     @given(alphas, rs)
     @settings(max_examples=300, deadline=None)
     def test_strict_improvement_over_competitors(self, alpha, r):
         if (alpha - 1) / (2 * alpha) < r < 1:
-            assert predicted_rate(alpha, r, "fh") < competitor_rate(r)
+            assert predicted_rate(alpha, r, "finite_horizon") < competitor_rate(r)
 
     def test_competitor_values(self):
         assert competitor_rate(0.75) == pytest.approx(-0.6)
@@ -133,27 +135,27 @@ class TestPredictedRates:
 
 class TestRegimes:
     def test_four_benchmark_points(self):
-        assert classify_regime(2, 0.75, "fh") is Regime.OPTIMAL_REGION
-        assert classify_regime(4, 0.375, "fh") is Regime.OPTIMAL_REGION
-        assert classify_regime(2, 1.25, "fh") is Regime.SATURATION
-        assert classify_regime(4, 0.125, "fh") is Regime.BIAS_DOMINATED_CONSTANT_STEP
+        assert classify_regime(2, 0.75, "finite_horizon") is Regime.OPTIMAL_REGION
+        assert classify_regime(4, 0.375, "finite_horizon") is Regime.OPTIMAL_REGION
+        assert classify_regime(2, 1.25, "finite_horizon") is Regime.SATURATION
+        assert classify_regime(4, 0.125, "finite_horizon") is Regime.BIAS_DOMINATED_CONSTANT_STEP
         for (alpha, r), by_setting in TABLE_VALUES.items():
             for setting, (_, _, regime) in by_setting.items():
                 assert classify_regime(alpha, r, setting) is regime
 
     def test_boundaries_assigned_to_optimal(self):
-        assert classify_regime(2, 0.25, "fh") is Regime.OPTIMAL_REGION
-        assert classify_regime(2, 1.0, "fh") is Regime.OPTIMAL_REGION
+        assert classify_regime(2, 0.25, "finite_horizon") is Regime.OPTIMAL_REGION
+        assert classify_regime(2, 1.0, "finite_horizon") is Regime.OPTIMAL_REGION
         assert classify_regime(2, 0.75, "online") is Regime.OPTIMAL_REGION
 
     def test_online_saturates_earlier(self):
         assert classify_regime(2, 0.9, "online") is Regime.SATURATION
-        assert classify_regime(2, 0.9, "fh") is Regime.OPTIMAL_REGION
+        assert classify_regime(2, 0.9, "finite_horizon") is Regime.OPTIMAL_REGION
 
     @given(alphas, rs)
     @settings(max_examples=200, deadline=None)
     def test_exactly_one_class(self, alpha, r):
-        assert classify_regime(alpha, r, "fh") in Regime
+        assert classify_regime(alpha, r, "finite_horizon") in Regime
         assert classify_regime(alpha, r, "online") in Regime
 
     def test_setting_validation(self):
