@@ -7,7 +7,7 @@ from scipy.linalg import solve_triangular
 
 from klms.bernoulli import bernoulli_poly
 from klms.errors import ConfigurationError, DivergenceError
-from klms.estimator import DIVERGENCE_LIMIT, sgd_run
+from klms.estimator import DIVERGENCE_LIMIT, FiniteHorizon, Online, sgd_run
 from klms import harness
 from klms.cli import main
 from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
@@ -15,7 +15,6 @@ from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
-from klms.estimator import FiniteHorizon, Online
 from klms.kernels import gram_matrix
 from klms.theory import SETTINGS, step_exponent
 
@@ -145,8 +144,8 @@ class TestConfig:
     @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("point", sorted(harness.TABLE_POINTS))
     def test_ours_takes_theorys_exponent_unchanged(self, point, setting):
-        # every setting theory knows is a config setting, and ours's exponent
-        # is theory's, neither negated nor re-derived
+        # every setting theory knows is a config setting, and the exponent of
+        # ours is theory's, neither negated nor re-derived
         m, k = harness.TABLE_POINTS[point]
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, setting=setting)
         kind = Online if setting == "online" else FiniteHorizon
