@@ -206,7 +206,10 @@ def _check_finite_dim() -> tuple[bool, str]:
     ys = xs @ np.array([0.5, -1.0]) + 0.1 * rng.standard_normal(n)
     gamma = 0.05
     theta_bar = finite_dim_sgd((xs, ys), gamma)
-    _, averaged = sgd_run(xs @ xs.T, ys, FiniteHorizon(gamma), [n])
+    [result] = sgd_run(xs @ xs.T, ys, [FiniteHorizon(gamma)], [n])
+    if isinstance(result, DivergenceError):
+        raise result
+    _, averaged = result
     test_points = rng.standard_normal((5, d))
     worst = max(abs(float(theta_bar @ p) - float(averaged[0] @ (xs @ p)))
                 for p in test_points)

@@ -12,14 +12,18 @@ The kernel enters only through the Gram matrix K_ij = K(x_i, x_j) of the
 stream, so every solver here takes that matrix rather than a kernel.
 
 The coefficients of a run are the solution of one lower-triangular system,
-row i being step i. `sgd_constant_grid` is the one solver: forward
-substitution in blocks of _TIME_BLOCK steps, one GEMM per block for the
-predictions from earlier steps and one BLAS triangular solve per run inside
-the block, for a grid of runs that share one stream. A run stops at its
-horizon, the last step anyone reads. `sgd_run` runs one step schedule
-through it, each row up to the last checkpoint that reads it, and returns
-both the last and the averaged iterate at every checkpoint; which of them
-an algorithm reports is the harness's business.
+row i being step i, so a run reads only the lower triangle of the Gram
+matrix. `sgd_constant_grid` is the one solver: forward substitution in
+blocks of _TIME_BLOCK steps, each reading one strip of Gram rows, with one
+GEMM per block for the predictions from earlier steps and one BLAS
+triangular solve per run inside the block, for a grid of runs that share
+one stream. The strip comes from a dense array or is computed on demand by
+a lazy `kernels.SplineGram`, so a run need hold no (n, n) array. A run
+stops at its horizon, the last step anyone reads. `sgd_run` runs several
+step schedules through one grid pass, each row up to the last checkpoint
+that reads it, and returns per schedule both the last and the averaged
+iterate at every checkpoint, or the divergence it met; which of them an
+algorithm reports is the harness's business.
 """
 
 from __future__ import annotations
@@ -156,47 +160,73 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 # the recursion
 # ---------------------------------------------------------------------------
 
-def sgd_run(gram: np.ndarray, ys, step: StepSchedule, checkpoints: Sequence[int]):
-    """Run the recursion with one step schedule over the responses ys of a
-    stream whose Gram matrix is `gram`, snapshotting at each checkpoint.
+def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[int]) -> list:
+    """Run the recursion with each of the step `schedules` over the responses
+    ys of a stream whose Gram matrix is `gram`, snapshotting at each
+    checkpoint.
 
-    One `sgd_constant_grid` call: a `FiniteHorizon` step runs one constant
-    row per distinct step `step.at(N)` over the checkpoints N, each up to
-    the largest N it serves; an `Online` or `TarresYao` schedule runs one
-    row of per-step sizes (with the shrinks of `schedule` for `TarresYao`),
-    which serves every checkpoint. Returns (last, averaged), two
-    (len(checkpoints), N) arrays, N the last checkpoint (see
-    `check_checkpoints`): row c holds that iterate after checkpoints[c]
-    steps in its leading checkpoints[c] entries, depending only on the
-    first checkpoints[c] observations, and zeros after them. Only the
-    leading (N, N) block of `gram` is read, so the Gram matrix of a longer
-    stream serves as well. The first checkpoint whose row meets the
-    `first_divergence` criterion within its steps raises DivergenceError
-    naming that step.
+    One `sgd_constant_grid` call runs every schedule, so each strip of the
+    Gram matrix is read once: a `FiniteHorizon` step gives one constant row
+    per distinct step `step.at(N)` over the checkpoints N, each up to the
+    largest N it serves; an `Online` or `TarresYao` schedule gives one row
+    of per-step sizes (with the shrinks of `schedule` for `TarresYao`),
+    which serves every checkpoint. Returns one entry per schedule: either
+    (last, averaged), two (len(checkpoints), N) arrays, N the last
+    checkpoint (see `check_checkpoints`), where row c holds that iterate
+    after checkpoints[c] steps in its leading checkpoints[c] entries,
+    depending only on the first checkpoints[c] observations, and zeros
+    after them; or, if a checkpoint's row meets the `first_divergence`
+    criterion within its steps, the DivergenceError naming the step of the
+    first such checkpoint. `gram` is a dense array or a lazy `SplineGram`;
+    only its leading (N, N) lower triangle is read, so the Gram matrix of a
+    longer stream serves as well.
     """
     ys = np.asarray(ys, dtype=float)
     cps = check_checkpoints(checkpoints, ys.shape[0])
     n_run = cps[-1]
-    if np.ndim(gram) != 2 or min(np.shape(gram)) < n_run:
+    if len(np.shape(gram)) != 2 or min(np.shape(gram)) < n_run:
         raise ConfigurationError(f"the Gram matrix must cover the first {n_run} points, "
                                  f"got shape {np.shape(gram)}")
+    parts = [_schedule_rows(step, cps) for step in schedules]
+    if not parts:
+        raise ConfigurationError("need at least one step schedule")
+    rows = sgd_constant_grid(
+        gram, ys[:n_run], np.concatenate([steps for steps, *_ in parts]),
+        np.concatenate([np.broadcast_to(np.ones(n_run) if shrinks is None else shrinks,
+                                        steps.shape) for steps, shrinks, *_ in parts]),
+        horizons=np.concatenate([horizons for *_, horizons in parts]))
+    ends = np.cumsum([len(horizons) for *_, horizons in parts])[:-1]
+    return [_snapshots(own, shrinks, row_of, cps)
+            for own, (_, shrinks, row_of, _) in zip(np.split(rows, ends), parts)]
+
+
+def _schedule_rows(step: StepSchedule, cps: list[int]):
+    """The grid rows of one schedule in `sgd_run` up to the last checkpoint
+    N: (steps, shrinks, row_of, horizons), with steps of shape (rows, N),
+    the schedule's shrinks (None but for `TarresYao`), the row serving each
+    checkpoint and the last checkpoint each row serves."""
     if isinstance(step, FiniteHorizon):
         # checkpoints with the same step (exponent 0) share one row
         steps, row_of = np.unique(step.at(cps), return_inverse=True)
-        shrinks = None
+        steps, shrinks = np.repeat(steps[:, None], cps[-1], axis=1), None
     else:
         # a single horizon-free row serves every checkpoint
-        steps, shrinks = schedule(step, n_run)
+        steps, shrinks = schedule(step, cps[-1])
         row_of = np.zeros(len(cps), dtype=int)
-    # each row runs up to the last checkpoint that reads it
-    horizons = np.zeros(np.shape(steps)[0], dtype=int)
+    horizons = np.zeros(steps.shape[0], dtype=int)
     np.maximum.at(horizons, row_of, cps)
-    rows = sgd_constant_grid(gram, ys[:n_run], steps, shrinks, horizons=horizons)
+    return steps, shrinks, row_of, horizons
+
+
+def _snapshots(rows: np.ndarray, shrinks: Optional[np.ndarray], row_of, cps: list[int]):
+    """The (last, averaged) stacks of one schedule's grid rows at the
+    checkpoints `cps`, or the DivergenceError of the first checkpoint whose
+    row diverged within its steps."""
     bad_step, bad_value = first_divergence(rows, shrinks)
     for row, n in zip(row_of, cps):
         if bad_step[row] <= n:
-            raise DivergenceError(int(bad_step[row]), float(bad_value[row]))
-    last, averaged = np.zeros((2, len(cps), n_run))
+            return DivergenceError(int(bad_step[row]), float(bad_value[row]))
+    last, averaged = np.zeros((2, len(cps), cps[-1]))
     for c, (row, n) in enumerate(zip(row_of, cps)):
         last[c, :n] = prefix_iterate(rows[row], n, False, shrinks)
         averaged[c, :n] = prefix_iterate(rows[row], n, True, shrinks)
@@ -222,7 +252,7 @@ def schedule(step: Union[Online, TarresYao], n: int):
     return steps[None, :], shrinks
 
 
-def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
+def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
                       shrinks: Optional[np.ndarray] = None, *,
                       horizons: Optional[Sequence[int]] = None) -> np.ndarray:
     """The kernel recursion for a grid of step-size schedules on one stream;
@@ -231,22 +261,26 @@ def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
     `gammas` holds one constant step per row, shape (rows,): the step-size
     sweep, or the finite-horizon steps gamma0 * N**expo with one row per
     horizon N. Or it holds per-step sizes, shape (rows, n): the horizon-free
-    schedules. `shrinks`, shared by all rows, multiplies every older
-    coefficient by shrinks[i] at step i; the product S_i = shrinks[0] * ...
-    * shrinks[i] is carried as one global scale, so the (rows, n) result
-    holds raw coefficients b: a_i = S_i b_i was created at step i and
-    S_N b[:N] is the last iterate after N steps (without shrinks, b = a).
-    `prefix_iterate` reads the last or averaged iterate off a row prefix.
+    schedules. `shrinks`, shape (n,) shared by all rows or (rows, n) one per
+    row, multiplies every older coefficient by shrinks[i] at step i; the
+    product S_i = shrinks[0] * ... * shrinks[i] is carried as one global
+    scale per row, so the (rows, n) result holds raw coefficients b:
+    a_i = S_i b_i was created at step i and S_N b[:N] is the last iterate
+    after N steps (without shrinks, b = a). `prefix_iterate` reads the last
+    or averaged iterate off a row prefix.
 
     Step i of a row is row i of the lower-triangular system
     (diag(S) + diag(gamma * S_prev) tril(K, -1)) b = gamma * y, with
     S_prev = (1, S_0, ..., S_{n-2}). Divided by gamma_i S_{i-1} (S_{-1} = 1),
     row i reads (shrinks_i / gamma_i) b_i + sum_{j<i} K_ij b_j = y_i / S_{i-1},
     and the system is solved by forward substitution over blocks of _TIME_BLOCK
-    steps: one GEMM gives a block the predictions of every live row from
-    all earlier coefficients, then one BLAS triangular solve per row covers
-    the block. Rows differ only in the diagonal, so one Fortran-ordered copy
-    of the block's Gram entries serves them all.
+    steps. Block [s, e) reads one strip gram[s:e, :e] of the Gram matrix, a
+    dense array or a lazy `SplineGram` that computes the strip on demand, so
+    only the lower triangle is ever read and no (n, n) array need exist: one
+    GEMM with strip[:, :s] gives the block the predictions of every live row
+    from all earlier coefficients, then one BLAS triangular solve per row
+    on strip[:, s:e] covers the block. Rows differ only in the diagonal, so
+    one Fortran-ordered copy of the diagonal block serves them all.
 
     `horizons`, one per row, says how many leading entries of the row are
     read; a row stops at the end of the block that reaches its horizon, and
@@ -265,15 +299,19 @@ def sgd_constant_grid(gram: np.ndarray, ys: np.ndarray, gammas: np.ndarray,
         g = g[:, None]
     shrinks = np.ones(n) if shrinks is None else np.asarray(shrinks, dtype=float)
     diags = shrinks / np.broadcast_to(g, (g.shape[0], n))
-    targets = ys / np.concatenate([[1.0], np.cumprod(shrinks)[:-1]])
+    prev = np.cumprod(shrinks, axis=-1)[..., :-1]
+    targets = np.broadcast_to(
+        ys / np.concatenate([np.ones(prev.shape[:-1] + (1,)), prev], axis=-1),
+        (g.shape[0], n))
     horizons = np.full(g.shape[0], n) if horizons is None else np.asarray(horizons)
     coeffs = np.zeros((g.shape[0], n))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _TIME_BLOCK):
             e = min(s + _TIME_BLOCK, n)
             live = np.flatnonzero(horizons > s)
-            rhs = targets[s:e] - coeffs[live, :s] @ gram[s:e, :s].T
-            block = np.array(gram[s:e, s:e], dtype=float, order="F")
+            strip = gram[s:e, :e]
+            rhs = targets[live, s:e] - coeffs[live, :s] @ strip[:, :s].T
+            block = np.array(strip[:, s:e], dtype=float, order="F")
             on_diag = np.arange(e - s)
             for row, r in zip(live, rhs):
                 block[on_diag, on_diag] = diags[row, s:e]
@@ -322,17 +360,19 @@ def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
 
 def ridge_solve(gram: np.ndarray, ys, lam: float) -> np.ndarray:
     """The coefficients a of the regularized empirical risk minimizer, the
-    solution of (K + lam I) a = y with K = `gram` the (n, n) Gram matrix of
-    the n points whose responses are ys.
+    solution of (K + lam I) a = y with K = `gram` the dense (n, n) Gram
+    matrix of the n points whose responses are ys (`gram_matrix`; a lazy
+    `SplineGram` is refused with ConfigurationError).
 
     With lam = 0 the Gram matrix must be numerically invertible; a singular
     or near-singular system raises numpy's LinAlgError.
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[0]
-    if np.shape(gram) != (n, n):
-        raise ConfigurationError(f"the Gram matrix must be ({n}, {n}), "
-                                 f"got shape {np.shape(gram)}")
+    if not isinstance(gram, np.ndarray) or gram.shape != (n, n):
+        raise ConfigurationError(f"the Gram matrix must be a dense ({n}, {n}) array "
+                                 f"(see kernels.gram_matrix), got {type(gram).__name__} "
+                                 f"of shape {np.shape(gram)}")
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError("lam must be finite and non-negative")
     mat = gram + lam * np.eye(n)

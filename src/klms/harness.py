@@ -5,11 +5,13 @@ All randomness flows through numpy SeedSequences built from
 (master_seed, replicate_index, stream_digest), so replicates are independent
 of execution order and two configs that describe the same data distribution
 see the same streams. Every preset runs through one driver, `_replicate_runs`:
-per replicate it builds one context (the Gram matrix the recursion reads, and
-the `kernels.DoubledForm` and target inner products behind the closed-form
-risk of `klms.risk`) and one `sgd_run` per distinct step schedule; each preset
-scores all its snapshots of that run in one stacked closed-form call and
-records its own divergences.
+per replicate it builds one context (the lazy `kernels.SplineGram` whose
+strips the recursion computes on demand, and the `kernels.DoubledForm` and
+target inner products behind the closed-form risk of `klms.risk`) and one
+`sgd_run` over all distinct step schedules, so each Gram strip is computed
+once per replicate; each preset scores all its snapshots of its schedule in
+one stacked closed-form call and records its own divergences. No run holds
+an (n, n) array.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
                         first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import SUPPORTED_ORDERS, DoubledForm, gram_matrix, kernel_sup_sq
+from .kernels import SUPPORTED_ORDERS, DoubledForm, SplineGram, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -192,7 +194,7 @@ def replicate_seed(master_seed: int, rep: int, digest: int) -> np.random.SeedSeq
 class _Context:
     xs: np.ndarray
     ys: np.ndarray
-    gram: np.ndarray
+    gram: SplineGram
     form: DoubledForm
     inner: np.ndarray
     norm_sq: float
@@ -204,11 +206,11 @@ class _Context:
 
 
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
-    # the Gram matrix is the one n x n array: the recursion reads it
+    # nothing here is n x n: the recursion computes its Gram strips on demand
     return _Context(
         xs=xs,
         ys=ys,
-        gram=gram_matrix(m, xs),
+        gram=SplineGram(m, xs),
         form=DoubledForm(m, xs),
         inner=risk.kernel_target_inner(m, k, xs),
         norm_sq=risk.target_norm_sq(k),
@@ -275,22 +277,23 @@ class ReplicateRun:
 def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequence[int],
                     step_exponent: Optional[float] = None) -> dict[str, ReplicateRun]:
     """Curves of the presets `names` at `cps` on the config's replicates. Per
-    replicate each distinct schedule runs once, in order of first appearance,
-    and each preset scores its iterate (see PRESETS); a DivergenceError lands
-    as (replicate, error) in ``diverged`` of each preset sharing the run."""
+    replicate one `sgd_run` runs each distinct schedule once, in order of
+    first appearance, and each preset scores its iterate (see PRESETS); a
+    DivergenceError lands as (replicate, error) in ``diverged`` of each
+    preset sharing the schedule."""
     by_step: dict[StepSchedule, list[str]] = {}
     for name in names:
         by_step.setdefault(_algorithm_spec(config, name, step_exponent), []).append(name)
     runs = {name: ReplicateRun(cps, np.full((config.replicates, len(cps)), np.nan))
             for name in names}
     for rep, ctx in enumerate(_replicate_contexts(config)):
-        for step, group in by_step.items():
-            try:
-                last, averaged = sgd_run(ctx.gram, ctx.ys, step, cps)
-            except DivergenceError as err:
+        results = sgd_run(ctx.gram, ctx.ys, list(by_step), cps)
+        for group, result in zip(by_step.values(), results):
+            if isinstance(result, DivergenceError):
                 for name in group:
-                    runs[name].diverged.append((rep, err))
+                    runs[name].diverged.append((rep, result))
                 continue
+            last, averaged = result
             for name in group:
                 # one stacked call scores every snapshot of the preset
                 runs[name].per_replicate[rep] = ctx.excess_risk(

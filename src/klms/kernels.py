@@ -20,9 +20,12 @@ symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
 d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
 every kernel value in the package, Gram matrices included, is one Horner pass
-in w (`_spline_w`). `gram_matrix` is the one Gram builder: it fills the
-matrix in row blocks of w that stay in cache, and |d| makes every Gram
-matrix exactly symmetric.
+in w (`_spline_w`). Every Gram entry comes from `_gram_entries`, which fills
+row blocks of w that stay in cache. The runs read `SplineGram`, a lazy Gram
+matrix that stores only the points and computes the strips of rows the
+recursion asks for, so no run holds an (n, n) array; `gram_matrix` builds
+the same entries densely, for `ridge_solve` and the test oracles, and |d|
+makes it exactly symmetric.
 
 The order-doubled Gram matrix D_ij = R_2m(x_i, x_j) of a stream is never
 built outside the tests, where `gram_matrix(2 * m, xs)` is the dense oracle:
@@ -147,23 +150,52 @@ def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     return blocks
 
 
-def gram_matrix(order: int, xs) -> np.ndarray:
-    """The matrix R_order(x_i, x_j) of the points xs, built block of rows by
-    block of rows: the input of every solver in `estimator`, and at twice a
-    supported order the dense oracle of `DoubledForm`. Row gram[i, :i] (what
-    the recursion reads) equals spline_kernel(order, xs[:i], xs[i]) bit for
-    bit."""
+def _check_gram_order(order: int) -> None:
     if order not in range(1, 2 * max(SUPPORTED_ORDERS) + 1):
         raise ConfigurationError(
             f"Gram matrix order must lie in 1..{2 * max(SUPPORTED_ORDERS)}, got {order!r}")
+
+
+def _gram_entries(order: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (len(rows), len(cols)) matrix R_order(rows[i], cols[j]) of points
+    already reduced by `frac`, filled block of rows by block of rows so that
+    each block of w stays in cache: the one source of Gram entries."""
+    out = np.empty((rows.shape[0], cols.shape[0]))
+    step = max(1, _BLOCK_ENTRIES // max(cols.shape[0], 1))
+    for i in range(0, rows.shape[0], step):
+        _spline_w(order, _circle_w(np.subtract.outer(rows[i:i + step], cols)),
+                  out=out[i:i + step])
+    return out
+
+
+def gram_matrix(order: int, xs) -> np.ndarray:
+    """The dense matrix R_order(x_i, x_j) of the points xs: the input of
+    `ridge_solve`, the dense oracle of `SplineGram` in the tests and, at
+    twice a supported order, of `DoubledForm`. Row gram[i, :i] equals
+    spline_kernel(order, xs[:i], xs[i]) bit for bit."""
+    _check_gram_order(order)
     xs = frac(xs)
-    n = xs.shape[0]
-    gram = np.empty((n, n))
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
-    for i in range(0, n, rows):
-        _spline_w(order, _circle_w(np.subtract.outer(xs[i:i + rows], xs)),
-                  out=gram[i:i + rows])
-    return gram
+    return _gram_entries(order, xs, xs)
+
+
+class SplineGram:
+    """The Gram matrix R_order(x_i, x_j) of the points xs, never stored:
+    ``gram[rows, cols]`` computes just those entries, bitwise the entries of
+    `gram_matrix(order, xs)`. The recursion reads it one strip of rows at a
+    time. Rows and columns are indexed independently (a slice, an integer
+    or an index array each, as with `np.ix_`), so ``gram[:, :]`` is the
+    whole matrix."""
+
+    def __init__(self, order: int, xs):
+        _check_gram_order(order)
+        self.order = order
+        self._xs = frac(np.asarray(xs, dtype=float))
+        self.shape = (self._xs.shape[0], self._xs.shape[0])
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = (self._xs[k] for k in key)
+        out = _gram_entries(self.order, np.atleast_1d(rows), np.atleast_1d(cols))
+        return out.reshape(np.shape(rows) + np.shape(cols))
 
 
 class DoubledForm:

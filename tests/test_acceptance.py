@@ -111,7 +111,7 @@ def test_c05_consistency_constant_step():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, 0.1, cfg.n_max)
         ctx = _make_context(1, 2, xs, ys)
-        _, averaged = sgd_run(ctx.gram, ys, FiniteHorizon(gamma), [100, 3162])
+        [(_, averaged)] = sgd_run(ctx.gram, ys, [FiniteHorizon(gamma)], [100, 3162])
         risks += ctx.excess_risk(averaged)
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
@@ -205,8 +205,8 @@ def test_c10_ridge_baseline():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
         ctx = _make_context(1, 2, xs, ys)
-        ridge_risks.append(ctx.excess_risk(ridge_solve(ctx.gram, ys, n * lam)))
-        _, averaged = sgd_run(ctx.gram, ys, FiniteHorizon(gamma), [n])
+        ridge_risks.append(ctx.excess_risk(ridge_solve(gram_matrix(1, xs), ys, n * lam)))
+        [(_, averaged)] = sgd_run(ctx.gram, ys, [FiniteHorizon(gamma)], [n])
         sgd_risks.append(ctx.excess_risk(averaged[0]))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))
     ok = worst_resid <= 1e-8 and (1.0 / 3.0) <= ratio <= 3.0

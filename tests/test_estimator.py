@@ -12,7 +12,7 @@ from klms.estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
                             averaged_coefficients, finite_dim_sgd, first_divergence,
                             prefix_iterate, ridge_solve, schedule, sgd_constant_grid, sgd_run)
 from klms.harness import default_gamma_grid
-from klms.kernels import gram_matrix, kernel_sup_sq, spline_kernel
+from klms.kernels import SplineGram, gram_matrix, kernel_sup_sq, spline_kernel
 from klms.theory import competitor_rate
 
 G1 = partial(gram_matrix, 1)
@@ -110,20 +110,20 @@ class TestSchedules:
 class TestRecursion:
     def test_single_step_base_case(self):
         xs = np.array([0.3])
-        last, avg = sgd_run(G1(xs), np.array([2.0]), FiniteHorizon(0.7), [1])
+        [(last, avg)] = sgd_run(G1(xs), np.array([2.0]), [FiniteHorizon(0.7)], [1])
         assert last[0, 0] == pytest.approx(0.7 * 2.0)
         assert avg[0, 0] == pytest.approx(0.7 * 2.0 / 2.0)
 
     def test_zero_targets_stay_zero(self):
         xs = np.random.default_rng(1).random(20)
-        last, avg = sgd_run(G1(xs), np.zeros(20), FiniteHorizon(1.0), [20])
+        [(last, avg)] = sgd_run(G1(xs), np.zeros(20), [FiniteHorizon(1.0)], [20])
         assert np.all(last == 0.0)
         assert np.all(avg == 0.0)
 
     def test_transcript_oracle_unregularized(self):
         rng = np.random.default_rng(5)
         xs, ys = rng.random(5), rng.standard_normal(5)
-        last, avg = sgd_run(G1(xs), ys, FiniteHorizon(3.0), [5])
+        [(last, avg)] = sgd_run(G1(xs), ys, [FiniteHorizon(3.0)], [5])
         nc, nav = naive_run(R1, xs, ys, lambda i: 3.0, lambda i: 0.0, 5)
         assert np.allclose(last[0], nc, atol=1e-14)
         assert np.allclose(avg[0], nav, atol=1e-14)
@@ -132,7 +132,7 @@ class TestRecursion:
         rng = np.random.default_rng(6)
         xs, ys = rng.random(40), rng.standard_normal(40)
         ty = TarresYao(competitor_rate(0.75))
-        last, avg = sgd_run(G1(xs), ys, ty, [40])
+        [(last, avg)] = sgd_run(G1(xs), ys, [ty], [40])
         nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.75), 40)
         assert np.allclose(last[0], nc, atol=1e-13)
         assert np.allclose(avg[0], nav, atol=1e-13)
@@ -142,7 +142,7 @@ class TestRecursion:
         rng = np.random.default_rng(15)
         xs, ys = rng.random(40), rng.standard_normal(40)
         step = FiniteHorizon(6.0, -0.5)
-        last, avg = sgd_run(G1(xs), ys, step, [9, 40])
+        [(last, avg)] = sgd_run(G1(xs), ys, [step], [9, 40])
         for c, n in enumerate([9, 40]):
             nc, nav = naive_run(R1, xs, ys, lambda i: 6.0 * n**-0.5, lambda i: 0.0, n)
             assert np.allclose(last[c, :n], nc, atol=1e-13)
@@ -155,9 +155,10 @@ class TestRecursion:
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
         step = FiniteHorizon(1e6, -3.0)
-        assert sgd_run(G1(xs), ys, step, [60])[0].shape == (1, 60)
-        with pytest.raises(DivergenceError):
-            sgd_run(G1(xs), ys, step, [5, 60])
+        [(last, _)] = sgd_run(G1(xs), ys, [step], [60])
+        assert last.shape == (1, 60)
+        [err] = sgd_run(G1(xs), ys, [step], [5, 60])
+        assert isinstance(err, DivergenceError)
 
     def test_repeated_finite_horizon_step_runs_once(self, monkeypatch):
         # exponent 0 gives every checkpoint the same step: one grid row
@@ -170,12 +171,12 @@ class TestRecursion:
         ran = []
 
         def grid(*args, **kwargs):
-            ran.append(np.size(args[2]))
+            ran.append(np.shape(args[2])[0])
             return sgd_constant_grid(*args, **kwargs)
 
         monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
         step = FiniteHorizon(0.3)
-        got = sgd_run(gram, ys, step, cps)
+        [got] = sgd_run(gram, ys, [step], cps)
         assert ran == [1]
         for c, (row, n) in enumerate(zip(rows, cps)):
             for stack, averaged in zip(got, (False, True)):
@@ -186,22 +187,22 @@ class TestRecursion:
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.random(30), rng.standard_normal(30)
-        last, _ = sgd_run(G1(xs), ys, Online(3.0, -0.5), [30])
+        [(last, _)] = sgd_run(G1(xs), ys, [Online(3.0, -0.5)], [30])
         nc, _ = naive_run(R1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
         assert np.allclose(last[0], nc, atol=1e-13)
 
     def test_checkpoint_snapshots_prefix_property(self):
         rng = np.random.default_rng(8)
         xs, ys = rng.random(50), rng.standard_normal(50)
-        (short, full), _ = sgd_run(G1(xs), ys, FiniteHorizon(2.0), [10, 50])
+        [((short, full), _)] = sgd_run(G1(xs), ys, [FiniteHorizon(2.0)], [10, 50])
         assert np.allclose(short[:10], full[:10], atol=1e-15)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
         xs, ys = rng.random(25), rng.standard_normal(25)
         step = FiniteHorizon(1.5)
-        a = sgd_run(G1(xs), ys, step, [25])[0]
-        b = sgd_run(G1(xs), ys, step, [25])[0]
+        [(a, _)] = sgd_run(G1(xs), ys, [step], [25])
+        [(b, _)] = sgd_run(G1(xs), ys, [step], [25])
         assert np.array_equal(a, b)
 
     def test_leading_block_of_longer_gram(self):
@@ -210,8 +211,8 @@ class TestRecursion:
         rng = np.random.default_rng(10)
         xs, ys = rng.random(60), rng.standard_normal(60)
         step = FiniteHorizon(2.0)
-        long_last, long_avg = sgd_run(G1(xs), ys, step, [30])
-        last, avg = sgd_run(G1(xs[:30]), ys[:30], step, [30])
+        [(long_last, long_avg)] = sgd_run(G1(xs), ys, [step], [30])
+        [(last, avg)] = sgd_run(G1(xs[:30]), ys[:30], [step], [30])
         assert np.array_equal(long_last, last)
         assert np.array_equal(long_avg, avg)
 
@@ -221,30 +222,30 @@ class TestRecursion:
         step = FiniteHorizon(1.0)
         for gram in (G1(xs[:200]), G1(xs)[:, :200], G1(xs)[0]):
             with pytest.raises(ConfigurationError, match="Gram matrix"):
-                sgd_run(gram, ys, step, [100, 300])
-        assert len(sgd_run(G1(xs[:200]), ys, step, [100, 200])[0]) == 2
+                sgd_run(gram, ys, [step], [100, 300])
+        assert len(sgd_run(G1(xs[:200]), ys, [step], [100, 200])[0][0]) == 2
 
     def test_divergence_diagnostic_names_step(self):
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
         step = FiniteHorizon(100.0)
-        with pytest.raises(DivergenceError) as err:
-            sgd_run(G1(xs), ys, step, [60])
-        assert err.value.step > 1
+        [err] = sgd_run(G1(xs), ys, [step], [60])
+        assert isinstance(err, DivergenceError)
+        assert err.step > 1
 
     def test_checkpoint_validation(self):
         xs, ys = np.array([0.1, 0.2]), np.array([0.0, 0.0])
         step = FiniteHorizon(1.0)
         with pytest.raises(ConfigurationError):
-            sgd_run(G1(xs), ys, step, [])
+            sgd_run(G1(xs), ys, [step], [])
         with pytest.raises(ConfigurationError):
-            sgd_run(G1(xs), ys, step, [3])
+            sgd_run(G1(xs), ys, [step], [3])
         with pytest.raises(ConfigurationError):
-            sgd_run(G1(xs), ys, step, [2, 2])
+            sgd_run(G1(xs), ys, [step], [2, 2])
         with pytest.raises(ConfigurationError):
-            sgd_run(G1(xs), ys, step, [2, 1])
+            sgd_run(G1(xs), ys, [step], [2, 1])
         with pytest.raises(ConfigurationError):
-            sgd_run(G1(xs), ys, step, [0, 2])
+            sgd_run(G1(xs), ys, [step], [0, 2])
 
 
 class TestAveraging:
@@ -284,7 +285,7 @@ class TestAveraging:
         rng = np.random.default_rng(12)
         xs, ys = rng.random(100), rng.standard_normal(100)
         ty = TarresYao(competitor_rate(0.375))
-        last, avg = sgd_run(G1(xs), ys, ty, [100])
+        [(last, avg)] = sgd_run(G1(xs), ys, [ty], [100])
         nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.375), 100)
         assert np.allclose(last[0], nc, atol=1e-12)
         assert np.allclose(avg[0], nav, atol=1e-12)
@@ -335,6 +336,12 @@ class TestRidge:
             with pytest.raises(ConfigurationError, match="Gram matrix"):
                 ridge_solve(gram, ys, 0.1)
 
+    def test_lazy_gram_rejected(self):
+        # ridge reads the whole matrix: it takes the dense gram_matrix only
+        xs = np.random.default_rng(4).random(10)
+        with pytest.raises(ConfigurationError, match="dense"):
+            ridge_solve(SplineGram(1, xs), np.ones(10), 0.1)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ConfigurationError):
@@ -361,7 +368,7 @@ class TestFiniteDim:
         ys = xs @ np.array([1.0, -0.5]) + 0.05 * rng.standard_normal(50)
         gamma = 0.05
         theta_bar = finite_dim_sgd((xs, ys), gamma)
-        _, avg = sgd_run(xs @ xs.T, ys, FiniteHorizon(gamma), [50])
+        [(_, avg)] = sgd_run(xs @ xs.T, ys, [FiniteHorizon(gamma)], [50])
         for p in rng.standard_normal((10, 2)):
             assert abs(float(theta_bar @ p) - float(avg[0] @ (xs @ p))) <= 1e-10
 
@@ -438,7 +445,7 @@ class TestBlockedSolver:
         m, _, ys, gram = production
         cps = np.unique(np.geomspace(10, 3162, 20).astype(int))
         step = FiniteHorizon(1.0 / kernel_sup_sq(m), -0.5)
-        got = sgd_run(gram, ys, step, cps)
+        [got] = sgd_run(gram, ys, [step], cps)
         full = sgd_constant_grid(gram, ys, step.at(cps))
         for c, (row, n) in enumerate(zip(full, cps)):
             for stack, averaged in zip(got, (False, True)):
@@ -454,6 +461,95 @@ class TestBlockedSolver:
         assert np.count_nonzero(step <= 3162) >= 25
         assert np.array_equal(step, want_step)
         assert np.allclose(value, want_value, rtol=1e-12, atol=0.0)
+
+
+class TestStreamedGram:
+    """The recursion reads only the lower triangle of the Gram matrix, one
+    strip of rows per time block, so a lazy `SplineGram` serves as well as
+    the dense matrix. n = 300 spans three blocks."""
+
+    @pytest.fixture
+    def stream(self):
+        rng = np.random.default_rng(18)
+        xs, ys = rng.random(300), rng.standard_normal(300)
+        return xs, ys, gram_matrix(2, xs)
+
+    def test_upper_triangle_is_never_read(self, stream):
+        xs, ys, gram = stream
+        poisoned = gram.copy()
+        poisoned[np.triu_indices(300, 1)] = np.nan
+        steps, shrinks = schedule(TarresYao(competitor_rate(0.75)), 300)
+        for args in ((default_gamma_grid(kernel_sup_sq(2)),), (steps, shrinks)):
+            assert np.array_equal(sgd_constant_grid(poisoned, ys, *args),
+                                  sgd_constant_grid(gram, ys, *args))
+        schedules = [FiniteHorizon(2.0, -0.5), Online(3.0, -0.5), TarresYao(-0.6)]
+        for got, want in zip(sgd_run(poisoned, ys, schedules, [10, 129, 300]),
+                             sgd_run(gram, ys, schedules, [10, 129, 300])):
+            assert np.array_equal(got, want)
+
+    def test_lazy_gram_equals_dense(self, stream):
+        xs, ys, gram = stream
+        grid = default_gamma_grid(kernel_sup_sq(2))
+        assert np.array_equal(sgd_constant_grid(SplineGram(2, xs), ys, grid),
+                              sgd_constant_grid(gram, ys, grid))
+        schedules = [FiniteHorizon(2.0, -0.5), TarresYao(-0.6)]
+        for got, want in zip(sgd_run(SplineGram(2, xs), ys, schedules, [50, 300]),
+                             sgd_run(gram, ys, schedules, [50, 300])):
+            assert np.array_equal(got, want)
+
+
+class TestMergedSchedules:
+    """`sgd_run` runs every schedule it is given in one grid pass and
+    answers per schedule."""
+
+    def test_each_schedule_as_if_alone(self):
+        # inside one time block a merged row is bitwise its run alone; over
+        # several blocks the merged GEMM has more rows, which can reorder
+        # BLAS sums (measured on x86-64 OpenBLAS: at most 5e-16 of a row's
+        # norm)
+        rng = np.random.default_rng(19)
+        xs, ys = rng.random(400), rng.standard_normal(400)
+        gram = gram_matrix(1, xs)
+        schedules = [FiniteHorizon(6.0, -0.5), Online(3.0, -0.5),
+                     TarresYao(competitor_rate(0.75)), FiniteHorizon(4.0)]
+        for cps in ([5, 60, 128], [5, 60, 400]):
+            merged = sgd_run(gram, ys, schedules, cps)
+            assert len(merged) == len(schedules)
+            for step, got in zip(schedules, merged):
+                [want] = sgd_run(gram, ys, [step], cps)
+                for g, w in zip(got, want):
+                    if cps[-1] <= estimator._TIME_BLOCK:
+                        assert np.array_equal(g, w)
+                    err = np.linalg.norm(g - w, axis=1)
+                    assert np.all(err <= 1e-13 * np.linalg.norm(w, axis=1))
+
+    def test_divergence_is_per_schedule(self):
+        # the unstable schedule's entry is its DivergenceError; the stable
+        # one's stacks are bitwise its run alone
+        xs, ys = np.full(100, 0.5), np.full(100, 1.0)
+        stable, unstable = FiniteHorizon(1.0), FiniteHorizon(100.0)
+        bad, good = sgd_run(G1(xs), ys, [unstable, stable], [20, 100])
+        [alone] = sgd_run(G1(xs), ys, [stable], [20, 100])
+        [err] = sgd_run(G1(xs), ys, [unstable], [20, 100])
+        assert isinstance(bad, DivergenceError) and isinstance(err, DivergenceError)
+        assert (bad.step, bad.value) == (err.step, err.value)
+        assert all(np.array_equal(g, w) for g, w in zip(good, alone))
+
+    def test_no_schedule_rejected(self):
+        xs, ys = np.array([0.1, 0.2]), np.array([0.0, 1.0])
+        with pytest.raises(ConfigurationError, match="schedule"):
+            sgd_run(G1(xs), ys, [], [2])
+
+    def test_per_row_shrinks(self):
+        # shrinks given per row, a TarresYao row beside an unshrunk one,
+        # within one block: each row bitwise its own grid's row
+        rng = np.random.default_rng(20)
+        xs, ys = rng.random(100), rng.standard_normal(100)
+        ty_steps, ty_shrinks = schedule(TarresYao(competitor_rate(0.75)), 100)
+        steps = np.vstack([ty_steps, np.full((1, 100), 2.0)])
+        rows = sgd_constant_grid(G1(xs), ys, steps, np.vstack([ty_shrinks, np.ones(100)]))
+        assert np.array_equal(rows[0], sgd_constant_grid(G1(xs), ys, ty_steps, ty_shrinks)[0])
+        assert np.array_equal(rows[1], sgd_constant_grid(G1(xs), ys, np.array([2.0]))[0])
 
 
 class TestTriangularOracle:
@@ -499,7 +595,7 @@ class TestTriangularOracle:
         rng = np.random.default_rng(13)
         xs, ys = rng.random(80), rng.standard_normal(80)
         ty = TarresYao(competitor_rate(0.75))
-        last, _ = sgd_run(G1(xs), ys, ty, [80])
+        [(last, _)] = sgd_run(G1(xs), ys, [ty], [80])
         steps, shrinks = schedule(ty, 80)
         b = sgd_constant_grid(G1(xs), ys, steps, shrinks)[0]
         assert np.array_equal(last[0], np.cumprod(shrinks)[-1] * b)

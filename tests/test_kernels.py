@@ -5,8 +5,8 @@ import pytest
 
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
-from klms.kernels import (DoubledForm, _spline_w, eigen_check, gram_matrix, kernel_sup_sq,
-                          spline_kernel, spline_kernel_series)
+from klms.kernels import (DoubledForm, SplineGram, _spline_w, eigen_check, gram_matrix,
+                          kernel_sup_sq, spline_kernel, spline_kernel_series)
 
 
 def bernoulli_form(order, u):
@@ -151,6 +151,36 @@ class TestGram:
                 want = bernoulli_form(order, frac(xs[None, :] - xs[i:i + 500, None]))
                 worst = max(worst, float(np.abs(got[i:i + 500] - want).max()))
             assert worst <= 1e-12 * np.abs(got).max()
+
+
+class TestSplineGram:
+    @pytest.mark.parametrize("order", [1, 2, 4, 8])
+    def test_strips_are_gram_entries(self, order):
+        # every strip the recursion reads, over three time blocks and across
+        # the row blocks of the entry helper, bit for bit
+        xs = np.random.default_rng(order).uniform(-2.0, 3.0, 700)
+        dense = gram_matrix(order, xs)
+        lazy = SplineGram(order, xs)
+        assert lazy.shape == (700, 700)
+        assert np.array_equal(lazy[:, :], dense)
+        for s in range(0, 700, 128):
+            e = min(s + 128, 700)
+            assert np.array_equal(lazy[s:e, :e], dense[s:e, :e])
+
+    def test_indexing(self):
+        xs = np.random.default_rng(3).random(20)
+        dense, lazy = gram_matrix(2, xs), SplineGram(2, xs)
+        rows, cols = np.array([4, 0, 19]), np.array([7, 7])
+        assert np.array_equal(lazy[rows, cols], dense[np.ix_(rows, cols)])
+        assert np.array_equal(lazy[5, :], dense[5, :])
+        assert np.array_equal(lazy[:3, 9], dense[:3, 9])
+        assert lazy[2, 11].shape == () and lazy[2, 11] == dense[2, 11]
+        assert lazy[4:4, :].shape == (0, 20)
+
+    def test_order_validation(self):
+        for order in (0, 9):
+            with pytest.raises(ConfigurationError):
+                SplineGram(order, [0.1])
 
 
 class TestSectionInner:

@@ -144,7 +144,8 @@ class TestClosedFormAtProductionSize:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[2], n_max=3162, replicates=3)
         for ctx in _replicate_contexts(cfg):
-            _, averaged = sgd_run(ctx.gram, ctx.ys, _algorithm_spec(cfg, "ours"), [cfg.n_max])
+            [(_, averaged)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
+                                      [cfg.n_max])
             w = averaged[0]
             reference = long_double_quad(2 * m, ctx.xs, w)
             risk = float(reference - 2.0 * np.longdouble(w @ ctx.inner) + ctx.norm_sq)
@@ -214,7 +215,8 @@ class TestFourierOracle:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[point], n_max=3162, replicates=1)
         ctx = next(_replicate_contexts(cfg))
-        _, averaged = sgd_run(ctx.gram, ctx.ys, _algorithm_spec(cfg, "ours"), [cfg.n_max])
+        [(_, averaged)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
+                                  [cfg.n_max])
         w = averaged[0]
         assert len(w) == 3162
         assert ctx.excess_risk(w) == pytest.approx(
