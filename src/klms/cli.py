@@ -119,6 +119,8 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    if not np.isfinite(args.x):
+        raise ConfigurationError(f"x must be finite, got {args.x}")
     print(_fmt(bernoulli.bernoulli_poly(args.k, args.x)))
     return EXIT_OK
 

@@ -358,24 +358,22 @@ def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
 # batch ridge baseline and the finite-dimensional special case
 # ---------------------------------------------------------------------------
 
-def ridge_solve(gram: np.ndarray, ys, lam: float) -> np.ndarray:
+def ridge_solve(gram, ys, lam: float) -> np.ndarray:
     """The coefficients a of the regularized empirical risk minimizer, the
-    solution of (K + lam I) a = y with K = `gram` the dense (n, n) Gram
-    matrix of the n points whose responses are ys (`gram_matrix`; a lazy
-    `SplineGram` is refused with ConfigurationError).
+    solution of (K + lam I) a = y with K = ``gram[:, :]`` the (n, n) Gram
+    matrix of the n points whose responses are ys: a dense array or a lazy
+    `SplineGram`, as in `sgd_run`.
 
     With lam = 0 the Gram matrix must be numerically invertible; a singular
     or near-singular system raises numpy's LinAlgError.
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.shape[0]
-    if not isinstance(gram, np.ndarray) or gram.shape != (n, n):
-        raise ConfigurationError(f"the Gram matrix must be a dense ({n}, {n}) array "
-                                 f"(see kernels.gram_matrix), got {type(gram).__name__} "
-                                 f"of shape {np.shape(gram)}")
+    if np.shape(gram) != (n, n):
+        raise ConfigurationError(f"the Gram matrix must be ({n}, {n}), got {np.shape(gram)}")
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError("lam must be finite and non-negative")
-    mat = gram + lam * np.eye(n)
+    mat = gram[:, :] + lam * np.eye(n)
     coeffs = np.linalg.solve(mat, ys)
     resid = float(np.linalg.norm(mat @ coeffs - ys))
     if not np.isfinite(resid) or resid > 1e-6 * (1.0 + float(np.linalg.norm(ys))):

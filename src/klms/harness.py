@@ -125,23 +125,28 @@ _TYPE_NOUNS = {int: "an integer", float: "a number", str: "text"}
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read a flat ``key = value`` file with exactly the ExperimentConfig
-    field names; unknown and repeated keys are errors."""
+    field names; unknown and repeated keys are errors, and so is a path that
+    cannot be read as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeError) as err:
+        raise ConfigurationError(f"cannot read config {path}: {err}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
-            values[key] = _coerce_field(key, raw, path, lineno)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = _coerce_field(key, raw, path, lineno)
     return ExperimentConfig(**values)
 
 

@@ -19,19 +19,19 @@ symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
 (B_2 = 1/6 - w, B_4 = w^2 - 1/30), and w = |d|(1 - |d|) for the difference
 d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
-every kernel value in the package, Gram matrices included, is one Horner pass
-in w (`_spline_w`). Every Gram entry comes from `_gram_entries`, which fills
-row blocks of w that stay in cache. The runs read `SplineGram`, a lazy Gram
-matrix that stores only the points and computes the strips of rows the
-recursion asks for, so no run holds an (n, n) array; `gram_matrix` builds
-the same entries densely, for `ridge_solve` and the test oracles, and |d|
-makes it exactly symmetric.
+every kernel value in the package is one Horner pass in w (`_spline_w`).
+Outside `DoubledForm` it is read through `spline_kernel`, pointwise and
+broadcast over arrays, or `SplineGram`, the one Gram matrix, which stores
+only the points and computes the entries asked for in row blocks of w that
+stay in cache: the recursion reads one strip of rows at a time, so no run
+holds an (n, n) array, and ``gram[:, :]`` is the dense matrix, exactly
+symmetric as |d| is.
 
 The order-doubled Gram matrix D_ij = R_2m(x_i, x_j) of a stream is never
-built outside the tests, where `gram_matrix(2 * m, xs)` is the dense oracle:
-`DoubledForm` gives the quadratic form w'Dw exactly from per-bin moments of
-w, as R_2m is a polynomial in {s - t}, and dense blocks of the pairs inside
-one bin.
+built outside the tests, where `SplineGram(2 * m, xs)[:, :]` is the dense
+oracle: `DoubledForm` gives the quadratic form w'Dw exactly from per-bin
+moments of w, as R_2m is a polynomial in {s - t}, and dense blocks of the
+pairs inside one bin.
 """
 
 from __future__ import annotations
@@ -57,11 +57,9 @@ _BLOCK_ENTRIES = 1 << 16
 _ROW_BLOCK = 32
 
 
-def _check_order(m: int) -> None:
-    if m not in SUPPORTED_ORDERS:
-        raise ConfigurationError(
-            f"spline kernel order must be one of {SUPPORTED_ORDERS}, got {m!r}"
-        )
+def _check_order(m: int, orders=SUPPORTED_ORDERS) -> None:
+    if m not in orders:
+        raise ConfigurationError(f"spline kernel order must be one of {tuple(orders)}, got {m!r}")
 
 
 @lru_cache(maxsize=None)
@@ -114,13 +112,6 @@ def _circle_w(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _kernel_values(order: int, s, t):
-    """R_order(s, t), broadcast over s and t; a float for scalar arguments."""
-    d = np.asarray(frac(s) - frac(t))
-    out = _spline_w(order, _circle_w(d))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @lru_cache(maxsize=16)
 def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     """The (bins, L, L) blocks, L = 2 order + 1, of the far-field form of
@@ -150,52 +141,31 @@ def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     return blocks
 
 
-def _check_gram_order(order: int) -> None:
-    if order not in range(1, 2 * max(SUPPORTED_ORDERS) + 1):
-        raise ConfigurationError(
-            f"Gram matrix order must lie in 1..{2 * max(SUPPORTED_ORDERS)}, got {order!r}")
-
-
-def _gram_entries(order: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (len(rows), len(cols)) matrix R_order(rows[i], cols[j]) of points
-    already reduced by `frac`, filled block of rows by block of rows so that
-    each block of w stays in cache: the one source of Gram entries."""
-    out = np.empty((rows.shape[0], cols.shape[0]))
-    step = max(1, _BLOCK_ENTRIES // max(cols.shape[0], 1))
-    for i in range(0, rows.shape[0], step):
-        _spline_w(order, _circle_w(np.subtract.outer(rows[i:i + step], cols)),
-                  out=out[i:i + step])
-    return out
-
-
-def gram_matrix(order: int, xs) -> np.ndarray:
-    """The dense matrix R_order(x_i, x_j) of the points xs: the input of
-    `ridge_solve`, the dense oracle of `SplineGram` in the tests and, at
-    twice a supported order, of `DoubledForm`. Row gram[i, :i] equals
-    spline_kernel(order, xs[:i], xs[i]) bit for bit."""
-    _check_gram_order(order)
-    xs = frac(xs)
-    return _gram_entries(order, xs, xs)
-
-
 class SplineGram:
-    """The Gram matrix R_order(x_i, x_j) of the points xs, never stored:
-    ``gram[rows, cols]`` computes just those entries, bitwise the entries of
-    `gram_matrix(order, xs)`. The recursion reads it one strip of rows at a
-    time. Rows and columns are indexed independently (a slice, an integer
-    or an index array each, as with `np.ix_`), so ``gram[:, :]`` is the
-    whole matrix."""
+    """The Gram matrix R_order(x_i, x_j) of the points xs, order 1..8, never
+    stored: ``gram[rows, cols]`` computes just those entries. The recursion
+    reads it one strip of rows at a time. Rows and columns are indexed
+    independently (a slice, an integer or an index array each, as with
+    `np.ix_`), so ``gram[:, :]`` is the whole matrix. Row gram[i, :i]
+    equals spline_kernel(order, xs[:i], xs[i]) bit for bit."""
 
     def __init__(self, order: int, xs):
-        _check_gram_order(order)
+        _check_order(order, range(1, 2 * max(SUPPORTED_ORDERS) + 1))
         self.order = order
         self._xs = frac(np.asarray(xs, dtype=float))
         self.shape = (self._xs.shape[0], self._xs.shape[0])
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = (self._xs[k] for k in key)
-        out = _gram_entries(self.order, np.atleast_1d(rows), np.atleast_1d(cols))
-        return out.reshape(np.shape(rows) + np.shape(cols))
+        shape = np.shape(rows) + np.shape(cols)
+        rows, cols = np.atleast_1d(rows), np.atleast_1d(cols)
+        out = np.empty((rows.shape[0], cols.shape[0]))
+        # blocks of rows small enough that their w stays in cache
+        step = max(1, _BLOCK_ENTRIES // max(cols.shape[0], 1))
+        for i in range(0, rows.shape[0], step):
+            _spline_w(self.order, _circle_w(np.subtract.outer(rows[i:i + step], cols)),
+                      out=out[i:i + step])
+        return out.reshape(shape)
 
 
 class DoubledForm:
@@ -214,7 +184,7 @@ class DoubledForm:
 
     one (B L, B L) table, L = 4m + 1, of the blocks of `_far_field_blocks`.
     Pairs inside one bin read the dense entries of `_spline_w`, bitwise the
-    entries of `gram_matrix`, from per-bin blocks padded to the fullest
+    entries of `SplineGram`, from per-bin blocks padded to the fullest
     bin. Empty bins are dropped, the others are laid out in the order the
     stream first enters them, and a bin keeps its points in stream order,
     so a prefix of n' points fills the leading slots of the leading bins
@@ -246,11 +216,14 @@ class DoubledForm:
         # padding slots read x = 0; their weight is always 0
         x = np.append(xs, 0.0)[self._slots]
         d = x - (occupied[:, None] + 0.5) / bins
-        self._powers = d[:, None, :] ** np.arange(2 * order + 1)[:, None]
+        pq = np.arange(2 * order + 1)
+        self._powers = d[:, None, :] ** pq[:, None]
         self._near = _spline_w(order, _circle_w(x[:, :, None] - x[:, None, :]))
-        blocks = _far_field_blocks(order, bins)[(occupied[:, None] - occupied) % bins]
-        size = occupied.size * (2 * order + 1)
-        self._far = blocks.transpose(0, 2, 1, 3).reshape(size, size)
+        # gathered straight into its (bin, p, bin, q) layout, with no copy
+        shift = (occupied[:, None] - occupied) % bins
+        size = occupied.size * pq.size
+        self._far = _far_field_blocks(order, bins)[shift[:, None], pq[:, None]].reshape(
+            size, size)
 
     def quad(self, coeffs):
         """w'Dw for coefficients w on the first n' = w.shape[-1] points, or
@@ -290,9 +263,11 @@ class DoubledForm:
 
 
 def spline_kernel(m: int, s, t):
-    """Closed-form R_m(s, t)."""
+    """Closed-form R_m(s, t), broadcast over s and t; a float for scalar
+    arguments."""
     _check_order(m)
-    return _kernel_values(m, s, t)
+    out = _spline_w(m, _circle_w(np.asarray(frac(s) - frac(t))))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def spline_kernel_series(m: int, s, t, J: int):
@@ -325,7 +300,7 @@ def eigen_check(m: int, i: int, s: float, quad_points: int, sine: bool = False):
     ts = np.linspace(0.0, 1.0, quad_points + 1)
     trig = np.sin if sine else np.cos
     phi = _SQRT2 * trig(2.0 * np.pi * i * ts)
-    vals = _kernel_values(m, s, ts) * phi
+    vals = spline_kernel(m, s, ts) * phi
     lhs = float(np.trapezoid(vals, ts))
     rhs = (2.0 * np.pi * i) ** (-2 * m) * _SQRT2 * float(trig(2.0 * np.pi * i * s))
     return lhs, rhs

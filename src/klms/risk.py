@@ -22,9 +22,9 @@ frequencies 1..J through the sqrt(J) phase tables of
 `bernoulli._phase_tables` (j = qB + r, B = isqrt(J): one matrix product
 instead of J x n cosines and sines) and adds the target's tail beyond its
 last frequency through `bernoulli.zeta_tail`, so this module imports no
-scipy. The quadrature evaluator reads the kernel in column blocks of the
-grid, as `kernels` builds Gram matrices. An expansion without centers is
-the zero function in all three evaluators, with no special case.
+scipy. The quadrature evaluator reads the kernel through
+`kernels.spline_kernel` in column blocks of the grid. An expansion without
+centers is the zero function in all three evaluators, with no special case.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .bernoulli import _phase_tables, bernoulli_poly, bernoulli_poly_coeffs, frac, zeta_tail
 from .errors import ConfigurationError
-from .kernels import _BLOCK_ENTRIES, DoubledForm, _check_order, _circle_w, _spline_w
+from .kernels import _BLOCK_ENTRIES, DoubledForm, _check_order, spline_kernel
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -137,20 +137,19 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     The grid has grid_size subintervals. The target is evaluated as a plain
     polynomial on [0, 1] (not periodized), so the endpoint jump of the k = 1
     target is integrated correctly; the expansion itself is periodic. The
-    expansion is evaluated over blocks of grid nodes, as `kernels` builds
-    Gram matrices, so no centers x grid array is held.
+    expansion is evaluated through `spline_kernel` over blocks of grid
+    nodes, so no centers x grid array is held.
     """
     _check_order(m)
     if grid_size < 1000:
         raise ConfigurationError("grid_size must be at least 1000")
     ts = np.linspace(0.0, 1.0, grid_size + 1)
-    centers, nodes = frac(expansion.centers), frac(ts)
+    centers = expansion.centers[:, None]
     # the kernel matrix R_m(x_i, t) in column blocks of about _BLOCK_ENTRIES
     cols = max(1, _BLOCK_ENTRIES // max(centers.shape[0], 1))
     vals = np.empty_like(ts)
     for j in range(0, ts.shape[0], cols):
-        w = _circle_w(np.subtract.outer(centers, nodes[j:j + cols]))
-        vals[j:j + cols] = expansion.coeffs @ _spline_w(m, w)
+        vals[j:j + cols] = expansion.coeffs @ spline_kernel(m, centers, ts[j:j + cols])
     diff = vals - bernoulli_poly(k, ts)
     return float(np.trapezoid(diff * diff, ts))
 

@@ -15,7 +15,7 @@ from klms.estimator import (FiniteHorizon, KernelExpansion, averaged_coefficient
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _make_context,
                           bound_check, compare_algorithms, default_gamma_grid, fit_rate,
                           gamma_sweep, replicate_seed, sample_stream)
-from klms.kernels import eigen_check, gram_matrix, spline_kernel, spline_kernel_series
+from klms.kernels import SplineGram, eigen_check, spline_kernel, spline_kernel_series
 from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc)
 from klms.theory import step_exponent
@@ -189,8 +189,8 @@ def test_c10_ridge_baseline():
         xs = rng.random(200)
         ys = bernoulli_poly(2, xs) + 0.1 * rng.standard_normal(200)
         lam = 10.0 ** rng.uniform(-4, 0)
-        coeffs = ridge_solve(gram_matrix(1, xs), ys, lam)
-        mat = gram_matrix(1, xs) + lam * np.eye(200)
+        coeffs = ridge_solve(SplineGram(1, xs)[:, :], ys, lam)
+        mat = SplineGram(1, xs)[:, :] + lam * np.eye(200)
         worst_resid = max(worst_resid, float(np.linalg.norm(mat @ coeffs - ys)))
 
     # (b) matched regularization: lambda = 1/(gamma n) in the 1/n-normalized
@@ -205,7 +205,7 @@ def test_c10_ridge_baseline():
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
         ctx = _make_context(1, 2, xs, ys)
-        ridge_risks.append(ctx.excess_risk(ridge_solve(gram_matrix(1, xs), ys, n * lam)))
+        ridge_risks.append(ctx.excess_risk(ridge_solve(SplineGram(1, xs)[:, :], ys, n * lam)))
         [(_, averaged)] = sgd_run(ctx.gram, ys, [FiniteHorizon(gamma)], [n])
         sgd_risks.append(ctx.excess_risk(averaged[0]))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))

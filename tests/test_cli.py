@@ -61,6 +61,13 @@ def test_bernoulli_bad_degree_is_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+def test_bernoulli_non_finite_x_exits_2(capsys, x):
+    assert main(["bernoulli", "--k", "2", f"--x={x}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
 def test_linalg_error_is_not_a_config_error(monkeypatch):
     # LinAlgError subclasses ValueError; only ConfigurationError exits 2
     def singular(*args, **kwargs):
@@ -86,6 +93,20 @@ def test_simulate_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("horizon = 60\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "gamma-sweep"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"n_max = 60\n\xff\xfe\n")
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"configuration error: cannot read config {path}" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_divergence_exits_3(tmp_path, capsys):

@@ -12,10 +12,15 @@ from klms.estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
                             averaged_coefficients, finite_dim_sgd, first_divergence,
                             prefix_iterate, ridge_solve, schedule, sgd_constant_grid, sgd_run)
 from klms.harness import default_gamma_grid
-from klms.kernels import SplineGram, gram_matrix, kernel_sup_sq, spline_kernel
+from klms.kernels import SplineGram, kernel_sup_sq, spline_kernel
 from klms.theory import competitor_rate
 
-G1 = partial(gram_matrix, 1)
+
+def G1(xs):
+    # dense: test_gram_must_cover_the_run indexes a row of it
+    return SplineGram(1, xs)[:, :]
+
+
 # the same kernel as a function of two points, for the naive oracles
 R1 = partial(spline_kernel, 1)
 
@@ -166,7 +171,7 @@ class TestRecursion:
         rng = np.random.default_rng(16)
         xs, ys = rng.random(300), rng.standard_normal(300)
         cps = [50, 120, 300]
-        gram = gram_matrix(2, xs)
+        gram = SplineGram(2, xs)[:, :]
         rows = sgd_constant_grid(gram, ys, np.full(len(cps), 0.3))
         ran = []
 
@@ -332,15 +337,16 @@ class TestRidge:
         rng = np.random.default_rng(2)
         xs, ys = rng.random(10), rng.standard_normal(10)
         for gram in (G1(xs[:9]), G1(np.append(xs, 0.5)), G1(xs)[:, :9],
-                     G1(xs)[0]):
+                     G1(xs)[0], SplineGram(1, xs[:9]), SplineGram(1, np.append(xs, 0.5))):
             with pytest.raises(ConfigurationError, match="Gram matrix"):
                 ridge_solve(gram, ys, 0.1)
 
-    def test_lazy_gram_rejected(self):
-        # ridge reads the whole matrix: it takes the dense gram_matrix only
-        xs = np.random.default_rng(4).random(10)
-        with pytest.raises(ConfigurationError, match="dense"):
-            ridge_solve(SplineGram(1, xs), np.ones(10), 0.1)
+    def test_lazy_gram_solves_as_dense(self):
+        # ridge takes the Gram argument of sgd_run, lazy or dense
+        rng = np.random.default_rng(4)
+        xs, ys = rng.random(10), rng.standard_normal(10)
+        assert np.array_equal(ridge_solve(SplineGram(2, xs), ys, 0.1),
+                              ridge_solve(SplineGram(2, xs)[:, :], ys, 0.1))
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
@@ -408,7 +414,7 @@ def production(request):
     m = request.param
     rng = np.random.default_rng(20 + m)
     xs, ys = rng.random(3162), rng.standard_normal(3162)
-    return m, xs, ys, gram_matrix(m, xs)
+    return m, xs, ys, SplineGram(m, xs)[:, :]
 
 
 class TestBlockedSolver:
@@ -472,7 +478,7 @@ class TestStreamedGram:
     def stream(self):
         rng = np.random.default_rng(18)
         xs, ys = rng.random(300), rng.standard_normal(300)
-        return xs, ys, gram_matrix(2, xs)
+        return xs, ys, SplineGram(2, xs)[:, :]
 
     def test_upper_triangle_is_never_read(self, stream):
         xs, ys, gram = stream
@@ -509,7 +515,7 @@ class TestMergedSchedules:
         # norm)
         rng = np.random.default_rng(19)
         xs, ys = rng.random(400), rng.standard_normal(400)
-        gram = gram_matrix(1, xs)
+        gram = SplineGram(1, xs)[:, :]
         schedules = [FiniteHorizon(6.0, -0.5), Online(3.0, -0.5),
                      TarresYao(competitor_rate(0.75)), FiniteHorizon(4.0)]
         for cps in ([5, 60, 128], [5, 60, 400]):
@@ -570,7 +576,7 @@ class TestTriangularOracle:
     def test_rows_solve_the_triangular_system(self, n, kind, m, seed):
         rng = np.random.default_rng(seed)
         xs, ys = rng.random(n), rng.standard_normal(n)
-        gram = gram_matrix(m, xs)
+        gram = SplineGram(m, xs)[:, :]
         shrinks = None
         if kind == "constant":
             # several constant rows in one pass, stable up to gamma R^2 = 1

@@ -16,7 +16,7 @@ from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
-from klms.kernels import gram_matrix
+from klms.kernels import SplineGram
 from klms.theory import SETTINGS, step_exponent
 
 
@@ -47,7 +47,7 @@ class TestSampleStream:
         for rep, ctx in enumerate(contexts):
             xs, ys = sample_stream(replicate_seed(4, rep, cfg.stream_digest()), 3, 0.2, 30)
             assert np.array_equal(ctx.xs, xs) and np.array_equal(ctx.ys, ys)
-            assert np.array_equal(ctx.gram[:, :], gram_matrix(2, xs))
+            assert np.array_equal(ctx.gram[:, :], SplineGram(2, xs)[:, :])
 
 
 class TestConfig:
@@ -271,7 +271,7 @@ class TestRunReplicates:
         want = None
         for horizon in cps:
             gamma = gamma0 * horizon**expo
-            gram = gram_matrix(cfg.kernel_order_m, ctx.xs[:horizon])
+            gram = SplineGram(cfg.kernel_order_m, ctx.xs[:horizon])[:, :]
             system = np.eye(horizon) + gamma * np.tril(gram, -1)
             coeffs = solve_triangular(system, gamma * ctx.ys[:horizon], lower=True)
             bad = ~(np.abs(coeffs) <= DIVERGENCE_LIMIT)
@@ -351,7 +351,7 @@ class TestGammaSweep:
             assert 1 <= step <= 5
             # the smaller step diverges last; its coefficients solve
             # (I + gamma tril(K, -1)) a = gamma y
-            gram = gram_matrix(cfg.kernel_order_m, ctx.xs[:step])
+            gram = SplineGram(cfg.kernel_order_m, ctx.xs[:step])[:, :]
             system = np.eye(step) + 1e5 * np.tril(gram, -1)
             coeffs = solve_triangular(system, 1e5 * ctx.ys[:step], lower=True)
             assert np.all(np.abs(coeffs[:-1]) <= DIVERGENCE_LIMIT)
@@ -499,8 +499,9 @@ class TestNoDenseGram:
     """No run holds an (n, n) array: the recursion computes its Gram strips
     on demand. At n = 4000 one n x n float64 array is 128 MB; the peak of
     everything numpy and Python allocate during a run must stay below a
-    quarter of it (measured on x86-64: at most 26.7 MB, the binned form's
-    far-field table being the largest part)."""
+    quarter of it (measured on x86-64 with numpy 2.4: at most 27.3 MB, at
+    point 4, the binned form's 12.8 MB far-field table being the largest
+    part)."""
 
     N = 4000
     LIMIT = N * N * 8 // 4

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
-from klms.kernels import (DoubledForm, SplineGram, _spline_w, eigen_check, gram_matrix,
-                          kernel_sup_sq, spline_kernel, spline_kernel_series)
+from klms.kernels import (DoubledForm, SplineGram, _spline_w, eigen_check, kernel_sup_sq,
+                          spline_kernel, spline_kernel_series)
 
 
 def bernoulli_form(order, u):
@@ -42,10 +43,6 @@ class TestClosedForm:
     def test_unsupported_order(self):
         with pytest.raises(ConfigurationError):
             spline_kernel(5, 0.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            gram_matrix(0, [0.1])
-        with pytest.raises(ConfigurationError):
-            gram_matrix(9, [0.1])
 
     def test_sup_sq(self):
         assert kernel_sup_sq(1) == pytest.approx(1 / 12)
@@ -108,19 +105,19 @@ class TestZeroMean:
 
 class TestGram:
     def test_single_point(self):
-        g = gram_matrix(1, [0.3])
+        g = SplineGram(1, [0.3])[:, :]
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1 / 12)
 
     def test_duplicate_points_singular(self):
-        g = gram_matrix(1, [0.3, 0.3])
+        g = SplineGram(1, [0.3, 0.3])[:, :]
         assert abs(np.linalg.det(g)) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_positive_semidefinite(self, m):
         rng = np.random.default_rng(42)
         xs = rng.random(50)
-        g = gram_matrix(m, xs)
+        g = SplineGram(m, xs)[:, :]
         eigs = np.linalg.eigvalsh(g)
         assert eigs.min() >= -1e-10
         assert eigs.min() >= -1e-9 * np.trace(g)
@@ -130,13 +127,13 @@ class TestGram:
         # the recursion reads row i of the Gram matrix as the kernel column
         # of x_i against the earlier points, bit for bit
         xs = np.random.default_rng(m).random(40)
-        g = gram_matrix(m, xs)
+        g = SplineGram(m, xs)[:, :]
         for i in range(1, 40):
             assert np.array_equal(g[i, :i], spline_kernel(m, xs[:i], xs[i]))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_exactly_symmetric(self, m):
-        g = gram_matrix(m, np.random.default_rng(m).random(300))
+        g = SplineGram(m, np.random.default_rng(m).random(300))[:, :]
         assert np.array_equal(g, g.T)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -145,7 +142,7 @@ class TestGram:
         # polynomial in u = {x_j - x_i}, built in row blocks to bound memory
         xs = np.random.default_rng(10 + m).random(3162)
         for order in (m, 2 * m):
-            got = gram_matrix(order, xs)
+            got = SplineGram(order, xs)[:, :]
             worst = 0.0
             for i in range(0, xs.size, 500):
                 want = bernoulli_form(order, frac(xs[None, :] - xs[i:i + 500, None]))
@@ -156,20 +153,21 @@ class TestGram:
 class TestSplineGram:
     @pytest.mark.parametrize("order", [1, 2, 4, 8])
     def test_strips_are_gram_entries(self, order):
-        # every strip the recursion reads, over three time blocks and across
-        # the row blocks of the entry helper, bit for bit
+        # every strip the recursion reads, over six time blocks, holds bit
+        # for bit the entries of the whole matrix, though a narrower strip
+        # fills more rows per row block
         xs = np.random.default_rng(order).uniform(-2.0, 3.0, 700)
-        dense = gram_matrix(order, xs)
         lazy = SplineGram(order, xs)
-        assert lazy.shape == (700, 700)
-        assert np.array_equal(lazy[:, :], dense)
+        dense = lazy[:, :]
+        assert lazy.shape == dense.shape == (700, 700)
         for s in range(0, 700, 128):
             e = min(s + 128, 700)
             assert np.array_equal(lazy[s:e, :e], dense[s:e, :e])
 
     def test_indexing(self):
         xs = np.random.default_rng(3).random(20)
-        dense, lazy = gram_matrix(2, xs), SplineGram(2, xs)
+        lazy = SplineGram(2, xs)
+        dense = lazy[:, :]
         rows, cols = np.array([4, 0, 19]), np.array([7, 7])
         assert np.array_equal(lazy[rows, cols], dense[np.ix_(rows, cols)])
         assert np.array_equal(lazy[5, :], dense[5, :])
@@ -195,14 +193,14 @@ class TestSectionInner:
                 x, y = rng.random(2)
                 inner_fourier = float(np.sum(
                     2.0 * lam**2 * np.cos(2.0 * np.pi * j * (x - y))))
-                doubled = gram_matrix(2 * m, np.array([x, y]))[0, 1]
+                doubled = SplineGram(2 * m, np.array([x, y]))[0, 1]
                 assert doubled == pytest.approx(inner_fourier, abs=1e-8)
 
     def test_matches_doubled_gram(self):
         # order doubling: the section Gram of the order-2 kernel is the
         # order-4 kernel at every pair of points
         xs = np.array([0.1, 0.4, 0.9])
-        g2 = gram_matrix(2 * 2, xs)
+        g2 = SplineGram(2 * 2, xs)[:, :]
         assert np.allclose(g2, spline_kernel(4, xs[:, None], xs[None, :]), rtol=0, atol=1e-16)
 
 
@@ -226,11 +224,25 @@ class TestDoubledForm:
     # order (measured at most 3.5e-16 over these cases)
     RTOL = 1e-14
 
+    def test_table_is_built_in_place(self):
+        # the far-field table is gathered straight into its (bin, p, bin, q)
+        # layout, with no second copy: at n = 4000 (m = 2, a 12.8 MB table)
+        # building the form peaks within 1.2x of what the form keeps
+        xs = np.random.default_rng(0).random(4000)
+        DoubledForm(2, xs)
+        tracemalloc.start()
+        try:
+            form = DoubledForm(2, xs)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert form.n == 4000 and peak < 1.2 * retained
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 3162])
     def test_matches_dense_form(self, m, n):
         xs = edge_stream(n, 100 * m + n)
-        dense = gram_matrix(2 * m, xs)
+        dense = SplineGram(2 * m, xs)[:, :]
         form = DoubledForm(m, xs)
         w = np.random.default_rng(n).standard_normal((4, n))
         # whole stream, prefixes of it, and the empty prefix

@@ -8,7 +8,7 @@ from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, default_gamma_grid)
-from klms.kernels import DoubledForm, _w_coeffs_exact, gram_matrix
+from klms.kernels import DoubledForm, SplineGram, _w_coeffs_exact
 from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
@@ -150,7 +150,7 @@ class TestClosedFormAtProductionSize:
             reference = long_double_quad(2 * m, ctx.xs, w)
             risk = float(reference - 2.0 * np.longdouble(w @ ctx.inner) + ctx.norm_sq)
             binned = ctx.form.quad(w)
-            dense = w @ gram_matrix(2 * m, ctx.xs) @ w
+            dense = w @ SplineGram(2 * m, ctx.xs)[:, :] @ w
             assert abs(float(binned - reference)) <= 1e-10 * risk
             assert abs(float(dense - reference)) <= 1e-10 * risk
 
