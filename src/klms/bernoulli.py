@@ -19,7 +19,9 @@ Every truncated Fourier sum over frequencies 1..J in the package (this
 series and the Fourier risk oracle in `risk`) factors its phases through
 `_phase_tables`: with B = isqrt(J), j = qB + r splits e^{2 pi i j x} into
 e^{2 pi i qB x} e^{2 pi i r x}, so about 2 sqrt(J) complex exponentials per
-point and one matrix product replace J cosines per point.
+point and one matrix product replace J cosines per point. Their weights
+(2 pi j)^{-k} come from one cached array of 1 / (2 pi j), kept for the last
+J only, by `_inverse_powers`, with no float pow over the J frequencies.
 """
 
 from __future__ import annotations
@@ -100,6 +102,38 @@ def zeta_tail(s: float, J: int) -> float:
     return (2.0 * np.pi) ** (-s) * float(zeta(s, J + 1))
 
 
+def _table_shape(J: int) -> tuple[int, int]:
+    """(Q, B) of the phase tables for the frequencies 0..J: B = isqrt(J),
+    Q = J // B + 1."""
+    b = math.isqrt(J)
+    return J // b + 1, b
+
+
+@lru_cache(maxsize=1)
+def _inverse_frequencies(J: int) -> np.ndarray:
+    """1 / (2 pi j) at index j = 1..J of a read-only array laid out as the
+    (Q, B) frequencies j = qB + r of `_phase_tables`, zero at j = 0 and past
+    J. Only the last J's array is kept, whatever the powers asked of it."""
+    q, b = _table_shape(J)
+    inv = np.zeros(q * b)
+    inv[1:J + 1] = 1.0 / (2.0 * np.pi * np.arange(1, J + 1, dtype=float))
+    inv.setflags(write=False)
+    return inv
+
+
+def _inverse_powers(k: int, J: int) -> np.ndarray:
+    """(2 pi j)^{-k}, k >= 1, in the layout of `_inverse_frequencies(J)`:
+    squared and multiplied along the bits of k, at most 2 log2 k array
+    products, a fraction of the cost of one float pow over the array."""
+    inv = _inverse_frequencies(J)
+    out = inv.copy()
+    for bit in bin(k)[3:]:
+        out *= out
+        if bit == "1":
+            out *= inv
+    return out
+
+
 def _phase_tables(x: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase tables (U, V) of the 1-D points x for the frequencies 0..J.
 
@@ -110,8 +144,7 @@ def _phase_tables(x: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
     laid out as a (Q, B) array is then a matrix product with V followed by
     a sum against U.
     """
-    b = math.isqrt(J)
-    q = J // b + 1
+    q, b = _table_shape(J)
     u = np.exp(2j * np.pi * np.multiply.outer(x, np.arange(q) * float(b)))
     v = np.exp(2j * np.pi * np.multiply.outer(x, np.arange(b, dtype=float)))
     return u, v
@@ -144,11 +177,9 @@ def bernoulli_fourier_eval(k: int, x, J: int):
     n = u.size
     phase_q, phase_r = _phase_tables(u.ravel(), J)
     q, b = phase_q.shape[1], phase_r.shape[1]
-    weights = np.zeros(q * b)
-    weights[1:J + 1] = (2.0 * np.pi * np.arange(1, J + 1, dtype=float)) ** -k
     # one (Q, B) @ (B, 2) product per point, on the real and imaginary parts
     # of its row of V, so a point's sum does not depend on the others
-    partial = weights.reshape(q, b) @ phase_r.view(float).reshape(n, b, 2)
+    partial = _inverse_powers(k, J).reshape(q, b) @ phase_r.view(float).reshape(n, b, 2)
     sums = np.sum(phase_q * partial.view(complex).reshape(n, q), axis=1).reshape(u.shape)
     # Re(e^{-i k pi / 2} S), exactly
     rotated = (sums.real, sums.imag, -sums.real, -sums.imag)[k % 4]

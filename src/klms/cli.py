@@ -119,9 +119,12 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    if not np.isfinite(args.x):
-        raise ConfigurationError(f"x must be finite, got {args.x}")
-    print(_fmt(bernoulli.bernoulli_poly(args.k, args.x)))
+    # a non-finite x, or a large one that overflows, gives a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = bernoulli.bernoulli_poly(args.k, args.x)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"B_{args.k}(x) is not finite in float64 at x = {args.x}")
+    print(_fmt(value))
     return EXIT_OK
 
 
@@ -177,8 +180,23 @@ def _check_risk_oracles() -> tuple[bool, str]:
         closed = risk.excess_risk_closed(exp, m, k)
         worst_f = max(worst_f, abs(closed - risk.excess_risk_fourier(exp, m, k, 10**5)))
         worst_q = max(worst_q, abs(closed - risk.excess_risk_mc(exp, m, k, 10**5)))
-    ok = worst_f <= 1e-8 and worst_q <= 1e-5
-    return ok, f"fourier gap {worst_f:.2e}, quadrature gap {worst_q:.2e}"
+    # a production-size expansion: ours' averaged iterate on replicate 0 of
+    # point 2 at n = 3162, against the closed form the harness reports
+    m, k = harness.TABLE_POINTS[2]
+    cfg = harness.ExperimentConfig(kernel_order_m=m, target_index_k=k,
+                                   noise_sigma=harness.POINT_NOISE[2], n_max=3162, replicates=1)
+    ctx = next(harness._replicate_contexts(cfg))
+    [result] = sgd_run(ctx.gram, ctx.ys, [harness._algorithm_spec(cfg, "ours")], [cfg.n_max])
+    if isinstance(result, DivergenceError):
+        raise result
+    _, averaged = result
+    exp = KernelExpansion(ctx.xs, averaged[0])
+    closed = float(ctx.excess_risk(averaged[0]))
+    rel_f = abs(risk.excess_risk_fourier(exp, m, k, 2000) / closed - 1.0)
+    rel_q = abs(risk.excess_risk_mc(exp, m, k, 10**5) / closed - 1.0)
+    ok = worst_f <= 1e-8 and worst_q <= 1e-5 and rel_f <= 1e-8 and rel_q <= 1e-6
+    return ok, (f"fourier gap {worst_f:.2e}, quadrature gap {worst_q:.2e}; "
+                f"n = {cfg.n_max} relative gaps {rel_f:.2e}, {rel_q:.2e}")
 
 
 def _check_averaging() -> tuple[bool, str]:

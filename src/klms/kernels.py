@@ -27,6 +27,18 @@ stay in cache: the recursion reads one strip of rows at a time, so no run
 holds an (n, n) array, and ``gram[:, :]`` is the dense matrix, exactly
 symmetric as |d| is.
 
+An expansion f = sum_j c_j R_m(x_j, .) needs no kernel values at all on a
+grid: with the centers sorted in [0, 1), frac(t - x_j) is t - x_j for
+x_j <= t and t - x_j + 1 otherwise, so between two consecutive centers
+
+    f(t) = sum_b t^b (sum_{x_j <= t} c_j Q_b(-x_j) + sum_{x_j > t} c_j Q_b(1 - x_j)),
+
+Q_b = P^(b) / b! the Taylor coefficients of P, one polynomial of degree 2m
+whose coefficients are a prefix and a suffix sum over the centers (periodic
+splines are piecewise polynomials, Wahba 1990; sorted by x, the kernel
+matrix is semiseparable). `_spline_sum` evaluates it, in powers of t - 1/2,
+for the quadrature risk oracle in O(n log n + grid m) work.
+
 The order-doubled Gram matrix D_ij = R_2m(x_i, x_j) of a stream is never
 built outside the tests, where `SplineGram(2 * m, xs)[:, :]` is the dense
 oracle: `DoubledForm` gives the quadratic form w'Dw exactly from per-bin
@@ -112,25 +124,73 @@ def _circle_w(d: np.ndarray) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
+def _taylor_coeffs(order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact ascending coefficients of Q_b = P^(b) / b!, b = 0..2 order, P the
+    polynomial of `_spline_poly(order)`: Taylor's formula, exact for a
+    polynomial, reads P(y + t) = sum_b Q_b(y) t^b."""
+    poly = _spline_poly(order)
+    deg = 2 * order
+    return tuple(tuple(poly[b + r] * math.comb(b + r, b) for r in range(deg + 1 - b))
+                 for b in range(deg + 1))
+
+
+def _spline_sum(order: int, centers, coeffs, ts: np.ndarray) -> np.ndarray:
+    """f(t) = sum_j coeffs_j R_order(centers_j, t) at the ascending points ts
+    in [0, 1], exactly, from the piecewise-polynomial form of f in the
+    module docstring: no centers x ts array is built, and the work is
+    O(n log n + len(ts) order).
+
+    The polynomials are taken in powers of s = t - 1/2, and the wrapped
+    terms through P(u) = P(1 - u), so on the interval after the i-th sorted
+    center the coefficient of s^b is
+
+        sum_{j < i} c_j Q_b(1/2 - x_j) + (-1)^b sum_{j >= i} c_j Q_b(x_j - 1/2),
+
+    Q_b of `_taylor_coeffs`: every argument of Q_b and every s stays within
+    1/2 (against 1 to 3/2 in powers of t), which keeps the cancellation
+    between the terms near rounding. A node equal to a center lies in the
+    interval after it, the frac(0) = 0 branch of `spline_kernel`. The
+    coefficients are built one power of s at a time, repeated over the run
+    of nodes in each interval and folded into Horner's rule, so memory
+    stays O(n + len(ts)).
+    """
+    xs = frac(np.asarray(centers, dtype=float))
+    perm = np.argsort(xs, kind="stable")
+    xs, c = xs[perm], np.asarray(coeffs, dtype=float)[perm]
+    n = xs.shape[0]
+    # nodes per interval: interval i starts at the first node >= the i-th center
+    counts = np.diff(np.searchsorted(ts, xs), prepend=0, append=ts.shape[0])
+    s = ts - 0.5
+    out = np.zeros(s.shape)
+    column = np.empty(n + 1)
+    for b, taylor in reversed(list(enumerate(_taylor_coeffs(order)))):
+        q = [float(a) for a in taylor]
+        column[0] = 0.0
+        np.cumsum(c * np.polynomial.polynomial.polyval(0.5 - xs, q), out=column[1:])
+        suffix = c * np.polynomial.polynomial.polyval(xs - 0.5, q)
+        column[:n] += (-1) ** b * np.cumsum(suffix[::-1])[::-1]
+        out *= s
+        out += np.repeat(column, counts)
+    return out
+
+
 @lru_cache(maxsize=16)
 def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     """The (bins, L, L) blocks, L = 2 order + 1, of the far-field form of
-    `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) at
-    (p, q), P the polynomial of `_spline_poly(order)`, and block 0 is zero.
-    s / bins = frac(c_b' - c_b) for two bins s apart is exact, so every
-    entry is computed in rational arithmetic and rounded once."""
+    `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) =
+    Q_{p+q}(s / bins) (-1)^q C(p + q, q) at (p, q), Q of `_taylor_coeffs`,
+    and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart is
+    exact, so every entry is computed in rational arithmetic and rounded
+    once."""
     deg = 2 * order
-    poly = _spline_poly(order)
-    # ascending coefficients of P^(s), s = 0..deg
-    derivs = [[poly[k + s] * math.perm(k + s, s) for k in range(deg + 1 - s)]
-              for s in range(deg + 1)]
-    weights = [[Fraction((-1) ** q, math.factorial(p) * math.factorial(q))
-                for q in range(deg + 1 - p)] for p in range(deg + 1)]
+    weights = [[(-1) ** q * math.comb(p + q, q) for q in range(deg + 1 - p)]
+               for p in range(deg + 1)]
     blocks = np.zeros((bins, deg + 1, deg + 1))
     for shift in range(1, bins):
         u = Fraction(shift, bins)
         at = []
-        for coeffs in derivs:
+        for coeffs in _taylor_coeffs(order):
             value = Fraction(0)
             for c in reversed(coeffs):
                 value = value * u + c

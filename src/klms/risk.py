@@ -22,9 +22,12 @@ frequencies 1..J through the sqrt(J) phase tables of
 `bernoulli._phase_tables` (j = qB + r, B = isqrt(J): one matrix product
 instead of J x n cosines and sines) and adds the target's tail beyond its
 last frequency through `bernoulli.zeta_tail`, so this module imports no
-scipy. The quadrature evaluator reads the kernel through
-`kernels.spline_kernel` in column blocks of the grid. An expansion without
-centers is the zero function in all three evaluators, with no special case.
+scipy. The quadrature evaluator builds no kernel matrix: between two
+consecutive sorted centers the expansion is one polynomial of degree 2m,
+so `kernels._spline_sum` gives it exactly on the whole trapezoid grid from
+prefix and suffix sums over the centers, O(n log n + grid m) work in
+O(n + grid) memory. An expansion without centers is the zero function in
+all three evaluators, with no special case.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import _phase_tables, bernoulli_poly, bernoulli_poly_coeffs, frac, zeta_tail
+from .bernoulli import (_inverse_powers, _phase_tables, bernoulli_poly, bernoulli_poly_coeffs,
+                        frac, zeta_tail)
 from .errors import ConfigurationError
-from .kernels import _BLOCK_ENTRIES, DoubledForm, _check_order, spline_kernel
+from .kernels import DoubledForm, _check_order, _spline_sum
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -114,15 +118,14 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int,
     _check_order(m)
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
-    freqs = np.arange(1, J + 1, dtype=float)
-    omega = 2.0 * np.pi * freqs
     kfac = float(math.factorial(k))
-    t_cos = -_SQRT2 * kfac * math.cos(k * np.pi / 2.0) / omega**k
-    t_sin = -_SQRT2 * kfac * math.sin(k * np.pi / 2.0) / omega**k
+    target = _inverse_powers(k, J)[1:J + 1]
+    t_cos = (-_SQRT2 * kfac * math.cos(k * np.pi / 2.0)) * target
+    t_sin = (-_SQRT2 * kfac * math.sin(k * np.pi / 2.0)) * target
     # S_j = sum_i w_i e^{2 pi i j x_i} for j = 0..QB-1, one (Q, B) product
     phase_q, phase_r = _phase_tables(expansion.centers, J)
     sums = ((phase_q * expansion.coeffs[:, None]).T @ phase_r).ravel()[1:J + 1]
-    sect = omega ** (-2.0 * m)
+    sect = _inverse_powers(2 * m, J)[1:J + 1]
     a = _SQRT2 * sect * sums.real
     b = _SQRT2 * sect * sums.imag
     total = float(np.sum((a - t_cos) ** 2 + (b - t_sin) ** 2))
@@ -137,20 +140,15 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     The grid has grid_size subintervals. The target is evaluated as a plain
     polynomial on [0, 1] (not periodized), so the endpoint jump of the k = 1
     target is integrated correctly; the expansion itself is periodic. The
-    expansion is evaluated through `spline_kernel` over blocks of grid
-    nodes, so no centers x grid array is held.
+    expansion is evaluated on the grid as a piecewise polynomial by
+    `kernels._spline_sum`, with no centers x grid kernel values.
     """
     _check_order(m)
     if grid_size < 1000:
         raise ConfigurationError("grid_size must be at least 1000")
     ts = np.linspace(0.0, 1.0, grid_size + 1)
-    centers = expansion.centers[:, None]
-    # the kernel matrix R_m(x_i, t) in column blocks of about _BLOCK_ENTRIES
-    cols = max(1, _BLOCK_ENTRIES // max(centers.shape[0], 1))
-    vals = np.empty_like(ts)
-    for j in range(0, ts.shape[0], cols):
-        vals[j:j + cols] = expansion.coeffs @ spline_kernel(m, centers, ts[j:j + cols])
-    diff = vals - bernoulli_poly(k, ts)
+    diff = _spline_sum(m, expansion.centers, expansion.coeffs, ts)
+    diff -= bernoulli_poly(k, ts)
     return float(np.trapezoid(diff * diff, ts))
 
 

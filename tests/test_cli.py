@@ -68,6 +68,14 @@ def test_bernoulli_non_finite_x_exits_2(capsys, x):
     assert "configuration error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("k, x", [("2", "1e308"), ("16", "1e30")])
+def test_bernoulli_overflow_exits_2(capsys, k, x):
+    # a finite x whose B_k overflows float64 is refused, with no warning
+    assert main(["bernoulli", "--k", k, "--x", x]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
 def test_linalg_error_is_not_a_config_error(monkeypatch):
     # LinAlgError subclasses ValueError; only ConfigurationError exits 2
     def singular(*args, **kwargs):

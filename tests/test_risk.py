@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from klms.bernoulli import zeta_tail
+from klms.bernoulli import bernoulli_poly, zeta_tail
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, default_gamma_grid)
-from klms.kernels import DoubledForm, SplineGram, _w_coeffs_exact
+from klms.kernels import DoubledForm, SplineGram, _spline_sum, _w_coeffs_exact, spline_kernel
 from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
@@ -31,6 +32,15 @@ def direct_fourier_risk(expansion, m, k, J, include_target_tail):
     if include_target_tail:
         total += 2.0 * kfac**2 * zeta_tail(2 * k, J)
     return total
+
+
+def dense_quadrature_risk(expansion, m, k, grid_size):
+    """The quadrature oracle from the dense n x (grid_size + 1) kernel
+    matrix of `spline_kernel`."""
+    ts = np.linspace(0.0, 1.0, grid_size + 1)
+    diff = expansion.coeffs @ spline_kernel(m, expansion.centers[:, None], ts)
+    diff -= bernoulli_poly(k, ts)
+    return float(np.trapezoid(diff * diff, ts))
 
 
 def random_expansion(rng, max_centers=50):
@@ -219,11 +229,63 @@ class TestFourierOracle:
                                   [cfg.n_max])
         w = averaged[0]
         assert len(w) == 3162
-        assert ctx.excess_risk(w) == pytest.approx(
-            excess_risk_fourier(KernelExpansion(ctx.xs, w), m, k, 2000), rel=1e-8)
+        exp = KernelExpansion(ctx.xs, w)
+        closed = ctx.excess_risk(w)
+        assert closed == pytest.approx(excess_risk_fourier(exp, m, k, 2000), rel=1e-8)
+        # and against the quadrature oracle: measured gaps at most 3.1e-8
+        assert closed == pytest.approx(excess_risk_mc(exp, m, k, 10**5), rel=1e-6)
+
+
+def quadrature_cases(rng):
+    """Expansions that probe the piecewise-polynomial form: random centers,
+    centers on the nodes of a 1000-interval grid and at 0, duplicates,
+    centers outside [0, 1), one center and none."""
+    nodes = np.linspace(0.0, 1.0, 1001)
+    on_nodes = np.append(rng.choice(nodes[:-1], 8), 0.0)
+    dupes = np.repeat(rng.random(4), 3)
+    outside = np.array([-0.3, 1.7, 2.0, -1.0, 0.25 - 3.0, 5.5])
+    for xs in (rng.random(40), on_nodes, dupes, outside, rng.random(1), np.zeros(0)):
+        yield KernelExpansion(xs, rng.uniform(-1.0, 1.0, xs.shape[0]))
 
 
 class TestQuadratureOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_piecewise_polynomial_matches_dense_kernel(self, m):
+        # every node, t = 1 included, against the dense kernel matrix
+        rng = np.random.default_rng(37 + m)
+        ts = np.linspace(0.0, 1.0, 1001)
+        for exp in quadrature_cases(rng):
+            dense = exp.coeffs @ spline_kernel(m, exp.centers[:, None], ts)
+            got = _spline_sum(m, exp.centers, exp.coeffs, ts)
+            assert got.shape == ts.shape
+            scale = np.max(np.abs(dense), initial=0.0)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * scale)
+            # f is periodic: the last node is the first
+            assert got[-1] == pytest.approx(got[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_dense_oracle(self, m):
+        rng = np.random.default_rng(41 + m)
+        for exp in quadrature_cases(rng):
+            for k in (1, 2, 3):
+                assert excess_risk_mc(exp, m, k, 1000) == pytest.approx(
+                    dense_quadrature_risk(exp, m, k, 1000), rel=1e-12, abs=0.0)
+
+    def test_memory_is_linear_in_grid_and_centers(self):
+        # a few grid-length arrays and O(n) work space: no (grid, 2m + 1)
+        # table of coefficients and no n x grid kernel block
+        n, grid = 3162, 10**5
+        rng = np.random.default_rng(43)
+        exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
+        excess_risk_mc(exp, 4, 2, grid)
+        tracemalloc.start()
+        try:
+            excess_risk_mc(exp, 4, 2, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (7 * (grid + 1) + 16 * n)
+
     def test_zero_expansion(self):
         assert excess_risk_mc(EMPTY, 1, 1, 10**5) == pytest.approx(1 / 12, abs=1e-6)
 
