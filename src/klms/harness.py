@@ -6,8 +6,8 @@ All randomness flows through numpy SeedSequences built from
 of execution order and two configs that describe the same data distribution
 see the same streams. Every preset runs through one driver, `_replicate_runs`:
 per replicate it builds one context (the lazy `kernels.SplineGram` whose
-strips the recursion computes on demand, and the `kernels.DoubledForm` and
-target inner products behind the closed-form risk of `klms.risk`) and one
+strips the recursion computes on demand, and the `risk.ClosedFormRisk` of
+the stream, which holds the parts of its closed-form risk) and one
 `sgd_run` over all distinct step schedules, so each Gram strip is computed
 once per replicate; each preset scores all its snapshots of its schedule in
 one stacked closed-form call and records its own divergences. No run holds
@@ -29,7 +29,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
                         first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import SUPPORTED_ORDERS, DoubledForm, SplineGram, kernel_sup_sq
+from .kernels import SUPPORTED_ORDERS, SplineGram, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -200,26 +200,15 @@ class _Context:
     xs: np.ndarray
     ys: np.ndarray
     gram: SplineGram
-    form: DoubledForm
-    inner: np.ndarray
-    norm_sq: float
-
-    def excess_risk(self, coeffs):
-        """The closed-form excess risk of coefficients on a prefix of the
-        stream, or of each row of a (p, n) stack of them."""
-        return risk.closed_form_risk(coeffs, self.form, self.inner, self.norm_sq)
+    # the closed-form excess risk of coefficients on a prefix of the stream,
+    # or of each row of a (p, n) stack of them
+    excess_risk: risk.ClosedFormRisk
 
 
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
     # nothing here is n x n: the recursion computes its Gram strips on demand
-    return _Context(
-        xs=xs,
-        ys=ys,
-        gram=SplineGram(m, xs),
-        form=DoubledForm(m, xs),
-        inner=risk.kernel_target_inner(m, k, xs),
-        norm_sq=risk.target_norm_sq(k),
-    )
+    return _Context(xs=xs, ys=ys, gram=SplineGram(m, xs),
+                    excess_risk=risk.ClosedFormRisk(m, k, xs))
 
 
 # ---------------------------------------------------------------------------

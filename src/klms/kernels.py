@@ -49,6 +49,7 @@ pairs inside one bin.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -181,22 +182,24 @@ def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) =
     Q_{p+q}(s / bins) (-1)^q C(p + q, q) at (p, q), Q of `_taylor_coeffs`,
     and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart is
-    exact, so every entry is computed in rational arithmetic and rounded
-    once."""
+    exact, so every entry is an exact rational rounded once: over the common
+    denominator den bins^(2 order), den that of the coefficients of Q, each
+    Q_b(s / bins) has an integer numerator, and Python's int / int division
+    rounds each entry correctly."""
     deg = 2 * order
     weights = [[(-1) ** q * math.comb(p + q, q) for q in range(deg + 1 - p)]
                for p in range(deg + 1)]
+    taylor = _taylor_coeffs(order)
+    den = math.lcm(*(c.denominator for coeffs in taylor for c in coeffs))
+    numerators = [[int(c * den) * bins ** (deg - r) for r, c in enumerate(coeffs)]
+                  for coeffs in taylor]
+    total = den * bins ** deg
     blocks = np.zeros((bins, deg + 1, deg + 1))
     for shift in range(1, bins):
-        u = Fraction(shift, bins)
-        at = []
-        for coeffs in _taylor_coeffs(order):
-            value = Fraction(0)
-            for c in reversed(coeffs):
-                value = value * u + c
-            at.append(value)
+        powers = [shift**r for r in range(deg + 1)]
+        at = [sum(map(operator.mul, coeffs, powers)) for coeffs in numerators]
         for p, row in enumerate(weights):
-            blocks[shift, p, :len(row)] = [float(at[p + q] * f) for q, f in enumerate(row)]
+            blocks[shift, p, :len(row)] = [at[p + q] * f / total for q, f in enumerate(row)]
     blocks.setflags(write=False)
     return blocks
 

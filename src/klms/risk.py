@@ -7,12 +7,14 @@ ingredients:
 
   * <K_x, K_y>   = R_{2m}(x, y)                       (order doubling),
   * <K_x, B_k>   = (-1)^m k!/(2m+k)! B_{2m+k}({x})    (`kernel_target_inner`),
-  * ||B_k||^2    = exact rational integral            (`target_norm_sq`).
+  * ||B_k||^2    = (-1)^(k-1) (k!)^2/(2k)! B_{2k}      (`target_norm_sq`).
 
 The first gives ||f||^2 = w'Dw with D the order-doubled Gram matrix, which
 `kernels.DoubledForm` evaluates exactly from per-bin moments of w without
-building D; `closed_form_risk` is the one closed form, for single
-expansions, prefixes of a stream and stacks of coefficient vectors.
+building D. `ClosedFormRisk(m, k, xs)` builds the three parts of one stream
+once and is the one place the closed form w'Dw - 2 w'i + ||B_k||^2 is
+written, for single expansions, prefixes of a stream and stacks of
+coefficient vectors.
 
 None of these formulas is taken on faith: the module ships a truncated
 Fourier evaluator and a quadrature evaluator of the same quantity, and the
@@ -37,8 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import (_inverse_powers, _phase_tables, bernoulli_poly, bernoulli_poly_coeffs,
-                        frac, zeta_tail)
+from .bernoulli import (MAX_DEGREE, _inverse_powers, _phase_tables, bernoulli_numbers,
+                        bernoulli_poly, frac, zeta_tail)
 from .errors import ConfigurationError
 from .kernels import DoubledForm, _check_order, _spline_sum
 
@@ -46,13 +48,13 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def target_norm_sq(k: int) -> float:
-    """integral_0^1 B_k(x)^2 dx, integrated exactly in rational arithmetic."""
-    c = bernoulli_poly_coeffs(k)
-    total = Fraction(0)
-    for i, ci in enumerate(c):
-        for j, cj in enumerate(c):
-            total += ci * cj / Fraction(i + j + 1)
-    return float(total)
+    """integral_0^1 B_k(x)^2 dx = (-1)^(k-1) (k!)^2/(2k)! B_{2k}, the
+    Bernoulli product-integral identity, in exact rational arithmetic and
+    rounded once; k in 1..16."""
+    if not 1 <= k <= MAX_DEGREE:
+        raise ConfigurationError(f"degree must be in 1..{MAX_DEGREE}, got {k}")
+    scale = Fraction((-1) ** (k - 1) * math.factorial(k) ** 2, math.factorial(2 * k))
+    return float(scale * bernoulli_numbers(2 * k)[-1])
 
 
 def kernel_target_inner(m: int, k: int, x):
@@ -67,21 +69,29 @@ def kernel_target_inner(m: int, k: int, x):
     return scale * bernoulli_poly(2 * m + k, frac(x))
 
 
-def closed_form_risk(coeffs, form: DoubledForm, inner: np.ndarray, norm_sq: float):
-    """w'Dw - 2 w'i + ||B_k||^2 for coefficients w on the first n centers.
+class ClosedFormRisk:
+    """The closed-form excess risk w'Dw - 2 w'i + ||B_k||^2 of coefficients
+    w on the points xs of a stream, or on any prefix of it.
 
-    `form` is the `kernels.DoubledForm` of a stream (w'Dw, D the
-    order-doubled Gram matrix) and i the vector of target inner products of
-    that stream; both may cover a longer stream than w, in which case only
-    its first n = w.shape[-1] points are read, so one cached full-stream
-    pair serves every prefix. ``coeffs`` is one coefficient vector (giving
-    a scalar) or a (p, n) stack of them (giving p risks). A row's risk is
-    bitwise its risk computed alone: w'i is summed row by row, as
-    `DoubledForm.quad` keeps rows apart.
+    Holds the three parts of the stream, built once: ``form``, the
+    `kernels.DoubledForm` (w'Dw, D the order-doubled Gram matrix),
+    ``inner``, the target inner products i of `kernel_target_inner`, and
+    ``norm_sq`` = ||B_k||^2 of `target_norm_sq`. A call reads only the first
+    n = w.shape[-1] points, so one full-stream object serves every prefix.
+    It takes one coefficient vector (giving a scalar) or a (p, n) stack of
+    them (giving p risks); a row's risk is bitwise its risk computed alone,
+    as w'i is summed row by row and `DoubledForm.quad` keeps rows apart.
     """
-    w = np.asarray(coeffs, dtype=float)
-    n = w.shape[-1]
-    return form.quad(w) - 2.0 * (w * inner[:n]).sum(axis=-1) + norm_sq
+
+    def __init__(self, m: int, k: int, xs):
+        self.form = DoubledForm(m, xs)
+        self.inner = kernel_target_inner(m, k, xs)
+        self.norm_sq = target_norm_sq(k)
+
+    def __call__(self, coeffs):
+        w = np.asarray(coeffs, dtype=float)
+        n = w.shape[-1]
+        return self.form.quad(w) - 2.0 * (w * self.inner[:n]).sum(axis=-1) + self.norm_sq
 
 
 def excess_risk_closed(expansion, m: int, k: int) -> float:
@@ -90,16 +100,12 @@ def excess_risk_closed(expansion, m: int, k: int) -> float:
     Builds the expansion's `DoubledForm`: about n^1.5 / 2 kernel values for
     n spread-out centers (n^2 when they crowd into one bin), against n^2 for
     the dense order-doubled Gram matrix. Callers evaluating many expansions
-    over the same centers call `closed_form_risk` with the cached form and
-    target inner products instead.
+    over the same centers keep one `ClosedFormRisk` instead.
     """
-    xs = expansion.centers
-    return float(closed_form_risk(expansion.coeffs, DoubledForm(m, xs),
-                                  kernel_target_inner(m, k, xs), target_norm_sq(k)))
+    return float(ClosedFormRisk(m, k, expansion.centers)(expansion.coeffs))
 
 
-def excess_risk_fourier(expansion, m: int, k: int, J: int,
-                        include_target_tail: bool = True) -> float:
+def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     """Independent Fourier oracle for the excess risk.
 
     Sums (A_j - T_j^c)^2 + (B_j - T_j^s)^2 over frequencies 1..J, where
@@ -108,12 +114,10 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int,
     trig values, and (T_j^c, T_j^s) are the target's coordinates. The
     center sums sum_i w_i e^{2 pi i j x_i} come from the phase tables of
     `bernoulli._phase_tables`: about 2 sqrt(J) exponentials per center and
-    one matrix product, with no J x n array. By default
-    the target's coordinate tail beyond J (a zeta value) is added as well,
-    since for k = 1 it decays too slowly to ignore; the expansion's own tail
-    is negligible at the orders handled here. With
-    ``include_target_tail=False`` the value is the bare partial sum, which is
-    non-decreasing in J.
+    one matrix product, with no J x n array. The target's coordinate tail
+    beyond J (a zeta value) is added as well, since for k = 1 it decays too
+    slowly to ignore; the expansion's own tail is negligible at the orders
+    handled here.
     """
     _check_order(m)
     if k < 1 or J < 1:
@@ -129,9 +133,7 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int,
     a = _SQRT2 * sect * sums.real
     b = _SQRT2 * sect * sums.imag
     total = float(np.sum((a - t_cos) ** 2 + (b - t_sin) ** 2))
-    if include_target_tail:
-        total += 2.0 * kfac**2 * zeta_tail(2 * k, J)
-    return total
+    return total + 2.0 * kfac**2 * zeta_tail(2 * k, J)
 
 
 def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:

@@ -22,11 +22,16 @@ from .errors import ConfigurationError
 SETTINGS = ("finite_horizon", "online")
 
 
+def _check_r(r: float) -> None:
+    # every formula doubles alpha and r; past float64's range inf / inf is NaN
+    if not (math.isfinite(2.0 * r) and r > 0):
+        raise ConfigurationError("r must be positive, with 2 r finite")
+
+
 def _check_alpha_r(alpha: float, r: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 1):
-        raise ConfigurationError("alpha must be finite and exceed 1")
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigurationError("r must be finite and positive")
+    if not (math.isfinite(2.0 * alpha) and alpha > 1):
+        raise ConfigurationError("alpha must exceed 1, with 2 alpha finite")
+    _check_r(r)
 
 
 class Regime(enum.Enum):
@@ -108,8 +113,7 @@ def competitor_rate(r: float) -> float:
     """-2r/(2r+1), both the rate shared by the benchmark competitors, which
     do not exploit the eigenvalue decay, and the log-log slope of their
     finite-horizon step gamma0 N**(-2r/(2r+1)) (Ying & Pontil, 2008)."""
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigurationError("r must be finite and positive")
+    _check_r(r)
     return -2.0 * r / (2.0 * r + 1.0)
 
 

@@ -12,11 +12,11 @@ import numpy as np
 from klms.bernoulli import bernoulli_fourier_eval, bernoulli_poly
 from klms.estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients,
                             finite_dim_sgd, ridge_solve, sgd_run)
-from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _make_context,
-                          bound_check, compare_algorithms, default_gamma_grid, fit_rate,
-                          gamma_sweep, replicate_seed, sample_stream)
+from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, bound_check,
+                          compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
+                          replicate_seed, sample_stream)
 from klms.kernels import SplineGram, eigen_check, spline_kernel, spline_kernel_series
-from klms.risk import (excess_risk_closed, excess_risk_finite_dim,
+from klms.risk import (ClosedFormRisk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc)
 from klms.theory import step_exponent
 
@@ -110,9 +110,8 @@ def test_c05_consistency_constant_step():
     for rep in range(cfg.replicates):
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, 0.1, cfg.n_max)
-        ctx = _make_context(1, 2, xs, ys)
-        [(_, averaged)] = sgd_run(ctx.gram, ys, [FiniteHorizon(gamma)], [100, 3162])
-        risks += ctx.excess_risk(averaged)
+        [(_, averaged)] = sgd_run(SplineGram(1, xs), ys, [FiniteHorizon(gamma)], [100, 3162])
+        risks += ClosedFormRisk(1, 2, xs)(averaged)
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
             f"mean excess risk {risks[0]:.3e} at n=100 -> {risks[1]:.3e} at n=3162")
@@ -204,10 +203,10 @@ def test_c10_ridge_baseline():
     for rep in range(10):
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
-        ctx = _make_context(1, 2, xs, ys)
-        ridge_risks.append(ctx.excess_risk(ridge_solve(SplineGram(1, xs)[:, :], ys, n * lam)))
-        [(_, averaged)] = sgd_run(ctx.gram, ys, [FiniteHorizon(gamma)], [n])
-        sgd_risks.append(ctx.excess_risk(averaged[0]))
+        gram, score = SplineGram(1, xs), ClosedFormRisk(1, 2, xs)
+        ridge_risks.append(score(ridge_solve(gram[:, :], ys, n * lam)))
+        [(_, averaged)] = sgd_run(gram, ys, [FiniteHorizon(gamma)], [n])
+        sgd_risks.append(score(averaged[0]))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))
     ok = worst_resid <= 1e-8 and (1.0 / 3.0) <= ratio <= 3.0
     _report("c10 ridge baseline", ok,

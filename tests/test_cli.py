@@ -43,8 +43,10 @@ def test_theory_online(capsys):
 
 
 @pytest.mark.parametrize("alpha, r", [("inf", "0.5"), ("nan", "0.5"),
-                                      ("2", "inf"), ("2", "nan")])
+                                      ("2", "inf"), ("2", "nan"),
+                                      ("1e308", "1"), ("2", "1e308")])
 def test_theory_non_finite_exits_2(capsys, alpha, r):
+    # a finite alpha or r whose double overflows is refused too, not printed as nan
     assert main(["theory", "--alpha", alpha, "--r", r]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "configuration error" in captured.err and "nan" not in captured.out

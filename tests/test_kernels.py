@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
-from klms.kernels import (DoubledForm, SplineGram, _spline_w, eigen_check, kernel_sup_sq,
-                          spline_kernel, spline_kernel_series)
+from klms.kernels import (DoubledForm, SplineGram, _far_field_blocks, _spline_w,
+                          _taylor_coeffs, eigen_check, kernel_sup_sq, spline_kernel,
+                          spline_kernel_series)
 
 
 def bernoulli_form(order, u):
@@ -254,6 +256,24 @@ class TestDoubledForm:
             single = form.quad(stack[0])
             assert np.ndim(single) == 0
             assert abs(single - want[0]) <= self.RTOL * scale[0]
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    @pytest.mark.parametrize("bins", [1, 2, 3, 14, 113])
+    def test_far_field_table_matches_rational_reference(self, order, bins):
+        # every entry Q_{p+q}(s / bins) (-1)^q C(p + q, q), evaluated in
+        # Fraction arithmetic and rounded once, bit for bit
+        deg = 2 * order
+        want = np.zeros((bins, deg + 1, deg + 1))
+        for shift in range(1, bins):
+            u = Fraction(shift, bins)
+            at = [sum(c * u**r for r, c in enumerate(coeffs))
+                  for coeffs in _taylor_coeffs(order)]
+            for p in range(deg + 1):
+                for q in range(deg + 1 - p):
+                    want[shift, p, q] = float(at[p + q] * (-1) ** q * math.comb(p + q, q))
+        got = _far_field_blocks(order, bins)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_repeated_points_only(self):
         # every point in one bin: the form is the near field alone

@@ -1,16 +1,17 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from klms.bernoulli import bernoulli_poly, zeta_tail
+from klms.bernoulli import bernoulli_poly, bernoulli_poly_coeffs, zeta_tail
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, default_gamma_grid)
-from klms.kernels import DoubledForm, SplineGram, _spline_sum, _w_coeffs_exact, spline_kernel
-from klms.risk import (closed_form_risk, excess_risk_closed, excess_risk_finite_dim,
+from klms.kernels import SplineGram, _spline_sum, _w_coeffs_exact, spline_kernel
+from klms.risk import (ClosedFormRisk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
 
@@ -49,6 +50,20 @@ def random_expansion(rng, max_centers=50):
 
 
 class TestTargetNorm:
+    def test_identity_matches_double_integral(self):
+        # the product-integral identity against integral_0^1 B_k^2 summed
+        # term by term over the exact coefficients, both rounded once
+        for k in range(1, 17):
+            c = bernoulli_poly_coeffs(k)
+            integral = sum(ci * cj / Fraction(i + j + 1)
+                           for i, ci in enumerate(c) for j, cj in enumerate(c))
+            assert target_norm_sq(k) == float(integral), k
+
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_rejects_unsupported_index(self, k):
+        with pytest.raises(ConfigurationError):
+            target_norm_sq(k)
+
     def test_exact_values(self):
         assert target_norm_sq(1) == pytest.approx(1 / 12, abs=1e-17)
         assert target_norm_sq(2) == pytest.approx(1 / 180, abs=1e-18)
@@ -120,9 +135,7 @@ class TestClosedForm:
         rng = np.random.default_rng(29)
         exp = random_expansion(rng, max_centers=20)
         full = excess_risk_closed(exp, 2, 1)
-        cached = closed_form_risk(exp.coeffs, DoubledForm(2, exp.centers),
-                                  kernel_target_inner(2, 1, exp.centers), target_norm_sq(1))
-        assert cached == pytest.approx(full, abs=1e-16)
+        assert ClosedFormRisk(2, 1, exp.centers)(exp.coeffs) == full
 
 
 def long_double_quad(order, xs, w):
@@ -158,8 +171,9 @@ class TestClosedFormAtProductionSize:
                                       [cfg.n_max])
             w = averaged[0]
             reference = long_double_quad(2 * m, ctx.xs, w)
-            risk = float(reference - 2.0 * np.longdouble(w @ ctx.inner) + ctx.norm_sq)
-            binned = ctx.form.quad(w)
+            parts = ctx.excess_risk
+            risk = float(reference - 2.0 * np.longdouble(w @ parts.inner) + parts.norm_sq)
+            binned = parts.form.quad(w)
             dense = w @ SplineGram(2 * m, ctx.xs)[:, :] @ w
             assert abs(float(binned - reference)) <= 1e-10 * risk
             assert abs(float(dense - reference)) <= 1e-10 * risk
@@ -186,13 +200,6 @@ class TestFourierOracle:
     def test_zero_expansion_parseval(self):
         assert excess_risk_fourier(EMPTY, 1, 2, 10**5) == pytest.approx(1 / 180, abs=1e-10)
 
-    def test_bare_partial_sums_monotone_in_J(self):
-        exp = KernelExpansion(np.array([0.37]), np.array([0.8]))
-        vals = [excess_risk_fourier(exp, 1, 2, J, include_target_tail=False)
-                for J in (1, 10, 100)]
-        assert vals[0] <= vals[1] <= vals[2]
-        assert vals[2] <= excess_risk_closed(exp, 1, 2) + 1e-12
-
     def test_factored_sum_equals_direct_sum(self):
         # squares, non-squares and primes J, so the last row of the sqrt(J)
         # phase tables is full, partial or a single frequency
@@ -202,15 +209,14 @@ class TestFourierOracle:
                 exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
                 for m in (1, 2):
                     for k in (1, 2, 3):
-                        for tail in (False, True):
-                            direct = direct_fourier_risk(exp, m, k, J, tail)
-                            assert excess_risk_fourier(exp, m, k, J, tail) == pytest.approx(
-                                direct, rel=1e-13, abs=0.0), (J, n, m, k, tail)
+                        direct = direct_fourier_risk(exp, m, k, J, True)
+                        assert excess_risk_fourier(exp, m, k, J) == pytest.approx(
+                            direct, rel=1e-13, abs=0.0), (J, n, m, k)
 
     def test_k1_needs_tail(self):
         # the k = 1 target tail beyond 1e5 frequencies is ~5e-7 and the
         # corrected oracle absorbs it
-        bare = excess_risk_fourier(EMPTY, 1, 1, 10**5, include_target_tail=False)
+        bare = direct_fourier_risk(EMPTY, 1, 1, 10**5, False)
         full = excess_risk_fourier(EMPTY, 1, 1, 10**5)
         assert abs(bare - 1 / 12) > 1e-8
         assert full == pytest.approx(1 / 12, abs=1e-10)

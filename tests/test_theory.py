@@ -67,12 +67,21 @@ class TestStepExponents:
             step_exponent(2.0, 0.0, "online")
 
     @pytest.mark.parametrize("alpha, r", [(math.inf, 0.5), (math.nan, 0.5),
-                                          (2.0, math.inf), (2.0, math.nan)])
+                                          (2.0, math.inf), (2.0, math.nan),
+                                          (1e308, 0.3), (2.0, 1e308)])
     def test_non_finite_rejected(self, alpha, r):
+        # a finite alpha or r whose double overflows counts as non-finite
         for fn in (step_exponent, predicted_rate, classify_regime):
             for setting in ("finite_horizon", "online"):
                 with pytest.raises(ConfigurationError):
                     fn(alpha, r, setting)
+
+    @pytest.mark.parametrize("alpha, r", [(8.9e307, 0.3), (8.9e307, 1.0), (2.0, 8.9e307)])
+    def test_largest_accepted_inputs_stay_finite(self, alpha, r):
+        for setting in ("finite_horizon", "online"):
+            assert math.isfinite(step_exponent(alpha, r, setting))
+            assert math.isfinite(predicted_rate(alpha, r, setting))
+        assert math.isfinite(competitor_rate(r))
 
 
 class TestPredictedRates:
@@ -127,7 +136,7 @@ class TestPredictedRates:
         assert competitor_rate(0.375) == pytest.approx(-3 / 7)
         assert competitor_rate(1.25) == pytest.approx(-5 / 7)
 
-    @pytest.mark.parametrize("r", [0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("r", [0.0, math.inf, math.nan, 1e308])
     def test_competitor_rejects_bad_r(self, r):
         with pytest.raises(ConfigurationError):
             competitor_rate(r)
