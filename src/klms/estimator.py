@@ -66,6 +66,12 @@ class FiniteHorizon:
         """The constant step of a run of horizon N, for each N in `horizons`."""
         return self.gamma0 * np.asarray(horizons, dtype=float)**self.exponent
 
+    def rows(self, cps: Sequence[int]):
+        """One constant row per distinct step `at(N)` over the checkpoints N
+        (see `sgd_run`); checkpoints with the same step share a row."""
+        steps, row_of = np.unique(self.at(cps), return_inverse=True)
+        return np.repeat(steps[:, None], cps[-1], axis=1), None, row_of
+
 
 @dataclass(frozen=True)
 class Online:
@@ -80,9 +86,11 @@ class Online:
         if not -1.0 < self.exponent <= 0.0:
             raise ConfigurationError("exponent must lie in (-1, 0]")
 
-    def steps(self, n: int) -> np.ndarray:
-        """gamma_1 .. gamma_n."""
-        return self.gamma0 / np.arange(1.0, n + 1) ** -self.exponent
+    def rows(self, cps: Sequence[int]):
+        """One row gamma_1 .. gamma_N, N the last checkpoint, serving every
+        checkpoint (see `sgd_run`)."""
+        steps = self.gamma0 / np.arange(1.0, cps[-1] + 1) ** -self.exponent
+        return steps[None, :], None, np.zeros(len(cps), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,13 @@ class TarresYao:
         if not -1.0 < self.exponent < 0.0:
             raise ConfigurationError("exponent must lie in (-1, 0)")
 
-    def steps(self, n: int) -> np.ndarray:
-        """gamma_1 .. gamma_n."""
-        return _TY_A * (_TY_N0 + np.arange(1.0, n + 1)) ** self.exponent
-
-    def lams(self, n: int) -> np.ndarray:
-        """lambda_1 .. lambda_n."""
-        return (_TY_N0 + np.arange(1.0, n + 1)) ** (-self.exponent - 1.0) / _TY_A
+    def rows(self, cps: Sequence[int]):
+        """One row gamma_1 .. gamma_N, N the last checkpoint, with the
+        shrinks 1 - gamma_i lambda_i, serving every checkpoint (see `sgd_run`)."""
+        shift = _TY_N0 + np.arange(1.0, cps[-1] + 1)
+        steps = _TY_A * shift ** self.exponent
+        shrinks = 1.0 - steps * (shift ** (-self.exponent - 1.0) / _TY_A)
+        return steps[None, :], shrinks, np.zeros(len(cps), dtype=int)
 
 
 StepSchedule = Union[FiniteHorizon, Online, TarresYao]
@@ -166,20 +174,19 @@ def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[i
     checkpoint.
 
     One `sgd_constant_grid` call runs every schedule, so each strip of the
-    Gram matrix is read once: a `FiniteHorizon` step gives one constant row
-    per distinct step `step.at(N)` over the checkpoints N, each up to the
-    largest N it serves; an `Online` or `TarresYao` schedule gives one row
-    of per-step sizes (with the shrinks of `schedule` for `TarresYao`),
-    which serves every checkpoint. Returns one entry per schedule: either
-    (last, averaged), two (len(checkpoints), N) arrays, N the last
-    checkpoint (see `check_checkpoints`), where row c holds that iterate
-    after checkpoints[c] steps in its leading checkpoints[c] entries,
-    depending only on the first checkpoints[c] observations, and zeros
-    after them; or, if a checkpoint's row meets the `first_divergence`
-    criterion within its steps, the DivergenceError naming the step of the
-    first such checkpoint. `gram` is a dense array or a lazy `SplineGram`;
-    only its leading (N, N) lower triangle is read, so the Gram matrix of a
-    longer stream serves as well.
+    Gram matrix is read once. Each schedule gives its own grid rows through
+    its `rows(checkpoints)`: (steps, shrinks, row_of), with steps of shape
+    (rows, N), N the last checkpoint (see `check_checkpoints`), the shrinks
+    (None without regularization) and the row serving each checkpoint; a
+    row runs up to the last checkpoint it serves. Returns one entry per
+    schedule: either (last, averaged), two (len(checkpoints), N) arrays,
+    where row c holds that iterate after checkpoints[c] steps in its leading
+    checkpoints[c] entries, depending only on the first checkpoints[c]
+    observations, and zeros after them; or, if a checkpoint's row meets the
+    `first_divergence` criterion within its steps, the DivergenceError
+    naming the step of the first such checkpoint. `gram` is a dense array
+    or a lazy `SplineGram`; only its leading (N, N) lower triangle is read,
+    so the Gram matrix of a longer stream serves as well.
     """
     ys = np.asarray(ys, dtype=float)
     cps = check_checkpoints(checkpoints, ys.shape[0])
@@ -187,35 +194,21 @@ def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[i
     if len(np.shape(gram)) != 2 or min(np.shape(gram)) < n_run:
         raise ConfigurationError(f"the Gram matrix must cover the first {n_run} points, "
                                  f"got shape {np.shape(gram)}")
-    parts = [_schedule_rows(step, cps) for step in schedules]
+    parts = [step.rows(cps) for step in schedules]
     if not parts:
         raise ConfigurationError("need at least one step schedule")
+    horizons = []
+    for steps, _, row_of in parts:
+        horizons.append(np.zeros(steps.shape[0], dtype=int))
+        np.maximum.at(horizons[-1], row_of, cps)
     rows = sgd_constant_grid(
         gram, ys[:n_run], np.concatenate([steps for steps, *_ in parts]),
         np.concatenate([np.broadcast_to(np.ones(n_run) if shrinks is None else shrinks,
-                                        steps.shape) for steps, shrinks, *_ in parts]),
-        horizons=np.concatenate([horizons for *_, horizons in parts]))
-    ends = np.cumsum([len(horizons) for *_, horizons in parts])[:-1]
+                                        steps.shape) for steps, shrinks, _ in parts]),
+        horizons=np.concatenate(horizons))
+    ends = np.cumsum([len(h) for h in horizons])[:-1]
     return [_snapshots(own, shrinks, row_of, cps)
-            for own, (_, shrinks, row_of, _) in zip(np.split(rows, ends), parts)]
-
-
-def _schedule_rows(step: StepSchedule, cps: list[int]):
-    """The grid rows of one schedule in `sgd_run` up to the last checkpoint
-    N: (steps, shrinks, row_of, horizons), with steps of shape (rows, N),
-    the schedule's shrinks (None but for `TarresYao`), the row serving each
-    checkpoint and the last checkpoint each row serves."""
-    if isinstance(step, FiniteHorizon):
-        # checkpoints with the same step (exponent 0) share one row
-        steps, row_of = np.unique(step.at(cps), return_inverse=True)
-        steps, shrinks = np.repeat(steps[:, None], cps[-1], axis=1), None
-    else:
-        # a single horizon-free row serves every checkpoint
-        steps, shrinks = schedule(step, cps[-1])
-        row_of = np.zeros(len(cps), dtype=int)
-    horizons = np.zeros(steps.shape[0], dtype=int)
-    np.maximum.at(horizons, row_of, cps)
-    return steps, shrinks, row_of, horizons
+            for own, (_, shrinks, row_of) in zip(np.split(rows, ends), parts)]
 
 
 def _snapshots(rows: np.ndarray, shrinks: Optional[np.ndarray], row_of, cps: list[int]):
@@ -241,15 +234,6 @@ def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
     if cps[0] < 1 or cps[-1] > n:
         raise ConfigurationError(f"checkpoints must lie within 1..{n}")
     return cps
-
-
-def schedule(step: Union[Online, TarresYao], n: int):
-    """One `sgd_constant_grid` row of per-step sizes gamma_1..gamma_n, shape
-    (1, n), and the shrinks 1 - gamma_i lambda_i of a `TarresYao` schedule
-    (None for `Online`)."""
-    steps = step.steps(n)
-    shrinks = 1.0 - steps * step.lams(n) if isinstance(step, TarresYao) else None
-    return steps[None, :], shrinks
 
 
 def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,

@@ -10,7 +10,8 @@ strips the recursion computes on demand, and the `risk.ClosedFormRisk` of
 the stream, which holds the parts of its closed-form risk) and one
 `sgd_run` over all distinct step schedules, so each Gram strip is computed
 once per replicate; each preset scores all its snapshots of its schedule in
-one stacked closed-form call and records its own divergences. No run holds
+one stacked closed-form call. A divergence raises after all replicates,
+naming its preset and replicate and carrying every other one. No run holds
 an (n, n) array.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from . import risk, theory
 from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
-from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, check_checkpoints,
-                        first_divergence, prefix_iterate, sgd_constant_grid, sgd_run)
+from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, first_divergence,
+                        prefix_iterate, sgd_constant_grid, sgd_run)
 from .kernels import SUPPORTED_ORDERS, SplineGram, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
@@ -222,13 +223,12 @@ PRESETS = {"ours": True, "zhang": True, "ying_pontil": False, "tarres_yao": Fals
 ALGORITHM_NAMES = tuple(PRESETS)
 
 
-def _algorithm_spec(config: ExperimentConfig, name: str,
-                    step_exponent: Optional[float] = None) -> StepSchedule:
+def _algorithm_spec(config: ExperimentConfig, name: str) -> StepSchedule:
     """The step schedule of preset `name` in the config's problem and setting,
     its exponent taken unchanged from `theory`: tarres_yao's regularized
     schedule pair and the finite-horizon steps of zhang and ying_pontil read
-    `theory.competitor_rate`, ours reads `theory.step_exponent` (or
-    `step_exponent`) in either setting. Online, only ours has a schedule."""
+    `theory.competitor_rate`, ours reads `theory.step_exponent` in either
+    setting. Online, only ours has a schedule."""
     if name not in PRESETS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHM_NAMES}")
     alpha, r, gamma0 = config.alpha, config.r, config.effective_gamma0()
@@ -236,8 +236,7 @@ def _algorithm_spec(config: ExperimentConfig, name: str,
         return TarresYao(theory.competitor_rate(r))
     if name == "ours":
         return (Online if config.setting == "online" else FiniteHorizon)(
-            gamma0, step_exponent if step_exponent is not None
-            else theory.step_exponent(alpha, r, config.setting))
+            gamma0, theory.step_exponent(alpha, r, config.setting))
     if config.setting == "online":
         raise ConfigurationError(f"{name!r} has no online schedule")
     return FiniteHorizon(gamma0, theory.competitor_rate(r))
@@ -261,61 +260,50 @@ def _replicate_contexts(config: ExperimentConfig):
 class ReplicateRun:
     checkpoints: list[int]
     per_replicate: np.ndarray          # shape (replicates, len(checkpoints))
-    diverged: list[tuple[int, DivergenceError]] = field(default_factory=list)
 
     @property
     def mean(self) -> np.ndarray:
         return self.per_replicate.mean(axis=0)
 
 
-def _replicate_runs(config: ExperimentConfig, names: Sequence[str], cps: Sequence[int],
-                    step_exponent: Optional[float] = None) -> dict[str, ReplicateRun]:
-    """Curves of the presets `names` at `cps` on the config's replicates. Per
-    replicate one `sgd_run` runs each distinct schedule once, in order of
-    first appearance, and each preset scores its iterate (see PRESETS); a
-    DivergenceError lands as (replicate, error) in ``diverged`` of each
-    preset sharing the schedule."""
+def _replicate_runs(config: ExperimentConfig,
+                    presets: dict[str, StepSchedule]) -> dict[str, ReplicateRun]:
+    """Curves of the presets, name -> step schedule, at the config's
+    checkpoints on its replicates. Per replicate one `sgd_run` runs each
+    distinct schedule once, in order of first appearance, and each preset
+    scores its iterate (see PRESETS). Every divergence is collected; after
+    all replicates the first, by preset and then replicate, is raised with
+    every later one in its ``also``, each naming its preset and replicate."""
+    cps = config.checkpoints()
     by_step: dict[StepSchedule, list[str]] = {}
-    for name in names:
-        by_step.setdefault(_algorithm_spec(config, name, step_exponent), []).append(name)
-    runs = {name: ReplicateRun(cps, np.full((config.replicates, len(cps)), np.nan))
-            for name in names}
+    for name, step in presets.items():
+        by_step.setdefault(step, []).append(name)
+    risks: dict[str, list] = {name: [] for name in presets}
+    failed: dict[str, list] = {name: [] for name in presets}
     for rep, ctx in enumerate(_replicate_contexts(config)):
         results = sgd_run(ctx.gram, ctx.ys, list(by_step), cps)
         for group, result in zip(by_step.values(), results):
-            if isinstance(result, DivergenceError):
-                for name in group:
-                    runs[name].diverged.append((rep, result))
-                continue
-            last, averaged = result
             for name in group:
-                # one stacked call scores every snapshot of the preset
-                runs[name].per_replicate[rep] = ctx.excess_risk(
-                    averaged if PRESETS[name] else last)
-    return runs
-
-
-def _raise_divergences(runs: dict[str, ReplicateRun]) -> None:
-    """Raise the first recorded divergence of `runs`, by preset and then
-    replicate, with every later one in its ``also``; each names its preset
-    and replicate."""
-    errors = [DivergenceError(err.step, err.value, f"{name}, replicate {rep}")
-              for name, run in runs.items() for rep, err in run.diverged]
+                if isinstance(result, DivergenceError):
+                    failed[name].append(DivergenceError(result.step, result.value,
+                                                        f"{name}, replicate {rep}"))
+                else:
+                    last, averaged = result
+                    # one stacked call scores every snapshot of the preset
+                    risks[name].append(ctx.excess_risk(averaged if PRESETS[name] else last))
+    errors = [err for errs in failed.values() for err in errs]
     if errors:
         errors[0].also = tuple(errors[1:])
         raise errors[0]
+    return {name: ReplicateRun(cps, np.array(risks[name])) for name in presets}
 
 
-def run_replicates(config: ExperimentConfig,
-                   checkpoints: Optional[Sequence[int]] = None) -> ReplicateRun:
-    """Mean excess risk of the configured algorithm over independent streams.
-
-    A replicate that diverges is recorded (its row becomes NaN and the pair
-    (index, error) lands in ``diverged``) rather than silently dropped.
-    """
-    cps = check_checkpoints(checkpoints if checkpoints is not None else config.checkpoints(),
-                            config.n_max)
-    return _replicate_runs(config, [config.algorithm], cps)[config.algorithm]
+def run_replicates(config: ExperimentConfig) -> ReplicateRun:
+    """Excess risk of the configured algorithm at the config's checkpoints
+    over independent streams. A divergence raises after all replicates (see
+    `_replicate_runs`)."""
+    name = config.algorithm
+    return _replicate_runs(config, {name: _algorithm_spec(config, name)})[name]
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +326,10 @@ def default_gamma_grid(R_sq: float) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
-                n_values: Optional[Sequence[int]] = None) -> list[SweepRow]:
-    """For each sample size n, the grid constant whose averaged iterate attains
-    the smallest mean excess risk over the configured replicates.
+def gamma_sweep(config: ExperimentConfig, grid: Sequence[float]) -> list[SweepRow]:
+    """For each of the config's checkpoints n, the grid constant whose
+    averaged iterate attains the smallest mean excess risk over the
+    configured replicates.
 
     The sweep always runs the averaged unregularized recursion (that is the
     estimator whose optimal constant step is under study), one grid row per
@@ -355,8 +343,7 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float],
     if (grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0)
             or np.any(np.diff(grid) <= 0)):
         raise ConfigurationError("grid must be finite, positive and strictly increasing")
-    cps = check_checkpoints(n_values if n_values is not None else config.checkpoints(),
-                            config.n_max)
+    cps = config.checkpoints()
     sums = np.zeros((len(cps), grid.size))
     bad_step = np.full(grid.size, config.n_max + 1)
     bad_value = np.zeros(grid.size)
@@ -451,11 +438,11 @@ def compare_algorithms(point: int, n_max: int = 3162, replicates: int = 15,
     cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, n_max=n_max,
                            noise_sigma=POINT_NOISE[point] if noise_sigma is None else noise_sigma,
                            replicates=replicates, master_seed=master_seed)
-    cps = cfg.checkpoints()
-    check_fit_points(len(cps))
-    runs = _replicate_runs(cfg, ALGORITHM_NAMES, cps, step_exponent=(
-        _TABLE_STEP_EXPONENTS[point] if use_table_step else None))
-    _raise_divergences(runs)
+    check_fit_points(len(cfg.checkpoints()))
+    presets = {name: _algorithm_spec(cfg, name) for name in ALGORITHM_NAMES}
+    if use_table_step:
+        presets["ours"] = FiniteHorizon(cfg.effective_gamma0(), _TABLE_STEP_EXPONENTS[point])
+    runs = _replicate_runs(cfg, presets)
     rows = []
     for name, run in runs.items():
         fit = fit_rate(list(zip(run.checkpoints, run.mean)))
@@ -496,7 +483,6 @@ def bound_check(replicates: int = 15, master_seed: int = 0) -> list[BoundRow]:
         sigma_sq=cfg.noise_sigma**2, R_sq=R_sq,
         source_norm_sq=theory.source_norm_sq_truncated(m, k, r_eval, 10**6))
     run = run_replicates(cfg)
-    _raise_divergences({cfg.algorithm: run})
     steps = _algorithm_spec(cfg, cfg.algorithm).at(run.checkpoints)
     bounds = [theory.finite_horizon_bound(n, float(gamma), params)
               for n, gamma in zip(run.checkpoints, steps)]

@@ -130,7 +130,8 @@ def finite_horizon_bound(n: int, gamma: float, params: BoundParams) -> float:
           + 4 (1 + q) ||T^{-r} g||^2 / (gamma^{2r} n^{2 min(r,1)}),
 
     with q = (R^{2 alpha} gamma^{1+alpha} n s^2)^{(2r-1)/alpha} for r >= 1/2
-    and q = 0 otherwise.
+    and q = 0 otherwise. A bound past float64's range (a large r can
+    underflow gamma^{2r} or overflow q) is a ConfigurationError.
     """
     if n < 1:
         raise ConfigurationError("n must be at least 1")
@@ -141,14 +142,22 @@ def finite_horizon_bound(n: int, gamma: float, params: BoundParams) -> float:
             f"bound requires gamma * R^2 <= 1/4 (got {gamma * params.R_sq:.4f})"
         )
     alpha, r = params.alpha, params.r
-    variance = 4.0 * params.sigma_sq / n * (1.0 + (params.s_sq * gamma * n) ** (1.0 / alpha))
-    if r >= 0.5:
-        q = (params.R_sq**alpha * gamma ** (1.0 + alpha) * n * params.s_sq) ** ((2.0 * r - 1.0) / alpha)
-    else:
-        q = 0.0
     c = _regime(alpha, r, "finite_horizon")[1]
-    bias = 4.0 * (1.0 + q) * params.source_norm_sq / (gamma ** (2.0 * r) * n ** (2.0 * c))
-    return variance + bias
+    try:
+        variance = 4.0 * params.sigma_sq / n * (1.0 + (params.s_sq * gamma * n) ** (1.0 / alpha))
+        if r >= 0.5:
+            q = (params.R_sq**alpha * gamma ** (1.0 + alpha) * n * params.s_sq) ** (
+                (2.0 * r - 1.0) / alpha)
+        else:
+            q = 0.0
+        bound = variance + 4.0 * (1.0 + q) * params.source_norm_sq / (
+            gamma ** (2.0 * r) * n ** (2.0 * c))
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigurationError(f"the bound overflows float64 at n = {n}, "
+                                 f"gamma = {gamma:.6g}, r = {r:.6g}")
+    return bound
 
 
 def spectral_s_sq(m: int) -> float:

@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klms.harness import (ALGORITHM_NAMES, TABLE_POINTS, ExperimentConfig, _replicate_runs,
-                          _TABLE_STEP_EXPONENTS, compare_algorithms, default_gamma_grid,
-                          gamma_sweep)
+from klms.estimator import FiniteHorizon
+from klms.harness import (ALGORITHM_NAMES, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
+                          _replicate_runs, _TABLE_STEP_EXPONENTS, compare_algorithms,
+                          default_gamma_grid, gamma_sweep, run_replicates)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-10
@@ -35,12 +36,11 @@ def _curves() -> dict:
     for point, (m, k) in TABLE_POINTS.items():
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, n_max=N_MAX,
                                replicates=REPLICATES)
-        cps = cfg.checkpoints()
-        online = dataclasses.replace(cfg, setting="online")
-        runs = {**_replicate_runs(cfg, ALGORITHM_NAMES, cps),
-                "ours/online": _replicate_runs(online, ["ours"], cps)["ours"],
-                "ours/table_step": _replicate_runs(
-                    cfg, ["ours"], cps, step_exponent=_TABLE_STEP_EXPONENTS[point])["ours"]}
+        presets = {name: _algorithm_spec(cfg, name) for name in ALGORITHM_NAMES}
+        table_step = FiniteHorizon(cfg.effective_gamma0(), _TABLE_STEP_EXPONENTS[point])
+        runs = {**_replicate_runs(cfg, presets),
+                "ours/online": run_replicates(dataclasses.replace(cfg, setting="online")),
+                "ours/table_step": _replicate_runs(cfg, {"ours": table_step})["ours"]}
         for label, run in runs.items():
             for rep, curve in enumerate(run.per_replicate):
                 out[f"p{point}/rep{rep}/{label}"] = [float(v) for v in curve]

@@ -120,11 +120,35 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, kind):
 
 
 def test_simulate_divergence_exits_3(tmp_path, capsys):
+    # as compare and bound-check: no mean over diverged replicates, no file,
+    # one line per (preset, replicate)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("algorithm = zhang\ngamma0 = 1e4\nn_max = 60\nreplicates = 2\n")
-    assert main(["simulate", "--config", str(cfg)]) == EXIT_DIVERGED
-    err = capsys.readouterr().err
-    assert "replicate 0 diverged" in err and "replicate 1 diverged" in err
+    out_csv = tmp_path / "out.csv"
+    for out in ([], ["--out", str(out_csv)]):
+        assert main(["simulate", "--config", str(cfg), *out]) == EXIT_DIVERGED
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_csv.exists()
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 2
+        for rep, line in enumerate(lines):
+            assert line.startswith("numerical divergence: coefficient diverged at step ")
+            assert line.endswith(f"(zhang, replicate {rep})")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}"],
+    ["gamma-sweep", "--config", "{cfg}", "--grid-min", "1", "--grid-max", "6",
+     "--grid-points", "2"],
+    ["compare", "--point", "1", "--n-max", "40", "--replicates", "1"]])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 40\nreplicates = 1\nn_checkpoints = 4\n")
+    out = tmp_path / "no_such_dir" / "x.csv"
+    assert main([arg.format(cfg=cfg) for arg in argv] + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"configuration error: cannot write {out}" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["noise_sigma = nan", "noise_sigma = inf",

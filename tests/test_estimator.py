@@ -10,7 +10,7 @@ from klms import estimator
 from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import (FiniteHorizon, KernelExpansion, Online, TarresYao,
                             averaged_coefficients, finite_dim_sgd, first_divergence,
-                            prefix_iterate, ridge_solve, schedule, sgd_constant_grid, sgd_run)
+                            prefix_iterate, ridge_solve, sgd_constant_grid, sgd_run)
 from klms.harness import default_gamma_grid
 from klms.kernels import SplineGram, kernel_sup_sq, spline_kernel
 from klms.theory import competitor_rate
@@ -81,21 +81,32 @@ class TestSchedules:
         assert t.at(100) == pytest.approx(0.2)
         assert np.allclose(t.at([4, 16]), [1.0, 0.5])
 
+    def test_finite_horizon_rows_deduplicated(self):
+        # one constant row per distinct step, each checkpoint mapped to its row
+        steps, shrinks, row_of = FiniteHorizon(2.0, -0.5).rows([1, 4, 16])
+        assert np.array_equal(steps, np.repeat([[0.5], [1.0], [2.0]], 16, axis=1))
+        assert shrinks is None and row_of.tolist() == [2, 1, 0]
+        steps, shrinks, row_of = FiniteHorizon(0.5).rows([3, 10, 40])
+        assert np.array_equal(steps, np.full((1, 40), 0.5))
+        assert shrinks is None and row_of.tolist() == [0, 0, 0]
+
     def test_online_decay(self):
-        steps = Online(2.0, -0.5).steps(4)
-        assert steps.shape == (4,)
-        assert steps[0] == 2.0
-        assert steps[3] == pytest.approx(1.0)
+        steps, shrinks, row_of = Online(2.0, -0.5).rows([2, 4])
+        assert steps.shape == (1, 4)
+        assert steps[0, 0] == 2.0
+        assert steps[0, 3] == pytest.approx(1.0)
+        assert shrinks is None and row_of.tolist() == [0, 0]
 
     def test_tarres_yao_pairing(self):
-        s = TarresYao(competitor_rate(0.75))
-        steps, lams = s.steps(49), s.lams(49)
-        assert steps[0] == pytest.approx(4.0 * 2.0 ** (-0.6))
-        assert lams[0] == pytest.approx(0.25 * 2.0 ** (-0.4))
-        assert np.all(np.diff(lams) < 0)
-        assert np.all(lams >= 0)
+        r = 0.75
+        steps, shrinks, row_of = TarresYao(competitor_rate(r)).rows([10, 49])
+        step_fn, lam_fn = tarres_yao_fns(r)
+        i = np.arange(1, 50)
+        assert steps.shape == (1, 49) and row_of.tolist() == [0, 0]
+        assert np.allclose(steps[0], [step_fn(j) for j in i], rtol=1e-14)
+        assert np.allclose(1.0 - shrinks, [step_fn(j) * lam_fn(j) for j in i], rtol=1e-13)
         # gamma_i lambda_i = 1 / (n0 + i)
-        assert np.allclose(steps * lams, 1.0 / np.arange(2, 51), rtol=1e-14)
+        assert np.allclose(1.0 - shrinks, 1.0 / (1 + i), rtol=1e-13)
 
     def test_validation(self):
         for bad in ((0.0,), (np.inf,), (np.nan,), (1.0, np.nan), (1.0, -np.inf)):
@@ -109,7 +120,7 @@ class TestSchedules:
             with pytest.raises(ConfigurationError):
                 TarresYao(exponent=bad)
         # the exponents are theory's signed slopes: a constant online step is 0
-        assert np.array_equal(Online(2.0, 0.0).steps(3), [2.0, 2.0, 2.0])
+        assert np.array_equal(Online(2.0, 0.0).rows([3])[0], [[2.0, 2.0, 2.0]])
 
 
 class TestRecursion:
@@ -429,8 +440,8 @@ class TestBlockedSolver:
         R_sq = kernel_sup_sq(m)
         ty = TarresYao(competitor_rate(0.75))
         steps, shrinks = {"sweep": (default_gamma_grid(R_sq), None),
-                          "online": schedule(Online(1.0 / R_sq, -0.5), n),
-                          "tarres_yao": schedule(ty, n)}[kind]
+                          "online": Online(1.0 / R_sq, -0.5).rows([n])[:2],
+                          "tarres_yao": ty.rows([n])[:2]}[kind]
         got = sgd_constant_grid(gram[:n, :n], ys[:n], steps, shrinks)
         want = stepwise_grid(gram[:n, :n], ys[:n], steps, shrinks)
         err = np.linalg.norm(got - want, axis=1)
@@ -484,7 +495,7 @@ class TestStreamedGram:
         xs, ys, gram = stream
         poisoned = gram.copy()
         poisoned[np.triu_indices(300, 1)] = np.nan
-        steps, shrinks = schedule(TarresYao(competitor_rate(0.75)), 300)
+        steps, shrinks, _ = TarresYao(competitor_rate(0.75)).rows([300])
         for args in ((default_gamma_grid(kernel_sup_sq(2)),), (steps, shrinks)):
             assert np.array_equal(sgd_constant_grid(poisoned, ys, *args),
                                   sgd_constant_grid(gram, ys, *args))
@@ -551,7 +562,7 @@ class TestMergedSchedules:
         # within one block: each row bitwise its own grid's row
         rng = np.random.default_rng(20)
         xs, ys = rng.random(100), rng.standard_normal(100)
-        ty_steps, ty_shrinks = schedule(TarresYao(competitor_rate(0.75)), 100)
+        ty_steps, ty_shrinks, _ = TarresYao(competitor_rate(0.75)).rows([100])
         steps = np.vstack([ty_steps, np.full((1, 100), 2.0)])
         rows = sgd_constant_grid(G1(xs), ys, steps, np.vstack([ty_shrinks, np.ones(100)]))
         assert np.array_equal(rows[0], sgd_constant_grid(G1(xs), ys, ty_steps, ty_shrinks)[0])
@@ -588,7 +599,7 @@ class TestTriangularOracle:
                 sched = Online(rng.uniform(0.05, 1.0) / kernel_sup_sq(m), -rng.uniform(0, 0.9))
             else:
                 sched = TarresYao(competitor_rate(rng.uniform(0.25, 2.0)))
-            steps, shrinks = schedule(sched, n)
+            steps, shrinks, _ = sched.rows([n])
             coeffs = sgd_constant_grid(gram, ys, steps, shrinks)
         scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
         prev = np.concatenate([[1.0], scales[:-1]])
@@ -602,6 +613,6 @@ class TestTriangularOracle:
         xs, ys = rng.random(80), rng.standard_normal(80)
         ty = TarresYao(competitor_rate(0.75))
         [(last, _)] = sgd_run(G1(xs), ys, [ty], [80])
-        steps, shrinks = schedule(ty, 80)
+        steps, shrinks, _ = ty.rows([80])
         b = sgd_constant_grid(G1(xs), ys, steps, shrinks)[0]
         assert np.array_equal(last[0], np.cumprod(shrinks)[-1] * b)

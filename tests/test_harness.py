@@ -11,13 +11,18 @@ from klms.errors import ConfigurationError, DivergenceError
 from klms.estimator import DIVERGENCE_LIMIT, FiniteHorizon, Online, sgd_run
 from klms import harness
 from klms.cli import main
-from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig,
+from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, _replicate_runs, checkpoint_grid,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           parse_config, replicate_seed, run_replicates,
                           sample_stream, write_csv)
 from klms.kernels import SplineGram
 from klms.theory import SETTINGS, step_exponent
+
+
+def all_presets(cfg):
+    """Every preset's schedule in the config's problem, as compare runs them."""
+    return {name: _algorithm_spec(cfg, name) for name in ALGORITHM_NAMES}
 
 
 class TestSampleStream:
@@ -231,32 +236,37 @@ class TestRunReplicates:
 
     def test_noiseless_consistency(self):
         cfg = ExperimentConfig(kernel_order_m=1, target_index_k=1, noise_sigma=0.0,
-                               algorithm="ours", n_max=1000, replicates=1,
-                               master_seed=0)
-        run = run_replicates(cfg, checkpoints=[10, 1000])
-        assert run.mean[1] < run.mean[0]
+                               algorithm="ours", n_max=1000, n_checkpoints=4,
+                               replicates=1, master_seed=0)
+        run = run_replicates(cfg)
+        assert run.checkpoints == [1, 10, 100, 1000]
+        assert run.mean[3] < run.mean[1]
 
     def test_all_four_algorithms_run(self):
         for name in ("ours", "zhang", "ying_pontil", "tarres_yao"):
-            cfg = ExperimentConfig(algorithm=name, n_max=40, replicates=1,
-                                   master_seed=1)
-            run = run_replicates(cfg, checkpoints=[10, 40])
+            cfg = ExperimentConfig(algorithm=name, n_max=40, n_checkpoints=2,
+                                   replicates=1, master_seed=1)
+            run = run_replicates(cfg)
+            assert run.checkpoints == [1, 40]
             assert np.all(np.isfinite(run.per_replicate))
-            assert not run.diverged
 
     def test_online_setting(self):
         cfg = ExperimentConfig(algorithm="ours", setting="online", n_max=60,
-                               replicates=1)
-        run = run_replicates(cfg, checkpoints=[60])
-        assert np.isfinite(run.mean[0])
+                               n_checkpoints=1, replicates=1)
+        run = run_replicates(cfg)
+        assert run.checkpoints == [60] and np.isfinite(run.mean[0])
 
     @pytest.mark.parametrize("name", ["ours", "zhang"])
     def test_divergence_recorded_per_replicate(self, name):
+        # raised after all replicates: the first replicate's divergence, with
+        # the second's in its also
         cfg = ExperimentConfig(algorithm=name, gamma0=1e4, n_max=60, replicates=2)
-        run = run_replicates(cfg)
-        assert [rep for rep, _ in run.diverged] == [0, 1]
-        assert all("diverged at step" in str(err) for _, err in run.diverged)
-        assert np.all(np.isnan(run.per_replicate))
+        with pytest.raises(DivergenceError) as got:
+            run_replicates(cfg)
+        errors = [got.value, *got.value.also]
+        assert [str(err).endswith(f"({name}, replicate {rep})")
+                for rep, err in enumerate(errors)] == [True, True]
+        assert all("diverged at step" in str(err) for err in errors)
 
     def test_divergence_names_first_bad_step(self):
         # oracle: one run per horizon, in checkpoint order, each with its own
@@ -279,45 +289,32 @@ class TestRunReplicates:
                 want = (int(np.argmax(bad)) + 1, abs(coeffs[np.argmax(bad)]))
                 break
         assert want is not None and horizon > cps[0] and want[0] < horizon
-        [(_, got)] = _replicate_runs(cfg, ["ours"], cps)["ours"].diverged
-        assert got.step == want[0]
-        assert got.value == pytest.approx(want[1], rel=1e-9)
+        with pytest.raises(DivergenceError) as got:
+            run_replicates(cfg)
+        assert got.value.step == want[0]
+        assert got.value.value == pytest.approx(want[1], rel=1e-9)
+        assert got.value.also == () and str(got.value).endswith("(ours, replicate 0)")
 
     def test_online_competitor_rejected(self):
         # rejected by the config, before any replicate's Gram matrix is built
         with pytest.raises(ConfigurationError):
             cfg = ExperimentConfig(algorithm="zhang", setting="online", n_max=40,
                                    replicates=1)
-            run_replicates(cfg, checkpoints=[40])
-
-    @pytest.mark.parametrize("checkpoints", [[10, 100], [40, 10], [0, 10], [10, 10], []])
-    def test_bad_checkpoints_rejected(self, checkpoints):
-        cfg = ExperimentConfig(n_max=40, replicates=1)
-        with pytest.raises(ConfigurationError):
-            run_replicates(cfg, checkpoints=checkpoints)
-
-    def test_bad_checkpoints_build_no_context(self, monkeypatch):
-        # the checkpoints are checked before any context is built
-        def no_context(*args):
-            raise AssertionError("context built before the checkpoint check")
-
-        monkeypatch.setattr(harness, "_make_context", no_context)
-        with pytest.raises(ConfigurationError):
-            run_replicates(ExperimentConfig(replicates=1), checkpoints=[0, 10])
-        with pytest.raises(ConfigurationError):
-            gamma_sweep(ExperimentConfig(replicates=1), [1.0], n_values=[0, 10])
+            run_replicates(cfg)
 
 
 class TestGammaSweep:
     def test_single_element_grid(self):
-        cfg = ExperimentConfig(n_max=50, replicates=2, master_seed=5)
-        rows = gamma_sweep(cfg, [3.0], n_values=[10, 50])
+        cfg = ExperimentConfig(n_max=50, n_checkpoints=2, replicates=2, master_seed=5)
+        rows = gamma_sweep(cfg, [3.0])
+        assert [row.n for row in rows] == [1, 50]
         assert [row.best_gamma for row in rows] == [3.0, 3.0]
 
     def test_noiseless_prefers_largest_stable_step(self):
-        cfg = ExperimentConfig(noise_sigma=0.0, n_max=200, replicates=2,
+        cfg = ExperimentConfig(noise_sigma=0.0, n_max=200, n_checkpoints=4, replicates=2,
                                master_seed=6)
-        rows = gamma_sweep(cfg, [1.0, 4.0, 12.0], n_values=[20, 80, 200])
+        rows = gamma_sweep(cfg, [1.0, 4.0, 12.0])
+        assert [row.n for row in rows] == [1, 6, 34, 200]
         assert all(row.best_gamma == 12.0 for row in rows)
 
     def test_grid_validation(self):
@@ -330,23 +327,15 @@ class TestGammaSweep:
         for grid in ([np.nan, 0.5, 1.0], [0.1, np.inf], [0.1, np.inf, np.inf]):
             with pytest.raises(ConfigurationError, match="finite"):
                 gamma_sweep(cfg, grid)
-        with pytest.raises(ConfigurationError):
-            gamma_sweep(cfg, [1.0], n_values=[999])
-
-    @pytest.mark.parametrize("n_values", [[100, 5], [30, 5], [0, 5], [5, 5], []])
-    def test_bad_n_values_rejected(self, n_values):
-        cfg = ExperimentConfig(n_max=60, replicates=1)
-        with pytest.raises(ConfigurationError):
-            gamma_sweep(cfg, [1.0, 2.0], n_values=n_values)
 
     def test_all_points_diverged_names_step_and_value(self):
         # gamma R^2 >= 1e4: every grid point's coefficients pass the limit
         # within the first steps, so no checkpoint has a stable candidate
         cfg = ExperimentConfig(n_max=60, replicates=1)
         ctx = next(_replicate_contexts(cfg))
-        for n_values in ([5, 30], [5, 30, 60]):
+        for count in (2, 3):
             with pytest.raises(DivergenceError) as got:
-                gamma_sweep(cfg, [1e5, 1e6], n_values=n_values)
+                gamma_sweep(dataclasses.replace(cfg, n_checkpoints=count), [1e5, 1e6])
             step = got.value.step
             assert 1 <= step <= 5
             # the smaller step diverges last; its coefficients solve
@@ -360,8 +349,9 @@ class TestGammaSweep:
             assert str(got.value).endswith("(gamma = 100000)")
 
     def test_diverged_point_never_selected(self):
-        cfg = ExperimentConfig(n_max=60, replicates=1)
-        rows = gamma_sweep(cfg, [1.0, 1e5], n_values=[5, 30, 60])
+        cfg = ExperimentConfig(n_max=60, n_checkpoints=3, replicates=1)
+        rows = gamma_sweep(cfg, [1.0, 1e5])
+        assert [row.n for row in rows] == [1, 8, 60]
         assert [row.best_gamma for row in rows] == [1.0, 1.0, 1.0]
         assert all(row.mean_excess_risk < 1.0 for row in rows)
 
@@ -404,7 +394,7 @@ class TestCompare:
         # each preset's curve is bitwise its run_replicates curve inside the
         # first time block, where no GEMM reads earlier coefficients
         cfg = ExperimentConfig(kernel_order_m=2, target_index_k=2, n_max=120, replicates=2)
-        runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints())
+        runs = _replicate_runs(cfg, all_presets(cfg))
         for name in ALGORITHM_NAMES:
             alone = run_replicates(dataclasses.replace(cfg, algorithm=name))
             assert np.array_equal(runs[name].per_replicate, alone.per_replicate)
@@ -414,7 +404,7 @@ class TestCompare:
         # can reorder BLAS sums. Measured on x86-64 OpenBLAS at n_max = 700
         # (6 blocks): at most 8.4e-12 relative, in point 2's small risks
         cfg = ExperimentConfig(kernel_order_m=2, target_index_k=2, n_max=700, replicates=2)
-        runs = _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints())
+        runs = _replicate_runs(cfg, all_presets(cfg))
         for name in ALGORITHM_NAMES:
             alone = run_replicates(dataclasses.replace(cfg, algorithm=name))
             assert np.allclose(runs[name].per_replicate, alone.per_replicate,
@@ -522,7 +512,7 @@ class TestNoDenseGram:
         m, k = harness.TABLE_POINTS[point]
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, n_max=self.N, replicates=1)
         peak = self.traced_peak(
-            lambda: _replicate_runs(cfg, ALGORITHM_NAMES, cfg.checkpoints()))
+            lambda: _replicate_runs(cfg, all_presets(cfg)))
         assert peak < self.LIMIT
 
     @pytest.mark.parametrize("m", [1, 2])

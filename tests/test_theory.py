@@ -219,6 +219,16 @@ class TestFiniteHorizonBound:
         vals = [finite_horizon_bound(500, float(g), p) for g in gammas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n, gamma", [(10, 0.01), (10**6, 2.0)])
+    def test_large_r_overflow_is_a_config_error(self, n, gamma):
+        # gamma^(2r) underflows to 0 at gamma = 0.01; q's power overflows at
+        # n = 1e6, gamma = 2; both once raised ZeroDivisionError or
+        # OverflowError
+        p = BoundParams(alpha=2, r=200, s_sq=0.1, sigma_sq=0.01, R_sq=1 / 12,
+                        source_norm_sq=1)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            finite_horizon_bound(n, gamma, p)
+
     def test_params_validation(self):
         with pytest.raises(ConfigurationError):
             BoundParams(alpha=1.0, r=0.5, s_sq=1, sigma_sq=1, R_sq=1, source_norm_sq=1)
