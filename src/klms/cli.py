@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -47,10 +48,26 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
+def _check_out(path) -> None:
+    """Raise ConfigurationError now, before any replicate runs, if the file
+    at `path` (when given) cannot be opened for writing. It is written only
+    after the run: an existing file keeps its contents until then, and a
+    run that fails creates none."""
+    if not path:
+        return
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _write_csv(path, header, rows) -> None:
     """Write a table through `harness.write_csv` to the file at `path`, or to
     stdout when no path is given; a path that cannot be written is a
-    ConfigurationError."""
+    ConfigurationError (`_check_out` finds most such paths before the run)."""
     if not path:
         harness.write_csv(sys.stdout, header, rows)
         return
@@ -69,6 +86,7 @@ def _write_rows(path, cls, rows) -> None:
 
 def _cmd_simulate(args) -> int:
     config = harness.parse_config(args.config)
+    _check_out(args.out)
     run = harness.run_replicates(config)
     if args.out:
         _write_csv(args.out, ("n", "replicate", "excess_risk"),
@@ -93,6 +111,7 @@ def _cmd_gamma_sweep(args) -> int:
         raise ConfigurationError("need 0 < grid-min < grid-max < inf and grid-points >= 1")
     else:
         grid = np.geomspace(args.grid_min, args.grid_max, args.grid_points)
+    _check_out(args.out)
     rows = harness.gamma_sweep(config, grid)
     _write_rows(args.out, harness.SweepRow, rows)
     fit = harness.fit_rate([(row.n, row.best_gamma) for row in rows])
@@ -101,6 +120,7 @@ def _cmd_gamma_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_out(args.out)
     rows = harness.compare_algorithms(args.point, n_max=args.n_max,
                                       replicates=args.replicates,
                                       noise_sigma=args.noise,

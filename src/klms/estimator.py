@@ -13,13 +13,15 @@ stream, so every solver here takes that matrix rather than a kernel.
 
 The coefficients of a run are the solution of one lower-triangular system,
 row i being step i, so a run reads only the lower triangle of the Gram
-matrix. `sgd_constant_grid` is the one solver: forward substitution in
-blocks of _TIME_BLOCK steps, each reading one strip of Gram rows, with one
-GEMM per block for the predictions from earlier steps and one BLAS
-triangular solve per run inside the block, for a grid of runs that share
-one stream. The strip comes from a dense array or is computed on demand by
-a lazy `kernels.SplineGram`, so a run need hold no (n, n) array. A run
-stops at its horizon, the last step anyone reads. `sgd_run` runs several
+matrix. `sgd_constant_grid` is the one solver, for a grid of runs that
+share one stream: forward substitution in blocks of _TIME_BLOCK steps, each
+block first predicting from the earlier steps and then solved by one BLAS
+triangular solve per run on its diagonal Gram block. The predictions are
+one GEMM with the block's strip of Gram rows on a dense array; on a lazy
+`kernels.SplineGram` they come from bins, a far field of exact per-bin
+moments and a near field over each step's own bin, with no strip, so a run
+holds no (n, n) array and its work grows as n^1.5, not n^2. A run stops at
+its horizon, the last step anyone reads. `sgd_run` runs several
 step schedules through one grid pass, each row up to the last checkpoint
 that reads it, and returns per schedule both the last and the averaged
 iterate at every checkpoint, or the divergence it met; which of them an
@@ -29,11 +31,13 @@ algorithm reports is the harness's business.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
+from .kernels import SplineGram
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -173,8 +177,8 @@ def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[i
     ys of a stream whose Gram matrix is `gram`, snapshotting at each
     checkpoint.
 
-    One `sgd_constant_grid` call runs every schedule, so each strip of the
-    Gram matrix is read once. Each schedule gives its own grid rows through
+    One `sgd_constant_grid` call runs every schedule, so the Gram matrix is
+    read once. Each schedule gives its own grid rows through
     its `rows(checkpoints)`: (steps, shrinks, row_of), with steps of shape
     (rows, N), N the last checkpoint (see `check_checkpoints`), the shrinks
     (None without regularization) and the row serving each checkpoint; a
@@ -258,13 +262,15 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     S_prev = (1, S_0, ..., S_{n-2}). Divided by gamma_i S_{i-1} (S_{-1} = 1),
     row i reads (shrinks_i / gamma_i) b_i + sum_{j<i} K_ij b_j = y_i / S_{i-1},
     and the system is solved by forward substitution over blocks of _TIME_BLOCK
-    steps. Block [s, e) reads one strip gram[s:e, :e] of the Gram matrix, a
-    dense array or a lazy `SplineGram` that computes the strip on demand, so
-    only the lower triangle is ever read and no (n, n) array need exist: one
-    GEMM with strip[:, :s] gives the block the predictions of every live row
-    from all earlier coefficients, then one BLAS triangular solve per row
-    on strip[:, s:e] covers the block. Rows differ only in the diagonal, so
-    one Fortran-ordered copy of the diagonal block serves them all.
+    steps. Block [s, e) first gets the predictions of every live row from
+    all earlier coefficients, the block predictor picked once per call: one
+    GEMM with the strip gram[s:e, :s] of a dense array, or the bins of
+    `SplineGram.predictions` for a lazy `SplineGram`, which computes no
+    strip. Then one BLAS triangular solve per row on the diagonal block
+    gram[s:e, s:e] covers the block; only the lower triangle of a dense
+    array is ever used, and no (n, n) array need exist. Rows differ only in
+    the diagonal, so one Fortran-ordered copy of the diagonal block serves
+    them all.
 
     `horizons`, one per row, says how many leading entries of the row are
     read; a row stops at the end of the block that reaches its horizon, and
@@ -289,18 +295,25 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
         (g.shape[0], n))
     horizons = np.full(g.shape[0], n) if horizons is None else np.asarray(horizons)
     coeffs = np.zeros((g.shape[0], n))
+    predict = (gram.predictions(n, g.shape[0]) if isinstance(gram, SplineGram)
+               else partial(_strip_predictions, gram))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _TIME_BLOCK):
             e = min(s + _TIME_BLOCK, n)
             live = np.flatnonzero(horizons > s)
-            strip = gram[s:e, :e]
-            rhs = targets[live, s:e] - coeffs[live, :s] @ strip[:, :s].T
-            block = np.array(strip[:, s:e], dtype=float, order="F")
+            rhs = targets[live, s:e] - predict(coeffs, live, s, e)
+            block = np.array(gram[s:e, s:e], dtype=float, order="F")
             on_diag = np.arange(e - s)
             for row, r in zip(live, rhs):
                 block[on_diag, on_diag] = diags[row, s:e]
                 coeffs[row, s:e] = dtrsv(block, r, lower=1)
     return coeffs
+
+
+def _strip_predictions(gram, coeffs: np.ndarray, live: np.ndarray, s: int, e: int):
+    """The predictions at steps s..e-1 of the rows `live` of `coeffs` from
+    their first s entries: one GEMM with the Gram strip gram[s:e, :s]."""
+    return coeffs[live, :s] @ gram[s:e, :s].T
 
 
 def prefix_iterate(rows: np.ndarray, n: int, averaged: bool,

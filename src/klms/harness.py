@@ -5,10 +5,10 @@ All randomness flows through numpy SeedSequences built from
 (master_seed, replicate_index, stream_digest), so replicates are independent
 of execution order and two configs that describe the same data distribution
 see the same streams. Every preset runs through one driver, `_replicate_runs`:
-per replicate it builds one context (the lazy `kernels.SplineGram` whose
-strips the recursion computes on demand, and the `risk.ClosedFormRisk` of
-the stream, which holds the parts of its closed-form risk) and one
-`sgd_run` over all distinct step schedules, so each Gram strip is computed
+per replicate it builds one context (the lazy `kernels.SplineGram`, from
+whose bins the recursion predicts, and the `risk.ClosedFormRisk` of the
+stream, which holds the parts of its closed-form risk) and one `sgd_run`
+over all distinct step schedules, so the recursion passes over the stream
 once per replicate; each preset scores all its snapshots of its schedule in
 one stacked closed-form call. A divergence raises after all replicates,
 naming its preset and replicate and carrying every other one. No run holds
@@ -207,7 +207,7 @@ class _Context:
 
 
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
-    # nothing here is n x n: the recursion computes its Gram strips on demand
+    # nothing here is n x n: the recursion predicts from the Gram matrix's bins
     return _Context(xs=xs, ys=ys, gram=SplineGram(m, xs),
                     excess_risk=risk.ClosedFormRisk(m, k, xs))
 

@@ -20,12 +20,20 @@ symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
 d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
 every kernel value in the package is one Horner pass in w (`_spline_w`).
-Outside `DoubledForm` it is read through `spline_kernel`, pointwise and
-broadcast over arrays, or `SplineGram`, the one Gram matrix, which stores
-only the points and computes the entries asked for in row blocks of w that
-stay in cache: the recursion reads one strip of rows at a time, so no run
-holds an (n, n) array, and ``gram[:, :]`` is the dense matrix, exactly
-symmetric as |d| is.
+Outside `DoubledForm` and the near field of `SplineGram.predictions` it is
+read through `spline_kernel`, pointwise and broadcast over arrays, or
+`SplineGram`, the one Gram matrix, which stores only the points and
+computes the entries asked for in row blocks of w that stay in cache;
+``gram[:, :]`` is the dense matrix, exactly symmetric as |d| is.
+
+The recursion reads no strips of Gram rows from a `SplineGram`, only its
+diagonal blocks: `SplineGram.predictions` splits each prediction at a step
+into a far field from the other bins, exact Taylor sums over per-bin
+moments of the coefficients (R_m is one polynomial in {s - t}; the moments
+are those of Greengard & Rokhlin's fast multipole method, with no
+truncation), and a near field over the earlier points of the step's own
+bin, so no run holds an (n, n) array and a run's work grows as n^1.5.
+`DoubledForm` and the predictions read one bin layout, `_BinLayout`.
 
 An expansion f = sum_j c_j R_m(x_j, .) needs no kernel values at all on a
 grid: with the centers sorted in [0, 1), frac(t - x_j) is t - x_j for
@@ -204,10 +212,43 @@ def _far_field_blocks(order: int, bins: int) -> np.ndarray:
     return blocks
 
 
+class _BinLayout:
+    """The points xs in [0, 1) in `count` equal bins [b/B, (b+1)/B), as
+    `DoubledForm` and `_BinnedPredictions` read them. Empty bins are
+    dropped and the others labelled 0, 1, ... in the order the stream first
+    enters them, and a bin keeps its points in stream order, so a prefix of
+    n' points fills the leading slots of the leading bins.
+
+    Per point: its bin's `label`, its `offsets` x - c from the bin centre
+    and its `rank` in stream order inside the bin. Per label: the bin's
+    index in `cells`. Slot (b, r) of `slots` holds the index of the r-th
+    point of bin b, or n. The first n' points fill `bins[n' - 1]` bins and
+    `widths[n' - 1]` slots of each."""
+
+    def __init__(self, xs: np.ndarray, count: int):
+        n = xs.shape[0]
+        self.count = count
+        cell = np.minimum((xs * count).astype(np.intp), count - 1)
+        cells, first, cell = np.unique(cell, return_index=True, return_inverse=True)
+        entered = np.argsort(first)
+        self.cells = cells[entered]
+        self.label = np.argsort(entered)[cell]
+        self.offsets = xs - ((self.cells + 0.5) / count)[self.label]
+        sizes = np.bincount(self.label, minlength=cells.size)
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[np.argsort(self.label, kind="stable")] = (
+            np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+        self.slots = np.full((cells.size, int(sizes.max(initial=0))), n)
+        self.slots[self.label, self.rank] = np.arange(n)
+        self.bins = np.maximum.accumulate(self.label) + 1
+        self.widths = np.maximum.accumulate(self.rank) + 1
+
+
 class SplineGram:
     """The Gram matrix R_order(x_i, x_j) of the points xs, order 1..8, never
     stored: ``gram[rows, cols]`` computes just those entries. The recursion
-    reads it one strip of rows at a time. Rows and columns are indexed
+    reads its diagonal blocks and predicts from its bins (`predictions`).
+    Rows and columns are indexed
     independently (a slice, an integer or an index array each, as with
     `np.ix_`), so ``gram[:, :]`` is the whole matrix. Row gram[i, :i]
     equals spline_kernel(order, xs[:i], xs[i]) bit for bit."""
@@ -230,14 +271,114 @@ class SplineGram:
                       out=out[i:i + step])
         return out.reshape(shape)
 
+    def predictions(self, n: int, rows: int) -> _BinnedPredictions:
+        """The block predictor of `estimator.sgd_constant_grid` over the
+        first n points for a grid of `rows` coefficient rows, from bins
+        instead of Gram strips (see `_BinnedPredictions`)."""
+        return _BinnedPredictions(self.order, self._xs[:n], rows)
+
+
+class _BinnedPredictions:
+    """The predictions sum_{j < s} K(x_t, x_j) b_j of every live row b of a
+    coefficient grid at the steps t of a block [s, e) of the recursion
+    (see `estimator.sgd_constant_grid`), computed from bins, not Gram rows.
+
+    The n points go into B = round(sqrt(n)) bins of a `_BinLayout`. For x_t
+    and x_j in bins k apart, frac(x_t - x_j) = k/B + d_t - d_j never wraps,
+    and R_order is a polynomial P in it, so Taylor's formula, exact for a
+    polynomial, reads the other bins from per-bin moments
+    mu_{b,q} = sum_{j in b, j < s} b_j d_j^q, q = 0..2 order, of each row:
+
+        sum_{b,p,q} d_t^p P^(p+q)(k_b / B) (-1)^q / (p! q!) mu_{b,q},
+
+    the far field, one product of the (block, B L) table E of the targets
+    with the moments, L = 2 order + 1. Row t of E is t's centred powers
+    times the blocks of `_far_field_blocks`, rolled by t's bin; shift 0 is
+    zero, so t's own bin drops out. The near field covers the earlier
+    points of t's own bin: the entries of `_spline_w`, bitwise those of
+    `SplineGram`, over the bin's slots, against the coefficients kept in
+    the same slot layout, one batched product over the bins the block
+    touches. Each call first folds the coefficients of the steps since the
+    last call into the moments and slots of the live rows; a row that has
+    left the live set is never read again.
+    """
+
+    def __init__(self, order: int, xs: np.ndarray, rows: int):
+        self._order, self._xs = order, xs
+        layout = self._layout = _BinLayout(xs, max(1, round(math.sqrt(xs.shape[0]))))
+        count, size = layout.count, 2 * order + 1
+        self._size = size
+        self._powers = layout.offsets[:, None] ** np.arange(size)
+        # row p, column (j, q) for j = 0..2B-1: block (B - j) mod B of the
+        # far-field table at (p, q), so that row t of E is the window
+        # j = B - c_t .. 2B - 1 - c_t of t's powers times it, c_t t's bin
+        blocks = _far_field_blocks(order, count)[(count - np.arange(2 * count)) % count]
+        self._far = blocks.transpose(1, 0, 2).reshape(size, -1)
+        # padding slots read x = 0; their coefficients stay 0
+        self._slot_xs = np.append(xs, 0.0)[layout.slots]
+        # moments per bin index, and slotted coefficients, of the live rows
+        # only, in the order of `_rows`
+        self._rows = np.arange(rows)
+        self._moments = np.zeros((count, size, rows))
+        self._slotted = np.zeros(layout.slots.shape + (rows,))
+        self._last = None
+
+    def __call__(self, coeffs: np.ndarray, live: np.ndarray, s: int, e: int) -> np.ndarray:
+        """The (live rows, e - s) predictions at steps s..e-1 of the rows
+        `live` of `coeffs`. The calls run over consecutive blocks, the first
+        at s = 0, and `live` only ever loses rows; the coefficients of the
+        block of the previous call are solved."""
+        if live.size < self._rows.size:
+            keep = np.searchsorted(self._rows, live)
+            self._rows, self._moments, self._slotted = (
+                live, self._moments[..., keep], self._slotted[..., keep])
+        if self._last is not None:
+            self._fold(coeffs, *self._last)
+        layout, steps, count = self._layout, slice(s, e), self._layout.count
+        # the block's targets by bin, each at its place among them there
+        label = layout.label[steps]
+        touched, first, group = np.unique(label, return_index=True, return_inverse=True)
+        place = layout.rank[steps] - layout.rank[s + first][group]
+        self._last = (steps, touched, group, place)
+        if s == 0:
+            return np.zeros((live.size, e - s))
+        # the far field
+        rolled = self._powers[steps] @ self._far
+        windows = np.lib.stride_tricks.sliding_window_view(
+            rolled, count * self._size, axis=1)[:, ::self._size]
+        table = windows[np.arange(e - s), count - layout.cells[label]]
+        out = table @ self._moments.reshape(table.shape[1], -1)
+        # the near field
+        targets = np.zeros((touched.size, int(place.max()) + 1))
+        targets[group, place] = self._xs[steps]
+        width = layout.widths[s - 1]
+        kernel = _spline_w(self._order, _circle_w(
+            targets[:, :, None] - self._slot_xs[touched, :width][:, None, :]))
+        near = kernel @ self._slotted[touched, :width]
+        out += near[group, place]
+        return out.T
+
+    def _fold(self, coeffs: np.ndarray, steps: slice, touched, group, place) -> None:
+        """Add the coefficients of the block `steps`, its targets grouped as
+        in `__call__`, to the moments and slots of the live rows."""
+        layout = self._layout
+        new = coeffs[self._rows, steps].T
+        self._slotted[layout.label[steps], layout.rank[steps]] = new
+        shape = (touched.size, int(place.max()) + 1)
+        powers = np.zeros(shape + (self._powers.shape[1],))
+        powers[group, place] = self._powers[steps]
+        padded = np.zeros(shape + (new.shape[1],))
+        padded[group, place] = new
+        self._moments[layout.cells[touched]] += powers.transpose(0, 2, 1) @ padded
+
 
 class DoubledForm:
     """The quadratic form w'Dw of the order-doubled Gram matrix
     D_ij = R_2m(x_i, x_j) of a stream, for coefficient vectors on any prefix
     of it, without D: w'Dw is the squared L2 norm of sum_i w_i K_{x_i}.
 
-    The points go into B = round(2 sqrt(n)) equal bins [b/B, (b+1)/B) with
-    centres c_b. For x_i in bin b' and x_j in another bin b,
+    The points go into B = round(2 sqrt(n)) equal bins [b/B, (b+1)/B) of a
+    `_BinLayout`, with centres c_b. For x_i in bin b' and x_j in another bin b,
     frac(x_i - x_j) = frac(c_b' - c_b) + d_i - d_j with d = x - c never
     wraps, and R_2m is a polynomial P in it, so Taylor's formula, exact for
     a polynomial, splits those pairs into per-bin moments
@@ -248,44 +389,28 @@ class DoubledForm:
     one (B L, B L) table, L = 4m + 1, of the blocks of `_far_field_blocks`.
     Pairs inside one bin read the dense entries of `_spline_w`, bitwise the
     entries of `SplineGram`, from per-bin blocks padded to the fullest
-    bin. Empty bins are dropped, the others are laid out in the order the
-    stream first enters them, and a bin keeps its points in stream order,
-    so a prefix of n' points fills the leading slots of the leading bins
-    and its form reads only those: the cost follows the prefix.
+    bin. A prefix of n' points fills the leading slots of the leading bins
+    of the layout, and its form reads only those: the cost follows the
+    prefix.
     """
 
     def __init__(self, m: int, xs):
         _check_order(m)
         order = 2 * m
         xs = frac(np.asarray(xs, dtype=float))
-        n = self.n = xs.shape[0]
-        bins = max(1, round(2.0 * math.sqrt(n)))
-        # label the occupied bins 0, 1, ... in the order the stream enters them
-        bin_of = np.minimum((xs * bins).astype(np.intp), bins - 1)
-        occupied, first, bin_of = np.unique(bin_of, return_index=True, return_inverse=True)
-        entered = np.argsort(first)
-        occupied = occupied[entered]
-        bin_of = np.argsort(entered)[bin_of]
-        counts = np.bincount(bin_of, minlength=occupied.size)
-        rank = np.empty(n, dtype=np.intp)
-        rank[np.argsort(bin_of, kind="stable")] = (
-            np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
-        # slot (b, r) holds the index of the r-th point of bin b, or n
-        self._slots = np.full((occupied.size, int(counts.max(initial=0))), n)
-        self._slots[bin_of, rank] = np.arange(n)
-        # the bins and the slots of each bin that a prefix of n' points fills
-        self._bins = np.maximum.accumulate(bin_of) + 1
-        self._widths = np.maximum.accumulate(rank) + 1
-        # padding slots read x = 0; their weight is always 0
+        self.n = xs.shape[0]
+        layout = _BinLayout(xs, max(1, round(2.0 * math.sqrt(self.n))))
+        self._slots, self._bins, self._widths = layout.slots, layout.bins, layout.widths
+        # padding slots read x = 0 and d = 0; their weight is always 0
         x = np.append(xs, 0.0)[self._slots]
-        d = x - (occupied[:, None] + 0.5) / bins
+        d = np.append(layout.offsets, 0.0)[self._slots]
         pq = np.arange(2 * order + 1)
         self._powers = d[:, None, :] ** pq[:, None]
         self._near = _spline_w(order, _circle_w(x[:, :, None] - x[:, None, :]))
         # gathered straight into its (bin, p, bin, q) layout, with no copy
-        shift = (occupied[:, None] - occupied) % bins
-        size = occupied.size * pq.size
-        self._far = _far_field_blocks(order, bins)[shift[:, None], pq[:, None]].reshape(
+        shift = (layout.cells[:, None] - layout.cells) % layout.count
+        size = layout.cells.size * pq.size
+        self._far = _far_field_blocks(order, layout.count)[shift[:, None], pq[:, None]].reshape(
             size, size)
 
     def quad(self, coeffs):

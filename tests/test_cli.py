@@ -125,10 +125,14 @@ def test_simulate_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("algorithm = zhang\ngamma0 = 1e4\nn_max = 60\nreplicates = 2\n")
     out_csv = tmp_path / "out.csv"
-    for out in ([], ["--out", str(out_csv)]):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("an earlier table\n")
+    for out in ([], ["--out", str(out_csv)], ["--out", str(kept)]):
         assert main(["simulate", "--config", str(cfg), *out]) == EXIT_DIVERGED
         captured = capsys.readouterr()
         assert captured.out == "" and not out_csv.exists()
+        # an existing --out file keeps its contents
+        assert kept.read_text() == "an earlier table\n"
         lines = captured.err.strip().split("\n")
         assert len(lines) == 2
         for rep, line in enumerate(lines):
@@ -141,7 +145,13 @@ def test_simulate_divergence_exits_3(tmp_path, capsys):
     ["gamma-sweep", "--config", "{cfg}", "--grid-min", "1", "--grid-max", "6",
      "--grid-points", "2"],
     ["compare", "--point", "1", "--n-max", "40", "--replicates", "1"]])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the path is checked before the run: the harness entry point never runs
+    def no_run(*args, **kwargs):
+        pytest.fail("the run started before --out was checked")
+
+    for entry in ("run_replicates", "gamma_sweep", "compare_algorithms"):
+        monkeypatch.setattr(harness, entry, no_run)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_max = 40\nreplicates = 1\nn_checkpoints = 4\n")
     out = tmp_path / "no_such_dir" / "x.csv"

@@ -407,31 +407,36 @@ class TestConstantGrid:
             assert np.allclose(coeffs[gi], last, atol=1e-12)
 
     def test_divergent_row_isolated(self):
+        # every point in one bin: on the lazy Gram matrix every prediction
+        # comes from the near field
         xs = np.full(300, 0.5)
         ys = np.full(300, 1.0)
         grid = np.array([1.0, 500.0])
-        coeffs = sgd_constant_grid(G1(xs), ys, grid)
-        assert np.all(np.isfinite(coeffs[0]))
-        assert np.max(np.abs(coeffs[0])) < 1e3
-        # the unstable row blows past any useful magnitude and overflows,
-        # without contaminating the stable row
-        assert not np.all(np.isfinite(coeffs[1]))
+        for gram in (G1(xs), SplineGram(1, xs)):
+            coeffs = sgd_constant_grid(gram, ys, grid)
+            assert np.all(np.isfinite(coeffs[0]))
+            assert np.max(np.abs(coeffs[0])) < 1e3
+            # the unstable row blows past any useful magnitude and overflows,
+            # without contaminating the stable row
+            assert not np.all(np.isfinite(coeffs[1]))
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["m1", "m2"])
+@pytest.fixture(scope="module", params=[(1, False), (2, False), (1, True), (2, True)],
+                ids=["m1", "m2", "m1-lazy", "m2-lazy"])
 def production(request):
-    """A kernel order, a 3162-point stream and its Gram matrix, as one
-    replicate of the rate table."""
-    m = request.param
+    """A kernel order, a 3162-point stream and its Gram matrix, dense or
+    lazy, as one replicate of the rate table."""
+    m, lazy = request.param
     rng = np.random.default_rng(20 + m)
     xs, ys = rng.random(3162), rng.standard_normal(3162)
-    return m, xs, ys, SplineGram(m, xs)[:, :]
+    return m, xs, ys, SplineGram(m, xs) if lazy else SplineGram(m, xs)[:, :]
 
 
 class TestBlockedSolver:
-    """`sgd_constant_grid` solves in blocks of _TIME_BLOCK steps; the
-    stepwise recursion is the reference, at production size and across the
-    block boundaries."""
+    """`sgd_constant_grid` solves in blocks of _TIME_BLOCK steps, predicting
+    from Gram strips on a dense matrix and from bins on a lazy `SplineGram`;
+    the stepwise recursion on the dense matrix is the reference, at
+    production size and across the block boundaries."""
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 3162])
     @pytest.mark.parametrize("kind", ["sweep", "online", "tarres_yao"])
@@ -442,8 +447,11 @@ class TestBlockedSolver:
         steps, shrinks = {"sweep": (default_gamma_grid(R_sq), None),
                           "online": Online(1.0 / R_sq, -0.5).rows([n])[:2],
                           "tarres_yao": ty.rows([n])[:2]}[kind]
-        got = sgd_constant_grid(gram[:n, :n], ys[:n], steps, shrinks)
-        want = stepwise_grid(gram[:n, :n], ys[:n], steps, shrinks)
+        dense = gram[:n, :n]
+        # a lazy Gram matrix of the whole stream serves the prefix as well
+        got = sgd_constant_grid(gram if isinstance(gram, SplineGram) else dense,
+                                ys[:n], steps, shrinks)
+        want = stepwise_grid(dense, ys[:n], steps, shrinks)
         err = np.linalg.norm(got - want, axis=1)
         assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
 
@@ -474,16 +482,16 @@ class TestBlockedSolver:
         m, _, ys, gram = production
         grid = np.geomspace(1.0, 1e4, 30) / kernel_sup_sq(m)
         step, value = first_divergence(sgd_constant_grid(gram, ys, grid))
-        want_step, want_value = first_divergence(stepwise_grid(gram, ys, grid))
+        want_step, want_value = first_divergence(stepwise_grid(gram[:, :], ys, grid))
         assert np.count_nonzero(step <= 3162) >= 25
         assert np.array_equal(step, want_step)
         assert np.allclose(value, want_value, rtol=1e-12, atol=0.0)
 
 
 class TestStreamedGram:
-    """The recursion reads only the lower triangle of the Gram matrix, one
-    strip of rows per time block, so a lazy `SplineGram` serves as well as
-    the dense matrix. n = 300 spans three blocks."""
+    """The recursion reads only the lower triangle of a dense Gram matrix,
+    one strip of rows per time block; on a lazy `SplineGram` it reads the
+    diagonal blocks and predicts from bins. n = 300 spans three blocks."""
 
     @pytest.fixture
     def stream(self):
@@ -505,14 +513,22 @@ class TestStreamedGram:
             assert np.array_equal(got, want)
 
     def test_lazy_gram_equals_dense(self, stream):
+        # the bins sum the earlier points in another order than one GEMM
+        # over a Gram strip: equal to 1e-11 of each row's norm (measured at
+        # most 1.8e-14 here, on the sweep grid)
         xs, ys, gram = stream
+
+        def close(got, want):
+            err = np.linalg.norm(got - want, axis=-1)
+            return np.all(err <= 1e-11 * np.linalg.norm(want, axis=-1))
+
         grid = default_gamma_grid(kernel_sup_sq(2))
-        assert np.array_equal(sgd_constant_grid(SplineGram(2, xs), ys, grid),
-                              sgd_constant_grid(gram, ys, grid))
+        assert close(sgd_constant_grid(SplineGram(2, xs), ys, grid),
+                     sgd_constant_grid(gram, ys, grid))
         schedules = [FiniteHorizon(2.0, -0.5), TarresYao(-0.6)]
         for got, want in zip(sgd_run(SplineGram(2, xs), ys, schedules, [50, 300]),
                              sgd_run(gram, ys, schedules, [50, 300])):
-            assert np.array_equal(got, want)
+            assert all(close(g, w) for g, w in zip(got, want))
 
 
 class TestMergedSchedules:

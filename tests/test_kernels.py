@@ -155,9 +155,9 @@ class TestGram:
 class TestSplineGram:
     @pytest.mark.parametrize("order", [1, 2, 4, 8])
     def test_strips_are_gram_entries(self, order):
-        # every strip the recursion reads, over six time blocks, holds bit
-        # for bit the entries of the whole matrix, though a narrower strip
-        # fills more rows per row block
+        # every strip of six time blocks holds bit for bit the entries of
+        # the whole matrix, though a narrower strip fills more rows per row
+        # block
         xs = np.random.default_rng(order).uniform(-2.0, 3.0, 700)
         lazy = SplineGram(order, xs)
         dense = lazy[:, :]
@@ -165,6 +165,32 @@ class TestSplineGram:
         for s in range(0, 700, 128):
             e = min(s + 128, 700)
             assert np.array_equal(lazy[s:e, :e], dense[s:e, :e])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_predictions_match_strips(self, order):
+        # B = round(sqrt(n)) = 141 bins, more than the 128 targets of a
+        # block, points on every bin edge b/B, 0 and just below 1, and rows
+        # leaving the live set: the binned predictions of every 25th block
+        # against one GEMM with its Gram strip (measured at most 2.4e-15 of
+        # a row's norm)
+        n = 20000
+        rng = np.random.default_rng(order)
+        xs = rng.random(n)
+        bins = round(math.sqrt(n))
+        xs[rng.choice(n, bins + 1, replace=False)] = [*(np.arange(bins) / bins),
+                                                      np.nextafter(1.0, 0.0)]
+        coeffs = rng.standard_normal((4, n))
+        horizons = np.array([n, 6000, n, 300])
+        lazy = SplineGram(order, xs)
+        predict = lazy.predictions(n, 4)
+        for s in range(0, n, 128):
+            e = min(s + 128, n)
+            live = np.flatnonzero(horizons > s)
+            got = predict(coeffs, live, s, e)
+            if s // 128 % 25 == 1:
+                want = coeffs[live, :s] @ lazy[s:e, :s].T
+                err = np.linalg.norm(got - want, axis=1)
+                assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
     def test_indexing(self):
         xs = np.random.default_rng(3).random(20)
