@@ -9,8 +9,8 @@ per replicate it builds one context (the lazy `kernels.SplineGram`, from
 whose bins the recursion predicts, and the `risk.ClosedFormRisk` of the
 stream, which holds the parts of its closed-form risk) and one `sgd_run`
 over all distinct step schedules, so the recursion passes over the stream
-once per replicate; each preset scores all its snapshots of its schedule in
-one stacked closed-form call. A divergence raises after all replicates,
+once per replicate, and one stacked closed-form call scores the snapshots of
+every preset. A divergence raises after all replicates,
 naming its preset and replicate and carrying every other one. No run holds
 an (n, n) array.
 """
@@ -282,6 +282,7 @@ def _replicate_runs(config: ExperimentConfig,
     failed: dict[str, list] = {name: [] for name in presets}
     for rep, ctx in enumerate(_replicate_contexts(config)):
         results = sgd_run(ctx.gram, ctx.ys, list(by_step), cps)
+        stacks = {}
         for group, result in zip(by_step.values(), results):
             for name in group:
                 if isinstance(result, DivergenceError):
@@ -289,8 +290,11 @@ def _replicate_runs(config: ExperimentConfig,
                                                         f"{name}, replicate {rep}"))
                 else:
                     last, averaged = result
-                    # one stacked call scores every snapshot of the preset
-                    risks[name].append(ctx.excess_risk(averaged if PRESETS[name] else last))
+                    stacks[name] = averaged if PRESETS[name] else last
+        if stacks:  # one stacked call scores the snapshots of every preset
+            scored = ctx.excess_risk(np.concatenate(list(stacks.values())))
+            for name, curve in zip(stacks, np.split(scored, len(stacks))):
+                risks[name].append(curve)
     errors = [err for errs in failed.values() for err in errs]
     if errors:
         errors[0].also = tuple(errors[1:])

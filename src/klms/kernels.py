@@ -26,15 +26,6 @@ read through `spline_kernel`, pointwise and broadcast over arrays, or
 computes the entries asked for in row blocks of w that stay in cache;
 ``gram[:, :]`` is the dense matrix, exactly symmetric as |d| is.
 
-The recursion reads no strips of Gram rows from a `SplineGram`, only its
-diagonal blocks: `SplineGram.predictions` splits each prediction at a step
-into a far field from the other bins, exact Taylor sums over per-bin
-moments of the coefficients (R_m is one polynomial in {s - t}; the moments
-are those of Greengard & Rokhlin's fast multipole method, with no
-truncation), and a near field over the earlier points of the step's own
-bin, so no run holds an (n, n) array and a run's work grows as n^1.5.
-`DoubledForm` and the predictions read one bin layout, `_BinLayout`.
-
 An expansion f = sum_j c_j R_m(x_j, .) needs no kernel values at all on a
 grid: with the centers sorted in [0, 1), frac(t - x_j) is t - x_j for
 x_j <= t and t - x_j + 1 otherwise, so between two consecutive centers
@@ -47,11 +38,16 @@ splines are piecewise polynomials, Wahba 1990; sorted by x, the kernel
 matrix is semiseparable). `_spline_sum` evaluates it, in powers of t - 1/2,
 for the quadrature risk oracle in O(n log n + grid m) work.
 
-The order-doubled Gram matrix D_ij = R_2m(x_i, x_j) of a stream is never
-built outside the tests, where `SplineGram(2 * m, xs)[:, :]` is the dense
-oracle: `DoubledForm` gives the quadratic form w'Dw exactly from per-bin
-moments of w, as R_2m is a polynomial in {s - t}, and dense blocks of the
-pairs inside one bin.
+Two evaluators read a stream in the round(sqrt(n)) bins of one `_BinLayout`
+instead of kernel rows: the recursion's predictions (`SplineGram.predictions`;
+a run reads only the diagonal blocks of its Gram matrix) and w'Dw for the
+order-doubled Gram matrix D_ij = R_2m(x_i, x_j) (`DoubledForm`; only the
+tests build D, as `SplineGram(2 * m, xs)[:, :]`). R_m is one polynomial in
+{s - t}, so the pairs of two bins are exact Taylor sums over per-bin
+moments (Greengard & Rokhlin's fast multipole method with no truncation)
+through the one exact table of `_far_field_blocks`, and the pairs inside a
+bin read dense `_spline_w` entries. No run holds an (n, n) array, and a
+run's work grows as n^1.5.
 """
 
 from __future__ import annotations
@@ -186,11 +182,21 @@ def _spline_sum(order: int, centers, coeffs, ts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _far_field_blocks(order: int, bins: int) -> np.ndarray:
-    """The (bins, L, L) blocks, L = 2 order + 1, of the far-field form of
-    `DoubledForm`: block s holds P^(p+q)(s / bins) (-1)^q / (p! q!) =
-    Q_{p+q}(s / bins) (-1)^q C(p + q, q) at (p, q), Q of `_taylor_coeffs`,
-    and block 0 is zero. s / bins = frac(c_b' - c_b) for two bins s apart is
-    exact, so every entry is an exact rational rounded once: over the common
+    """The far field of both binned evaluators over the `bins` bins of a
+    `_BinLayout`. For x_i in bin b' and x_j in another bin b, s = (b' - b)
+    mod bins, frac(x_i - x_j) = s / bins + d_i - d_j never wraps (d = x - c,
+    c the bin centre), and R_order is a polynomial P in it, so Taylor's
+    formula, exact for a polynomial, reads the pairs of the two bins from
+    per-bin moments mu_{b,q} = sum_{j in b} w_j d_j^q of weights w:
+
+        sum_{p,q} d_i^p P^(p+q)(s / bins) (-1)^q / (p! q!) mu_{b,q}.
+
+    The table is (L, 2 bins L), L = 2 order + 1, and column (j, q) of row p
+    holds block (bins - j) mod bins at (p, q), so bin b''s window, column
+    groups bins - b' .. 2 bins - 1 - b', holds its blocks against bins 0, 1,
+    ... Block s holds the factor above, Q_{p+q}(s / bins) (-1)^q C(p + q, q)
+    with Q of `_taylor_coeffs`, and block 0 is zero, so a bin's own pairs
+    drop out. Every entry is an exact rational rounded once: over the common
     denominator den bins^(2 order), den that of the coefficients of Q, each
     Q_b(s / bins) has an integer numerator, and Python's int / int division
     rounds each entry correctly."""
@@ -208,13 +214,14 @@ def _far_field_blocks(order: int, bins: int) -> np.ndarray:
         at = [sum(map(operator.mul, coeffs, powers)) for coeffs in numerators]
         for p, row in enumerate(weights):
             blocks[shift, p, :len(row)] = [at[p + q] * f / total for q, f in enumerate(row)]
-    blocks.setflags(write=False)
-    return blocks
+    table = blocks[(bins - np.arange(2 * bins)) % bins].transpose(1, 0, 2).reshape(deg + 1, -1)
+    table.setflags(write=False)
+    return table
 
 
 class _BinLayout:
-    """The points xs in [0, 1) in `count` equal bins [b/B, (b+1)/B), as
-    `DoubledForm` and `_BinnedPredictions` read them. Empty bins are
+    """The n points xs in [0, 1) in B = max(1, round(sqrt(n))) equal bins
+    [b/B, (b+1)/B), as both binned evaluators read them. Empty bins are
     dropped and the others labelled 0, 1, ... in the order the stream first
     enters them, and a bin keeps its points in stream order, so a prefix of
     n' points fills the leading slots of the leading bins.
@@ -222,12 +229,13 @@ class _BinLayout:
     Per point: its bin's `label`, its `offsets` x - c from the bin centre
     and its `rank` in stream order inside the bin. Per label: the bin's
     index in `cells`. Slot (b, r) of `slots` holds the index of the r-th
-    point of bin b, or n. The first n' points fill `bins[n' - 1]` bins and
-    `widths[n' - 1]` slots of each."""
+    point of bin b, or n, and `slot_xs` and `slot_offsets` its x and offset:
+    padding slots read x = 0 and offset 0. The first n' points fill
+    `bins[n' - 1]` bins and `widths[n' - 1]` slots of each."""
 
-    def __init__(self, xs: np.ndarray, count: int):
+    def __init__(self, xs: np.ndarray):
         n = xs.shape[0]
-        self.count = count
+        count = self.count = max(1, round(math.sqrt(n)))
         cell = np.minimum((xs * count).astype(np.intp), count - 1)
         cells, first, cell = np.unique(cell, return_index=True, return_inverse=True)
         entered = np.argsort(first)
@@ -240,6 +248,8 @@ class _BinLayout:
             np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes))
         self.slots = np.full((cells.size, int(sizes.max(initial=0))), n)
         self.slots[self.label, self.rank] = np.arange(n)
+        self.slot_xs = np.append(xs, 0.0)[self.slots]
+        self.slot_offsets = np.append(self.offsets, 0.0)[self.slots]
         self.bins = np.maximum.accumulate(self.label) + 1
         self.widths = np.maximum.accumulate(self.rank) + 1
 
@@ -248,10 +258,10 @@ class SplineGram:
     """The Gram matrix R_order(x_i, x_j) of the points xs, order 1..8, never
     stored: ``gram[rows, cols]`` computes just those entries. The recursion
     reads its diagonal blocks and predicts from its bins (`predictions`).
-    Rows and columns are indexed
-    independently (a slice, an integer or an index array each, as with
-    `np.ix_`), so ``gram[:, :]`` is the whole matrix. Row gram[i, :i]
-    equals spline_kernel(order, xs[:i], xs[i]) bit for bit."""
+    Rows and columns are indexed independently (a slice, an integer or an
+    index array each, as with `np.ix_`), so ``gram[:, :]`` is the whole
+    matrix. Row gram[i, :i] equals spline_kernel(order, xs[:i], xs[i]) bit
+    for bit."""
 
     def __init__(self, order: int, xs):
         _check_order(order, range(1, 2 * max(SUPPORTED_ORDERS) + 1))
@@ -281,20 +291,14 @@ class SplineGram:
 class _BinnedPredictions:
     """The predictions sum_{j < s} K(x_t, x_j) b_j of every live row b of a
     coefficient grid at the steps t of a block [s, e) of the recursion
-    (see `estimator.sgd_constant_grid`), computed from bins, not Gram rows.
+    (see `estimator.sgd_constant_grid`), computed from the B bins of a
+    `_BinLayout`, not from Gram rows.
 
-    The n points go into B = round(sqrt(n)) bins of a `_BinLayout`. For x_t
-    and x_j in bins k apart, frac(x_t - x_j) = k/B + d_t - d_j never wraps,
-    and R_order is a polynomial P in it, so Taylor's formula, exact for a
-    polynomial, reads the other bins from per-bin moments
-    mu_{b,q} = sum_{j in b, j < s} b_j d_j^q, q = 0..2 order, of each row:
-
-        sum_{b,p,q} d_t^p P^(p+q)(k_b / B) (-1)^q / (p! q!) mu_{b,q},
-
-    the far field, one product of the (block, B L) table E of the targets
-    with the moments, L = 2 order + 1. Row t of E is t's centred powers
-    times the blocks of `_far_field_blocks`, rolled by t's bin; shift 0 is
-    zero, so t's own bin drops out. The near field covers the earlier
+    The far field, from the other bins, is one product of the (block, B L)
+    table E of the targets with the per-bin moments
+    mu_{b,q} = sum_{j in b, j < s} b_j d_j^q of each row, L = 2 order + 1:
+    row t of E is t's centred powers d_t^p times the window of t's bin in
+    the table of `_far_field_blocks`. The near field covers the earlier
     points of t's own bin: the entries of `_spline_w`, bitwise those of
     `SplineGram`, over the bin's slots, against the coefficients kept in
     the same slot layout, one batched product over the bins the block
@@ -305,21 +309,14 @@ class _BinnedPredictions:
 
     def __init__(self, order: int, xs: np.ndarray, rows: int):
         self._order, self._xs = order, xs
-        layout = self._layout = _BinLayout(xs, max(1, round(math.sqrt(xs.shape[0]))))
-        count, size = layout.count, 2 * order + 1
-        self._size = size
+        layout = self._layout = _BinLayout(xs)
+        self._size = size = 2 * order + 1
         self._powers = layout.offsets[:, None] ** np.arange(size)
-        # row p, column (j, q) for j = 0..2B-1: block (B - j) mod B of the
-        # far-field table at (p, q), so that row t of E is the window
-        # j = B - c_t .. 2B - 1 - c_t of t's powers times it, c_t t's bin
-        blocks = _far_field_blocks(order, count)[(count - np.arange(2 * count)) % count]
-        self._far = blocks.transpose(1, 0, 2).reshape(size, -1)
-        # padding slots read x = 0; their coefficients stay 0
-        self._slot_xs = np.append(xs, 0.0)[layout.slots]
-        # moments per bin index, and slotted coefficients, of the live rows
-        # only, in the order of `_rows`
+        self._far = _far_field_blocks(order, layout.count)
+        # moments per bin index and slotted coefficients (0 in padding slots)
+        # of the live rows only, in the order of `_rows`
         self._rows = np.arange(rows)
-        self._moments = np.zeros((count, size, rows))
+        self._moments = np.zeros((layout.count, size, rows))
         self._slotted = np.zeros(layout.slots.shape + (rows,))
         self._last = None
 
@@ -353,7 +350,7 @@ class _BinnedPredictions:
         targets[group, place] = self._xs[steps]
         width = layout.widths[s - 1]
         kernel = _spline_w(self._order, _circle_w(
-            targets[:, :, None] - self._slot_xs[touched, :width][:, None, :]))
+            targets[:, :, None] - layout.slot_xs[touched, :width][:, None, :]))
         near = kernel @ self._slotted[touched, :width]
         out += near[group, place]
         return out.T
@@ -377,21 +374,15 @@ class DoubledForm:
     D_ij = R_2m(x_i, x_j) of a stream, for coefficient vectors on any prefix
     of it, without D: w'Dw is the squared L2 norm of sum_i w_i K_{x_i}.
 
-    The points go into B = round(2 sqrt(n)) equal bins [b/B, (b+1)/B) of a
-    `_BinLayout`, with centres c_b. For x_i in bin b' and x_j in another bin b,
-    frac(x_i - x_j) = frac(c_b' - c_b) + d_i - d_j with d = x - c never
-    wraps, and R_2m is a polynomial P in it, so Taylor's formula, exact for
-    a polynomial, splits those pairs into per-bin moments
-    mu_{b,q} = sum_{j in b} w_j d_j^q, q = 0..4m:
-
-        sum_{p,q} mu_{b',p} mu_{b,q} P^(p+q)(frac(c_b' - c_b)) (-1)^q / (p! q!),
-
-    one (B L, B L) table, L = 4m + 1, of the blocks of `_far_field_blocks`.
-    Pairs inside one bin read the dense entries of `_spline_w`, bitwise the
-    entries of `SplineGram`, from per-bin blocks padded to the fullest
-    bin. A prefix of n' points fills the leading slots of the leading bins
-    of the layout, and its form reads only those: the cost follows the
-    prefix.
+    The points go into the B bins of a `_BinLayout`. The pairs of two
+    different bins read the per-bin moments mu_{b,q} = sum_{j in b} w_j d_j^q
+    through `_far_field_blocks` of order 2m, L = 4m + 1: for each bin b' one
+    product of its (L, B L) window, a strided view of the table, with the
+    moments of all B bins by bin index (zero in empty bins), summed against
+    mu_{b',p} over p. Pairs inside one bin read the dense entries of
+    `_spline_w`, bitwise those of `SplineGram`, from per-bin blocks padded
+    to the fullest bin; a prefix of n' points fills the leading slots of the
+    leading bins, and its near field reads only those.
     """
 
     def __init__(self, m: int, xs):
@@ -399,19 +390,23 @@ class DoubledForm:
         order = 2 * m
         xs = frac(np.asarray(xs, dtype=float))
         self.n = xs.shape[0]
-        layout = _BinLayout(xs, max(1, round(2.0 * math.sqrt(self.n))))
+        layout = _BinLayout(xs)
         self._slots, self._bins, self._widths = layout.slots, layout.bins, layout.widths
-        # padding slots read x = 0 and d = 0; their weight is always 0
-        x = np.append(xs, 0.0)[self._slots]
-        d = np.append(layout.offsets, 0.0)[self._slots]
-        pq = np.arange(2 * order + 1)
-        self._powers = d[:, None, :] ** pq[:, None]
-        self._near = _spline_w(order, _circle_w(x[:, :, None] - x[:, None, :]))
-        # gathered straight into its (bin, p, bin, q) layout, with no copy
-        shift = (layout.cells[:, None] - layout.cells) % layout.count
-        size = layout.cells.size * pq.size
-        self._far = _far_field_blocks(order, layout.count)[shift[:, None], pq[:, None]].reshape(
-            size, size)
+        self._cells = layout.cells
+        size = 2 * order + 1
+        self._powers = layout.slot_offsets[:, None, :] ** np.arange(size)[:, None]
+        # built in place, in chunks of bins whose w and the temporary of
+        # `_circle_w` together fit in _BLOCK_ENTRIES entries
+        x = layout.slot_xs
+        self._near = np.empty(x.shape + x.shape[1:])
+        step = max(1, _BLOCK_ENTRIES // max(2 * x.shape[1] ** 2, 1))
+        for b in range(0, x.shape[0], step):
+            _spline_w(order, _circle_w(x[b:b + step, :, None] - x[b:b + step, None, :]),
+                      out=self._near[b:b + step])
+        # the window of each bin b, by bin index (see `_far_field_blocks`)
+        self._far = np.lib.stride_tricks.sliding_window_view(
+            _far_field_blocks(order, layout.count), layout.count * size,
+            axis=1)[:, ::size].transpose(1, 0, 2)[layout.count:0:-1]
 
     def quad(self, coeffs):
         """w'Dw for coefficients w on the first n' = w.shape[-1] points, or
@@ -432,20 +427,21 @@ class DoubledForm:
         slots = np.minimum(self._slots[:bins, :width], n)
         near = self._near[:bins, :width, :width]
         powers = self._powers[:bins, :, :width]
-        size = bins * powers.shape[1]
-        far = self._far[:size, :size]
+        cells = self._cells[:bins]
         columns = np.zeros((n + 1, -(-count // _ROW_BLOCK) * _ROW_BLOCK))
         columns[:n, :count] = rows.T
+        # (B, L, block) moments by bin index; bins outside the prefix stay 0
+        moments = np.zeros(self._far.shape[:2] + (_ROW_BLOCK,))
         out = np.empty(columns.shape[1])
         for s in range(0, count, _ROW_BLOCK):
-            # (B, width, block) weights per slot
+            # (bins, width, block) weights per slot
             slotted = columns[:, s:s + _ROW_BLOCK][slots]
-            moments = powers @ slotted
-            far_part = far @ moments.reshape(size, _ROW_BLOCK)
+            moments[cells] = powers @ slotted
+            far_part = self._far @ moments.reshape(-1, _ROW_BLOCK)
             # per bin, then pairwise over the bins along each row's own
             # contiguous partial sums
-            per_bin = ((slotted * (near @ slotted)).sum(axis=1)
-                       + (moments * far_part.reshape(moments.shape)).sum(axis=1))
+            per_bin = (moments * far_part).sum(axis=1)
+            per_bin[cells] += (slotted * (near @ slotted)).sum(axis=1)
             out[s:s + _ROW_BLOCK] = np.ascontiguousarray(per_bin.T).sum(axis=1)
         return out[:count].reshape(w.shape[:-1])
 

@@ -97,7 +97,7 @@ class ClosedFormRisk:
 def excess_risk_closed(expansion, m: int, k: int) -> float:
     """Closed-form squared L2 distance between the expansion and B_k.
 
-    Builds the expansion's `DoubledForm`: about n^1.5 / 2 kernel values for
+    Builds the expansion's `DoubledForm`: about n^1.5 kernel values for
     n spread-out centers (n^2 when they crowd into one bin), against n^2 for
     the dense order-doubled Gram matrix. Callers evaluating many expansions
     over the same centers keep one `ClosedFormRisk` instead.

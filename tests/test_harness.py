@@ -410,6 +410,22 @@ class TestCompare:
             assert np.allclose(runs[name].per_replicate, alone.per_replicate,
                                rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("point", sorted(harness.TABLE_POINTS))
+    def test_presets_scored_together_as_alone(self, point):
+        # a replicate scores the snapshots of all its presets in one stacked
+        # call; every risk is bitwise the one its preset's own call gives
+        m, k = harness.TABLE_POINTS[point]
+        cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k, n_max=700, replicates=2)
+        presets = all_presets(cfg)
+        runs = _replicate_runs(cfg, presets)
+        steps = list(dict.fromkeys(presets.values()))
+        for rep, ctx in enumerate(_replicate_contexts(cfg)):
+            results = dict(zip(steps, sgd_run(ctx.gram, ctx.ys, steps, cfg.checkpoints())))
+            for name, step in presets.items():
+                last, averaged = results[step]
+                alone = ctx.excess_risk(averaged if harness.PRESETS[name] else last)
+                assert np.array_equal(runs[name].per_replicate[rep], alone)
+
     def test_end_to_end_determinism(self):
         a = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1, master_seed=7)
         b = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1, master_seed=7)

@@ -234,9 +234,9 @@ class TestSectionInner:
 
 def edge_stream(n, seed):
     """n points with, as far as n allows, x = 0, x just below 1, every bin
-    edge b/B of `DoubledForm` (B = round(2 sqrt(n))) and repeated points
+    edge b/B of `DoubledForm` (B = round(sqrt(n))) and repeated points
     (one of them on a bin edge) among uniform ones."""
-    bins = round(2.0 * math.sqrt(n))
+    bins = round(math.sqrt(n))
     special = [0.0, np.nextafter(1.0, 0.0), *(np.arange(1, bins) / bins)]
     xs = np.random.default_rng(seed).random(n)
     xs[:len(special)] = special[:n]
@@ -253,8 +253,8 @@ class TestDoubledForm:
     RTOL = 1e-14
 
     def test_table_is_built_in_place(self):
-        # the far-field table is gathered straight into its (bin, p, bin, q)
-        # layout, with no second copy: at n = 4000 (m = 2, a 12.8 MB table)
+        # the near-field blocks are built in place, a few bins at a time,
+        # with no second copy: at n = 4000 (m = 2, 3.5 MB of blocks)
         # building the form peaks within 1.2x of what the form keeps
         xs = np.random.default_rng(0).random(4000)
         DoubledForm(2, xs)
@@ -265,6 +265,21 @@ class TestDoubledForm:
         finally:
             tracemalloc.stop()
         assert form.n == 4000 and peak < 1.2 * retained
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_retains_no_far_table(self, m):
+        # at n = 20000 (141 bins) the form keeps its padded near blocks and
+        # a view of the cached (L, 2 B L) table, no (B L)^2 array: measured
+        # 37.7 and 36.2 MB for m = 1, 2, against 39.9 and 75.4 MB with the
+        # gathered table of 2 sqrt(n) bins
+        xs = np.random.default_rng(m).random(20000)
+        tracemalloc.start()
+        try:
+            form = DoubledForm(m, xs)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert form.n == 20000 and retained < 50e6
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 3162])
@@ -287,7 +302,8 @@ class TestDoubledForm:
     @pytest.mark.parametrize("bins", [1, 2, 3, 14, 113])
     def test_far_field_table_matches_rational_reference(self, order, bins):
         # every entry Q_{p+q}(s / bins) (-1)^q C(p + q, q), evaluated in
-        # Fraction arithmetic and rounded once, bit for bit
+        # Fraction arithmetic and rounded once, bit for bit, laid out with
+        # block (bins - j) mod bins in column group j = 0..2 bins - 1
         deg = 2 * order
         want = np.zeros((bins, deg + 1, deg + 1))
         for shift in range(1, bins):
@@ -297,6 +313,7 @@ class TestDoubledForm:
             for p in range(deg + 1):
                 for q in range(deg + 1 - p):
                     want[shift, p, q] = float(at[p + q] * (-1) ** q * math.comb(p + q, q))
+        want = want[(bins - np.arange(2 * bins)) % bins].transpose(1, 0, 2).reshape(deg + 1, -1)
         got = _far_field_blocks(order, bins)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
