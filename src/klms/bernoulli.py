@@ -39,19 +39,23 @@ from .errors import ConfigurationError
 MAX_DEGREE = 16
 
 
+# b_0, b_1, ... as far as any call of `bernoulli_numbers` has asked
+_NUMBERS = [Fraction(1)]
+
+
 def bernoulli_numbers(max_n: int) -> list[Fraction]:
-    """Bernoulli numbers b_0 .. b_max_n (convention b_1 = -1/2).
+    """Bernoulli numbers b_0 .. b_max_n (convention b_1 = -1/2), as a new list.
 
     They are produced by the defining recurrence
-    ``sum_{j=0}^{n} C(n+1, j) b_j = 0`` for n >= 1, with b_0 = 1.
+    ``sum_{j=0}^{n} C(n+1, j) b_j = 0`` for n >= 1, with b_0 = 1, run once
+    per process: the exact values are kept and extended as needed.
     """
     if max_n < 0:
         raise ConfigurationError("max_n must be non-negative")
-    out = [Fraction(1)]
-    for n in range(1, max_n + 1):
-        acc = sum(Fraction(math.comb(n + 1, j)) * out[j] for j in range(n))
-        out.append(-acc / (n + 1))
-    return out
+    for n in range(len(_NUMBERS), max_n + 1):
+        acc = sum(Fraction(math.comb(n + 1, j)) * _NUMBERS[j] for j in range(n))
+        _NUMBERS.append(-acc / (n + 1))
+    return _NUMBERS[:max_n + 1]
 
 
 @lru_cache(maxsize=None)

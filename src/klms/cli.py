@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -282,7 +283,10 @@ def _cmd_selfcheck(_args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: `main` runs
+    many times in one process under the tests and the benchmark."""
     parser = argparse.ArgumentParser(prog="klms", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -72,9 +72,10 @@ class FiniteHorizon:
 
     def rows(self, cps: Sequence[int]):
         """One constant row per distinct step `at(N)` over the checkpoints N
-        (see `sgd_run`); checkpoints with the same step share a row."""
+        (see `sgd_run`), a read-only broadcast view; checkpoints with the
+        same step share a row."""
         steps, row_of = np.unique(self.at(cps), return_inverse=True)
-        return np.repeat(steps[:, None], cps[-1], axis=1), None, row_of
+        return np.broadcast_to(steps[:, None], (steps.size, cps[-1])), None, row_of
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,17 @@ def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[i
     its `rows(checkpoints)`: (steps, shrinks, row_of), with steps of shape
     (rows, N), N the last checkpoint (see `check_checkpoints`), the shrinks
     (None without regularization) and the row serving each checkpoint; a
-    row runs up to the last checkpoint it serves. Returns one entry per
-    schedule: either (last, averaged), two (len(checkpoints), N) arrays,
-    where row c holds that iterate after checkpoints[c] steps in its leading
-    checkpoints[c] entries, depending only on the first checkpoints[c]
-    observations, and zeros after them; or, if a checkpoint's row meets the
-    `first_divergence` criterion within its steps, the DivergenceError
-    naming the step of the first such checkpoint. `gram` is a dense array
-    or a lazy `SplineGram`; only its leading (N, N) lower triangle is read,
-    so the Gram matrix of a longer stream serves as well.
+    row runs up to the last checkpoint it serves. The (steps, shrinks)
+    pairs go to the solver as they are, one group of rows per schedule.
+    Returns one entry per schedule: either (last, averaged), two
+    (len(checkpoints), N) arrays, where row c holds that iterate after
+    checkpoints[c] steps in its leading checkpoints[c] entries, depending
+    only on the first checkpoints[c] observations, and zeros after them;
+    or, if a checkpoint's row meets the `first_divergence` criterion within
+    its steps, the DivergenceError naming the step of the first such
+    checkpoint. `gram` is a dense array or a lazy `SplineGram`; only its
+    leading (N, N) lower triangle is read, so the Gram matrix of a longer
+    stream serves as well.
     """
     ys = np.asarray(ys, dtype=float)
     cps = check_checkpoints(checkpoints, ys.shape[0])
@@ -205,11 +208,8 @@ def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[i
     for steps, _, row_of in parts:
         horizons.append(np.zeros(steps.shape[0], dtype=int))
         np.maximum.at(horizons[-1], row_of, cps)
-    rows = sgd_constant_grid(
-        gram, ys[:n_run], np.concatenate([steps for steps, *_ in parts]),
-        np.concatenate([np.broadcast_to(np.ones(n_run) if shrinks is None else shrinks,
-                                        steps.shape) for steps, shrinks, _ in parts]),
-        horizons=np.concatenate(horizons))
+    rows = sgd_constant_grid(gram, ys[:n_run], [(steps, shrinks) for steps, shrinks, _ in parts],
+                             horizons=np.concatenate(horizons))
     ends = np.cumsum([len(h) for h in horizons])[:-1]
     return [_snapshots(own, shrinks, row_of, cps)
             for own, (_, shrinks, row_of) in zip(np.split(rows, ends), parts)]
@@ -250,8 +250,13 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     sweep, or the finite-horizon steps gamma0 * N**expo with one row per
     horizon N. Or it holds per-step sizes, shape (rows, n): the horizon-free
     schedules. `shrinks`, shape (n,) shared by all rows or (rows, n) one per
-    row, multiplies every older coefficient by shrinks[i] at step i; the
-    product S_i = shrinks[0] * ... * shrinks[i] is carried as one global
+    row, multiplies every older coefficient by shrinks[i] at step i. Or
+    `gammas` is a list of such (gammas, shrinks) pairs, groups of rows
+    stacked in order, and `shrinks` is not given: `sgd_run` passes each
+    schedule's rows so. Each block slices its steps, shrinks and targets
+    from the groups, so no array of the solver but the result (and the
+    binned predictor's slotted copy of it) has one entry per row and step.
+    The product S_i = shrinks[0] * ... * shrinks[i] is carried as one global
     scale per row, so the (rows, n) result holds raw coefficients b:
     a_i = S_i b_i was created at step i and S_N b[:N] is the last iterate
     after N steps (without shrinks, b = a). `prefix_iterate` reads the last
@@ -270,7 +275,7 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     gram[s:e, s:e] covers the block; only the lower triangle of a dense
     array is ever used, and no (n, n) array need exist. Rows differ only in
     the diagonal, so one Fortran-ordered copy of the diagonal block serves
-    them all.
+    them all, its diagonal rewritten per row through a strided view.
 
     `horizons`, one per row, says how many leading entries of the row are
     read; a row stops at the end of the block that reaches its horizon, and
@@ -284,28 +289,33 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     from scipy.linalg.blas import dtrsv
 
     n = ys.shape[0]
-    g = np.asarray(gammas, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    shrinks = np.ones(n) if shrinks is None else np.asarray(shrinks, dtype=float)
-    diags = shrinks / np.broadcast_to(g, (g.shape[0], n))
-    prev = np.cumprod(shrinks, axis=-1)[..., :-1]
-    targets = np.broadcast_to(
-        ys / np.concatenate([np.ones(prev.shape[:-1] + (1,)), prev], axis=-1),
-        (g.shape[0], n))
-    horizons = np.full(g.shape[0], n) if horizons is None else np.asarray(horizons)
-    coeffs = np.zeros((g.shape[0], n))
-    predict = (gram.predictions(n, g.shape[0]) if isinstance(gram, SplineGram)
+    # per group, (rows, n) views of its steps, shrinks and targets
+    # y_i / S_{i-1}, the running products taken left to right
+    groups = []
+    for g, shrunk in (gammas if isinstance(gammas, list) else [(gammas, shrinks)]):
+        g = np.asarray(g, dtype=float)
+        shape = (g.shape[0], n)
+        shrunk = np.ones(n) if shrunk is None else np.asarray(shrunk, dtype=float)
+        prev = np.cumprod(shrunk, axis=-1)[..., :-1]
+        targets = ys / np.concatenate([np.ones(prev.shape[:-1] + (1,)), prev], axis=-1)
+        groups.append([np.broadcast_to(a, shape)
+                       for a in (g[:, None] if g.ndim == 1 else g, shrunk, targets)])
+    rows = sum(g.shape[0] for g, _, _ in groups)
+    horizons = np.full(rows, n) if horizons is None else np.asarray(horizons)
+    coeffs = np.zeros((rows, n))
+    predict = (gram.predictions(n, rows) if isinstance(gram, SplineGram)
                else partial(_strip_predictions, gram))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _TIME_BLOCK):
             e = min(s + _TIME_BLOCK, n)
             live = np.flatnonzero(horizons > s)
-            rhs = targets[live, s:e] - predict(coeffs, live, s, e)
+            steps, shrunk, targets = (np.concatenate([a[:, s:e] for a in parts])[live]
+                                      for parts in zip(*groups))
+            rhs = targets - predict(coeffs, live, s, e)
             block = np.array(gram[s:e, s:e], dtype=float, order="F")
-            on_diag = np.arange(e - s)
-            for row, r in zip(live, rhs):
-                block[on_diag, on_diag] = diags[row, s:e]
+            diagonal = np.einsum("ii->i", block)
+            for row, d, r in zip(live, shrunk / steps, rhs):
+                diagonal[:] = d
                 coeffs[row, s:e] = dtrsv(block, r, lower=1)
     return coeffs
 

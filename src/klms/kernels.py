@@ -46,8 +46,9 @@ tests build D, as `SplineGram(2 * m, xs)[:, :]`). R_m is one polynomial in
 {s - t}, so the pairs of two bins are exact Taylor sums over per-bin
 moments (Greengard & Rokhlin's fast multipole method with no truncation)
 through the one exact table of `_far_field_blocks`, and the pairs inside a
-bin read dense `_spline_w` entries. No run holds an (n, n) array, and a
-run's work grows as n^1.5.
+bin read dense `_spline_w` entries, computed per call a few bins at a time
+and never stored. No run holds an (n, n) array or any other array of
+n^1.5 entries, and a run's work grows as n^1.5.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ _BLOCK_ENTRIES = 1 << 16
 
 # coefficient vectors per product in DoubledForm.quad
 _ROW_BLOCK = 32
+
+# slotted coefficients gathered per near-field product of the recursion's
+# predictions: 1 MB
+_GATHER_ENTRIES = 1 << 17
 
 
 def _check_order(m: int, orders=SUPPORTED_ORDERS) -> None:
@@ -351,7 +356,10 @@ class _BinnedPredictions:
         width = layout.widths[s - 1]
         kernel = _spline_w(self._order, _circle_w(
             targets[:, :, None] - layout.slot_xs[touched, :width][:, None, :]))
-        near = kernel @ self._slotted[touched, :width]
+        near = np.empty(kernel.shape[:2] + (live.size,))
+        step = max(1, _GATHER_ENTRIES // max(width * live.size, 1))
+        for b in range(0, touched.size, step):
+            near[b:b + step] = kernel[b:b + step] @ self._slotted[touched[b:b + step], :width]
         out += near[group, place]
         return out.T
 
@@ -380,29 +388,23 @@ class DoubledForm:
     product of its (L, B L) window, a strided view of the table, with the
     moments of all B bins by bin index (zero in empty bins), summed against
     mu_{b',p} over p. Pairs inside one bin read the dense entries of
-    `_spline_w`, bitwise those of `SplineGram`, from per-bin blocks padded
-    to the fullest bin; a prefix of n' points fills the leading slots of the
-    leading bins, and its near field reads only those.
+    `_spline_w`, bitwise those of `SplineGram`, over the bin's slots; a
+    prefix of n' points fills the leading slots of the leading bins, and
+    its near field reads only those. The form keeps the slot layout, the
+    slots' centred powers and the window view, O(n L) in all: each `quad`
+    computes the near blocks of its own prefix, a few bins at a time.
     """
 
     def __init__(self, m: int, xs):
         _check_order(m)
-        order = 2 * m
+        self._order = order = 2 * m
         xs = frac(np.asarray(xs, dtype=float))
         self.n = xs.shape[0]
         layout = _BinLayout(xs)
         self._slots, self._bins, self._widths = layout.slots, layout.bins, layout.widths
-        self._cells = layout.cells
+        self._cells, self._slot_xs = layout.cells, layout.slot_xs
         size = 2 * order + 1
         self._powers = layout.slot_offsets[:, None, :] ** np.arange(size)[:, None]
-        # built in place, in chunks of bins whose w and the temporary of
-        # `_circle_w` together fit in _BLOCK_ENTRIES entries
-        x = layout.slot_xs
-        self._near = np.empty(x.shape + x.shape[1:])
-        step = max(1, _BLOCK_ENTRIES // max(2 * x.shape[1] ** 2, 1))
-        for b in range(0, x.shape[0], step):
-            _spline_w(order, _circle_w(x[b:b + step, :, None] - x[b:b + step, None, :]),
-                      out=self._near[b:b + step])
         # the window of each bin b, by bin index (see `_far_field_blocks`)
         self._far = np.lib.stride_tricks.sliding_window_view(
             _far_field_blocks(order, layout.count), layout.count * size,
@@ -415,35 +417,50 @@ class DoubledForm:
         Rows go through the products _ROW_BLOCK at a time, zero rows
         padding the last block, so every row meets products of one shape
         and its value does not depend on the other rows: a non-finite row
-        spoils only its own value."""
+        spoils only its own value. The near blocks are computed once per
+        call, in chunks of bins whose w and the temporary of `_circle_w`
+        together fit in _BLOCK_ENTRIES entries, and each chunk serves every
+        row block; the weights of a chunk's slots are gathered from the
+        rows, zero in slots outside the prefix."""
         w = np.asarray(coeffs, dtype=float)
         n = w.shape[-1]
         if n > self.n:
             raise ConfigurationError(f"{n} coefficients on a stream of {self.n} points")
         rows = w.reshape(math.prod(w.shape[:-1]), n)
-        count = rows.shape[0]
+        starts = range(0, rows.shape[0], _ROW_BLOCK)
         bins, width = (self._bins[n - 1], self._widths[n - 1]) if n else (0, 0)
-        # slots past the prefix read the zero row n of `columns`
-        slots = np.minimum(self._slots[:bins, :width], n)
-        near = self._near[:bins, :width, :width]
-        powers = self._powers[:bins, :, :width]
         cells = self._cells[:bins]
-        columns = np.zeros((n + 1, -(-count // _ROW_BLOCK) * _ROW_BLOCK))
-        columns[:n, :count] = rows.T
-        # (B, L, block) moments by bin index; bins outside the prefix stay 0
-        moments = np.zeros(self._far.shape[:2] + (_ROW_BLOCK,))
-        out = np.empty(columns.shape[1])
-        for s in range(0, count, _ROW_BLOCK):
-            # (bins, width, block) weights per slot
-            slotted = columns[:, s:s + _ROW_BLOCK][slots]
-            moments[cells] = powers @ slotted
-            far_part = self._far @ moments.reshape(-1, _ROW_BLOCK)
+        # per row block: (B, L, block) moments by bin index, 0 outside the
+        # prefix, and each bin's near-field sum
+        moments = np.zeros((len(starts),) + self._far.shape[:2] + (_ROW_BLOCK,))
+        near = np.empty((len(starts), bins, _ROW_BLOCK))
+        step = max(1, _BLOCK_ENTRIES // max(2 * width ** 2, 1))
+        for b in range(0, bins, step):
+            chunk = slice(b, min(b + step, bins))
+            slots = self._slots[chunk, :width]
+            outside = slots >= n
+            x = self._slot_xs[chunk, :width]
+            kernel = _spline_w(self._order, _circle_w(x[:, :, None] - x[:, None, :]))
+            powers = self._powers[chunk, :, :width]
+            index = np.where(outside, 0, slots)
+            for k, s in enumerate(starts):
+                # (bins, width, block) weights per slot, zero rows padding
+                # the last block
+                slotted = np.zeros(slots.shape + (_ROW_BLOCK,))
+                block = rows[s:s + _ROW_BLOCK]
+                slotted[..., :block.shape[0]] = block.T[index]
+                slotted[outside] = 0.0
+                moments[k, cells[chunk]] = powers @ slotted
+                near[k, chunk] = (slotted * (kernel @ slotted)).sum(axis=1)
+        out = np.empty(len(starts) * _ROW_BLOCK)
+        for k, s in enumerate(starts):
+            far_part = self._far @ moments[k].reshape(-1, _ROW_BLOCK)
             # per bin, then pairwise over the bins along each row's own
             # contiguous partial sums
-            per_bin = (moments * far_part).sum(axis=1)
-            per_bin[cells] += (slotted * (near @ slotted)).sum(axis=1)
+            per_bin = (moments[k] * far_part).sum(axis=1)
+            per_bin[cells] += near[k]
             out[s:s + _ROW_BLOCK] = np.ascontiguousarray(per_bin.T).sum(axis=1)
-        return out[:count].reshape(w.shape[:-1])
+        return out[:rows.shape[0]].reshape(w.shape[:-1])
 
 
 def spline_kernel(m: int, s, t):

@@ -42,7 +42,7 @@ import numpy as np
 from .bernoulli import (MAX_DEGREE, _inverse_powers, _phase_tables, bernoulli_numbers,
                         bernoulli_poly, frac, zeta_tail)
 from .errors import ConfigurationError
-from .kernels import DoubledForm, _check_order, _spline_sum
+from .kernels import _ROW_BLOCK, DoubledForm, _check_order, _spline_sum
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -81,6 +81,8 @@ class ClosedFormRisk:
     It takes one coefficient vector (giving a scalar) or a (p, n) stack of
     them (giving p risks); a row's risk is bitwise its risk computed alone,
     as w'i is summed row by row and `DoubledForm.quad` keeps rows apart.
+    The products w_j i_j are formed _ROW_BLOCK rows at a time, so a stack
+    is never copied whole.
     """
 
     def __init__(self, m: int, k: int, xs):
@@ -91,7 +93,11 @@ class ClosedFormRisk:
     def __call__(self, coeffs):
         w = np.asarray(coeffs, dtype=float)
         n = w.shape[-1]
-        return self.form.quad(w) - 2.0 * (w * self.inner[:n]).sum(axis=-1) + self.norm_sq
+        rows = w.reshape(math.prod(w.shape[:-1]), n)
+        inner = np.empty(rows.shape[0])
+        for s in range(0, rows.shape[0], _ROW_BLOCK):
+            inner[s:s + _ROW_BLOCK] = (rows[s:s + _ROW_BLOCK] * self.inner[:n]).sum(axis=-1)
+        return self.form.quad(w) - 2.0 * inner.reshape(w.shape[:-1]) + self.norm_sq
 
 
 def excess_risk_closed(expansion, m: int, k: int) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestRecursion:
         ran = []
 
         def grid(*args, **kwargs):
-            ran.append(np.shape(args[2])[0])
+            ran.append(sum(len(steps) for steps, _ in args[2]))
             return sgd_constant_grid(*args, **kwargs)
 
         monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
@@ -420,6 +421,23 @@ class TestConstantGrid:
             # without contaminating the stable row
             assert not np.all(np.isfinite(coeffs[1]))
 
+    def test_peak_within_three_grids(self):
+        # the sweep's 59 rows at n = 20000: the grid (9.4 MB) and the
+        # predictor's slotted copy of it are the only arrays of one entry
+        # per row and step, so the call peaks at 2.9-2.95 grids (seeds
+        # 0-4), against 4.55 with per-step copies of the schedule
+        sgd_constant_grid(SplineGram(1, np.linspace(0, 1, 200)), np.zeros(200), np.ones(2))
+        rng = np.random.default_rng(0)
+        xs, ys = rng.random(20000), rng.standard_normal(20000)
+        grid = default_gamma_grid(kernel_sup_sq(1))
+        tracemalloc.start()
+        try:
+            coeffs = sgd_constant_grid(SplineGram(1, xs), ys, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs.shape == (59, 20000) and peak <= 3 * coeffs.nbytes
+
 
 @pytest.fixture(scope="module", params=[(1, False), (2, False), (1, True), (2, True)],
                 ids=["m1", "m2", "m1-lazy", "m2-lazy"])
@@ -456,13 +474,14 @@ class TestBlockedSolver:
         assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
 
     def test_rows_stop_at_their_horizon(self, production):
+        # the second grid has no live row in its last blocks
         _, _, ys, gram = production
-        horizons = np.array([3162, 1, 128, 129, 700])
-        rows = sgd_constant_grid(gram, ys, np.full(5, 0.5), horizons=horizons)
-        for row, h in zip(rows, horizons):
-            stop = -(-h // estimator._TIME_BLOCK) * estimator._TIME_BLOCK
-            assert np.all(row[:stop] != 0.0)
-            assert np.all(row[stop:] == 0.0)
+        for horizons in ([3162, 1, 128, 129, 700], [1, 128, 129, 700, 700]):
+            rows = sgd_constant_grid(gram, ys, np.full(5, 0.5), horizons=np.array(horizons))
+            for row, h in zip(rows, horizons):
+                stop = -(-h // estimator._TIME_BLOCK) * estimator._TIME_BLOCK
+                assert np.all(row[:stop] != 0.0)
+                assert np.all(row[stop:] == 0.0)
 
     def test_trimmed_rows_equal_full_rows(self, production):
         # 20 finite-horizon checkpoints: sgd_run stops each row at its own

@@ -505,9 +505,8 @@ class TestNoDenseGram:
     """No run holds an (n, n) array: the recursion computes its Gram strips
     on demand. At n = 4000 one n x n float64 array is 128 MB; the peak of
     everything numpy and Python allocate during a run must stay below a
-    quarter of it (measured on x86-64 with numpy 2.4: at most 27.3 MB, at
-    point 4, the binned form's 12.8 MB far-field table being the largest
-    part)."""
+    quarter of it (measured on x86-64 with numpy 2.4: at most 8.6 MB, the
+    m = 2 sweep)."""
 
     N = 4000
     LIMIT = N * N * 8 // 4
@@ -536,3 +535,12 @@ class TestNoDenseGram:
         cfg = ExperimentConfig(kernel_order_m=m, n_max=self.N, replicates=1)
         peak = self.traced_peak(lambda: gamma_sweep(cfg, default_gamma_grid(cfg.R_sq)))
         assert peak < self.LIMIT
+
+    def test_compare_replicate_at_n_20000(self):
+        # besides the coefficient grid, the predictor's slotted copy of it
+        # and the snapshot stacks the harness scores, no array of a
+        # replicate has one entry per row and step, and none grows as
+        # n^1.5: measured 39.5 MB, against 95.1 MB with stored near blocks
+        # and per-step schedule copies
+        peak = self.traced_peak(lambda: compare_algorithms(1, n_max=20000, replicates=1))
+        assert peak <= 45e6

@@ -252,26 +252,29 @@ class TestDoubledForm:
     # order (measured at most 3.5e-16 over these cases)
     RTOL = 1e-14
 
-    def test_table_is_built_in_place(self):
-        # the near-field blocks are built in place, a few bins at a time,
-        # with no second copy: at n = 4000 (m = 2, 3.5 MB of blocks)
-        # building the form peaks within 1.2x of what the form keeps
-        xs = np.random.default_rng(0).random(4000)
-        DoubledForm(2, xs)
+    def test_quad_holds_no_stack_copy(self):
+        # an 80-row stack at n = 20000 (12.8 MB) is read in place: each
+        # chunk of bins gathers its slots' weights and computes its near
+        # blocks, so the call peaks at 2.2 MB (m = 2), against 28.8 MB with
+        # a transposed copy of the stack beside the stored near blocks
+        xs = np.random.default_rng(2).random(20000)
+        form = DoubledForm(2, xs)
+        w = np.random.default_rng(5).standard_normal((80, 20000))
         tracemalloc.start()
         try:
-            form = DoubledForm(2, xs)
-            retained, peak = tracemalloc.get_traced_memory()
+            form.quad(w)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert form.n == 4000 and peak < 1.2 * retained
+        assert peak < 4e6
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_retains_no_far_table(self, m):
-        # at n = 20000 (141 bins) the form keeps its padded near blocks and
-        # a view of the cached (L, 2 B L) table, no (B L)^2 array: measured
-        # 37.7 and 36.2 MB for m = 1, 2, against 39.9 and 75.4 MB with the
-        # gathered table of 2 sqrt(n) bins
+        # at n = 20000 (141 bins) the form keeps the slot layout, the
+        # slots' centred powers and a view of the cached (L, 2 B L) table:
+        # no (B L)^2 far table and no near blocks, which `quad` computes per
+        # call. Measured 1.8 and 2.7 MB for m = 1, 2, against 37.7 and
+        # 36.2 MB with stored near blocks padded to the fullest bin
         xs = np.random.default_rng(m).random(20000)
         tracemalloc.start()
         try:
@@ -279,7 +282,7 @@ class TestDoubledForm:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert form.n == 20000 and retained < 50e6
+        assert form.n == 20000 and retained < 5e6
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 3162])
