@@ -26,7 +26,7 @@ import numpy as np
 from . import bernoulli, harness, kernels, risk, theory
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients, finite_dim_sgd,
-                        sgd_run)
+                        first_divergence, prefix_iterate, sgd_run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,6 +192,16 @@ def _check_eigen() -> tuple[bool, str]:
     return worst <= 1e-6, f"max eigen residual = {worst:.2e}"
 
 
+def _averaged_iterate(gram, ys, step, n: int) -> np.ndarray:
+    """The averaged iterate after the first n steps of one `sgd_run` schedule
+    on one checkpoint, so one grid row; a divergence raises."""
+    [(rows, shrinks, _)] = sgd_run(gram, ys, [step], [n])
+    [bad_step], [value] = first_divergence(rows, shrinks)
+    if bad_step <= n:
+        raise DivergenceError(int(bad_step), float(value))
+    return prefix_iterate(rows[0], n, True, shrinks)
+
+
 def _check_risk_oracles() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     worst_f, worst_q = 0.0, 0.0
@@ -209,12 +219,9 @@ def _check_risk_oracles() -> tuple[bool, str]:
     cfg = harness.ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                    noise_sigma=harness.POINT_NOISE[2], n_max=3162, replicates=1)
     ctx = next(harness._replicate_contexts(cfg))
-    [result] = sgd_run(ctx.gram, ctx.ys, [harness._algorithm_spec(cfg, "ours")], [cfg.n_max])
-    if isinstance(result, DivergenceError):
-        raise result
-    _, averaged = result
-    exp = KernelExpansion(ctx.xs, averaged[0])
-    closed = float(ctx.excess_risk(averaged[0]))
+    averaged = _averaged_iterate(ctx.gram, ctx.ys, harness._algorithm_spec(cfg, "ours"), cfg.n_max)
+    exp = KernelExpansion(ctx.xs, averaged)
+    closed = float(ctx.excess_risk(averaged))
     rel_f = abs(risk.excess_risk_fourier(exp, m, k, 2000) / closed - 1.0)
     rel_q = abs(risk.excess_risk_mc(exp, m, k, 10**5) / closed - 1.0)
     ok = worst_f <= 1e-8 and worst_q <= 1e-5 and rel_f <= 1e-8 and rel_q <= 1e-6
@@ -249,12 +256,9 @@ def _check_finite_dim() -> tuple[bool, str]:
     ys = xs @ np.array([0.5, -1.0]) + 0.1 * rng.standard_normal(n)
     gamma = 0.05
     theta_bar = finite_dim_sgd((xs, ys), gamma)
-    [result] = sgd_run(xs @ xs.T, ys, [FiniteHorizon(gamma)], [n])
-    if isinstance(result, DivergenceError):
-        raise result
-    _, averaged = result
+    averaged = _averaged_iterate(xs @ xs.T, ys, FiniteHorizon(gamma), n)
     test_points = rng.standard_normal((5, d))
-    worst = max(abs(float(theta_bar @ p) - float(averaged[0] @ (xs @ p)))
+    worst = max(abs(float(theta_bar @ p) - float(averaged @ (xs @ p)))
                 for p in test_points)
     return worst <= 1e-10, f"max primal/expansion gap = {worst:.2e}"
 

@@ -23,9 +23,11 @@ moments and a near field over each step's own bin, with no strip, so a run
 holds no (n, n) array and its work grows as n^1.5, not n^2. A run stops at
 its horizon, the last step anyone reads. `sgd_run` runs several
 step schedules through one grid pass, each row up to the last checkpoint
-that reads it, and returns per schedule both the last and the averaged
-iterate at every checkpoint, or the divergence it met; which of them an
-algorithm reports is the harness's business.
+that reads it, and returns per schedule its raw rows, its shrinks and the
+row serving each checkpoint. Callers test the rows with `first_divergence`
+and form only the iterates they read, off a row prefix with
+`prefix_iterate`; which iterate an algorithm reports is the harness's
+business.
 """
 
 from __future__ import annotations
@@ -162,7 +164,9 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
     """
     a = np.asarray(coeffs, dtype=float)
     n = a.shape[-1]
-    p = np.cumprod(np.ones(n) if shrinks is None else np.asarray(shrinks, dtype=float))
+    if shrinks is None:  # p = 1: exact integer weights, no running sums
+        return a * (np.arange(n, 0, -1) / (n + 1.0))
+    p = np.cumprod(np.asarray(shrinks, dtype=float))
     if p.shape[0] != n:
         raise ConfigurationError("coeffs and shrinks must have equal length")
     suffix = np.cumsum(p[::-1])[::-1]
@@ -175,25 +179,16 @@ def averaged_coefficients(coeffs, shrinks=None) -> np.ndarray:
 
 def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[int]) -> list:
     """Run the recursion with each of the step `schedules` over the responses
-    ys of a stream whose Gram matrix is `gram`, snapshotting at each
-    checkpoint.
+    ys of a stream whose Gram matrix is `gram` (dense or a lazy
+    `SplineGram`), up to the last checkpoint N (see `check_checkpoints`).
 
-    One `sgd_constant_grid` call runs every schedule, so the Gram matrix is
-    read once. Each schedule gives its own grid rows through
-    its `rows(checkpoints)`: (steps, shrinks, row_of), with steps of shape
-    (rows, N), N the last checkpoint (see `check_checkpoints`), the shrinks
-    (None without regularization) and the row serving each checkpoint; a
-    row runs up to the last checkpoint it serves. The (steps, shrinks)
-    pairs go to the solver as they are, one group of rows per schedule.
-    Returns one entry per schedule: either (last, averaged), two
-    (len(checkpoints), N) arrays, where row c holds that iterate after
-    checkpoints[c] steps in its leading checkpoints[c] entries, depending
-    only on the first checkpoints[c] observations, and zeros after them;
-    or, if a checkpoint's row meets the `first_divergence` criterion within
-    its steps, the DivergenceError naming the step of the first such
-    checkpoint. `gram` is a dense array or a lazy `SplineGram`; only its
-    leading (N, N) lower triangle is read, so the Gram matrix of a longer
-    stream serves as well.
+    One `sgd_constant_grid` call runs every schedule's `rows(checkpoints)`,
+    (steps, shrinks, row_of), as one group of rows, each run up to the last
+    checkpoint it serves; only the leading (N, N) lower triangle of `gram`
+    is read. Returns that triple per schedule with the steps replaced by its
+    (rows, N) raw coefficients, a view of the one grid. Callers judge the
+    rows with `first_divergence` and form each iterate they read with
+    `prefix_iterate`.
     """
     ys = np.asarray(ys, dtype=float)
     cps = check_checkpoints(checkpoints, ys.shape[0])
@@ -211,23 +206,7 @@ def sgd_run(gram, ys, schedules: Sequence[StepSchedule], checkpoints: Sequence[i
     rows = sgd_constant_grid(gram, ys[:n_run], [(steps, shrinks) for steps, shrinks, _ in parts],
                              horizons=np.concatenate(horizons))
     ends = np.cumsum([len(h) for h in horizons])[:-1]
-    return [_snapshots(own, shrinks, row_of, cps)
-            for own, (_, shrinks, row_of) in zip(np.split(rows, ends), parts)]
-
-
-def _snapshots(rows: np.ndarray, shrinks: Optional[np.ndarray], row_of, cps: list[int]):
-    """The (last, averaged) stacks of one schedule's grid rows at the
-    checkpoints `cps`, or the DivergenceError of the first checkpoint whose
-    row diverged within its steps."""
-    bad_step, bad_value = first_divergence(rows, shrinks)
-    for row, n in zip(row_of, cps):
-        if bad_step[row] <= n:
-            return DivergenceError(int(bad_step[row]), float(bad_value[row]))
-    last, averaged = np.zeros((2, len(cps), cps[-1]))
-    for c, (row, n) in enumerate(zip(row_of, cps)):
-        last[c, :n] = prefix_iterate(rows[row], n, False, shrinks)
-        averaged[c, :n] = prefix_iterate(rows[row], n, True, shrinks)
-    return last, averaged
+    return [(own,) + part[1:] for own, part in zip(np.split(rows, ends), parts)]
 
 
 def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
@@ -335,10 +314,11 @@ def prefix_iterate(rows: np.ndarray, n: int, averaged: bool,
     gives a meaningless, possibly non-finite iterate; callers test the rows
     first and raise or exclude them.
     """
-    shrinks = np.ones(n) if shrinks is None else shrinks[:n]
-    scales = np.cumprod(shrinks)
+    if shrinks is None:
+        return averaged_coefficients(rows[..., :n]) if averaged else rows[..., :n].copy()
+    scales = np.cumprod(shrinks[:n])
     if averaged:
-        return averaged_coefficients(rows[..., :n] * scales, shrinks)
+        return averaged_coefficients(rows[..., :n] * scales, shrinks[:n])
     return scales[-1] * rows[..., :n]
 
 
@@ -350,15 +330,18 @@ def first_divergence(rows: np.ndarray, shrinks: Optional[np.ndarray] = None):
     non-finite or exceeds DIVERGENCE_LIMIT in absolute value, judged on
     a_i = S_i b_i as created at step i. A row with no such coefficient gets
     step N + 1 (N its length) and |a| = 0, so a row diverged within its
-    first n steps exactly when its step is <= n.
+    first n steps exactly when its step is <= n. It holds |a| and a mask.
     """
-    created = np.abs(rows if shrinks is None else rows * np.cumprod(shrinks))
-    # a zero flagged bad after the last step stops rows that never diverge
-    created = np.concatenate([created, np.zeros(created.shape[:-1] + (1,))], axis=-1)
-    bad = ~(created <= DIVERGENCE_LIMIT)
-    bad[..., -1] = True
-    first = np.argmax(bad, axis=-1)
-    return first + 1, np.take_along_axis(created, first[..., None], axis=-1)[..., 0]
+    created = np.abs(rows)
+    if shrinks is not None:
+        created *= np.abs(np.cumprod(shrinks))
+    if created.shape[-1] == 0:
+        return np.ones(created.shape[:-1], dtype=int), np.zeros(created.shape[:-1])
+    good = created <= DIVERGENCE_LIMIT
+    first = np.argmin(good, axis=-1)[..., None]
+    found = ~np.take_along_axis(good, first, axis=-1)[..., 0]
+    step = np.where(found, first[..., 0] + 1, created.shape[-1] + 1)
+    return step, np.where(found, np.take_along_axis(created, first, axis=-1)[..., 0], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ per replicate it builds one context (the lazy `kernels.SplineGram`, from
 whose bins the recursion predicts, and the `risk.ClosedFormRisk` of the
 stream, which holds the parts of its closed-form risk) and one `sgd_run`
 over all distinct step schedules, so the recursion passes over the stream
-once per replicate, and one stacked closed-form call scores the snapshots of
-every preset. A divergence raises after all replicates,
-naming its preset and replicate and carrying every other one. No run holds
-an (n, n) array.
+once per replicate. Its rows are judged with `first_divergence`, and
+`prefix_iterate` writes each preset's iterates into one zero-padded stack,
+scored in one closed-form call. A divergence raises after all replicates,
+naming its preset and replicate and carrying every other one; the
+step-size sweep reads its grid the same way but drops a diverged row. No
+run holds an (n, n) array.
 """
 
 from __future__ import annotations
@@ -269,11 +271,9 @@ class ReplicateRun:
 def _replicate_runs(config: ExperimentConfig,
                     presets: dict[str, StepSchedule]) -> dict[str, ReplicateRun]:
     """Curves of the presets, name -> step schedule, at the config's
-    checkpoints on its replicates. Per replicate one `sgd_run` runs each
-    distinct schedule once, in order of first appearance, and each preset
-    scores its iterate (see PRESETS). Every divergence is collected; after
-    all replicates the first, by preset and then replicate, is raised with
-    every later one in its ``also``, each naming its preset and replicate."""
+    checkpoints on its replicates (see `_replicate_curves`). Every
+    divergence is collected; after all replicates the first, by preset and
+    then replicate, is raised with every later one in its ``also``."""
     cps = config.checkpoints()
     by_step: dict[StepSchedule, list[str]] = {}
     for name, step in presets.items():
@@ -281,25 +281,41 @@ def _replicate_runs(config: ExperimentConfig,
     risks: dict[str, list] = {name: [] for name in presets}
     failed: dict[str, list] = {name: [] for name in presets}
     for rep, ctx in enumerate(_replicate_contexts(config)):
-        results = sgd_run(ctx.gram, ctx.ys, list(by_step), cps)
-        stacks = {}
-        for group, result in zip(by_step.values(), results):
-            for name in group:
-                if isinstance(result, DivergenceError):
-                    failed[name].append(DivergenceError(result.step, result.value,
-                                                        f"{name}, replicate {rep}"))
-                else:
-                    last, averaged = result
-                    stacks[name] = averaged if PRESETS[name] else last
-        if stacks:  # one stacked call scores the snapshots of every preset
-            scored = ctx.excess_risk(np.concatenate(list(stacks.values())))
-            for name, curve in zip(stacks, np.split(scored, len(stacks))):
-                risks[name].append(curve)
+        for name, curve in _replicate_curves(ctx, by_step, cps, rep).items():
+            (failed if isinstance(curve, DivergenceError) else risks)[name].append(curve)
     errors = [err for errs in failed.values() for err in errs]
     if errors:
         errors[0].also = tuple(errors[1:])
         raise errors[0]
     return {name: ReplicateRun(cps, np.array(risks[name])) for name in presets}
+
+
+def _replicate_curves(ctx: _Context, by_step: dict[StepSchedule, list[str]],
+                      cps: list[int], rep: int) -> dict:
+    """Per preset of `by_step` (schedule -> presets), its risk curve on
+    replicate `rep`, or the DivergenceError of its schedule naming the
+    preset and replicate. One `sgd_run` runs each distinct schedule once,
+    in order of first appearance, and its rows are judged; each preset that
+    did not diverge writes its iterate (see PRESETS) at every checkpoint
+    into one zero-padded stack, scored in one call. Rows and stack are
+    freed on return."""
+    curves, picks = {}, []
+    runs = sgd_run(ctx.gram, ctx.ys, list(by_step), cps)
+    for (rows, shrinks, row_of), group in zip(runs, by_step.values()):
+        step, value = first_divergence(rows, shrinks)
+        bad = row_of[step[row_of] <= cps]  # the rows of diverged checkpoints, in order
+        for name in group:
+            if bad.size:
+                curves[name] = DivergenceError(int(step[bad[0]]), float(value[bad[0]]),
+                                               f"{name}, replicate {rep}")
+            else:
+                picks.append((name, rows, shrinks, row_of))
+    stack = np.zeros((len(picks), len(cps), cps[-1]))
+    for (name, rows, shrinks, row_of), out in zip(picks, stack):
+        for c, n in enumerate(cps):
+            out[c, :n] = prefix_iterate(rows[row_of[c]], n, PRESETS[name], shrinks)
+    curves.update((name, curve) for (name, *_), curve in zip(picks, ctx.excess_risk(stack)))
+    return curves
 
 
 def run_replicates(config: ExperimentConfig) -> ReplicateRun:
@@ -356,9 +372,9 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float]) -> list[SweepRo
         step, value = first_divergence(coeffs)
         earlier = step < bad_step
         bad_step[earlier], bad_value[earlier] = step[earlier], value[earlier]
-        for ci, n in enumerate(cps):
-            with np.errstate(invalid="ignore", over="ignore"):
-                sums[ci] += ctx.excess_risk(prefix_iterate(coeffs, n, True))
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums += [ctx.excess_risk(prefix_iterate(coeffs, n, True)) for n in cps]
+        del coeffs  # before the next replicate's grid
     means = sums / config.replicates
     rows = []
     for ci, n in enumerate(cps):

@@ -134,6 +134,15 @@ def _circle_w(d: np.ndarray) -> np.ndarray:
     return d
 
 
+def _power_table(d: np.ndarray, count: int, axis: int = -1) -> np.ndarray:
+    """d**0, ..., d**(count - 1) stacked along a new `axis`, as running
+    products: correctly rounded up to the square, within about (p - 1)/2
+    ulp at power p, and several times faster than `**`, which calls pow."""
+    table = np.repeat(np.expand_dims(d, axis), count, axis=axis)
+    np.moveaxis(table, axis, 0)[0] = 1.0
+    return np.multiply.accumulate(table, axis=axis, out=table)
+
+
 @lru_cache(maxsize=None)
 def _taylor_coeffs(order: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact ascending coefficients of Q_b = P^(b) / b!, b = 0..2 order, P the
@@ -316,7 +325,7 @@ class _BinnedPredictions:
         self._order, self._xs = order, xs
         layout = self._layout = _BinLayout(xs)
         self._size = size = 2 * order + 1
-        self._powers = layout.offsets[:, None] ** np.arange(size)
+        self._powers = _power_table(layout.offsets, size)
         self._far = _far_field_blocks(order, layout.count)
         # moments per bin index and slotted coefficients (0 in padding slots)
         # of the live rows only, in the order of `_rows`
@@ -404,7 +413,7 @@ class DoubledForm:
         self._slots, self._bins, self._widths = layout.slots, layout.bins, layout.widths
         self._cells, self._slot_xs = layout.cells, layout.slot_xs
         size = 2 * order + 1
-        self._powers = layout.slot_offsets[:, None, :] ** np.arange(size)[:, None]
+        self._powers = _power_table(layout.slot_offsets, size, axis=1)
         # the window of each bin b, by bin index (see `_far_field_blocks`)
         self._far = np.lib.stride_tricks.sliding_window_view(
             _far_field_blocks(order, layout.count), layout.count * size,

@@ -11,7 +11,7 @@ import numpy as np
 
 from klms.bernoulli import bernoulli_fourier_eval, bernoulli_poly
 from klms.estimator import (FiniteHorizon, KernelExpansion, averaged_coefficients,
-                            finite_dim_sgd, ridge_solve, sgd_run)
+                            finite_dim_sgd, prefix_iterate, ridge_solve, sgd_run)
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, bound_check,
                           compare_algorithms, default_gamma_grid, fit_rate, gamma_sweep,
                           replicate_seed, sample_stream)
@@ -110,7 +110,10 @@ def test_c05_consistency_constant_step():
     for rep in range(cfg.replicates):
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, 0.1, cfg.n_max)
-        [(_, averaged)] = sgd_run(SplineGram(1, xs), ys, [FiniteHorizon(gamma)], [100, 3162])
+        [(rows, _, _)] = sgd_run(SplineGram(1, xs), ys, [FiniteHorizon(gamma)], [100, 3162])
+        averaged = np.zeros((2, 3162))
+        averaged[0, :100] = prefix_iterate(rows[0], 100, True)
+        averaged[1] = prefix_iterate(rows[0], 3162, True)
         risks += ClosedFormRisk(1, 2, xs)(averaged)
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
@@ -205,8 +208,8 @@ def test_c10_ridge_baseline():
                                2, cfg.noise_sigma, n)
         gram, score = SplineGram(1, xs), ClosedFormRisk(1, 2, xs)
         ridge_risks.append(score(ridge_solve(gram[:, :], ys, n * lam)))
-        [(_, averaged)] = sgd_run(gram, ys, [FiniteHorizon(gamma)], [n])
-        sgd_risks.append(score(averaged[0]))
+        [(rows, _, _)] = sgd_run(gram, ys, [FiniteHorizon(gamma)], [n])
+        sgd_risks.append(score(prefix_iterate(rows[0], n, True)))
     ratio = float(np.mean(ridge_risks)) / float(np.mean(sgd_risks))
     ok = worst_resid <= 1e-8 and (1.0 / 3.0) <= ratio <= 3.0
     _report("c10 ridge baseline", ok,

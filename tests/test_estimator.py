@@ -26,6 +26,26 @@ def G1(xs):
 R1 = partial(spline_kernel, 1)
 
 
+def run_stacks(gram, ys, schedules, cps):
+    """`sgd_run`'s answer per schedule as zero-padded (last, averaged)
+    (len(cps), N) stacks, row c the iterate after cps[c] steps in its
+    leading cps[c] entries; or the DivergenceError of the first checkpoint
+    whose row diverged within its steps."""
+    out = []
+    for rows, shrinks, row_of in sgd_run(gram, ys, schedules, cps):
+        step, value = first_divergence(rows, shrinks)
+        bad = [row for row, n in zip(row_of, cps) if step[row] <= n]
+        if bad:
+            out.append(DivergenceError(int(step[bad[0]]), float(value[bad[0]])))
+            continue
+        stacks = np.zeros((2, len(cps), cps[-1]))
+        for c, (row, n) in enumerate(zip(row_of, cps)):
+            for stack, averaged in zip(stacks, (False, True)):
+                stack[c, :n] = prefix_iterate(rows[row], n, averaged, shrinks)
+        out.append(tuple(stacks))
+    return out
+
+
 def naive_run(kernel, xs, ys, step_fn, lam_fn, n):
     """Straight-line re-implementation of the recursion: full coefficient
     list per step, explicit shrink of every old coefficient, brute-force
@@ -127,20 +147,20 @@ class TestSchedules:
 class TestRecursion:
     def test_single_step_base_case(self):
         xs = np.array([0.3])
-        [(last, avg)] = sgd_run(G1(xs), np.array([2.0]), [FiniteHorizon(0.7)], [1])
+        [(last, avg)] = run_stacks(G1(xs), np.array([2.0]), [FiniteHorizon(0.7)], [1])
         assert last[0, 0] == pytest.approx(0.7 * 2.0)
         assert avg[0, 0] == pytest.approx(0.7 * 2.0 / 2.0)
 
     def test_zero_targets_stay_zero(self):
         xs = np.random.default_rng(1).random(20)
-        [(last, avg)] = sgd_run(G1(xs), np.zeros(20), [FiniteHorizon(1.0)], [20])
+        [(last, avg)] = run_stacks(G1(xs), np.zeros(20), [FiniteHorizon(1.0)], [20])
         assert np.all(last == 0.0)
         assert np.all(avg == 0.0)
 
     def test_transcript_oracle_unregularized(self):
         rng = np.random.default_rng(5)
         xs, ys = rng.random(5), rng.standard_normal(5)
-        [(last, avg)] = sgd_run(G1(xs), ys, [FiniteHorizon(3.0)], [5])
+        [(last, avg)] = run_stacks(G1(xs), ys, [FiniteHorizon(3.0)], [5])
         nc, nav = naive_run(R1, xs, ys, lambda i: 3.0, lambda i: 0.0, 5)
         assert np.allclose(last[0], nc, atol=1e-14)
         assert np.allclose(avg[0], nav, atol=1e-14)
@@ -149,7 +169,7 @@ class TestRecursion:
         rng = np.random.default_rng(6)
         xs, ys = rng.random(40), rng.standard_normal(40)
         ty = TarresYao(competitor_rate(0.75))
-        [(last, avg)] = sgd_run(G1(xs), ys, [ty], [40])
+        [(last, avg)] = run_stacks(G1(xs), ys, [ty], [40])
         nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.75), 40)
         assert np.allclose(last[0], nc, atol=1e-13)
         assert np.allclose(avg[0], nav, atol=1e-13)
@@ -159,7 +179,7 @@ class TestRecursion:
         rng = np.random.default_rng(15)
         xs, ys = rng.random(40), rng.standard_normal(40)
         step = FiniteHorizon(6.0, -0.5)
-        [(last, avg)] = sgd_run(G1(xs), ys, [step], [9, 40])
+        [(last, avg)] = run_stacks(G1(xs), ys, [step], [9, 40])
         for c, n in enumerate([9, 40]):
             nc, nav = naive_run(R1, xs, ys, lambda i: 6.0 * n**-0.5, lambda i: 0.0, n)
             assert np.allclose(last[c, :n], nc, atol=1e-13)
@@ -172,9 +192,9 @@ class TestRecursion:
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
         step = FiniteHorizon(1e6, -3.0)
-        [(last, _)] = sgd_run(G1(xs), ys, [step], [60])
+        [(last, _)] = run_stacks(G1(xs), ys, [step], [60])
         assert last.shape == (1, 60)
-        [err] = sgd_run(G1(xs), ys, [step], [5, 60])
+        [err] = run_stacks(G1(xs), ys, [step], [5, 60])
         assert isinstance(err, DivergenceError)
 
     def test_repeated_finite_horizon_step_runs_once(self, monkeypatch):
@@ -193,7 +213,7 @@ class TestRecursion:
 
         monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
         step = FiniteHorizon(0.3)
-        [got] = sgd_run(gram, ys, [step], cps)
+        [got] = run_stacks(gram, ys, [step], cps)
         assert ran == [1]
         for c, (row, n) in enumerate(zip(rows, cps)):
             for stack, averaged in zip(got, (False, True)):
@@ -204,22 +224,22 @@ class TestRecursion:
     def test_online_schedule_matches_naive(self):
         rng = np.random.default_rng(7)
         xs, ys = rng.random(30), rng.standard_normal(30)
-        [(last, _)] = sgd_run(G1(xs), ys, [Online(3.0, -0.5)], [30])
+        [(last, _)] = run_stacks(G1(xs), ys, [Online(3.0, -0.5)], [30])
         nc, _ = naive_run(R1, xs, ys, lambda i: 3.0 / i**0.5, lambda i: 0.0, 30)
         assert np.allclose(last[0], nc, atol=1e-13)
 
     def test_checkpoint_snapshots_prefix_property(self):
         rng = np.random.default_rng(8)
         xs, ys = rng.random(50), rng.standard_normal(50)
-        [((short, full), _)] = sgd_run(G1(xs), ys, [FiniteHorizon(2.0)], [10, 50])
+        [((short, full), _)] = run_stacks(G1(xs), ys, [FiniteHorizon(2.0)], [10, 50])
         assert np.allclose(short[:10], full[:10], atol=1e-15)
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
         xs, ys = rng.random(25), rng.standard_normal(25)
         step = FiniteHorizon(1.5)
-        [(a, _)] = sgd_run(G1(xs), ys, [step], [25])
-        [(b, _)] = sgd_run(G1(xs), ys, [step], [25])
+        [(a, _)] = run_stacks(G1(xs), ys, [step], [25])
+        [(b, _)] = run_stacks(G1(xs), ys, [step], [25])
         assert np.array_equal(a, b)
 
     def test_leading_block_of_longer_gram(self):
@@ -228,8 +248,8 @@ class TestRecursion:
         rng = np.random.default_rng(10)
         xs, ys = rng.random(60), rng.standard_normal(60)
         step = FiniteHorizon(2.0)
-        [(long_last, long_avg)] = sgd_run(G1(xs), ys, [step], [30])
-        [(last, avg)] = sgd_run(G1(xs[:30]), ys[:30], [step], [30])
+        [(long_last, long_avg)] = run_stacks(G1(xs), ys, [step], [30])
+        [(last, avg)] = run_stacks(G1(xs[:30]), ys[:30], [step], [30])
         assert np.array_equal(long_last, last)
         assert np.array_equal(long_avg, avg)
 
@@ -240,13 +260,13 @@ class TestRecursion:
         for gram in (G1(xs[:200]), G1(xs)[:, :200], G1(xs)[0]):
             with pytest.raises(ConfigurationError, match="Gram matrix"):
                 sgd_run(gram, ys, [step], [100, 300])
-        assert len(sgd_run(G1(xs[:200]), ys, [step], [100, 200])[0][0]) == 2
+        assert len(run_stacks(G1(xs[:200]), ys, [step], [100, 200])[0][0]) == 2
 
     def test_divergence_diagnostic_names_step(self):
         xs = np.full(60, 0.5)
         ys = np.full(60, 1.0)
         step = FiniteHorizon(100.0)
-        [err] = sgd_run(G1(xs), ys, [step], [60])
+        [err] = run_stacks(G1(xs), ys, [step], [60])
         assert isinstance(err, DivergenceError)
         assert err.step > 1
 
@@ -302,7 +322,7 @@ class TestAveraging:
         rng = np.random.default_rng(12)
         xs, ys = rng.random(100), rng.standard_normal(100)
         ty = TarresYao(competitor_rate(0.375))
-        [(last, avg)] = sgd_run(G1(xs), ys, [ty], [100])
+        [(last, avg)] = run_stacks(G1(xs), ys, [ty], [100])
         nc, nav = naive_run(R1, xs, ys, *tarres_yao_fns(0.375), 100)
         assert np.allclose(last[0], nc, atol=1e-12)
         assert np.allclose(avg[0], nav, atol=1e-12)
@@ -386,7 +406,7 @@ class TestFiniteDim:
         ys = xs @ np.array([1.0, -0.5]) + 0.05 * rng.standard_normal(50)
         gamma = 0.05
         theta_bar = finite_dim_sgd((xs, ys), gamma)
-        [(_, avg)] = sgd_run(xs @ xs.T, ys, [FiniteHorizon(gamma)], [50])
+        [(_, avg)] = run_stacks(xs @ xs.T, ys, [FiniteHorizon(gamma)], [50])
         for p in rng.standard_normal((10, 2)):
             assert abs(float(theta_bar @ p) - float(avg[0] @ (xs @ p))) <= 1e-10
 
@@ -437,6 +457,32 @@ class TestConstantGrid:
         finally:
             tracemalloc.stop()
         assert coeffs.shape == (59, 20000) and peak <= 3 * coeffs.nbytes
+
+    def test_divergence_criterion_peaks_within_a_third_over_the_grid(self):
+        # first_divergence holds |a| of the rows and one boolean mask, no
+        # copy with an extra column: at most 1.3 grids of 59 x 20000 (1.125
+        # measured, against 2.0 with the column), with and without shrinks,
+        # and its answers are the straightforward scan's
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((59, 20000))
+        rows[3, 5], rows[7, 300:], rows[9, 1999] = np.nan, -np.inf, 1e300
+        rows[11, 0] = estimator.DIVERGENCE_LIMIT
+        shrinks = 1.0 - 0.01 * rng.random(20000)
+        first_divergence(rows[:2, :10])
+        for scale in (None, shrinks):
+            tracemalloc.start()
+            try:
+                step, value = first_divergence(rows, scale)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.3 * rows.nbytes
+            created = np.abs(rows if scale is None else rows * np.cumprod(scale))
+            for row, s, v in zip(created, step, value):
+                bad = np.flatnonzero(~(row <= estimator.DIVERGENCE_LIMIT))
+                want = (bad[0] + 1, row[bad[0]]) if bad.size else (20001, 0.0)
+                assert (s, v) == want or (s == want[0] and np.isnan(v) and np.isnan(want[1]))
+            assert step[[3, 7, 9, 11]].tolist() == [6, 301, 2000, 20001]
 
 
 @pytest.fixture(scope="module", params=[(1, False), (2, False), (1, True), (2, True)],
@@ -489,7 +535,7 @@ class TestBlockedSolver:
         m, _, ys, gram = production
         cps = np.unique(np.geomspace(10, 3162, 20).astype(int))
         step = FiniteHorizon(1.0 / kernel_sup_sq(m), -0.5)
-        [got] = sgd_run(gram, ys, [step], cps)
+        [got] = run_stacks(gram, ys, [step], cps)
         full = sgd_constant_grid(gram, ys, step.at(cps))
         for c, (row, n) in enumerate(zip(full, cps)):
             for stack, averaged in zip(got, (False, True)):
@@ -527,8 +573,8 @@ class TestStreamedGram:
             assert np.array_equal(sgd_constant_grid(poisoned, ys, *args),
                                   sgd_constant_grid(gram, ys, *args))
         schedules = [FiniteHorizon(2.0, -0.5), Online(3.0, -0.5), TarresYao(-0.6)]
-        for got, want in zip(sgd_run(poisoned, ys, schedules, [10, 129, 300]),
-                             sgd_run(gram, ys, schedules, [10, 129, 300])):
+        for (got, _, _), (want, _, _) in zip(sgd_run(poisoned, ys, schedules, [10, 129, 300]),
+                                             sgd_run(gram, ys, schedules, [10, 129, 300])):
             assert np.array_equal(got, want)
 
     def test_lazy_gram_equals_dense(self, stream):
@@ -545,8 +591,8 @@ class TestStreamedGram:
         assert close(sgd_constant_grid(SplineGram(2, xs), ys, grid),
                      sgd_constant_grid(gram, ys, grid))
         schedules = [FiniteHorizon(2.0, -0.5), TarresYao(-0.6)]
-        for got, want in zip(sgd_run(SplineGram(2, xs), ys, schedules, [50, 300]),
-                             sgd_run(gram, ys, schedules, [50, 300])):
+        for got, want in zip(run_stacks(SplineGram(2, xs), ys, schedules, [50, 300]),
+                             run_stacks(gram, ys, schedules, [50, 300])):
             assert all(close(g, w) for g, w in zip(got, want))
 
 
@@ -565,10 +611,10 @@ class TestMergedSchedules:
         schedules = [FiniteHorizon(6.0, -0.5), Online(3.0, -0.5),
                      TarresYao(competitor_rate(0.75)), FiniteHorizon(4.0)]
         for cps in ([5, 60, 128], [5, 60, 400]):
-            merged = sgd_run(gram, ys, schedules, cps)
+            merged = run_stacks(gram, ys, schedules, cps)
             assert len(merged) == len(schedules)
             for step, got in zip(schedules, merged):
-                [want] = sgd_run(gram, ys, [step], cps)
+                [want] = run_stacks(gram, ys, [step], cps)
                 for g, w in zip(got, want):
                     if cps[-1] <= estimator._TIME_BLOCK:
                         assert np.array_equal(g, w)
@@ -580,9 +626,9 @@ class TestMergedSchedules:
         # one's stacks are bitwise its run alone
         xs, ys = np.full(100, 0.5), np.full(100, 1.0)
         stable, unstable = FiniteHorizon(1.0), FiniteHorizon(100.0)
-        bad, good = sgd_run(G1(xs), ys, [unstable, stable], [20, 100])
-        [alone] = sgd_run(G1(xs), ys, [stable], [20, 100])
-        [err] = sgd_run(G1(xs), ys, [unstable], [20, 100])
+        bad, good = run_stacks(G1(xs), ys, [unstable, stable], [20, 100])
+        [alone] = run_stacks(G1(xs), ys, [stable], [20, 100])
+        [err] = run_stacks(G1(xs), ys, [unstable], [20, 100])
         assert isinstance(bad, DivergenceError) and isinstance(err, DivergenceError)
         assert (bad.step, bad.value) == (err.step, err.value)
         assert all(np.array_equal(g, w) for g, w in zip(good, alone))
@@ -647,7 +693,11 @@ class TestTriangularOracle:
         rng = np.random.default_rng(13)
         xs, ys = rng.random(80), rng.standard_normal(80)
         ty = TarresYao(competitor_rate(0.75))
-        [(last, _)] = sgd_run(G1(xs), ys, [ty], [80])
+        [(last, _)] = run_stacks(G1(xs), ys, [ty], [80])
         steps, shrinks, _ = ty.rows([80])
         b = sgd_constant_grid(G1(xs), ys, steps, shrinks)[0]
         assert np.array_equal(last[0], np.cumprod(shrinks)[-1] * b)
+        # sgd_run answers with the raw row, the shrinks and the row per checkpoint
+        [(rows, got_shrinks, row_of)] = sgd_run(G1(xs), ys, [ty], [20, 80])
+        assert np.array_equal(rows, b[None, :]) and np.array_equal(got_shrinks, shrinks)
+        assert row_of.tolist() == [0, 0]

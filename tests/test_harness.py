@@ -8,8 +8,8 @@ from scipy.linalg import solve_triangular
 
 from klms.bernoulli import bernoulli_poly
 from klms.errors import ConfigurationError, DivergenceError
-from klms.estimator import DIVERGENCE_LIMIT, FiniteHorizon, Online, sgd_run
-from klms import harness
+from klms.estimator import DIVERGENCE_LIMIT, FiniteHorizon, Online, prefix_iterate, sgd_run
+from klms import estimator, harness, kernels
 from klms.cli import main
 from klms.harness import (ALGORITHM_NAMES, ComparisonRow, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, _replicate_runs, checkpoint_grid,
@@ -377,18 +377,29 @@ class TestCompare:
             compare_algorithms(5, n_max=50, replicates=1)
 
     def test_one_run_per_distinct_schedule(self, monkeypatch):
-        # one sgd_run call per replicate, carrying the 3 distinct schedules
-        # (zhang and ying_pontil share one)
-        calls = []
+        # one sgd_run call and one grid pass per replicate, carrying the 3
+        # distinct schedules (zhang and ying_pontil share one) and answering
+        # with the rows of each
+        calls, passes = [], []
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
-            return sgd_run(*args, **kwargs)
+            runs = sgd_run(*args, **kwargs)
+            calls.append((args[2], runs))
+            return runs
 
+        def grid(*args, **kwargs):
+            passes.append(len(args[2]))
+            return grid_pass(*args, **kwargs)
+
+        grid_pass = estimator.sgd_constant_grid
         monkeypatch.setattr(harness, "sgd_run", counting)
+        monkeypatch.setattr(estimator, "sgd_constant_grid", grid)
         compare_algorithms(1, n_max=60, replicates=2)
-        assert len(calls) == 2
-        assert all(len(steps) == len(set(steps)) == 3 for steps in calls)
+        assert len(calls) == 2 and passes == [3, 3]
+        for steps, runs in calls:
+            assert len(steps) == len(set(steps)) == len(runs) == 3
+            assert all(rows.shape[1] == 60 and len(row_of) == len(checkpoint_grid(60, 20))
+                       for rows, _, row_of in runs)
 
     def test_shared_run_matches_standalone_runs(self):
         # each preset's curve is bitwise its run_replicates curve inside the
@@ -419,12 +430,32 @@ class TestCompare:
         presets = all_presets(cfg)
         runs = _replicate_runs(cfg, presets)
         steps = list(dict.fromkeys(presets.values()))
+        cps = cfg.checkpoints()
         for rep, ctx in enumerate(_replicate_contexts(cfg)):
-            results = dict(zip(steps, sgd_run(ctx.gram, ctx.ys, steps, cfg.checkpoints())))
+            results = dict(zip(steps, sgd_run(ctx.gram, ctx.ys, steps, cps)))
             for name, step in presets.items():
-                last, averaged = results[step]
-                alone = ctx.excess_risk(averaged if harness.PRESETS[name] else last)
+                rows, shrinks, row_of = results[step]
+                stack = np.zeros((len(cps), cps[-1]))
+                for c, n in enumerate(cps):
+                    stack[c, :n] = prefix_iterate(rows[row_of[c]], n, harness.PRESETS[name],
+                                                  shrinks)
+                alone = ctx.excess_risk(stack)
                 assert np.array_equal(runs[name].per_replicate[rep], alone)
+
+    @pytest.mark.parametrize("point", [2, 4])
+    def test_power_tables_move_slopes_by_rounding(self, monkeypatch, point):
+        # the binned evaluators' centred powers are running products, not
+        # libm's pow: the recursion's predictions move by rounding, which
+        # the m = 2 points amplify most. Measured on x86-64: slopes moved by
+        # at most 4.8e-12 relative here (2.8e-12 with 15 replicates, seeds
+        # 0-2), the fits' residuals by 1.4e-11 (2.3e-11)
+        got = compare_algorithms(point, n_max=3162, replicates=2)
+        monkeypatch.setattr(kernels, "_power_table", lambda d, count, axis=-1: (
+            np.ascontiguousarray(np.moveaxis(d[..., None] ** np.arange(count), -1, axis))))
+        want = compare_algorithms(point, n_max=3162, replicates=2)
+        for g, w in zip(got, want):
+            assert g.effective_slope == pytest.approx(w.effective_slope, rel=1e-11, abs=0.0)
+            assert g.residual_rms == pytest.approx(w.residual_rms, rel=1e-10, abs=0.0)
 
     def test_end_to_end_determinism(self):
         a = compare_algorithms(4, n_max=100, replicates=2, noise_sigma=0.1, master_seed=7)
@@ -538,9 +569,25 @@ class TestNoDenseGram:
 
     def test_compare_replicate_at_n_20000(self):
         # besides the coefficient grid, the predictor's slotted copy of it
-        # and the snapshot stacks the harness scores, no array of a
-        # replicate has one entry per row and step, and none grows as
-        # n^1.5: measured 39.5 MB, against 95.1 MB with stored near blocks
-        # and per-step schedule copies
+        # and the one stack the harness scores, no array of a replicate has
+        # one entry per row and step, and none grows as n^1.5: measured
+        # 27.1 MB, against 39.5 MB with (last, averaged) stacks per schedule
+        # and 95.1 MB with stored near blocks and per-step schedule copies
         peak = self.traced_peak(lambda: compare_algorithms(1, n_max=20000, replicates=1))
         assert peak <= 45e6
+
+    @pytest.mark.parametrize("kind, limit", [("compare", 30e6), ("sweep", 18e6)])
+    def test_replicates_share_one_peak(self, kind, limit):
+        # a replicate's grid rows (and compare's scored stack) are freed
+        # before the next replicate runs, so two replicates peak as one:
+        # measured 27.1 -> 27.1 MB for compare at n = 20000 and 16.3 -> 16.7
+        # MB for the sweep at n = 10000, against 39.5 -> 48.7 and
+        # 16.3 -> 21.4 MB when they outlived it
+        def run(replicates):
+            if kind == "compare":
+                return lambda: compare_algorithms(1, n_max=20000, replicates=replicates)
+            cfg = ExperimentConfig(n_max=10000, replicates=replicates)
+            return lambda: gamma_sweep(cfg, default_gamma_grid(cfg.R_sq))
+
+        one, two = self.traced_peak(run(1)), self.traced_peak(run(2))
+        assert two <= 1.05 * one and two <= limit

@@ -167,9 +167,9 @@ class TestClosedFormAtProductionSize:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[2], n_max=3162, replicates=3)
         for ctx in _replicate_contexts(cfg):
-            [(_, averaged)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
-                                      [cfg.n_max])
-            w = averaged[0]
+            [(rows, _, _)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
+                                     [cfg.n_max])
+            w = prefix_iterate(rows[0], cfg.n_max, True)
             reference = long_double_quad(2 * m, ctx.xs, w)
             parts = ctx.excess_risk
             risk = float(reference - 2.0 * np.longdouble(w @ parts.inner) + parts.norm_sq)
@@ -231,9 +231,9 @@ class TestFourierOracle:
         cfg = ExperimentConfig(kernel_order_m=m, target_index_k=k,
                                noise_sigma=POINT_NOISE[point], n_max=3162, replicates=1)
         ctx = next(_replicate_contexts(cfg))
-        [(_, averaged)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
-                                  [cfg.n_max])
-        w = averaged[0]
+        [(rows, _, _)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
+                                 [cfg.n_max])
+        w = prefix_iterate(rows[0], cfg.n_max, True)
         assert len(w) == 3162
         exp = KernelExpansion(ctx.xs, w)
         closed = ctx.excess_risk(w)
