@@ -232,9 +232,10 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     row, multiplies every older coefficient by shrinks[i] at step i. Or
     `gammas` is a list of such (gammas, shrinks) pairs, groups of rows
     stacked in order, and `shrinks` is not given: `sgd_run` passes each
-    schedule's rows so. Each block slices its steps, shrinks and targets
-    from the groups, so no array of the solver but the result (and the
-    binned predictor's slotted copy of it) has one entry per row and step.
+    schedule's rows so. Each block writes its diagonals shrinks / steps and
+    its targets group by group into two (rows, block) buffers, so no array
+    of the solver but the result (and the binned predictor's slotted copy
+    of it) has one entry per row and step.
     The product S_i = shrinks[0] * ... * shrinks[i] is carried as one global
     scale per row, so the (rows, n) result holds raw coefficients b:
     a_i = S_i b_i was created at step i and S_N b[:N] is the last iterate
@@ -253,8 +254,9 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     strip. Then one BLAS triangular solve per row on the diagonal block
     gram[s:e, s:e] covers the block; only the lower triangle of a dense
     array is ever used, and no (n, n) array need exist. Rows differ only in
-    the diagonal, so one Fortran-ordered copy of the diagonal block serves
-    them all, its diagonal rewritten per row through a strided view.
+    the diagonal, so one Fortran-ordered diagonal block (a dense array's
+    copy, or a `SplineGram`'s exactly symmetric block read transposed)
+    serves them all, its diagonal rewritten per row through a strided view.
 
     `horizons`, one per row, says how many leading entries of the row are
     read; a row stops at the end of the block that reaches its horizon, and
@@ -268,33 +270,39 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     from scipy.linalg.blas import dtrsv
 
     n = ys.shape[0]
-    # per group, (rows, n) views of its steps, shrinks and targets
-    # y_i / S_{i-1}, the running products taken left to right
-    groups = []
+    # per group, its rows and (rows, n) views of its steps, shrinks and
+    # targets y_i / S_{i-1}, the running products taken left to right
+    groups, rows = [], 0
     for g, shrunk in (gammas if isinstance(gammas, list) else [(gammas, shrinks)]):
         g = np.asarray(g, dtype=float)
         shape = (g.shape[0], n)
         shrunk = np.ones(n) if shrunk is None else np.asarray(shrunk, dtype=float)
         prev = np.cumprod(shrunk, axis=-1)[..., :-1]
         targets = ys / np.concatenate([np.ones(prev.shape[:-1] + (1,)), prev], axis=-1)
-        groups.append([np.broadcast_to(a, shape)
-                       for a in (g[:, None] if g.ndim == 1 else g, shrunk, targets)])
-    rows = sum(g.shape[0] for g, _, _ in groups)
+        groups.append([slice(rows, rows + shape[0])] + [
+            np.broadcast_to(a, shape) for a in (g[:, None] if g.ndim == 1 else g, shrunk, targets)])
+        rows += shape[0]
     horizons = np.full(rows, n) if horizons is None else np.asarray(horizons)
     coeffs = np.zeros((rows, n))
-    predict = (gram.predictions(n, rows) if isinstance(gram, SplineGram)
+    lazy = isinstance(gram, SplineGram)
+    predict = (gram.predictions(n, rows, _TIME_BLOCK) if lazy
                else partial(_strip_predictions, gram))
+    # every row's diagonal shrunk / steps and target in the current block
+    diagonals, targets = np.empty((2, rows, min(_TIME_BLOCK, n)))
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _TIME_BLOCK):
             e = min(s + _TIME_BLOCK, n)
             live = np.flatnonzero(horizons > s)
-            steps, shrunk, targets = (np.concatenate([a[:, s:e] for a in parts])[live]
-                                      for parts in zip(*groups))
-            rhs = targets - predict(coeffs, live, s, e)
-            block = np.array(gram[s:e, s:e], dtype=float, order="F")
+            for part, steps, shrunk, target in groups:
+                np.divide(shrunk[:, s:e], steps[:, s:e], out=diagonals[part, :e - s])
+                targets[part, :e - s] = target[:, s:e]
+            rhs = targets[live, :e - s] - predict(coeffs, live, s, e)
+            # a SplineGram's block is exactly symmetric: its transpose is Fortran-ordered
+            block = gram[s:e, s:e]
+            block = block.T if lazy else np.array(block, dtype=float, order="F")
             diagonal = np.einsum("ii->i", block)
-            for row, d, r in zip(live, shrunk / steps, rhs):
-                diagonal[:] = d
+            for row, r in zip(live, rhs):
+                diagonal[:] = diagonals[row, :e - s]
                 coeffs[row, s:e] = dtrsv(block, r, lower=1)
     return coeffs
 

@@ -32,7 +32,7 @@ from .bernoulli import bernoulli_poly
 from .errors import ConfigurationError, DivergenceError
 from .estimator import (FiniteHorizon, Online, StepSchedule, TarresYao, first_divergence,
                         prefix_iterate, sgd_constant_grid, sgd_run)
-from .kernels import SUPPORTED_ORDERS, SplineGram, kernel_sup_sq
+from .kernels import _ROW_BLOCK, SUPPORTED_ORDERS, SplineGram, kernel_sup_sq
 
 # The four benchmark problems: point -> (kernel order m, target index k).
 TABLE_POINTS = {1: (1, 2), 2: (2, 2), 3: (1, 3), 4: (2, 1)}
@@ -209,9 +209,9 @@ class _Context:
 
 
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
-    # nothing here is n x n: the recursion predicts from the Gram matrix's bins
-    return _Context(xs=xs, ys=ys, gram=SplineGram(m, xs),
-                    excess_risk=risk.ClosedFormRisk(m, k, xs))
+    # nothing here is n x n: the recursion and the risk's form read one bin layout
+    gram = SplineGram(m, xs)
+    return _Context(xs=xs, ys=ys, gram=gram, excess_risk=risk.ClosedFormRisk(m, k, xs, gram))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +297,10 @@ def _replicate_curves(ctx: _Context, by_step: dict[StepSchedule, list[str]],
     preset and replicate. One `sgd_run` runs each distinct schedule once,
     in order of first appearance, and its rows are judged; each preset that
     did not diverge writes its iterate (see PRESETS) at every checkpoint
-    into one zero-padded stack, scored in one call. Rows and stack are
-    freed on return."""
+    into zero-padded stacks, checkpoint-major: each batch of
+    _ROW_BLOCK // picks checkpoints fills one row block of the form and is
+    scored in one call on its last checkpoint's prefix. Rows and stacks
+    are freed on return."""
     curves, picks = {}, []
     runs = sgd_run(ctx.gram, ctx.ys, list(by_step), cps)
     for (rows, shrinks, row_of), group in zip(runs, by_step.values()):
@@ -310,11 +312,16 @@ def _replicate_curves(ctx: _Context, by_step: dict[StepSchedule, list[str]],
                                                f"{name}, replicate {rep}")
             else:
                 picks.append((name, rows, shrinks, row_of))
-    stack = np.zeros((len(picks), len(cps), cps[-1]))
-    for (name, rows, shrinks, row_of), out in zip(picks, stack):
-        for c, n in enumerate(cps):
-            out[c, :n] = prefix_iterate(rows[row_of[c]], n, PRESETS[name], shrinks)
-    curves.update((name, curve) for (name, *_), curve in zip(picks, ctx.excess_risk(stack)))
+    risks = np.empty((len(cps), len(picks)))
+    per = max(1, _ROW_BLOCK // max(1, len(picks)))
+    for c0 in range(0, len(cps), per):
+        batch = range(c0, min(c0 + per, len(cps)))
+        stack = np.zeros((len(batch), len(picks), cps[batch[-1]]))
+        for c, out in zip(batch, stack):
+            for (name, rows, shrinks, row_of), o in zip(picks, out):
+                o[:cps[c]] = prefix_iterate(rows[row_of[c]], cps[c], PRESETS[name], shrinks)
+        risks[batch] = ctx.excess_risk(stack)
+    curves.update((name, curve) for (name, *_), curve in zip(picks, risks.T))
     return curves
 
 

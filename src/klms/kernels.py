@@ -49,6 +49,13 @@ through the one exact table of `_far_field_blocks`, and the pairs inside a
 bin read dense `_spline_w` entries, computed per call a few bins at a time
 and never stored. No run holds an (n, n) array or any other array of
 n^1.5 entries, and a run's work grows as n^1.5.
+
+Work that depends only on the layout is done once per stream: a
+`SplineGram` bins its points on first use, for its full runs and any
+`DoubledForm` given it; the predictor's block plan groups every block's
+steps by bin once (see `_BinnedPredictions`); and the harness scores a
+replicate checkpoint-major, each batch of checkpoints filling one row
+block of `DoubledForm.quad` on the prefix of its last checkpoint.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -295,11 +302,17 @@ class SplineGram:
                       out=out[i:i + step])
         return out.reshape(shape)
 
-    def predictions(self, n: int, rows: int) -> _BinnedPredictions:
-        """The block predictor of `estimator.sgd_constant_grid` over the
-        first n points for a grid of `rows` coefficient rows, from bins
-        instead of Gram strips (see `_BinnedPredictions`)."""
-        return _BinnedPredictions(self.order, self._xs[:n], rows)
+    @cached_property
+    def _layout(self) -> _BinLayout:
+        """The `_BinLayout` of all the points, for full runs and `DoubledForm`."""
+        return _BinLayout(self._xs)
+
+    def predictions(self, n: int, rows: int, block: int) -> _BinnedPredictions:
+        """The predictor of `estimator.sgd_constant_grid` over the first n
+        points, `rows` coefficient rows and blocks of `block` steps, from
+        bins instead of Gram strips (see `_BinnedPredictions`)."""
+        layout = self._layout if n == self.shape[0] else _BinLayout(self._xs[:n])
+        return _BinnedPredictions(self.order, self._xs[:n], rows, block, layout)
 
 
 class _BinnedPredictions:
@@ -312,56 +325,77 @@ class _BinnedPredictions:
     table E of the targets with the per-bin moments
     mu_{b,q} = sum_{j in b, j < s} b_j d_j^q of each row, L = 2 order + 1:
     row t of E is t's centred powers d_t^p times the window of t's bin in
-    the table of `_far_field_blocks`. The near field covers the earlier
-    points of t's own bin: the entries of `_spline_w`, bitwise those of
-    `SplineGram`, over the bin's slots, against the coefficients kept in
-    the same slot layout, one batched product over the bins the block
-    touches. Each call first folds the coefficients of the steps since the
-    last call into the moments and slots of the live rows; a row that has
-    left the live set is never read again.
+    the table of `_far_field_blocks`, filled into one buffer whose window
+    view is made once. The near field covers the earlier points of t's own
+    bin: the entries of `_spline_w`, bitwise those of `SplineGram`, over
+    the bin's slots, against the coefficients kept in the same slot
+    layout, one batched product over the bins the block touches. Each call
+    first folds the coefficients of the steps since the last call into the
+    moments and slots of the live rows; a row that has left the live set
+    is never read again.
+
+    The block plan, made once by one stable sort of the steps by (block,
+    label), holds in O(n) integers all that depends only on the layout:
+    per block its touched bins (ascending labels) and depth, the most
+    targets in one bin, and per step its slot group * depth + place in the
+    block's (touched, depth) arrays, group its bin's index among the
+    touched and place its rank among the block's targets there.
     """
 
-    def __init__(self, order: int, xs: np.ndarray, rows: int):
-        self._order, self._xs = order, xs
-        layout = self._layout = _BinLayout(xs)
+    def __init__(self, order: int, xs: np.ndarray, rows: int, block: int, layout: _BinLayout):
+        self._order, self._xs, self._block, self._layout = order, xs, block, layout
         self._size = size = 2 * order + 1
         self._powers = _power_table(layout.offsets, size)
         self._far = _far_field_blocks(order, layout.count)
+        count, n = layout.count, xs.shape[0]
+        self._rolled = np.empty((min(block, n), 2 * count * size))
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            self._rolled, count * size, axis=1)[:, ::size]
+        # the block plan: in (block, label) order, a head starts each bin's run
+        key = np.arange(n) // block * count + layout.label
+        by = np.argsort(key, kind="stable")
+        key = key[by]
+        head = np.diff(key, prepend=-1) != 0
+        run = np.cumsum(head) - 1
+        head = np.flatnonzero(head)
+        self._touched = key[head] % count
+        self._first = np.searchsorted(key[head] // count, np.arange(-(-n // block) + 1))
+        self._depth = np.maximum.reduceat(np.diff(head, append=n), self._first[:-1])
+        self._slot = np.empty(n, dtype=np.intp)
+        self._slot[by] = ((run - self._first[key // count]) * self._depth[key // count]
+                          + np.arange(n) - head[run])
         # moments per bin index and slotted coefficients (0 in padding slots)
         # of the live rows only, in the order of `_rows`
         self._rows = np.arange(rows)
-        self._moments = np.zeros((layout.count, size, rows))
+        self._moments = np.zeros((count, size, rows))
         self._slotted = np.zeros(layout.slots.shape + (rows,))
         self._last = None
 
     def __call__(self, coeffs: np.ndarray, live: np.ndarray, s: int, e: int) -> np.ndarray:
         """The (live rows, e - s) predictions at steps s..e-1 of the rows
-        `live` of `coeffs`. The calls run over consecutive blocks, the first
-        at s = 0, and `live` only ever loses rows; the coefficients of the
-        block of the previous call are solved."""
+        `live` of `coeffs`. The calls run over consecutive blocks of the
+        plan's length, the first at s = 0, and `live` only ever loses rows;
+        the coefficients of the block of the previous call are solved."""
         if live.size < self._rows.size:
             keep = np.searchsorted(self._rows, live)
             self._rows, self._moments, self._slotted = (
                 live, self._moments[..., keep], self._slotted[..., keep])
         if self._last is not None:
             self._fold(coeffs, *self._last)
-        layout, steps, count = self._layout, slice(s, e), self._layout.count
-        # the block's targets by bin, each at its place among them there
-        label = layout.label[steps]
-        touched, first, group = np.unique(label, return_index=True, return_inverse=True)
-        place = layout.rank[steps] - layout.rank[s + first][group]
-        self._last = (steps, touched, group, place)
+        layout, b = self._layout, s // self._block
+        self._last = steps, touched, depth, slot = (
+            slice(s, e), self._touched[self._first[b]:self._first[b + 1]], self._depth[b],
+            self._slot[s:e])
         if s == 0:
             return np.zeros((live.size, e - s))
         # the far field
-        rolled = self._powers[steps] @ self._far
-        windows = np.lib.stride_tricks.sliding_window_view(
-            rolled, count * self._size, axis=1)[:, ::self._size]
-        table = windows[np.arange(e - s), count - layout.cells[label]]
+        np.matmul(self._powers[steps], self._far, out=self._rolled[:e - s])
+        start = layout.count - layout.cells[layout.label[steps]]
+        table = self._windows[np.arange(e - s), start]
         out = table @ self._moments.reshape(table.shape[1], -1)
         # the near field
-        targets = np.zeros((touched.size, int(place.max()) + 1))
-        targets[group, place] = self._xs[steps]
+        targets = np.zeros((touched.size, depth))
+        targets.reshape(-1)[slot] = self._xs[steps]
         width = layout.widths[s - 1]
         kernel = _spline_w(self._order, _circle_w(
             targets[:, :, None] - layout.slot_xs[touched, :width][:, None, :]))
@@ -369,20 +403,19 @@ class _BinnedPredictions:
         step = max(1, _GATHER_ENTRIES // max(width * live.size, 1))
         for b in range(0, touched.size, step):
             near[b:b + step] = kernel[b:b + step] @ self._slotted[touched[b:b + step], :width]
-        out += near[group, place]
+        out += near.reshape(touched.size * depth, live.size)[slot]
         return out.T
 
-    def _fold(self, coeffs: np.ndarray, steps: slice, touched, group, place) -> None:
+    def _fold(self, coeffs: np.ndarray, steps: slice, touched, depth, slot) -> None:
         """Add the coefficients of the block `steps`, its targets grouped as
-        in `__call__`, to the moments and slots of the live rows."""
+        in the plan, to the moments and slots of the live rows."""
         layout = self._layout
         new = coeffs[self._rows, steps].T
         self._slotted[layout.label[steps], layout.rank[steps]] = new
-        shape = (touched.size, int(place.max()) + 1)
-        powers = np.zeros(shape + (self._powers.shape[1],))
-        powers[group, place] = self._powers[steps]
-        padded = np.zeros(shape + (new.shape[1],))
-        padded[group, place] = new
+        powers = np.zeros((touched.size, depth, self._size))
+        powers.reshape(touched.size * depth, self._size)[slot] = self._powers[steps]
+        padded = np.zeros((touched.size, depth, new.shape[1]))
+        padded.reshape(touched.size * depth, new.shape[1])[slot] = new
         self._moments[layout.cells[touched]] += powers.transpose(0, 2, 1) @ padded
 
 
@@ -391,9 +424,11 @@ class DoubledForm:
     D_ij = R_2m(x_i, x_j) of a stream, for coefficient vectors on any prefix
     of it, without D: w'Dw is the squared L2 norm of sum_i w_i K_{x_i}.
 
-    The points go into the B bins of a `_BinLayout`. The pairs of two
-    different bins read the per-bin moments mu_{b,q} = sum_{j in b} w_j d_j^q
-    through `_far_field_blocks` of order 2m, L = 4m + 1: for each bin b' one
+    The points go into the B bins of a `_BinLayout`, that of `gram` if
+    given, a `SplineGram` of the same points (of any order) whose layout the
+    recursion reads too. The pairs of two different bins read the per-bin
+    moments mu_{b,q} = sum_{j in b} w_j d_j^q through `_far_field_blocks`
+    of order 2m, L = 4m + 1: for each bin b' one
     product of its (L, B L) window, a strided view of the table, with the
     moments of all B bins by bin index (zero in empty bins), summed against
     mu_{b',p} over p. Pairs inside one bin read the dense entries of
@@ -404,12 +439,14 @@ class DoubledForm:
     computes the near blocks of its own prefix, a few bins at a time.
     """
 
-    def __init__(self, m: int, xs):
+    def __init__(self, m: int, xs, gram: SplineGram | None = None):
         _check_order(m)
         self._order = order = 2 * m
         xs = frac(np.asarray(xs, dtype=float))
         self.n = xs.shape[0]
-        layout = _BinLayout(xs)
+        if gram is not None and gram.shape[0] != self.n:
+            raise ConfigurationError(f"a Gram matrix of {gram.shape[0]} points for {self.n}")
+        layout = _BinLayout(xs) if gram is None else gram._layout
         self._slots, self._bins, self._widths = layout.slots, layout.bins, layout.widths
         self._cells, self._slot_xs = layout.cells, layout.slot_xs
         size = 2 * order + 1

@@ -78,6 +78,8 @@ class ClosedFormRisk:
     ``inner``, the target inner products i of `kernel_target_inner`, and
     ``norm_sq`` = ||B_k||^2 of `target_norm_sq`. A call reads only the first
     n = w.shape[-1] points, so one full-stream object serves every prefix.
+    Given `gram`, a `kernels.SplineGram` of the points xs, the form shares
+    its bin layout instead of building its own.
     It takes one coefficient vector (giving a scalar) or a (p, n) stack of
     them (giving p risks); a row's risk is bitwise its risk computed alone,
     as w'i is summed row by row and `DoubledForm.quad` keeps rows apart.
@@ -85,8 +87,8 @@ class ClosedFormRisk:
     is never copied whole.
     """
 
-    def __init__(self, m: int, k: int, xs):
-        self.form = DoubledForm(m, xs)
+    def __init__(self, m: int, k: int, xs, gram=None):
+        self.form = DoubledForm(m, xs, gram)
         self.inner = kernel_target_inner(m, k, xs)
         self.norm_sq = target_norm_sq(k)
 

@@ -444,8 +444,9 @@ class TestConstantGrid:
     def test_peak_within_three_grids(self):
         # the sweep's 59 rows at n = 20000: the grid (9.4 MB) and the
         # predictor's slotted copy of it are the only arrays of one entry
-        # per row and step, so the call peaks at 2.9-2.95 grids (seeds
-        # 0-4), against 4.55 with per-step copies of the schedule
+        # per row and step, so the call peaks at 2.91-2.97 grids (seeds
+        # 0-4; the block plan's O(n) integers add 0.02), against 4.55 with
+        # per-step copies of the schedule
         sgd_constant_grid(SplineGram(1, np.linspace(0, 1, 200)), np.zeros(200), np.ones(2))
         rng = np.random.default_rng(0)
         xs, ys = rng.random(20000), rng.standard_normal(20000)

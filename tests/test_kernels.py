@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
@@ -182,7 +184,7 @@ class TestSplineGram:
         coeffs = rng.standard_normal((4, n))
         horizons = np.array([n, 6000, n, 300])
         lazy = SplineGram(order, xs)
-        predict = lazy.predictions(n, 4)
+        predict = lazy.predictions(n, 4, 128)
         for s in range(0, n, 128):
             e = min(s + 128, n)
             live = np.flatnonzero(horizons > s)
@@ -191,6 +193,38 @@ class TestSplineGram:
                 want = coeffs[live, :s] @ lazy[s:e, :s].T
                 err = np.linalg.norm(got - want, axis=1)
                 assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    @staticmethod
+    def assert_plan_matches_unique(xs, block):
+        # each block's touched bins, depth and slots against the per-block
+        # np.unique grouping the plan replaces
+        n = len(xs)
+        predict = SplineGram(1, xs).predictions(n, 1, block)
+        layout = predict._layout
+        for b, s in enumerate(range(0, n, block)):
+            e = min(s + block, n)
+            touched = predict._touched[predict._first[b]:predict._first[b + 1]]
+            depth, slot = predict._depth[b], predict._slot[s:e]
+            label = layout.label[s:e]
+            want, first, group = np.unique(label, return_index=True, return_inverse=True)
+            place = layout.rank[s:e] - layout.rank[s + first][group]
+            assert np.array_equal(touched, want)
+            assert depth == place.max() + 1
+            assert np.array_equal(slot, group * depth + place)
+        assert predict._first[-1] == predict._touched.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=700),
+           repeats=st.integers(0, 40), block=st.sampled_from([1, 5, 128]))
+    def test_block_plan_matches_unique(self, xs, repeats, block):
+        # n < 128 and n not a multiple of it, a run of duplicates of the
+        # first point, and bins first entered inside a block
+        xs = np.array(xs + xs[:1] * repeats)
+        self.assert_plan_matches_unique(xs, block)
+
+    def test_block_plan_with_more_bins_than_steps(self):
+        # n = 20000: B = 141 bins, more than a block's 128 targets
+        self.assert_plan_matches_unique(np.random.default_rng(7).random(20000), 128)
 
     def test_indexing(self):
         xs = np.random.default_rng(3).random(20)
@@ -331,6 +365,18 @@ class TestDoubledForm:
     def test_rejects_more_coefficients_than_points(self):
         with pytest.raises(ConfigurationError):
             DoubledForm(1, np.random.default_rng(0).random(10)).quad(np.ones(11))
+
+    def test_shares_the_layout_of_a_gram(self):
+        # the form reads the bins of a Gram matrix of the same points and
+        # scores as one with its own layout, bit for bit
+        xs = np.random.default_rng(8).random(500)
+        gram = SplineGram(1, xs)
+        shared, own = DoubledForm(2, xs, gram), DoubledForm(2, xs)
+        assert shared._slots is gram._layout.slots
+        w = np.random.default_rng(9).standard_normal((3, 400))
+        assert np.array_equal(shared.quad(w), own.quad(w))
+        with pytest.raises(ConfigurationError):
+            DoubledForm(2, xs[:400], gram)
 
 
 class TestPowerTable:
