@@ -35,7 +35,7 @@ x_j <= t and t - x_j + 1 otherwise, so between two consecutive centers
 Q_b = P^(b) / b! the Taylor coefficients of P, one polynomial of degree 2m
 whose coefficients are a prefix and a suffix sum over the centers (periodic
 splines are piecewise polynomials, Wahba 1990; sorted by x, the kernel
-matrix is semiseparable). `_spline_sum` evaluates it, in powers of t - 1/2,
+matrix is semiseparable). `_SplineSum` evaluates it, in powers of t - 1/2,
 for the quadrature risk oracle in O(n log n + grid m) work.
 
 Two evaluators read a stream in the round(sqrt(n)) bins of one `_BinLayout`
@@ -67,7 +67,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bernoulli import bernoulli_fourier_eval, bernoulli_poly_coeffs, frac
+from .bernoulli import _power_table, bernoulli_fourier_eval, bernoulli_poly_coeffs, frac
 from .errors import ConfigurationError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4)
@@ -141,15 +141,6 @@ def _circle_w(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _power_table(d: np.ndarray, count: int, axis: int = -1) -> np.ndarray:
-    """d**0, ..., d**(count - 1) stacked along a new `axis`, as running
-    products: correctly rounded up to the square, within about (p - 1)/2
-    ulp at power p, and several times faster than `**`, which calls pow."""
-    table = np.repeat(np.expand_dims(d, axis), count, axis=axis)
-    np.moveaxis(table, axis, 0)[0] = 1.0
-    return np.multiply.accumulate(table, axis=axis, out=table)
-
-
 @lru_cache(maxsize=None)
 def _taylor_coeffs(order: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact ascending coefficients of Q_b = P^(b) / b!, b = 0..2 order, P the
@@ -161,11 +152,15 @@ def _taylor_coeffs(order: int) -> tuple[tuple[Fraction, ...], ...]:
                  for b in range(deg + 1))
 
 
-def _spline_sum(order: int, centers, coeffs, ts: np.ndarray) -> np.ndarray:
-    """f(t) = sum_j coeffs_j R_order(centers_j, t) at the ascending points ts
-    in [0, 1], exactly, from the piecewise-polynomial form of f in the
-    module docstring: no centers x ts array is built, and the work is
-    O(n log n + len(ts) order).
+class _SplineSum:
+    """f(t) = sum_j coeffs_j R_order(centers_j, t) at ascending points t in
+    [0, 1], exactly, from the piecewise-polynomial form of f in the module
+    docstring: no centers x points array is built. Making it sorts the
+    centers and sums the coefficients of every interval, O(n log n + n
+    order) work into a (2 order + 1, n + 1) table; a call on the points ts
+    reads only the intervals they span, O(len(ts) order + c log len(ts))
+    work for the c centers among them, in O(len(ts)) memory, so a long grid
+    can be read a chunk at a time.
 
     The polynomials are taken in powers of s = t - 1/2, and the wrapped
     terms through P(u) = P(1 - u), so on the interval after the i-th sorted
@@ -175,30 +170,38 @@ def _spline_sum(order: int, centers, coeffs, ts: np.ndarray) -> np.ndarray:
 
     Q_b of `_taylor_coeffs`: every argument of Q_b and every s stays within
     1/2 (against 1 to 3/2 in powers of t), which keeps the cancellation
-    between the terms near rounding. A node equal to a center lies in the
-    interval after it, the frac(0) = 0 branch of `spline_kernel`. The
-    coefficients are built one power of s at a time, repeated over the run
-    of nodes in each interval and folded into Horner's rule, so memory
-    stays O(n + len(ts)).
+    between the terms near rounding. A point equal to a center lies in the
+    interval after it, the frac(0) = 0 branch of `spline_kernel`. A call
+    repeats each interval's coefficients over the run of its points and
+    folds them into Horner's rule in s.
     """
-    xs = frac(np.asarray(centers, dtype=float))
-    perm = np.argsort(xs, kind="stable")
-    xs, c = xs[perm], np.asarray(coeffs, dtype=float)[perm]
-    n = xs.shape[0]
-    # nodes per interval: interval i starts at the first node >= the i-th center
-    counts = np.diff(np.searchsorted(ts, xs), prepend=0, append=ts.shape[0])
-    s = ts - 0.5
-    out = np.zeros(s.shape)
-    column = np.empty(n + 1)
-    for b, taylor in reversed(list(enumerate(_taylor_coeffs(order)))):
-        q = [float(a) for a in taylor]
-        column[0] = 0.0
-        np.cumsum(c * np.polynomial.polynomial.polyval(0.5 - xs, q), out=column[1:])
-        suffix = c * np.polynomial.polynomial.polyval(xs - 0.5, q)
-        column[:n] += (-1) ** b * np.cumsum(suffix[::-1])[::-1]
-        out *= s
-        out += np.repeat(column, counts)
-    return out
+
+    def __init__(self, order: int, centers, coeffs):
+        xs = frac(np.asarray(centers, dtype=float))
+        perm = np.argsort(xs, kind="stable")
+        self._xs, c = xs[perm], np.asarray(coeffs, dtype=float)[perm]
+        n = xs.shape[0]
+        taylor = _taylor_coeffs(order)
+        self._table = np.empty((len(taylor), n + 1))
+        for b, column in enumerate(self._table):
+            q = [float(a) for a in taylor[b]]
+            column[0] = 0.0
+            np.cumsum(c * np.polynomial.polynomial.polyval(0.5 - self._xs, q), out=column[1:])
+            suffix = c * np.polynomial.polynomial.polyval(self._xs - 0.5, q)
+            column[:n] += (-1) ** b * np.cumsum(suffix[::-1])[::-1]
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        """f at the ascending points ts."""
+        # ts lies in the intervals lo..hi, interval i starting at the first
+        # point >= the i-th center
+        lo, hi = np.searchsorted(self._xs, ts[[0, -1]], side="right")
+        counts = np.diff(np.searchsorted(ts, self._xs[lo:hi]), prepend=0, append=ts.shape[0])
+        s = ts - 0.5
+        out = np.repeat(self._table[-1, lo:hi + 1], counts)
+        for column in self._table[-2::-1]:
+            out *= s
+            out += np.repeat(column[lo:hi + 1], counts)
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -467,7 +470,9 @@ class DoubledForm:
         call, in chunks of bins whose w and the temporary of `_circle_w`
         together fit in _BLOCK_ENTRIES entries, and each chunk serves every
         row block; the weights of a chunk's slots are gathered from the
-        rows, zero in slots outside the prefix."""
+        rows, zero in slots outside the prefix. A prefix that fills fewer
+        than all B bins multiplies only its bins' windows of the far table,
+        so a short prefix costs a fraction of a full-stream call."""
         w = np.asarray(coeffs, dtype=float)
         n = w.shape[-1]
         if n > self.n:
@@ -476,6 +481,12 @@ class DoubledForm:
         starts = range(0, rows.shape[0], _ROW_BLOCK)
         bins, width = (self._bins[n - 1], self._widths[n - 1]) if n else (0, 0)
         cells = self._cells[:bins]
+        # the prefix's bins in bin-index order, as the whole table sums them,
+        # and their windows; with every bin in the prefix, the table's view
+        own, far, place = slice(None), self._far, cells
+        if bins < far.shape[0]:
+            own = np.sort(cells)
+            far, place = far[own], np.searchsorted(own, cells)
         # per row block: (B, L, block) moments by bin index, 0 outside the
         # prefix, and each bin's near-field sum
         moments = np.zeros((len(starts),) + self._far.shape[:2] + (_ROW_BLOCK,))
@@ -500,11 +511,11 @@ class DoubledForm:
                 near[k, chunk] = (slotted * (kernel @ slotted)).sum(axis=1)
         out = np.empty(len(starts) * _ROW_BLOCK)
         for k, s in enumerate(starts):
-            far_part = self._far @ moments[k].reshape(-1, _ROW_BLOCK)
+            far_part = far @ moments[k].reshape(-1, _ROW_BLOCK)
             # per bin, then pairwise over the bins along each row's own
             # contiguous partial sums
-            per_bin = (moments[k] * far_part).sum(axis=1)
-            per_bin[cells] += near[k]
+            per_bin = (moments[k][own] * far_part).sum(axis=1)
+            per_bin[place] += near[k]
             out[s:s + _ROW_BLOCK] = np.ascontiguousarray(per_bin.T).sum(axis=1)
         return out[:rows.shape[0]].reshape(w.shape[:-1])
 

@@ -22,14 +22,16 @@ test suite requires three-way agreement before the experiment harness is
 allowed to rely on the closed form. The Fourier evaluator sums its
 frequencies 1..J through the sqrt(J) phase tables of
 `bernoulli._phase_tables` (j = qB + r, B = isqrt(J): one matrix product
-instead of J x n cosines and sines) and adds the target's tail beyond its
-last frequency through `bernoulli.zeta_tail`, so this module imports no
-scipy. The quadrature evaluator builds no kernel matrix: between two
-consecutive sorted centers the expansion is one polynomial of degree 2m,
-so `kernels._spline_sum` gives it exactly on the whole trapezoid grid from
-prefix and suffix sums over the centers, O(n log n + grid m) work in
-O(n + grid) memory. An expansion without centers is the zero function in
-all three evaluators, with no special case.
+instead of J x n cosines and sines), a chunk of centers and a chunk of
+frequency rows at a time, so it runs at n = 1e5 in bounded memory, and
+adds the target's tail beyond its last frequency through
+`bernoulli.zeta_tail`, with no scipy. The quadrature evaluator builds no
+kernel matrix: between two consecutive sorted centers the expansion is one
+polynomial of degree 2m, so `kernels._SplineSum` gives it exactly on the
+trapezoid grid from prefix and suffix sums over the centers, a chunk of
+nodes at a time, O(n log n + grid m) work in O(n) memory besides a chunk.
+An expansion without centers is the zero function in all three
+evaluators, with no special case.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import (MAX_DEGREE, _inverse_powers, _phase_tables, bernoulli_numbers,
-                        bernoulli_poly, frac, zeta_tail)
+from .bernoulli import (MAX_DEGREE, _frequency_rows, _phase_tables, _point_chunk, _row_chunks,
+                        _table_shape, bernoulli_numbers, bernoulli_poly, frac, zeta_tail)
 from .errors import ConfigurationError
-from .kernels import _ROW_BLOCK, DoubledForm, _check_order, _spline_sum
+from .kernels import _ROW_BLOCK, DoubledForm, _check_order, _SplineSum
 
 _SQRT2 = math.sqrt(2.0)
+
+# subintervals per chunk of the quadrature oracle's grid
+_NODE_CHUNK = 1 << 14
 
 
 def target_norm_sq(k: int) -> float:
@@ -113,34 +118,57 @@ def excess_risk_closed(expansion, m: int, k: int) -> float:
     return float(ClosedFormRisk(m, k, expansion.centers)(expansion.coeffs))
 
 
+def _center_sums(centers: np.ndarray, coeffs: np.ndarray, J: int) -> np.ndarray:
+    """S_j = sum_i w_i e^{2 pi i j x_i} for the frequencies j = qB + r of the
+    (Q, B) layout of `bernoulli._phase_tables`, accumulated over chunks of
+    centers and, within each, over the row chunks of the table, so that
+    no temporary exceeds a chunk."""
+    sums = np.zeros(_table_shape(J), dtype=complex)
+    step = _point_chunk(J)
+    for start in range(0, centers.shape[0], step):
+        phase_q, phase_r = _phase_tables(centers[start:start + step], J)
+        phase_q *= coeffs[start:start + step, None]
+        for rows in _row_chunks(J):
+            sums[rows] += phase_q[:, rows].T @ phase_r
+    return sums
+
+
 def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     """Independent Fourier oracle for the excess risk.
 
     Sums (A_j - T_j^c)^2 + (B_j - T_j^s)^2 over frequencies 1..J, where
     (A_j, B_j) are the expansion's coordinates on sqrt(2) cos(2 pi j .) and
     sqrt(2) sin(2 pi j .), each center contributing (2 pi j)^{-2m} times its
-    trig values, and (T_j^c, T_j^s) are the target's coordinates. The
-    center sums sum_i w_i e^{2 pi i j x_i} come from the phase tables of
-    `bernoulli._phase_tables`: about 2 sqrt(J) exponentials per center and
-    one matrix product, with no J x n array. The target's coordinate tail
-    beyond J (a zeta value) is added as well, since for k = 1 it decays too
-    slowly to ignore; the expansion's own tail is negligible at the orders
-    handled here.
+    trig values, and (T_j^c, T_j^s) are the target's coordinates, whose
+    quarter-turn phase cos / sin(k pi / 2) is exactly 0 or +-1. The center
+    sums S_j = sum_i w_i e^{2 pi i j x_i} fill one (Q, B) table in the
+    layout of `bernoulli._phase_tables`, one matrix product per chunk of
+    centers and row chunk, and the squares are summed one row chunk at a time
+    (`bernoulli._frequency_rows`), with that chunk's weights: a call holds
+    J complex sums and O(_PHASE_ENTRIES) phases and weights, whatever n.
+    The target's coordinate tail beyond J (a zeta value) is added as well,
+    since for k = 1 it decays too slowly to ignore; the expansion's own
+    tail is negligible at the orders handled here.
     """
     _check_order(m)
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
+    sums = _center_sums(expansion.centers, expansion.coeffs, J)
     kfac = float(math.factorial(k))
-    target = _inverse_powers(k, J)[1:J + 1]
-    t_cos = (-_SQRT2 * kfac * math.cos(k * np.pi / 2.0)) * target
-    t_sin = (-_SQRT2 * kfac * math.sin(k * np.pi / 2.0)) * target
-    # S_j = sum_i w_i e^{2 pi i j x_i} for j = 0..QB-1, one (Q, B) product
-    phase_q, phase_r = _phase_tables(expansion.centers, J)
-    sums = ((phase_q * expansion.coeffs[:, None]).T @ phase_r).ravel()[1:J + 1]
-    sect = _inverse_powers(2 * m, J)[1:J + 1]
-    a = _SQRT2 * sect * sums.real
-    b = _SQRT2 * sect * sums.imag
-    total = float(np.sum((a - t_cos) ** 2 + (b - t_sin) ** 2))
+    # A_j + i B_j = sqrt(2) (2 pi j)^{-2m} S_j and T_j^c + i T_j^s =
+    # target i^k (2 pi j)^{-k}: the target has a cosine (even k) or a sine
+    # (odd k) coordinate, the other exactly 0
+    target = -_SQRT2 * kfac * (1, 1, -1, -1)[k % 4]
+    total = 0.0
+    for rows, a, t in _frequency_rows(J, 2 * m, k):
+        a *= _SQRT2
+        chunk = sums[rows]
+        hit, miss = (chunk.imag, chunk.real) if k % 2 else (chunk.real, chunk.imag)
+        # T - A on the target's coordinate, then A on the other, in place
+        t *= target
+        t -= a * hit
+        a *= miss
+        total += float(np.vdot(t, t) + np.vdot(a, a))
     return total + 2.0 * kfac**2 * zeta_tail(2 * k, J)
 
 
@@ -151,15 +179,26 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     polynomial on [0, 1] (not periodized), so the endpoint jump of the k = 1
     target is integrated correctly; the expansion itself is periodic. The
     expansion is evaluated on the grid as a piecewise polynomial by
-    `kernels._spline_sum`, with no centers x grid kernel values.
+    `kernels._SplineSum`, with no centers x grid kernel values, _NODE_CHUNK
+    subintervals at a time: a call holds no grid-length array, only a few
+    arrays of one chunk.
     """
     _check_order(m)
     if grid_size < 1000:
         raise ConfigurationError("grid_size must be at least 1000")
-    ts = np.linspace(0.0, 1.0, grid_size + 1)
-    diff = _spline_sum(m, expansion.centers, expansion.coeffs, ts)
-    diff -= bernoulli_poly(k, ts)
-    return float(np.trapezoid(diff * diff, ts))
+    spline = _SplineSum(m, expansion.centers, expansion.coeffs)
+    total = 0.0
+    for start in range(0, grid_size, _NODE_CHUNK):
+        # nodes start..stop of np.linspace(0, 1, grid_size + 1), bit for bit
+        stop = min(start + _NODE_CHUNK, grid_size)
+        nodes = np.arange(start, stop + 1) * (1.0 / grid_size)
+        if stop == grid_size:
+            nodes[-1] = 1.0
+        diff = spline(nodes)
+        diff -= bernoulli_poly(k, nodes)
+        diff *= diff
+        total += np.trapezoid(diff, nodes)
+    return float(total)
 
 
 def excess_risk_finite_dim(theta, theta_star, covariance) -> float:

@@ -310,8 +310,8 @@ def test_selfcheck_subcommand(capsys):
 
 
 def test_cli_import_loads_no_scipy_special_or_linalg():
-    # only the Fourier oracles need scipy.special and only the recursion
-    # scipy.linalg; both import them on first call
+    # klms imports no scipy.special, and scipy.linalg only in the recursion,
+    # on first call
     src = str(Path(klms.estimator.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import klms.cli; "
             "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))")

@@ -335,6 +335,22 @@ class TestDoubledForm:
             assert np.ndim(single) == 0
             assert abs(single - want[0]) <= self.RTOL * scale[0]
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_prefix_reads_its_own_bins(self, m):
+        # a prefix that fills fewer than all bins multiplies only their
+        # windows of the far table; it matches the same rows zero-padded to
+        # the whole stream, which read the whole table (measured at most
+        # 1.3e-15 relative)
+        n = 3162
+        form = DoubledForm(m, np.random.default_rng(m).random(n))
+        w = np.random.default_rng(7).standard_normal((59, n))
+        for size in (1, 10, 45, 100):
+            assert form._bins[size - 1] < round(math.sqrt(n))
+            padded = np.zeros((59, n))
+            padded[:, :size] = w[:, :size]
+            np.testing.assert_allclose(form.quad(w[:, :size]), form.quad(padded),
+                                       rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     @pytest.mark.parametrize("bins", [1, 2, 3, 14, 113])
     def test_far_field_table_matches_rational_reference(self, order, bins):
