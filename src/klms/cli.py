@@ -220,7 +220,7 @@ def _check_risk_oracles() -> tuple[bool, str]:
                                    noise_sigma=harness.POINT_NOISE[2], n_max=3162, replicates=1)
     ctx = next(harness._replicate_contexts(cfg))
     averaged = _averaged_iterate(ctx.gram, ctx.ys, harness._algorithm_spec(cfg, "ours"), cfg.n_max)
-    exp = KernelExpansion(ctx.xs, averaged)
+    exp = KernelExpansion(ctx.gram.xs, averaged)
     closed = float(ctx.excess_risk(averaged))
     rel_f = abs(risk.excess_risk_fourier(exp, m, k, 2000) / closed - 1.0)
     rel_q = abs(risk.excess_risk_mc(exp, m, k, 10**5) / closed - 1.0)

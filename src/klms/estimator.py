@@ -73,11 +73,11 @@ class FiniteHorizon:
         return self.gamma0 * np.asarray(horizons, dtype=float)**self.exponent
 
     def rows(self, cps: Sequence[int]):
-        """One constant row per distinct step `at(N)` over the checkpoints N
-        (see `sgd_run`), a read-only broadcast view; checkpoints with the
-        same step share a row."""
+        """The distinct steps `at(N)` over the checkpoints N, ascending, one
+        constant row each (see `sgd_run`); checkpoints with the same step
+        share a row."""
         steps, row_of = np.unique(self.at(cps), return_inverse=True)
-        return np.broadcast_to(steps[:, None], (steps.size, cps[-1])), None, row_of
+        return steps, None, row_of
 
 
 @dataclass(frozen=True)
@@ -219,23 +219,23 @@ def check_checkpoints(checkpoints: Sequence[int], n: int) -> list[int]:
     return cps
 
 
-def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
-                      shrinks: Optional[np.ndarray] = None, *,
+def sgd_constant_grid(gram, ys: np.ndarray, groups: Sequence, *,
                       horizons: Optional[Sequence[int]] = None) -> np.ndarray:
     """The kernel recursion for a grid of step-size schedules on one stream;
     every run in the package goes through this solver.
 
-    `gammas` holds one constant step per row, shape (rows,): the step-size
+    `groups` is a list of (steps, shrinks) groups of rows, stacked in order.
+    `steps` holds one constant step per row, shape (rows,): the step-size
     sweep, or the finite-horizon steps gamma0 * N**expo with one row per
-    horizon N. Or it holds per-step sizes, shape (rows, n): the horizon-free
-    schedules. `shrinks`, shape (n,) shared by all rows or (rows, n) one per
-    row, multiplies every older coefficient by shrinks[i] at step i. Or
-    `gammas` is a list of such (gammas, shrinks) pairs, groups of rows
-    stacked in order, and `shrinks` is not given: `sgd_run` passes each
-    schedule's rows so. Each block writes its diagonals shrinks / steps and
-    its targets group by group into two (rows, block) buffers, so no array
-    of the solver but the result (and the binned predictor's slotted copy
-    of it) has one entry per row and step.
+    horizon N. Or it holds per-step sizes, shape (rows, n): the
+    horizon-free schedules. `shrinks` is None or an (n,) array shared by
+    the group's rows: step i multiplies every older coefficient by
+    shrinks[i]. `sgd_run` passes each schedule's rows as one group,
+    `harness.gamma_sweep` its grid as [(grid, None)]. Each block writes
+    its diagonals shrinks / steps and its targets group by group into two
+    (rows, block) buffers, so no array of the solver but the result (and
+    the binned predictor's slotted copy of it) has one entry per row and
+    step.
     The product S_i = shrinks[0] * ... * shrinks[i] is carried as one global
     scale per row, so the (rows, n) result holds raw coefficients b:
     a_i = S_i b_i was created at step i and S_N b[:N] is the last iterate
@@ -270,18 +270,22 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
     from scipy.linalg.blas import dtrsv
 
     n = ys.shape[0]
-    # per group, its rows and (rows, n) views of its steps, shrinks and
-    # targets y_i / S_{i-1}, the running products taken left to right
-    groups, rows = [], 0
-    for g, shrunk in (gammas if isinstance(gammas, list) else [(gammas, shrinks)]):
-        g = np.asarray(g, dtype=float)
-        shape = (g.shape[0], n)
-        shrunk = np.ones(n) if shrunk is None else np.asarray(shrunk, dtype=float)
-        prev = np.cumprod(shrunk, axis=-1)[..., :-1]
-        targets = ys / np.concatenate([np.ones(prev.shape[:-1] + (1,)), prev], axis=-1)
-        groups.append([slice(rows, rows + shape[0])] + [
-            np.broadcast_to(a, shape) for a in (g[:, None] if g.ndim == 1 else g, shrunk, targets)])
-        rows += shape[0]
+    # per group, its rows, a (rows, n) view of its steps and its (n,)
+    # shrinks and targets y_i / S_{i-1}, the running products taken left to
+    # right; an unshrunk group divides 1 and reads ys, as y / 1 = y
+    parts, rows = [], 0
+    for steps, shrinks in groups:
+        steps = np.asarray(steps, dtype=float)
+        size = steps.shape[0]
+        if shrinks is None:
+            shrunk, target = np.broadcast_to(1.0, n), ys
+        else:
+            shrunk = np.asarray(shrinks, dtype=float)
+            target = ys / np.concatenate([[1.0], np.cumprod(shrunk)[:-1]])
+        parts.append((slice(rows, rows + size),
+                      np.broadcast_to(steps[:, None] if steps.ndim == 1 else steps, (size, n)),
+                      shrunk, target))
+        rows += size
     horizons = np.full(rows, n) if horizons is None else np.asarray(horizons)
     coeffs = np.zeros((rows, n))
     lazy = isinstance(gram, SplineGram)
@@ -293,9 +297,9 @@ def sgd_constant_grid(gram, ys: np.ndarray, gammas: np.ndarray,
         for s in range(0, n, _TIME_BLOCK):
             e = min(s + _TIME_BLOCK, n)
             live = np.flatnonzero(horizons > s)
-            for part, steps, shrunk, target in groups:
-                np.divide(shrunk[:, s:e], steps[:, s:e], out=diagonals[part, :e - s])
-                targets[part, :e - s] = target[:, s:e]
+            for part, steps, shrunk, target in parts:
+                np.divide(shrunk[s:e], steps[:, s:e], out=diagonals[part, :e - s])
+                targets[part, :e - s] = target[s:e]
             rhs = targets[live, :e - s] - predict(coeffs, live, s, e)
             # a SplineGram's block is exactly symmetric: its transpose is Fortran-ordered
             block = gram[s:e, s:e]

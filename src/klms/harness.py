@@ -5,9 +5,10 @@ All randomness flows through numpy SeedSequences built from
 (master_seed, replicate_index, stream_digest), so replicates are independent
 of execution order and two configs that describe the same data distribution
 see the same streams. Every preset runs through one driver, `_replicate_runs`:
-per replicate it builds one context (the lazy `kernels.SplineGram`, from
-whose bins the recursion predicts, and the `risk.ClosedFormRisk` of the
-stream, which holds the parts of its closed-form risk) and one `sgd_run`
+per replicate it builds one context (the lazy `kernels.SplineGram`, the one
+handle of the stream's points, from whose bins the recursion predicts, and
+the `risk.ClosedFormRisk` built from it, which holds the parts of the
+stream's closed-form risk) and one `sgd_run`
 over all distinct step schedules, so the recursion passes over the stream
 once per replicate. Its rows are judged with `first_divergence`, and
 `prefix_iterate` writes each preset's iterates into one zero-padded stack,
@@ -200,8 +201,8 @@ def replicate_seed(master_seed: int, rep: int, digest: int) -> np.random.SeedSeq
 
 @dataclass
 class _Context:
-    xs: np.ndarray
     ys: np.ndarray
+    # the stream's points are gram.xs
     gram: SplineGram
     # the closed-form excess risk of coefficients on a prefix of the stream,
     # or of each row of a (p, n) stack of them
@@ -211,7 +212,7 @@ class _Context:
 def _make_context(m: int, k: int, xs: np.ndarray, ys: np.ndarray) -> _Context:
     # nothing here is n x n: the recursion and the risk's form read one bin layout
     gram = SplineGram(m, xs)
-    return _Context(xs=xs, ys=ys, gram=gram, excess_risk=risk.ClosedFormRisk(m, k, xs, gram))
+    return _Context(ys=ys, gram=gram, excess_risk=risk.ClosedFormRisk(gram, k))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,7 @@ def gamma_sweep(config: ExperimentConfig, grid: Sequence[float]) -> list[SweepRo
     bad_step = np.full(grid.size, config.n_max + 1)
     bad_value = np.zeros(grid.size)
     for ctx in _replicate_contexts(config):
-        coeffs = sgd_constant_grid(ctx.gram, ctx.ys, grid)
+        coeffs = sgd_constant_grid(ctx.gram, ctx.ys, [(grid, None)])
         step, value = first_divergence(coeffs)
         earlier = step < bad_step
         bad_step[earlier], bad_value[earlier] = step[earlier], value[earlier]

@@ -41,8 +41,9 @@ for the quadrature risk oracle in O(n log n + grid m) work.
 Two evaluators read a stream in the round(sqrt(n)) bins of one `_BinLayout`
 instead of kernel rows: the recursion's predictions (`SplineGram.predictions`;
 a run reads only the diagonal blocks of its Gram matrix) and w'Dw for the
-order-doubled Gram matrix D_ij = R_2m(x_i, x_j) (`DoubledForm`; only the
-tests build D, as `SplineGram(2 * m, xs)[:, :]`). R_m is one polynomial in
+order-doubled Gram matrix D_ij = R_2m(x_i, x_j) (`DoubledForm(gram)`, of
+the order-m `SplineGram` of the stream; only the tests build D, as
+`SplineGram(2 * m, xs)[:, :]`). R_m is one polynomial in
 {s - t}, so the pairs of two bins are exact Taylor sums over per-bin
 moments (Greengard & Rokhlin's fast multipole method with no truncation)
 through the one exact table of `_far_field_blocks`, and the pairs inside a
@@ -51,8 +52,8 @@ and never stored. No run holds an (n, n) array or any other array of
 n^1.5 entries, and a run's work grows as n^1.5.
 
 Work that depends only on the layout is done once per stream: a
-`SplineGram` bins its points on first use, for its full runs and any
-`DoubledForm` given it; the predictor's block plan groups every block's
+`SplineGram` bins its points on first use, for its full runs and the
+`DoubledForm` built from it; the predictor's block plan groups every block's
 steps by bin once (see `_BinnedPredictions`); and the harness scores a
 replicate checkpoint-major, each batch of checkpoints filling one row
 block of `DoubledForm.quad` on the prefix of its last checkpoint.
@@ -285,16 +286,18 @@ class SplineGram:
     Rows and columns are indexed independently (a slice, an integer or an
     index array each, as with `np.ix_`), so ``gram[:, :]`` is the whole
     matrix. Row gram[i, :i] equals spline_kernel(order, xs[:i], xs[i]) bit
-    for bit."""
+    for bit. ``gram.xs`` holds the points reduced into [0, 1) by `frac`: the
+    one handle of a stream's points, from which `DoubledForm` and
+    `risk.ClosedFormRisk` are built."""
 
     def __init__(self, order: int, xs):
         _check_order(order, range(1, 2 * max(SUPPORTED_ORDERS) + 1))
         self.order = order
-        self._xs = frac(np.asarray(xs, dtype=float))
-        self.shape = (self._xs.shape[0], self._xs.shape[0])
+        self.xs = frac(np.asarray(xs, dtype=float))
+        self.shape = (self.xs.shape[0], self.xs.shape[0])
 
     def __getitem__(self, key) -> np.ndarray:
-        rows, cols = (self._xs[k] for k in key)
+        rows, cols = (self.xs[k] for k in key)
         shape = np.shape(rows) + np.shape(cols)
         rows, cols = np.atleast_1d(rows), np.atleast_1d(cols)
         out = np.empty((rows.shape[0], cols.shape[0]))
@@ -307,15 +310,16 @@ class SplineGram:
 
     @cached_property
     def _layout(self) -> _BinLayout:
-        """The `_BinLayout` of all the points, for full runs and `DoubledForm`."""
-        return _BinLayout(self._xs)
+        """The `_BinLayout` of all the points, for full runs and the
+        `DoubledForm` built from this matrix."""
+        return _BinLayout(self.xs)
 
     def predictions(self, n: int, rows: int, block: int) -> _BinnedPredictions:
         """The predictor of `estimator.sgd_constant_grid` over the first n
         points, `rows` coefficient rows and blocks of `block` steps, from
         bins instead of Gram strips (see `_BinnedPredictions`)."""
-        layout = self._layout if n == self.shape[0] else _BinLayout(self._xs[:n])
-        return _BinnedPredictions(self.order, self._xs[:n], rows, block, layout)
+        layout = self._layout if n == self.shape[0] else _BinLayout(self.xs[:n])
+        return _BinnedPredictions(self.order, self.xs[:n], rows, block, layout)
 
 
 class _BinnedPredictions:
@@ -424,11 +428,11 @@ class _BinnedPredictions:
 
 class DoubledForm:
     """The quadratic form w'Dw of the order-doubled Gram matrix
-    D_ij = R_2m(x_i, x_j) of a stream, for coefficient vectors on any prefix
-    of it, without D: w'Dw is the squared L2 norm of sum_i w_i K_{x_i}.
+    D_ij = R_2m(x_i, x_j) of the points of `gram`, a `SplineGram` of order
+    m, for coefficient vectors on any prefix of them, without D: w'Dw is
+    the squared L2 norm of sum_i w_i K_{x_i}.
 
-    The points go into the B bins of a `_BinLayout`, that of `gram` if
-    given, a `SplineGram` of the same points (of any order) whose layout the
+    The form holds the `_BinLayout` of `gram` itself, the B bins the
     recursion reads too. The pairs of two different bins read the per-bin
     moments mu_{b,q} = sum_{j in b} w_j d_j^q through `_far_field_blocks`
     of order 2m, L = 4m + 1: for each bin b' one
@@ -437,21 +441,16 @@ class DoubledForm:
     mu_{b',p} over p. Pairs inside one bin read the dense entries of
     `_spline_w`, bitwise those of `SplineGram`, over the bin's slots; a
     prefix of n' points fills the leading slots of the leading bins, and
-    its near field reads only those. The form keeps the slot layout, the
+    its near field reads only those. Beside the layout the form keeps the
     slots' centred powers and the window view, O(n L) in all: each `quad`
     computes the near blocks of its own prefix, a few bins at a time.
     """
 
-    def __init__(self, m: int, xs, gram: SplineGram | None = None):
-        _check_order(m)
-        self._order = order = 2 * m
-        xs = frac(np.asarray(xs, dtype=float))
-        self.n = xs.shape[0]
-        if gram is not None and gram.shape[0] != self.n:
-            raise ConfigurationError(f"a Gram matrix of {gram.shape[0]} points for {self.n}")
-        layout = _BinLayout(xs) if gram is None else gram._layout
-        self._slots, self._bins, self._widths = layout.slots, layout.bins, layout.widths
-        self._cells, self._slot_xs = layout.cells, layout.slot_xs
+    def __init__(self, gram: SplineGram):
+        _check_order(gram.order)
+        self._order = order = 2 * gram.order
+        self.n = gram.shape[0]
+        self._layout = layout = gram._layout
         size = 2 * order + 1
         self._powers = _power_table(layout.slot_offsets, size, axis=1)
         # the window of each bin b, by bin index (see `_far_field_blocks`)
@@ -479,8 +478,9 @@ class DoubledForm:
             raise ConfigurationError(f"{n} coefficients on a stream of {self.n} points")
         rows = w.reshape(math.prod(w.shape[:-1]), n)
         starts = range(0, rows.shape[0], _ROW_BLOCK)
-        bins, width = (self._bins[n - 1], self._widths[n - 1]) if n else (0, 0)
-        cells = self._cells[:bins]
+        layout = self._layout
+        bins, width = (layout.bins[n - 1], layout.widths[n - 1]) if n else (0, 0)
+        cells = layout.cells[:bins]
         # the prefix's bins in bin-index order, as the whole table sums them,
         # and their windows; with every bin in the prefix, the table's view
         own, far, place = slice(None), self._far, cells
@@ -494,9 +494,9 @@ class DoubledForm:
         step = max(1, _BLOCK_ENTRIES // max(2 * width ** 2, 1))
         for b in range(0, bins, step):
             chunk = slice(b, min(b + step, bins))
-            slots = self._slots[chunk, :width]
+            slots = layout.slots[chunk, :width]
             outside = slots >= n
-            x = self._slot_xs[chunk, :width]
+            x = layout.slot_xs[chunk, :width]
             kernel = _spline_w(self._order, _circle_w(x[:, :, None] - x[:, None, :]))
             powers = self._powers[chunk, :, :width]
             index = np.where(outside, 0, slots)

@@ -11,10 +11,11 @@ ingredients:
 
 The first gives ||f||^2 = w'Dw with D the order-doubled Gram matrix, which
 `kernels.DoubledForm` evaluates exactly from per-bin moments of w without
-building D. `ClosedFormRisk(m, k, xs)` builds the three parts of one stream
-once and is the one place the closed form w'Dw - 2 w'i + ||B_k||^2 is
-written, for single expansions, prefixes of a stream and stacks of
-coefficient vectors.
+building D. `ClosedFormRisk(gram, k)` builds the three parts of one stream
+once from its order-m `kernels.SplineGram`, the one handle of its points,
+and is the one place the closed form w'Dw - 2 w'i + ||B_k||^2 is written,
+for single expansions, prefixes of a stream and stacks of coefficient
+vectors.
 
 None of these formulas is taken on faith: the module ships a truncated
 Fourier evaluator and a quadrature evaluator of the same quantity, and the
@@ -44,7 +45,7 @@ import numpy as np
 from .bernoulli import (MAX_DEGREE, _frequency_rows, _phase_tables, _point_chunk, _row_chunks,
                         _table_shape, bernoulli_numbers, bernoulli_poly, frac, zeta_tail)
 from .errors import ConfigurationError
-from .kernels import _ROW_BLOCK, DoubledForm, _check_order, _SplineSum
+from .kernels import _ROW_BLOCK, DoubledForm, SplineGram, _check_order, _SplineSum
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -76,15 +77,15 @@ def kernel_target_inner(m: int, k: int, x):
 
 class ClosedFormRisk:
     """The closed-form excess risk w'Dw - 2 w'i + ||B_k||^2 of coefficients
-    w on the points xs of a stream, or on any prefix of it.
+    w on the points of `gram`, a `kernels.SplineGram` of order m, or on any
+    prefix of them.
 
     Holds the three parts of the stream, built once: ``form``, the
-    `kernels.DoubledForm` (w'Dw, D the order-doubled Gram matrix),
-    ``inner``, the target inner products i of `kernel_target_inner`, and
-    ``norm_sq`` = ||B_k||^2 of `target_norm_sq`. A call reads only the first
+    `kernels.DoubledForm` of `gram` (w'Dw, D the order-doubled Gram matrix,
+    read through the bin layout of `gram`), ``inner``, the target inner
+    products i of `kernel_target_inner` at ``gram.xs``, and ``norm_sq`` =
+    ||B_k||^2 of `target_norm_sq`. A call reads only the first
     n = w.shape[-1] points, so one full-stream object serves every prefix.
-    Given `gram`, a `kernels.SplineGram` of the points xs, the form shares
-    its bin layout instead of building its own.
     It takes one coefficient vector (giving a scalar) or a (p, n) stack of
     them (giving p risks); a row's risk is bitwise its risk computed alone,
     as w'i is summed row by row and `DoubledForm.quad` keeps rows apart.
@@ -92,9 +93,9 @@ class ClosedFormRisk:
     is never copied whole.
     """
 
-    def __init__(self, m: int, k: int, xs, gram=None):
-        self.form = DoubledForm(m, xs, gram)
-        self.inner = kernel_target_inner(m, k, xs)
+    def __init__(self, gram: SplineGram, k: int):
+        self.form = DoubledForm(gram)
+        self.inner = kernel_target_inner(gram.order, k, gram.xs)
         self.norm_sq = target_norm_sq(k)
 
     def __call__(self, coeffs):
@@ -110,12 +111,14 @@ class ClosedFormRisk:
 def excess_risk_closed(expansion, m: int, k: int) -> float:
     """Closed-form squared L2 distance between the expansion and B_k.
 
-    Builds the expansion's `DoubledForm`: about n^1.5 kernel values for
-    n spread-out centers (n^2 when they crowd into one bin), against n^2 for
-    the dense order-doubled Gram matrix. Callers evaluating many expansions
-    over the same centers keep one `ClosedFormRisk` instead.
+    Builds the `ClosedFormRisk` of the order-m `SplineGram` of the
+    expansion's centers: about n^1.5 kernel values for n spread-out
+    centers (n^2 when they crowd into one bin), against n^2 for the dense
+    order-doubled Gram matrix. Callers evaluating many expansions over the
+    same centers keep one `ClosedFormRisk` instead.
     """
-    return float(ClosedFormRisk(m, k, expansion.centers)(expansion.coeffs))
+    _check_order(m)
+    return float(ClosedFormRisk(SplineGram(m, expansion.centers), k)(expansion.coeffs))
 
 
 def _center_sums(centers: np.ndarray, coeffs: np.ndarray, J: int) -> np.ndarray:

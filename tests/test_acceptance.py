@@ -110,11 +110,12 @@ def test_c05_consistency_constant_step():
     for rep in range(cfg.replicates):
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, 0.1, cfg.n_max)
-        [(rows, _, _)] = sgd_run(SplineGram(1, xs), ys, [FiniteHorizon(gamma)], [100, 3162])
+        gram = SplineGram(1, xs)
+        [(rows, _, _)] = sgd_run(gram, ys, [FiniteHorizon(gamma)], [100, 3162])
         averaged = np.zeros((2, 3162))
         averaged[0, :100] = prefix_iterate(rows[0], 100, True)
         averaged[1] = prefix_iterate(rows[0], 3162, True)
-        risks += ClosedFormRisk(1, 2, xs)(averaged)
+        risks += ClosedFormRisk(gram, 2)(averaged)
     risks /= cfg.replicates
     _report("c05 consistency", risks[1] < risks[0],
             f"mean excess risk {risks[0]:.3e} at n=100 -> {risks[1]:.3e} at n=3162")
@@ -206,7 +207,8 @@ def test_c10_ridge_baseline():
     for rep in range(10):
         xs, ys = sample_stream(replicate_seed(0, rep, cfg.stream_digest()),
                                2, cfg.noise_sigma, n)
-        gram, score = SplineGram(1, xs), ClosedFormRisk(1, 2, xs)
+        gram = SplineGram(1, xs)
+        score = ClosedFormRisk(gram, 2)
         ridge_risks.append(score(ridge_solve(gram[:, :], ys, n * lam)))
         [(rows, _, _)] = sgd_run(gram, ys, [FiniteHorizon(gamma)], [n])
         sgd_risks.append(score(prefix_iterate(rows[0], n, True)))

@@ -105,10 +105,10 @@ class TestSchedules:
     def test_finite_horizon_rows_deduplicated(self):
         # one constant row per distinct step, each checkpoint mapped to its row
         steps, shrinks, row_of = FiniteHorizon(2.0, -0.5).rows([1, 4, 16])
-        assert np.array_equal(steps, np.repeat([[0.5], [1.0], [2.0]], 16, axis=1))
+        assert np.array_equal(steps, [0.5, 1.0, 2.0])
         assert shrinks is None and row_of.tolist() == [2, 1, 0]
         steps, shrinks, row_of = FiniteHorizon(0.5).rows([3, 10, 40])
-        assert np.array_equal(steps, np.full((1, 40), 0.5))
+        assert np.array_equal(steps, [0.5])
         assert shrinks is None and row_of.tolist() == [0, 0, 0]
 
     def test_online_decay(self):
@@ -204,7 +204,7 @@ class TestRecursion:
         xs, ys = rng.random(300), rng.standard_normal(300)
         cps = [50, 120, 300]
         gram = SplineGram(2, xs)[:, :]
-        rows = sgd_constant_grid(gram, ys, np.full(len(cps), 0.3))
+        rows = sgd_constant_grid(gram, ys, [(np.full(len(cps), 0.3), None)])
         ran = []
 
         def grid(*args, **kwargs):
@@ -422,7 +422,7 @@ class TestConstantGrid:
         rng = np.random.default_rng(4)
         xs, ys = rng.random(40), rng.standard_normal(40)
         grid = np.array([0.5, 2.0, 6.0])
-        coeffs = sgd_constant_grid(G1(xs), ys, grid)
+        coeffs = sgd_constant_grid(G1(xs), ys, [(grid, None)])
         for gi, gamma in enumerate(grid):
             last, _ = naive_run(R1, xs, ys, lambda i: gamma, lambda i: 0.0, 40)
             assert np.allclose(coeffs[gi], last, atol=1e-12)
@@ -434,7 +434,7 @@ class TestConstantGrid:
         ys = np.full(300, 1.0)
         grid = np.array([1.0, 500.0])
         for gram in (G1(xs), SplineGram(1, xs)):
-            coeffs = sgd_constant_grid(gram, ys, grid)
+            coeffs = sgd_constant_grid(gram, ys, [(grid, None)])
             assert np.all(np.isfinite(coeffs[0]))
             assert np.max(np.abs(coeffs[0])) < 1e3
             # the unstable row blows past any useful magnitude and overflows,
@@ -447,13 +447,14 @@ class TestConstantGrid:
         # per row and step, so the call peaks at 2.91-2.97 grids (seeds
         # 0-4; the block plan's O(n) integers add 0.02), against 4.55 with
         # per-step copies of the schedule
-        sgd_constant_grid(SplineGram(1, np.linspace(0, 1, 200)), np.zeros(200), np.ones(2))
+        sgd_constant_grid(SplineGram(1, np.linspace(0, 1, 200)), np.zeros(200),
+                          [(np.ones(2), None)])
         rng = np.random.default_rng(0)
         xs, ys = rng.random(20000), rng.standard_normal(20000)
         grid = default_gamma_grid(kernel_sup_sq(1))
         tracemalloc.start()
         try:
-            coeffs = sgd_constant_grid(SplineGram(1, xs), ys, grid)
+            coeffs = sgd_constant_grid(SplineGram(1, xs), ys, [(grid, None)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -515,7 +516,7 @@ class TestBlockedSolver:
         dense = gram[:n, :n]
         # a lazy Gram matrix of the whole stream serves the prefix as well
         got = sgd_constant_grid(gram if isinstance(gram, SplineGram) else dense,
-                                ys[:n], steps, shrinks)
+                                ys[:n], [(steps, shrinks)])
         want = stepwise_grid(dense, ys[:n], steps, shrinks)
         err = np.linalg.norm(got - want, axis=1)
         assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=1))
@@ -524,7 +525,8 @@ class TestBlockedSolver:
         # the second grid has no live row in its last blocks
         _, _, ys, gram = production
         for horizons in ([3162, 1, 128, 129, 700], [1, 128, 129, 700, 700]):
-            rows = sgd_constant_grid(gram, ys, np.full(5, 0.5), horizons=np.array(horizons))
+            rows = sgd_constant_grid(gram, ys, [(np.full(5, 0.5), None)],
+                                     horizons=np.array(horizons))
             for row, h in zip(rows, horizons):
                 stop = -(-h // estimator._TIME_BLOCK) * estimator._TIME_BLOCK
                 assert np.all(row[:stop] != 0.0)
@@ -537,7 +539,7 @@ class TestBlockedSolver:
         cps = np.unique(np.geomspace(10, 3162, 20).astype(int))
         step = FiniteHorizon(1.0 / kernel_sup_sq(m), -0.5)
         [got] = run_stacks(gram, ys, [step], cps)
-        full = sgd_constant_grid(gram, ys, step.at(cps))
+        full = sgd_constant_grid(gram, ys, [(step.at(cps), None)])
         for c, (row, n) in enumerate(zip(full, cps)):
             for stack, averaged in zip(got, (False, True)):
                 want = prefix_iterate(row, n, averaged)
@@ -547,7 +549,7 @@ class TestBlockedSolver:
     def test_unstable_grid_diverges_at_the_same_steps(self, production):
         m, _, ys, gram = production
         grid = np.geomspace(1.0, 1e4, 30) / kernel_sup_sq(m)
-        step, value = first_divergence(sgd_constant_grid(gram, ys, grid))
+        step, value = first_divergence(sgd_constant_grid(gram, ys, [(grid, None)]))
         want_step, want_value = first_divergence(stepwise_grid(gram[:, :], ys, grid))
         assert np.count_nonzero(step <= 3162) >= 25
         assert np.array_equal(step, want_step)
@@ -570,9 +572,9 @@ class TestStreamedGram:
         poisoned = gram.copy()
         poisoned[np.triu_indices(300, 1)] = np.nan
         steps, shrinks, _ = TarresYao(competitor_rate(0.75)).rows([300])
-        for args in ((default_gamma_grid(kernel_sup_sq(2)),), (steps, shrinks)):
-            assert np.array_equal(sgd_constant_grid(poisoned, ys, *args),
-                                  sgd_constant_grid(gram, ys, *args))
+        for group in ((default_gamma_grid(kernel_sup_sq(2)), None), (steps, shrinks)):
+            assert np.array_equal(sgd_constant_grid(poisoned, ys, [group]),
+                                  sgd_constant_grid(gram, ys, [group]))
         schedules = [FiniteHorizon(2.0, -0.5), Online(3.0, -0.5), TarresYao(-0.6)]
         for (got, _, _), (want, _, _) in zip(sgd_run(poisoned, ys, schedules, [10, 129, 300]),
                                              sgd_run(gram, ys, schedules, [10, 129, 300])):
@@ -589,8 +591,8 @@ class TestStreamedGram:
             return np.all(err <= 1e-11 * np.linalg.norm(want, axis=-1))
 
         grid = default_gamma_grid(kernel_sup_sq(2))
-        assert close(sgd_constant_grid(SplineGram(2, xs), ys, grid),
-                     sgd_constant_grid(gram, ys, grid))
+        assert close(sgd_constant_grid(SplineGram(2, xs), ys, [(grid, None)]),
+                     sgd_constant_grid(gram, ys, [(grid, None)]))
         schedules = [FiniteHorizon(2.0, -0.5), TarresYao(-0.6)]
         for got, want in zip(run_stacks(SplineGram(2, xs), ys, schedules, [50, 300]),
                              run_stacks(gram, ys, schedules, [50, 300])):
@@ -639,17 +641,6 @@ class TestMergedSchedules:
         with pytest.raises(ConfigurationError, match="schedule"):
             sgd_run(G1(xs), ys, [], [2])
 
-    def test_per_row_shrinks(self):
-        # shrinks given per row, a TarresYao row beside an unshrunk one,
-        # within one block: each row bitwise its own grid's row
-        rng = np.random.default_rng(20)
-        xs, ys = rng.random(100), rng.standard_normal(100)
-        ty_steps, ty_shrinks, _ = TarresYao(competitor_rate(0.75)).rows([100])
-        steps = np.vstack([ty_steps, np.full((1, 100), 2.0)])
-        rows = sgd_constant_grid(G1(xs), ys, steps, np.vstack([ty_shrinks, np.ones(100)]))
-        assert np.array_equal(rows[0], sgd_constant_grid(G1(xs), ys, ty_steps, ty_shrinks)[0])
-        assert np.array_equal(rows[1], sgd_constant_grid(G1(xs), ys, np.array([2.0]))[0])
-
 
 class TestTriangularOracle:
     """The raw coefficients b of a grid row (a_i = S_i b_i, S the running
@@ -674,7 +665,7 @@ class TestTriangularOracle:
         if kind == "constant":
             # several constant rows in one pass, stable up to gamma R^2 = 1
             steps = rng.uniform(0.05, 1.0, 3) / kernel_sup_sq(m)
-            coeffs = sgd_constant_grid(gram, ys, steps)
+            coeffs = sgd_constant_grid(gram, ys, [(steps, None)])
             steps = np.repeat(steps[:, None], n, axis=1)
         else:
             if kind == "online":
@@ -682,7 +673,7 @@ class TestTriangularOracle:
             else:
                 sched = TarresYao(competitor_rate(rng.uniform(0.25, 2.0)))
             steps, shrinks, _ = sched.rows([n])
-            coeffs = sgd_constant_grid(gram, ys, steps, shrinks)
+            coeffs = sgd_constant_grid(gram, ys, [(steps, shrinks)])
         scales = np.ones(n) if shrinks is None else np.cumprod(shrinks)
         prev = np.concatenate([[1.0], scales[:-1]])
         for row, b in zip(steps, coeffs):
@@ -696,7 +687,7 @@ class TestTriangularOracle:
         ty = TarresYao(competitor_rate(0.75))
         [(last, _)] = run_stacks(G1(xs), ys, [ty], [80])
         steps, shrinks, _ = ty.rows([80])
-        b = sgd_constant_grid(G1(xs), ys, steps, shrinks)[0]
+        b = sgd_constant_grid(G1(xs), ys, [(steps, shrinks)])[0]
         assert np.array_equal(last[0], np.cumprod(shrinks)[-1] * b)
         # sgd_run answers with the raw row, the shrinks and the row per checkpoint
         [(rows, got_shrinks, row_of)] = sgd_run(G1(xs), ys, [ty], [20, 80])

@@ -292,7 +292,7 @@ class TestDoubledForm:
         # blocks, so the call peaks at 2.2 MB (m = 2), against 28.8 MB with
         # a transposed copy of the stack beside the stored near blocks
         xs = np.random.default_rng(2).random(20000)
-        form = DoubledForm(2, xs)
+        form = DoubledForm(SplineGram(2, xs))
         w = np.random.default_rng(5).standard_normal((80, 20000))
         tracemalloc.start()
         try:
@@ -312,7 +312,7 @@ class TestDoubledForm:
         xs = np.random.default_rng(m).random(20000)
         tracemalloc.start()
         try:
-            form = DoubledForm(m, xs)
+            form = DoubledForm(SplineGram(m, xs))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -323,7 +323,7 @@ class TestDoubledForm:
     def test_matches_dense_form(self, m, n):
         xs = edge_stream(n, 100 * m + n)
         dense = SplineGram(2 * m, xs)[:, :]
-        form = DoubledForm(m, xs)
+        form = DoubledForm(SplineGram(m, xs))
         w = np.random.default_rng(n).standard_normal((4, n))
         # whole stream, prefixes of it, and the empty prefix
         for size in sorted({n, n - 1, n // 3, 1, 0}):
@@ -342,10 +342,10 @@ class TestDoubledForm:
         # the whole stream, which read the whole table (measured at most
         # 1.3e-15 relative)
         n = 3162
-        form = DoubledForm(m, np.random.default_rng(m).random(n))
+        form = DoubledForm(SplineGram(m, np.random.default_rng(m).random(n)))
         w = np.random.default_rng(7).standard_normal((59, n))
         for size in (1, 10, 45, 100):
-            assert form._bins[size - 1] < round(math.sqrt(n))
+            assert form._layout.bins[size - 1] < round(math.sqrt(n))
             padded = np.zeros((59, n))
             padded[:, :size] = w[:, :size]
             np.testing.assert_allclose(form.quad(w[:, :size]), form.quad(padded),
@@ -375,24 +375,21 @@ class TestDoubledForm:
         # every point in one bin: the form is the near field alone
         xs = np.full(30, 0.3)
         w = np.random.default_rng(4).standard_normal(30)
-        assert DoubledForm(1, xs).quad(w) == pytest.approx(
+        assert DoubledForm(SplineGram(1, xs)).quad(w) == pytest.approx(
             w.sum() ** 2 * spline_kernel(2, 0.0, 0.0), rel=1e-14)
 
     def test_rejects_more_coefficients_than_points(self):
         with pytest.raises(ConfigurationError):
-            DoubledForm(1, np.random.default_rng(0).random(10)).quad(np.ones(11))
+            DoubledForm(SplineGram(1, np.random.default_rng(0).random(10))).quad(np.ones(11))
 
     def test_shares_the_layout_of_a_gram(self):
-        # the form reads the bins of a Gram matrix of the same points and
-        # scores as one with its own layout, bit for bit
-        xs = np.random.default_rng(8).random(500)
-        gram = SplineGram(1, xs)
-        shared, own = DoubledForm(2, xs, gram), DoubledForm(2, xs)
-        assert shared._slots is gram._layout.slots
-        w = np.random.default_rng(9).standard_normal((3, 400))
-        assert np.array_equal(shared.quad(w), own.quad(w))
-        with pytest.raises(ConfigurationError):
-            DoubledForm(2, xs[:400], gram)
+        # the form is built from the Gram matrix of its points and reads
+        # its bins: it holds the matrix's layout itself, the one the
+        # recursion reads
+        gram = SplineGram(2, np.random.default_rng(8).random(500))
+        form = DoubledForm(gram)
+        assert form._layout is gram._layout and form.n == 500
+        assert form._order == 4
 
 
 class TestPowerTable:

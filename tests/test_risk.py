@@ -14,7 +14,7 @@ from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, default_gamma_grid)
-from klms.kernels import SplineGram, _SplineSum, _w_coeffs_exact, spline_kernel
+from klms.kernels import SUPPORTED_ORDERS, SplineGram, _SplineSum, _w_coeffs_exact, spline_kernel
 from klms.risk import (ClosedFormRisk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
@@ -136,10 +136,19 @@ class TestClosedForm:
             assert excess_risk_closed(exp, 1, 2) >= -1e-10
 
     def test_precomputed_paths_match(self):
+        # excess_risk_closed is the ClosedFormRisk of the centers' SplineGram,
+        # bit for bit, at every supported order; an order-5 Gram matrix
+        # exists (order 10 is its doubled form), but its risk does not
         rng = np.random.default_rng(29)
-        exp = random_expansion(rng, max_centers=20)
-        full = excess_risk_closed(exp, 2, 1)
-        assert ClosedFormRisk(2, 1, exp.centers)(exp.coeffs) == full
+        for m in SUPPORTED_ORDERS:
+            for k in (1, 2, 3, 4):
+                exp = random_expansion(rng, max_centers=20)
+                risk = ClosedFormRisk(SplineGram(m, exp.centers), k)
+                assert excess_risk_closed(exp, m, k) == risk(exp.coeffs)
+        with pytest.raises(ConfigurationError):
+            excess_risk_closed(exp, 5, 1)
+        with pytest.raises(ConfigurationError):
+            ClosedFormRisk(SplineGram(5, exp.centers), 1)
 
 
 def long_double_quad(order, xs, w):
@@ -174,11 +183,11 @@ class TestClosedFormAtProductionSize:
             [(rows, _, _)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
                                      [cfg.n_max])
             w = prefix_iterate(rows[0], cfg.n_max, True)
-            reference = long_double_quad(2 * m, ctx.xs, w)
+            reference = long_double_quad(2 * m, ctx.gram.xs, w)
             parts = ctx.excess_risk
             risk = float(reference - 2.0 * np.longdouble(w @ parts.inner) + parts.norm_sq)
             binned = parts.form.quad(w)
-            dense = w @ SplineGram(2 * m, ctx.xs)[:, :] @ w
+            dense = w @ SplineGram(2 * m, ctx.gram.xs)[:, :] @ w
             assert abs(float(binned - reference)) <= 1e-10 * risk
             assert abs(float(dense - reference)) <= 1e-10 * risk
 
@@ -188,7 +197,7 @@ class TestClosedFormAtProductionSize:
         # risk is its risk computed alone
         cfg = ExperimentConfig(kernel_order_m=1, target_index_k=2, n_max=3162, replicates=1)
         ctx = next(_replicate_contexts(cfg))
-        coeffs = sgd_constant_grid(ctx.gram, ctx.ys, default_gamma_grid(cfg.R_sq))
+        coeffs = sgd_constant_grid(ctx.gram, ctx.ys, [(default_gamma_grid(cfg.R_sq), None)])
         bad = [3, 7, 9]
         for n in (1, 30, 379, 3162):
             stack = prefix_iterate(coeffs, n, True)
@@ -272,7 +281,7 @@ class TestFourierOracle:
                                  [cfg.n_max])
         w = prefix_iterate(rows[0], cfg.n_max, True)
         assert len(w) == 3162
-        exp = KernelExpansion(ctx.xs, w)
+        exp = KernelExpansion(ctx.gram.xs, w)
         closed = ctx.excess_risk(w)
         assert closed == pytest.approx(excess_risk_fourier(exp, m, k, 2000), rel=1e-8)
         # and against the quadrature oracle: measured gaps at most 3.1e-8
@@ -294,7 +303,7 @@ class TestFourierOracle:
         [(rows, _, _)] = sgd_run(ctx.gram, ctx.ys, [_algorithm_spec(cfg, "ours")],
                                  [cfg.n_max])
         w = prefix_iterate(rows[0], cfg.n_max, True)
-        fourier = excess_risk_fourier(KernelExpansion(ctx.xs, w), m, k, 16000)
+        fourier = excess_risk_fourier(KernelExpansion(ctx.gram.xs, w), m, k, 16000)
         assert ctx.excess_risk(w) == pytest.approx(fourier, rel=1e-11 if m == 1 else 2e-9)
 
 
