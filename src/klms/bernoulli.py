@@ -16,24 +16,32 @@ points, and is used throughout the test suite as an oracle that is
 independent of the polynomial coefficients.
 
 Every truncated Fourier sum over frequencies 1..J in the package (this
-series and the Fourier risk oracle in `risk`) factors its phases through
-`_phase_tables`: with B = isqrt(J), j = qB + r splits e^{2 pi i j x} into
-e^{2 pi i qB x} e^{2 pi i r x}, so about 2 sqrt(J) complex exponentials per
-point and one matrix product replace J cosines per point. Both walk the
-points in chunks and the (Q, B) frequency layout in chunks of rows
-(`_frequency_rows`), each chunk at most _PHASE_ENTRIES entries, so no call
-holds an array of n sqrt(J) phases or a J-length copy of weights: a row
-chunk's weights (2 pi j)^{-k} are squared from the rows of one cached table
-of 1 / (2 pi j), kept for the last J only (`_inverse_power`), with no float
-pow. `zeta_tail` adds the tail beyond J by Euler-Maclaurin summation, so
-the package needs no `scipy.special`.
+series and the Fourier risk oracle in `risk`) runs on the `_FourierPlan` of
+J (`_fourier_plan`): with B = isqrt(J), j = qB + r splits e^{2 pi i j x}
+into e^{2 pi i qB x} e^{2 pi i r x}, so about 2 sqrt(J) complex exponentials
+per point and one matrix product replace J cosines per point. Both walk the
+points in chunks and the (Q, B) frequency layout in chunks of rows, each
+chunk at most _PHASE_ENTRIES entries, so no call holds an array of
+n sqrt(J) phases or a J-length copy of weights: a row chunk's weights
+(2 pi j)^{-k} are squared from the rows of the plan's table of 1 / (2 pi j)
+(`_inverse_power`), with no float pow. The plan also owns every workspace
+these sums write into, made on first use: the (Q, B) center sums, the
+phase rows of a point chunk, a point chunk's partial sums and a row chunk's
+weights or product. Only the last J's plan is kept: 24 J bytes (the center
+sums and the 1 / (2 pi j) table) and four chunk workspaces, 3.7 MB at
+J = 1e5. Repeated calls at one J allocate nothing beyond their points. A
+workspace is valid until the next Fourier call, so the package makes these
+calls from one thread; parallel runs use processes. `zeta_tail` adds the
+tail beyond J by Euler-Maclaurin summation, so the package needs no
+`scipy.special`. Polynomials are evaluated by `_horner`, so the package
+never loads `numpy.polynomial`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,12 +85,23 @@ def _float_coeffs(k: int) -> np.ndarray:
     return np.array([float(c) for c in bernoulli_poly_coeffs(k)])
 
 
+def _horner(coeffs, x) -> np.ndarray:
+    """sum_i coeffs[i] x^i, coefficients ascending, by Horner's rule: the
+    products and sums of numpy's ``polyval`` in its order, so bit for bit its
+    value at finite x, without loading `numpy.polynomial`."""
+    out = np.full(np.shape(x), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def bernoulli_poly(k: int, x):
     """Value of the degree-k Bernoulli polynomial at x (not periodized).
 
     Accepts scalars or arrays; scalar input gives a plain float.
     """
-    out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), _float_coeffs(k))
+    out = _horner(_float_coeffs(k), np.asarray(x, dtype=float))
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -144,46 +163,18 @@ def zeta_tail(s: float, J: int) -> float:
     return (2.0 * math.pi) ** -s * math.fsum(terms)
 
 
-def _table_shape(J: int) -> tuple[int, int]:
-    """(Q, B) of the phase tables for the frequencies 0..J: B = isqrt(J),
-    Q = J // B + 1."""
-    b = math.isqrt(J)
-    return J // b + 1, b
-
-
-def _row_chunks(J: int) -> list[slice]:
-    """The Q rows of the (Q, B) layout of `_phase_tables` in slices of at
-    most _PHASE_ENTRIES frequencies."""
-    q, b = _table_shape(J)
-    step = max(1, _PHASE_ENTRIES // b)
-    return [slice(start, min(start + step, q)) for start in range(0, q, step)]
-
-
-@lru_cache(maxsize=1)
-def _inverse_frequencies(J: int) -> np.ndarray:
-    """1 / (2 pi j) at the frequencies j = qB + r of the (Q, B) layout of
-    `_phase_tables`, zero at j = 0 and past J, read-only. Only the last J's
-    table is kept: the Fourier sums read their weights from it a row chunk
-    at a time, since a division per frequency would cost a scalar
-    `bernoulli_fourier_eval` more than all the rest of its work."""
-    q, b = _table_shape(J)
-    inv = np.zeros(q * b)
-    inv[1:J + 1] = 1.0 / (2.0 * np.pi * np.arange(1, J + 1, dtype=float))
-    inv.setflags(write=False)
-    return inv.reshape(q, b)
-
-
-def _frequency_rows(J: int, *powers: int):
-    """Yields (rows, w_1, ...) for each slice `rows` of `_row_chunks(J)`, w_i
-    the (rows, B) weights (2 pi j)^{-p_i} of its frequencies for each of the
-    given powers, 0 at j = 0 and past J. The chunks reuse the same arrays,
-    so a chunk's weights are valid until the next one."""
-    inv = _inverse_frequencies(J)
-    chunks = _row_chunks(J)
-    weights = [np.empty((chunks[0].stop, inv.shape[1])) for _ in powers]
-    for rows in chunks:
-        size = rows.stop - rows.start
-        yield (rows, *(_inverse_power(inv[rows], k, w[:size]) for k, w in zip(powers, weights)))
+def _power_table(d: np.ndarray, count: int, axis: int = -1, out=None) -> np.ndarray:
+    """d**0, ..., d**(count - 1) stacked along a new `axis`, as running
+    products: correctly rounded up to the square, within about (p - 1)/2
+    ulp at power p, and several times faster than `**`, which calls pow.
+    Written into `out` when it is given, of the table's shape."""
+    if out is None:
+        table = np.repeat(np.expand_dims(d, axis), count, axis=axis)
+    else:
+        table = out
+        np.copyto(table, np.expand_dims(d, axis))
+    np.moveaxis(table, axis, 0)[0] = 1.0
+    return np.multiply.accumulate(table, axis=axis, out=table)
 
 
 def _inverse_power(inv: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
@@ -198,37 +189,104 @@ def _inverse_power(inv: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_chunk(J: int) -> int:
-    """Points per chunk of phase tables for the frequencies 0..J."""
-    return max(1, _PHASE_ENTRIES // sum(_table_shape(J)))
-
-
-def _power_table(d: np.ndarray, count: int, axis: int = -1) -> np.ndarray:
-    """d**0, ..., d**(count - 1) stacked along a new `axis`, as running
-    products: correctly rounded up to the square, within about (p - 1)/2
-    ulp at power p, and several times faster than `**`, which calls pow."""
-    table = np.repeat(np.expand_dims(d, axis), count, axis=axis)
-    np.moveaxis(table, axis, 0)[0] = 1.0
-    return np.multiply.accumulate(table, axis=axis, out=table)
-
-
-def _phase_tables(x: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase tables (U, V) of the 1-D points x for the frequencies 0..J.
+class _FourierPlan:
+    """The (Q, B) layout of the frequencies 0..J, shared by every truncated
+    Fourier sum of the package, and the workspaces those sums write into.
 
     With B = isqrt(J) and Q = J // B + 1, every j = qB + r with 0 <= q < Q
     and 0 <= r < B is one frequency, and they cover 0..J, so
     e^{2 pi i j x_n} = U[n, q] * V[n, r] with U[n, q] = e^{2 pi i qB x_n}
-    (n x Q) and V[n, r] = e^{2 pi i r x_n} (n x B). A sum over j of weights
+    and V[n, r] = e^{2 pi i r x_n} (`phase_tables`). A sum over j of weights
     laid out as a (Q, B) array is then a matrix product with V followed by
-    a sum against U. Each table is the running powers (`_power_table`) of
-    one complex exponential per point, e^{2 pi i B x_n} or e^{2 pi i x_n}:
-    the q-th power adds about q ulp, no more than the rounding of the angle
-    2 pi qB x_n that an exponential per entry would carry, at a fraction of
-    its cost.
+    a sum against U. The sums walk the points `point_chunk` at a time and
+    the rows in the slices `row_chunks`, each chunk at most _PHASE_ENTRIES
+    entries; `inverse` is the read-only (Q, B) table of 1 / (2 pi j), zero
+    at j = 0 and past J, from which `frequency_rows` squares a row chunk's
+    weights, since a division per frequency would cost a scalar
+    `bernoulli_fourier_eval` more than all the rest of its work.
+
+    The workspaces are made on first use and reused by every later call
+    at this J: the (Q, B) table of center sums (`center_sums`), the U and
+    V rows of one point chunk, one point chunk's (rows, Q) partial sums
+    (`point_product`) and one row chunk's space, which holds either its
+    complex matrix product (`row_product`) or two planes of its weights,
+    never both at once. So a method returns a view of a workspace, valid
+    until the next Fourier call: the package runs these sums on one thread.
     """
-    q, b = _table_shape(J)
-    return (_power_table(np.exp(2j * np.pi * (x * float(b))), q),
-            _power_table(np.exp(2j * np.pi * x), b))
+
+    def __init__(self, J: int):
+        b = math.isqrt(J)
+        q = J // b + 1
+        self.shape = (q, b)
+        step = max(1, _PHASE_ENTRIES // b)
+        self.row_chunks = [slice(start, min(start + step, q)) for start in range(0, q, step)]
+        self.point_chunk = max(1, _PHASE_ENTRIES // (q + b))
+        inv = np.zeros(q * b)
+        inv[1:J + 1] = 1.0 / (2.0 * np.pi * np.arange(1, J + 1, dtype=float))
+        inv.setflags(write=False)
+        self.inverse = inv.reshape(q, b)
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        return np.empty(self.shape, dtype=complex)
+
+    @cached_property
+    def _phases(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.empty((self.point_chunk, size), dtype=complex) for size in self.shape)
+
+    @cached_property
+    def _partial(self) -> np.ndarray:
+        return np.empty((self.point_chunk, self.shape[0]), dtype=complex)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        # two float planes of the largest row chunk, or one complex product
+        return np.empty(2 * self.row_chunks[0].stop * self.shape[1])
+
+    def center_sums(self) -> np.ndarray:
+        """The (Q, B) complex table of center sums, zeroed."""
+        self._sums.fill(0.0)
+        return self._sums
+
+    def phase_tables(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The phase tables (U, V) of at most `point_chunk` points x. Each
+        table is the running powers (`_power_table`) of one complex
+        exponential per point, e^{2 pi i B x_n} or e^{2 pi i x_n}: the q-th
+        power adds about q ulp, no more than the rounding of the angle
+        2 pi qB x_n that an exponential per entry would carry, at a fraction
+        of its cost."""
+        (q, b), n = self.shape, x.shape[0]
+        phase_q, phase_r = self._phases
+        return (_power_table(np.exp(2j * np.pi * (x * float(b))), q, out=phase_q[:n]),
+                _power_table(np.exp(2j * np.pi * x), b, out=phase_r[:n]))
+
+    def point_product(self, n: int) -> np.ndarray:
+        """An (n, Q) complex workspace, n <= `point_chunk`."""
+        return self._partial[:n]
+
+    def row_product(self, rows: slice) -> np.ndarray:
+        """A (rows, B) complex workspace for the row chunk `rows`."""
+        b = self.shape[1]
+        return self._rows.view(complex)[:(rows.stop - rows.start) * b].reshape(-1, b)
+
+    def frequency_rows(self, *powers: int):
+        """Yields (rows, w_1, ...) for each slice `rows` of `row_chunks`,
+        w_i the (rows, B) weights (2 pi j)^{-p_i} of its frequencies for
+        each of at most two powers, 0 at j = 0 and past J. The chunks reuse
+        the same space, so a chunk's weights are valid until the next one."""
+        step, b = self.row_chunks[0].stop, self.shape[1]
+        planes = self._rows.reshape(2, step, b)[:len(powers)]
+        for rows in self.row_chunks:
+            size = rows.stop - rows.start
+            yield (rows, *(_inverse_power(self.inverse[rows], k, w[:size])
+                           for k, w in zip(powers, planes)))
+
+
+@lru_cache(maxsize=1)
+def _fourier_plan(J: int) -> _FourierPlan:
+    """The `_FourierPlan` of the frequencies 0..J; only the last J's plan,
+    and so its workspaces, is kept."""
+    return _FourierPlan(J)
 
 
 def bernoulli_fourier_eval(k: int, x, J: int):
@@ -238,13 +296,13 @@ def bernoulli_fourier_eval(k: int, x, J: int):
     Accepts a scalar x (giving a float) or an array (giving an array of its
     shape); a scalar call returns exactly the matching element of an array
     call, since every point is summed by the same sequence of operations.
-    The points go through `_phase_tables` in chunks of `_point_chunk(J)`,
-    and each chunk meets the weights (2 pi j)^{-k} one row chunk of the
-    (Q, B) layout at a time (`_frequency_rows`): one matrix product per
-    point and row chunk fills that point's partial sums over r, which one
-    sum against its row of U turns into S. The phase e^{-i k pi / 2} is
-    applied once to S, by quarter turns. Besides its points, a call holds
-    O(_PHASE_ENTRIES) phases and weights.
+    The points go through the phase tables of the `_FourierPlan` of J a
+    point chunk at a time, and each chunk meets the weights (2 pi j)^{-k}
+    one row chunk of the (Q, B) layout at a time (`frequency_rows`): one
+    matrix product per point and row chunk fills that point's partial sums
+    over r, which one sum against its row of U turns into S. The phase
+    e^{-i k pi / 2} is applied once to S, by quarter turns. Besides its
+    points, a call writes only into the plan's workspaces.
 
     For k >= 2 away from integer x the bare truncation error decays like
     J^{-k} with extra cancellation from the oscillating cosines, and nothing
@@ -258,22 +316,23 @@ def bernoulli_fourier_eval(k: int, x, J: int):
     """
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
+    plan = _fourier_plan(J)
     u = np.asarray(frac(x))
     points = u.ravel()
     sums = np.empty(points.shape, dtype=complex)
-    step = _point_chunk(J)
+    step = plan.point_chunk
     for start in range(0, points.size, step):
         chunk = slice(start, start + step)
-        phase_q, phase_r = _phase_tables(points[chunk], J)
+        phase_q, phase_r = plan.phase_tables(points[chunk])
         # one (rows, B) @ (B, 2) product per point and row chunk, on the real
         # and imaginary parts of its row of V, so a point's sum does not
         # depend on the others
         pairs = phase_r.view(float).reshape(phase_r.shape + (2,))
-        partial = np.empty(phase_q.shape, dtype=complex)
+        partial = plan.point_product(phase_q.shape[0])
         partial_pairs = partial.view(float).reshape(phase_q.shape + (2,))
-        for rows, weights in _frequency_rows(J, k):
+        for rows, weights in plan.frequency_rows(k):
             np.matmul(weights, pairs, out=partial_pairs[:, rows])
-        sums[chunk] = np.sum(phase_q * partial, axis=1)
+        sums[chunk] = np.sum(np.multiply(phase_q, partial, out=partial), axis=1)
     sums = sums.reshape(u.shape)
     # Re(e^{-i k pi / 2} S), exactly
     rotated = (sums.real, sums.imag, -sums.real, -sums.imag)[k % 4]

@@ -68,7 +68,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bernoulli import _power_table, bernoulli_fourier_eval, bernoulli_poly_coeffs, frac
+from .bernoulli import _horner, _power_table, bernoulli_fourier_eval, bernoulli_poly_coeffs, frac
 from .errors import ConfigurationError
 
 SUPPORTED_ORDERS = (1, 2, 3, 4)
@@ -187,8 +187,8 @@ class _SplineSum:
         for b, column in enumerate(self._table):
             q = [float(a) for a in taylor[b]]
             column[0] = 0.0
-            np.cumsum(c * np.polynomial.polynomial.polyval(0.5 - self._xs, q), out=column[1:])
-            suffix = c * np.polynomial.polynomial.polyval(self._xs - 0.5, q)
+            np.cumsum(c * _horner(q, 0.5 - self._xs), out=column[1:])
+            suffix = c * _horner(q, self._xs - 0.5)
             column[:n] += (-1) ** b * np.cumsum(suffix[::-1])[::-1]
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:

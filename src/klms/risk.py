@@ -21,12 +21,15 @@ None of these formulas is taken on faith: the module ships a truncated
 Fourier evaluator and a quadrature evaluator of the same quantity, and the
 test suite requires three-way agreement before the experiment harness is
 allowed to rely on the closed form. The Fourier evaluator sums its
-frequencies 1..J through the sqrt(J) phase tables of
-`bernoulli._phase_tables` (j = qB + r, B = isqrt(J): one matrix product
-instead of J x n cosines and sines), a chunk of centers and a chunk of
-frequency rows at a time, so it runs at n = 1e5 in bounded memory, and
-adds the target's tail beyond its last frequency through
-`bernoulli.zeta_tail`, with no scipy. The quadrature evaluator builds no
+frequencies 1..J through the sqrt(J) phase tables of `bernoulli._FourierPlan`
+(j = qB + r, B = isqrt(J): one matrix product instead of J x n cosines and
+sines), a chunk of centers and a chunk of frequency rows at a time, so it
+runs at n = 1e5 in bounded memory, and adds the target's tail beyond its
+last frequency through `bernoulli.zeta_tail`, with no scipy. The plan of
+the last J is kept with its workspaces (24 J bytes and four chunk
+workspaces, 3.7 MB at J = 1e5), so repeated calls at one J allocate nothing
+beyond their points; they are valid until the next Fourier call, so the
+oracles run on one thread. The quadrature evaluator builds no
 kernel matrix: between two consecutive sorted centers the expansion is one
 polynomial of degree 2m, so `kernels._SplineSum` gives it exactly on the
 trapezoid grid from prefix and suffix sums over the centers, a chunk of
@@ -42,8 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import (MAX_DEGREE, _frequency_rows, _phase_tables, _point_chunk, _row_chunks,
-                        _table_shape, bernoulli_numbers, bernoulli_poly, frac, zeta_tail)
+from .bernoulli import (MAX_DEGREE, _fourier_plan, _FourierPlan, bernoulli_numbers,
+                        bernoulli_poly, frac, zeta_tail)
 from .errors import ConfigurationError
 from .kernels import _ROW_BLOCK, DoubledForm, SplineGram, _check_order, _SplineSum
 
@@ -121,18 +124,18 @@ def excess_risk_closed(expansion, m: int, k: int) -> float:
     return float(ClosedFormRisk(SplineGram(m, expansion.centers), k)(expansion.coeffs))
 
 
-def _center_sums(centers: np.ndarray, coeffs: np.ndarray, J: int) -> np.ndarray:
+def _center_sums(centers: np.ndarray, coeffs: np.ndarray, plan: _FourierPlan) -> np.ndarray:
     """S_j = sum_i w_i e^{2 pi i j x_i} for the frequencies j = qB + r of the
-    (Q, B) layout of `bernoulli._phase_tables`, accumulated over chunks of
-    centers and, within each, over the row chunks of the table, so that
-    no temporary exceeds a chunk."""
-    sums = np.zeros(_table_shape(J), dtype=complex)
-    step = _point_chunk(J)
+    (Q, B) layout of `plan`, accumulated over its chunks of centers and,
+    within each, over its row chunks, in the plan's table of center sums,
+    so that no temporary exceeds a chunk."""
+    sums = plan.center_sums()
+    step = plan.point_chunk
     for start in range(0, centers.shape[0], step):
-        phase_q, phase_r = _phase_tables(centers[start:start + step], J)
+        phase_q, phase_r = plan.phase_tables(centers[start:start + step])
         phase_q *= coeffs[start:start + step, None]
-        for rows in _row_chunks(J):
-            sums[rows] += phase_q[:, rows].T @ phase_r
+        for rows in plan.row_chunks:
+            sums[rows] += np.matmul(phase_q[:, rows].T, phase_r, out=plan.row_product(rows))
     return sums
 
 
@@ -144,11 +147,12 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     sqrt(2) sin(2 pi j .), each center contributing (2 pi j)^{-2m} times its
     trig values, and (T_j^c, T_j^s) are the target's coordinates, whose
     quarter-turn phase cos / sin(k pi / 2) is exactly 0 or +-1. The center
-    sums S_j = sum_i w_i e^{2 pi i j x_i} fill one (Q, B) table in the
-    layout of `bernoulli._phase_tables`, one matrix product per chunk of
-    centers and row chunk, and the squares are summed one row chunk at a time
-    (`bernoulli._frequency_rows`), with that chunk's weights: a call holds
-    J complex sums and O(_PHASE_ENTRIES) phases and weights, whatever n.
+    sums S_j = sum_i w_i e^{2 pi i j x_i} fill the (Q, B) table of the
+    `bernoulli._FourierPlan` of J, one matrix product per chunk of centers
+    and row chunk, and the squares are summed one row chunk at a time
+    (`frequency_rows`), with that chunk's weights: a call writes only into
+    the plan's J complex sums and O(_PHASE_ENTRIES) phases and weights,
+    whatever n.
     The target's coordinate tail beyond J (a zeta value) is added as well,
     since for k = 1 it decays too slowly to ignore; the expansion's own
     tail is negligible at the orders handled here.
@@ -156,20 +160,22 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     _check_order(m)
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
-    sums = _center_sums(expansion.centers, expansion.coeffs, J)
+    plan = _fourier_plan(J)
+    sums = _center_sums(expansion.centers, expansion.coeffs, plan)
     kfac = float(math.factorial(k))
     # A_j + i B_j = sqrt(2) (2 pi j)^{-2m} S_j and T_j^c + i T_j^s =
     # target i^k (2 pi j)^{-k}: the target has a cosine (even k) or a sine
     # (odd k) coordinate, the other exactly 0
     target = -_SQRT2 * kfac * (1, 1, -1, -1)[k % 4]
     total = 0.0
-    for rows, a, t in _frequency_rows(J, 2 * m, k):
+    for rows, a, t in plan.frequency_rows(2 * m, k):
         a *= _SQRT2
         chunk = sums[rows]
         hit, miss = (chunk.imag, chunk.real) if k % 2 else (chunk.real, chunk.imag)
         # T - A on the target's coordinate, then A on the other, in place
+        # (each center sum is read once, so A overwrites it)
         t *= target
-        t -= a * hit
+        t -= np.multiply(a, hit, out=hit)
         a *= miss
         total += float(np.vdot(t, t) + np.vdot(a, a))
     return total + 2.0 * kfac**2 * zeta_tail(2 * k, J)

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import klms.risk
-from klms.bernoulli import bernoulli_poly, bernoulli_poly_coeffs, zeta_tail
+from klms.bernoulli import (_fourier_plan, bernoulli_fourier_eval, bernoulli_poly,
+                            bernoulli_poly_coeffs, zeta_tail)
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
                           _replicate_contexts, default_gamma_grid)
-from klms.kernels import SUPPORTED_ORDERS, SplineGram, _SplineSum, _w_coeffs_exact, spline_kernel
+from klms.kernels import (SUPPORTED_ORDERS, SplineGram, _SplineSum, _w_coeffs_exact, spline_kernel,
+                          spline_kernel_series)
 from klms.risk import (ClosedFormRisk, excess_risk_closed, excess_risk_finite_dim,
                        excess_risk_fourier, excess_risk_mc, kernel_target_inner,
                        target_norm_sq)
@@ -234,15 +236,38 @@ class TestFourierOracle:
         assert abs(bare - 1 / 12) > 1e-8
         assert full == pytest.approx(1 / 12, abs=1e-10)
 
+    def test_plan_reuse_cannot_be_observed(self):
+        # every oracle value is bitwise the same call's on a fresh plan, over
+        # interleaved J and point counts up to one past a point chunk: the
+        # center sums are zeroed, every chunk view is cut to its call, and
+        # no workspace is sized for another J
+        rng = np.random.default_rng(53)
+        for J in (10**5, 101, 4000, 10**5):
+            for n in (0, 1, 20, _fourier_plan(J).point_chunk + 1):
+                exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
+                xs, x = rng.random(n), float(rng.random())
+                calls = [lambda: excess_risk_fourier(exp, 2, 1, J),
+                         lambda: excess_risk_fourier(exp, 1, 2, J),
+                         lambda: bernoulli_fourier_eval(3, xs, J),
+                         lambda: bernoulli_fourier_eval(2, x, J),
+                         lambda: bernoulli_fourier_eval(4, 0.0, J),
+                         lambda: spline_kernel_series(1, xs, x, J)]
+                for i, call in enumerate(calls):
+                    reused = np.asarray(call())
+                    _fourier_plan.cache_clear()
+                    fresh = np.asarray(call())
+                    assert reused.tobytes() == fresh.tobytes(), (J, n, i)
 
     @pytest.mark.parametrize("n, J, limit", [(20000, 4000, 2.5e6), (50, 10**5, 4e6)])
     def test_memory_is_bounded_by_the_chunks(self, n, J, limit):
         # phase tables and weights one chunk at a time, besides the J center
-        # sums: measured 1.1 and 2.6 MB, against 61.3 and 8.5 MB with whole
-        # n x sqrt(J) tables and J-length weight arrays
+        # sums and the 1 / (2 pi j) table; the traced call builds its own
+        # plan, so its workspaces count: measured 0.8 and 3.4 MB, against
+        # 61.3 and 8.5 MB with whole n x sqrt(J) tables and J-length weights
         rng = np.random.default_rng(47)
         exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
         excess_risk_fourier(exp, 2, 2, J)
+        _fourier_plan.cache_clear()
         tracemalloc.start()
         try:
             excess_risk_fourier(exp, 2, 2, J)
