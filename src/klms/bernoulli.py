@@ -15,26 +15,27 @@ valid pointwise for k >= 2 (and for k = 1 away from the jump at integer x).
 points, and is used throughout the test suite as an oracle that is
 independent of the polynomial coefficients.
 
-Every truncated Fourier sum over frequencies 1..J in the package (this
-series and the Fourier risk oracle in `risk`) runs on the `_FourierPlan` of
-J (`_fourier_plan`): with B = isqrt(J), j = qB + r splits e^{2 pi i j x}
-into e^{2 pi i qB x} e^{2 pi i r x}, so about 2 sqrt(J) complex exponentials
-per point and one matrix product replace J cosines per point. Both walk the
-points in chunks and the (Q, B) frequency layout in chunks of rows, each
-chunk at most _PHASE_ENTRIES entries, so no call holds an array of
-n sqrt(J) phases or a J-length copy of weights: a row chunk's weights
-(2 pi j)^{-k} are squared from the rows of the plan's table of 1 / (2 pi j)
-(`_inverse_power`), with no float pow. The plan also owns every workspace
-these sums write into, made on first use: the (Q, B) center sums, the
-phase rows of a point chunk, a point chunk's partial sums and a row chunk's
-weights or product. Only the last J's plan is kept: 24 J bytes (the center
-sums and the 1 / (2 pi j) table) and four chunk workspaces, 3.7 MB at
-J = 1e5. Repeated calls at one J allocate nothing beyond their points. A
-workspace is valid until the next Fourier call, so the package makes these
-calls from one thread; parallel runs use processes. `zeta_tail` adds the
-tail beyond J by Euler-Maclaurin summation, so the package needs no
-`scipy.special`. Polynomials are evaluated by `_horner`, so the package
-never loads `numpy.polynomial`.
+Every truncated Fourier sum over frequencies 1..J in the package runs on
+the `_FourierPlan` of J (`_fourier_plan`): with B = isqrt(J), j = qB + r
+splits e^{2 pi i j x} into e^{2 pi i qB x} e^{2 pi i r x}, so about
+2 sqrt(J) complex exponentials per point and one matrix product replace J
+cosines per point. The plan computes both sums over points itself:
+`center_sums(centers, coeffs)`, the weighted sums S_j of the Fourier risk
+oracle in `risk`, and `point_sums(points, k)`, this series at each point.
+Both walk the points in chunks and the (Q, B) frequency layout in chunks of
+rows, each chunk at most _PHASE_ENTRIES entries, so no call holds an array
+of n sqrt(J) phases or a J-length copy of weights: a row chunk's weights
+(2 pi j)^{-k} (`frequency_rows`) are squared from the rows of the plan's
+table of 1 / (2 pi j) (`_inverse_power`), with no float pow. Only the last
+J's plan is kept, with the workspaces these sums write into: 24 J bytes
+(the center sums and the 1 / (2 pi j) table) and four chunk workspaces,
+3.7 MB at J = 1e5. Repeated calls at one J allocate nothing beyond their
+points. A workspace is valid until the next Fourier call, so the package
+makes these calls from one thread; parallel runs use processes.
+`zeta_tail` adds the tail beyond J by Euler-Maclaurin summation, so the
+package needs no `scipy.special`. Every polynomial, every kernel value of
+`kernels` included, is evaluated by `_horner`, so the package never loads
+`numpy.polynomial`.
 """
 
 from __future__ import annotations
@@ -85,12 +86,20 @@ def _float_coeffs(k: int) -> np.ndarray:
     return np.array([float(c) for c in bernoulli_poly_coeffs(k)])
 
 
-def _horner(coeffs, x) -> np.ndarray:
-    """sum_i coeffs[i] x^i, coefficients ascending, by Horner's rule: the
-    products and sums of numpy's ``polyval`` in its order, so bit for bit its
-    value at finite x, without loading `numpy.polynomial`."""
-    out = np.full(np.shape(x), coeffs[-1])
-    for c in coeffs[-2::-1]:
+def _horner(coeffs, x, out=None) -> np.ndarray:
+    """sum_i coeffs[i] x^i, coefficients ascending, by Horner's rule, written
+    into `out` (an array of x's shape) when it is given: the products and
+    sums of numpy's ``polyval`` in its order, so bit for bit its value at
+    finite x, without loading `numpy.polynomial`. The first step multiplies
+    x into `out`, so no pass fills it first; one coefficient is a constant
+    fill."""
+    if len(coeffs) == 1:
+        out = np.empty(np.shape(x)) if out is None else out
+        out.fill(coeffs[0])
+        return out
+    out = np.multiply(x, coeffs[-1], out=out)
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
         out *= x
         out += c
     return out
@@ -191,27 +200,31 @@ def _inverse_power(inv: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
 
 class _FourierPlan:
     """The (Q, B) layout of the frequencies 0..J, shared by every truncated
-    Fourier sum of the package, and the workspaces those sums write into.
+    Fourier sum of the package, the two sums over points that run on it,
+    and the workspaces they write into.
 
     With B = isqrt(J) and Q = J // B + 1, every j = qB + r with 0 <= q < Q
     and 0 <= r < B is one frequency, and they cover 0..J, so
     e^{2 pi i j x_n} = U[n, q] * V[n, r] with U[n, q] = e^{2 pi i qB x_n}
-    and V[n, r] = e^{2 pi i r x_n} (`phase_tables`). A sum over j of weights
-    laid out as a (Q, B) array is then a matrix product with V followed by
-    a sum against U. The sums walk the points `point_chunk` at a time and
-    the rows in the slices `row_chunks`, each chunk at most _PHASE_ENTRIES
-    entries; `inverse` is the read-only (Q, B) table of 1 / (2 pi j), zero
-    at j = 0 and past J, from which `frequency_rows` squares a row chunk's
-    weights, since a division per frequency would cost a scalar
-    `bernoulli_fourier_eval` more than all the rest of its work.
+    and V[n, r] = e^{2 pi i r x_n} (`_phase_tables`). A sum over j of
+    weights laid out as a (Q, B) array is then a matrix product with V
+    followed by a sum against U. `center_sums(centers, coeffs)` gives the
+    weighted sums S_j over points for every j, `point_sums(points, k)` the
+    sum over j at every point with the weights (2 pi j)^{-k}. Both walk the
+    points `point_chunk` at a time and the rows in the slices `row_chunks`,
+    each chunk at most _PHASE_ENTRIES entries; `inverse` is the read-only
+    (Q, B) table of 1 / (2 pi j), zero at j = 0 and past J, from which
+    `frequency_rows` squares a row chunk's weights, since a division per
+    frequency would cost a scalar `bernoulli_fourier_eval` more than all
+    the rest of its work.
 
     The workspaces are made on first use and reused by every later call
-    at this J: the (Q, B) table of center sums (`center_sums`), the U and
-    V rows of one point chunk, one point chunk's (rows, Q) partial sums
-    (`point_product`) and one row chunk's space, which holds either its
-    complex matrix product (`row_product`) or two planes of its weights,
-    never both at once. So a method returns a view of a workspace, valid
-    until the next Fourier call: the package runs these sums on one thread.
+    at this J: the (Q, B) table of center sums, the U and V rows of one
+    point chunk, one point chunk's (rows, Q) partial sums and one row
+    chunk's space, which holds either its complex matrix product or two
+    planes of its weights, never both at once. So `center_sums` and
+    `frequency_rows` return views of a workspace, valid until the next
+    Fourier call: the package runs these sums on one thread.
     """
 
     def __init__(self, J: int):
@@ -243,31 +256,53 @@ class _FourierPlan:
         # two float planes of the largest row chunk, or one complex product
         return np.empty(2 * self.row_chunks[0].stop * self.shape[1])
 
-    def center_sums(self) -> np.ndarray:
-        """The (Q, B) complex table of center sums, zeroed."""
-        self._sums.fill(0.0)
-        return self._sums
-
-    def phase_tables(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The phase tables (U, V) of at most `point_chunk` points x. Each
+    def _phase_tables(self, points: np.ndarray):
+        """Yields (chunk, U, V) for each slice `chunk` of at most
+        `point_chunk` of the 1-D points, U and V its phase tables. Each
         table is the running powers (`_power_table`) of one complex
         exponential per point, e^{2 pi i B x_n} or e^{2 pi i x_n}: the q-th
         power adds about q ulp, no more than the rounding of the angle
         2 pi qB x_n that an exponential per entry would carry, at a fraction
-        of its cost."""
-        (q, b), n = self.shape, x.shape[0]
+        of its cost. The chunks reuse the same space."""
+        (q, b), step = self.shape, self.point_chunk
         phase_q, phase_r = self._phases
-        return (_power_table(np.exp(2j * np.pi * (x * float(b))), q, out=phase_q[:n]),
-                _power_table(np.exp(2j * np.pi * x), b, out=phase_r[:n]))
+        for start in range(0, points.shape[0], step):
+            x = points[start:start + step]
+            yield (slice(start, start + step),
+                   _power_table(np.exp(2j * np.pi * (x * float(b))), q, out=phase_q[:x.shape[0]]),
+                   _power_table(np.exp(2j * np.pi * x), b, out=phase_r[:x.shape[0]]))
 
-    def point_product(self, n: int) -> np.ndarray:
-        """An (n, Q) complex workspace, n <= `point_chunk`."""
-        return self._partial[:n]
+    def center_sums(self, centers: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """The (Q, B) table of S_j = sum_i w_i e^{2 pi i j x_i}, w = coeffs
+        and x = centers: each chunk of centers scales its U by its weights
+        and meets V in one product per row chunk, added into the plan's
+        table of center sums, so that no temporary exceeds a chunk."""
+        sums, b = self._sums, self.shape[1]
+        sums.fill(0.0)
+        product = self._rows.view(complex)
+        for chunk, phase_q, phase_r in self._phase_tables(centers):
+            phase_q *= coeffs[chunk, None]
+            for rows in self.row_chunks:
+                sums[rows] += np.matmul(phase_q[:, rows].T, phase_r,
+                                        out=product[:(rows.stop - rows.start) * b].reshape(-1, b))
+        return sums
 
-    def row_product(self, rows: slice) -> np.ndarray:
-        """A (rows, B) complex workspace for the row chunk `rows`."""
-        b = self.shape[1]
-        return self._rows.view(complex)[:(rows.stop - rows.start) * b].reshape(-1, b)
+    def point_sums(self, points: np.ndarray, k: int) -> np.ndarray:
+        """S = sum_{j=1..J} e^{2 pi i j x} (2 pi j)^{-k} at each of the 1-D
+        points x. Per point chunk, one (rows, B) @ (B, 2) product per row
+        chunk (`frequency_rows`), on the real and imaginary parts of each
+        point's row of V, so that a point's sum does not depend on the
+        others, fills the point's partial sums over r, which one sum
+        against its row of U turns into S."""
+        sums = np.empty(points.shape, dtype=complex)
+        for chunk, phase_q, phase_r in self._phase_tables(points):
+            pairs = phase_r.view(float).reshape(phase_r.shape + (2,))
+            partial = self._partial[:phase_q.shape[0]]
+            partial_pairs = partial.view(float).reshape(phase_q.shape + (2,))
+            for rows, weights in self.frequency_rows(k):
+                np.matmul(weights, pairs, out=partial_pairs[:, rows])
+            sums[chunk] = np.sum(np.multiply(phase_q, partial, out=partial), axis=1)
+        return sums
 
     def frequency_rows(self, *powers: int):
         """Yields (rows, w_1, ...) for each slice `rows` of `row_chunks`,
@@ -296,13 +331,11 @@ def bernoulli_fourier_eval(k: int, x, J: int):
     Accepts a scalar x (giving a float) or an array (giving an array of its
     shape); a scalar call returns exactly the matching element of an array
     call, since every point is summed by the same sequence of operations.
-    The points go through the phase tables of the `_FourierPlan` of J a
-    point chunk at a time, and each chunk meets the weights (2 pi j)^{-k}
-    one row chunk of the (Q, B) layout at a time (`frequency_rows`): one
-    matrix product per point and row chunk fills that point's partial sums
-    over r, which one sum against its row of U turns into S. The phase
-    e^{-i k pi / 2} is applied once to S, by quarter turns. Besides its
-    points, a call writes only into the plan's workspaces.
+    The sums S = sum_j e^{2 pi i j x} (2 pi j)^{-k} are the `point_sums`
+    of the `_FourierPlan` of J, a point chunk and a row chunk of the (Q, B)
+    layout at a time, and the phase e^{-i k pi / 2} is applied once to S,
+    by quarter turns. Besides its points, a call writes only into the
+    plan's workspaces.
 
     For k >= 2 away from integer x the bare truncation error decays like
     J^{-k} with extra cancellation from the oscillating cosines, and nothing
@@ -316,24 +349,8 @@ def bernoulli_fourier_eval(k: int, x, J: int):
     """
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
-    plan = _fourier_plan(J)
     u = np.asarray(frac(x))
-    points = u.ravel()
-    sums = np.empty(points.shape, dtype=complex)
-    step = plan.point_chunk
-    for start in range(0, points.size, step):
-        chunk = slice(start, start + step)
-        phase_q, phase_r = plan.phase_tables(points[chunk])
-        # one (rows, B) @ (B, 2) product per point and row chunk, on the real
-        # and imaginary parts of its row of V, so a point's sum does not
-        # depend on the others
-        pairs = phase_r.view(float).reshape(phase_r.shape + (2,))
-        partial = plan.point_product(phase_q.shape[0])
-        partial_pairs = partial.view(float).reshape(phase_q.shape + (2,))
-        for rows, weights in plan.frequency_rows(k):
-            np.matmul(weights, pairs, out=partial_pairs[:, rows])
-        sums[chunk] = np.sum(np.multiply(phase_q, partial, out=partial), axis=1)
-    sums = sums.reshape(u.shape)
+    sums = _fourier_plan(J).point_sums(u.ravel(), k).reshape(u.shape)
     # Re(e^{-i k pi / 2} S), exactly
     rotated = (sums.real, sums.imag, -sums.real, -sums.imag)[k % 4]
     kfac = float(math.factorial(k))

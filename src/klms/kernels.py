@@ -19,7 +19,8 @@ symmetric about 1/2, so it is a degree-m polynomial in w = u(1 - u)
 (B_2 = 1/6 - w, B_4 = w^2 - 1/30), and w = |d|(1 - |d|) for the difference
 d in (-1, 1) of two points reduced into [0, 1) by `frac`. The coefficients in
 w are derived once per order in exact rational arithmetic (`_w_coeffs`), and
-every kernel value in the package is one Horner pass in w (`_spline_w`).
+every kernel value in the package is one `bernoulli._horner` pass in w
+(`_spline_w`).
 Outside `DoubledForm` and the near field of `SplineGram.predictions` it is
 read through `spline_kernel`, pointwise and broadcast over arrays, or
 `SplineGram`, the one Gram matrix, which stores only the points and
@@ -52,7 +53,8 @@ and never stored. No run holds an (n, n) array or any other array of
 n^1.5 entries, and a run's work grows as n^1.5.
 
 Work that depends only on the layout is done once per stream: a
-`SplineGram` bins its points on first use, for its full runs and the
+`SplineGram` bins its points on first use, for every run on them, of any
+length (a prefix fills the leading slots of the leading bins), and the
 `DoubledForm` built from it; the predictor's block plan groups every block's
 steps by bin once (see `_BinnedPredictions`); and the harness scores a
 replicate checkpoint-major, each batch of checkpoints filling one row
@@ -108,8 +110,8 @@ def _spline_poly(order: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _w_coeffs_exact(order: int) -> tuple[Fraction, ...]:
-    """Coefficients, highest degree first, of the degree-`order` polynomial
-    Q with Q(u(1 - u)) = P(u), P the polynomial of `_spline_poly(order)`.
+    """Ascending coefficients of the degree-`order` polynomial Q with
+    Q(u(1 - u)) = P(u), P the polynomial of `_spline_poly(order)`.
 
     B_{2 order}(1/2 + v) is even in v, and v^2 = 1/4 - w; both substitutions
     are done in exact rational arithmetic."""
@@ -117,21 +119,15 @@ def _w_coeffs_exact(order: int) -> tuple[Fraction, ...]:
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     even = [sum(b[j] * math.comb(j, 2 * i) * half ** (j - 2 * i)
                 for j in range(2 * i, 2 * order + 1)) for i in range(order + 1)]
-    poly = [sum(even[i] * math.comb(i, l) * quarter ** (i - l) * (-1) ** l
-                for i in range(l, order + 1)) for l in range(order + 1)]
-    return tuple(reversed(poly))
+    return tuple(sum(even[i] * math.comb(i, l) * quarter ** (i - l) * (-1) ** l
+                     for i in range(l, order + 1)) for l in range(order + 1))
 
 
 def _spline_w(order: int, w, out=None):
-    """R_order at the kernel arguments whose w = u(1 - u) is given: Horner's
-    rule in w, written into `out` (an array of w's shape) when given."""
-    c = _w_coeffs(order)
-    out = np.multiply(w, c[0], out=out)
-    out += c[1]
-    for ck in c[2:]:
-        out *= w
-        out += ck
-    return out
+    """R_order at the kernel arguments whose w = u(1 - u) is given: one
+    `_horner` pass in w, written into `out` (an array of w's shape) when
+    given."""
+    return _horner(_w_coeffs(order), w, out)
 
 
 def _circle_w(d: np.ndarray) -> np.ndarray:
@@ -310,23 +306,25 @@ class SplineGram:
 
     @cached_property
     def _layout(self) -> _BinLayout:
-        """The `_BinLayout` of all the points, for full runs and the
-        `DoubledForm` built from this matrix."""
+        """The `_BinLayout` of all the points, for every run on them, of any
+        length, and the `DoubledForm` built from this matrix."""
         return _BinLayout(self.xs)
 
     def predictions(self, n: int, rows: int, block: int) -> _BinnedPredictions:
         """The predictor of `estimator.sgd_constant_grid` over the first n
         points, `rows` coefficient rows and blocks of `block` steps, from
-        bins instead of Gram strips (see `_BinnedPredictions`)."""
-        layout = self._layout if n == self.shape[0] else _BinLayout(self.xs[:n])
-        return _BinnedPredictions(self.order, self.xs[:n], rows, block, layout)
+        the bins of this matrix's one layout instead of Gram strips (see
+        `_BinnedPredictions`)."""
+        return _BinnedPredictions(self.order, self.xs[:n], rows, block, self._layout)
 
 
 class _BinnedPredictions:
     """The predictions sum_{j < s} K(x_t, x_j) b_j of every live row b of a
     coefficient grid at the steps t of a block [s, e) of the recursion
-    (see `estimator.sgd_constant_grid`), computed from the B bins of a
-    `_BinLayout`, not from Gram rows.
+    (see `estimator.sgd_constant_grid`) over the n points xs, computed from
+    the B bins of the stream's `_BinLayout`, not from Gram rows. xs may be
+    a prefix of the stream: it fills the leading slots of the leading bins,
+    and the slots past it hold coefficients that stay zero.
 
     The far field, from the other bins, is one product of the (block, B L)
     table E of the targets with the per-bin moments
@@ -352,14 +350,14 @@ class _BinnedPredictions:
     def __init__(self, order: int, xs: np.ndarray, rows: int, block: int, layout: _BinLayout):
         self._order, self._xs, self._block, self._layout = order, xs, block, layout
         self._size = size = 2 * order + 1
-        self._powers = _power_table(layout.offsets, size)
-        self._far = _far_field_blocks(order, layout.count)
         count, n = layout.count, xs.shape[0]
+        self._powers = _power_table(layout.offsets[:n], size)
+        self._far = _far_field_blocks(order, count)
         self._rolled = np.empty((min(block, n), 2 * count * size))
         self._windows = np.lib.stride_tricks.sliding_window_view(
             self._rolled, count * size, axis=1)[:, ::size]
         # the block plan: in (block, label) order, a head starts each bin's run
-        key = np.arange(n) // block * count + layout.label
+        key = np.arange(n) // block * count + layout.label[:n]
         by = np.argsort(key, kind="stable")
         key = key[by]
         head = np.diff(key, prepend=-1) != 0

@@ -20,20 +20,20 @@ vectors.
 None of these formulas is taken on faith: the module ships a truncated
 Fourier evaluator and a quadrature evaluator of the same quantity, and the
 test suite requires three-way agreement before the experiment harness is
-allowed to rely on the closed form. The Fourier evaluator sums its
-frequencies 1..J through the sqrt(J) phase tables of `bernoulli._FourierPlan`
-(j = qB + r, B = isqrt(J): one matrix product instead of J x n cosines and
-sines), a chunk of centers and a chunk of frequency rows at a time, so it
-runs at n = 1e5 in bounded memory, and adds the target's tail beyond its
-last frequency through `bernoulli.zeta_tail`, with no scipy. The plan of
-the last J is kept with its workspaces (24 J bytes and four chunk
-workspaces, 3.7 MB at J = 1e5), so repeated calls at one J allocate nothing
-beyond their points; they are valid until the next Fourier call, so the
-oracles run on one thread. The quadrature evaluator builds no
-kernel matrix: between two consecutive sorted centers the expansion is one
-polynomial of degree 2m, so `kernels._SplineSum` gives it exactly on the
-trapezoid grid from prefix and suffix sums over the centers, a chunk of
-nodes at a time, O(n log n + grid m) work in O(n) memory besides a chunk.
+allowed to rely on the closed form. The Fourier evaluator takes its center
+sums over the frequencies 1..J from the `center_sums` of the cached
+`bernoulli._FourierPlan` of J (j = qB + r, B = isqrt(J): one matrix product
+instead of J x n cosines and sines, a chunk of centers and a chunk of
+frequency rows at a time), squares the gaps to the target one row chunk of
+the plan's `frequency_rows` at a time, so it runs at n = 1e5 in bounded
+memory, and adds the target's tail beyond its last frequency through
+`bernoulli.zeta_tail`, with no scipy. The plan's sums are valid until the
+next Fourier call, so the oracles run on one thread. The quadrature
+evaluator builds no kernel matrix: between two consecutive sorted centers
+the expansion is one polynomial of degree 2m, so `kernels._SplineSum` gives
+it exactly on the trapezoid grid from prefix and suffix sums over the
+centers, a chunk of nodes at a time, O(n log n + grid m) work in O(n)
+memory besides a chunk.
 An expansion without centers is the zero function in all three
 evaluators, with no special case.
 """
@@ -45,8 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import (MAX_DEGREE, _fourier_plan, _FourierPlan, bernoulli_numbers,
-                        bernoulli_poly, frac, zeta_tail)
+from .bernoulli import (MAX_DEGREE, _fourier_plan, bernoulli_numbers, bernoulli_poly, frac,
+                        zeta_tail)
 from .errors import ConfigurationError
 from .kernels import _ROW_BLOCK, DoubledForm, SplineGram, _check_order, _SplineSum
 
@@ -88,7 +88,9 @@ class ClosedFormRisk:
     read through the bin layout of `gram`), ``inner``, the target inner
     products i of `kernel_target_inner` at ``gram.xs``, and ``norm_sq`` =
     ||B_k||^2 of `target_norm_sq`. A call reads only the first
-    n = w.shape[-1] points, so one full-stream object serves every prefix.
+    n = w.shape[-1] points, so one full-stream object serves every prefix;
+    more coefficients than points raise the `ConfigurationError` of
+    `DoubledForm.quad`, which runs first.
     It takes one coefficient vector (giving a scalar) or a (p, n) stack of
     them (giving p risks); a row's risk is bitwise its risk computed alone,
     as w'i is summed row by row and `DoubledForm.quad` keeps rows apart.
@@ -103,12 +105,13 @@ class ClosedFormRisk:
 
     def __call__(self, coeffs):
         w = np.asarray(coeffs, dtype=float)
+        quad = self.form.quad(w)
         n = w.shape[-1]
         rows = w.reshape(math.prod(w.shape[:-1]), n)
         inner = np.empty(rows.shape[0])
         for s in range(0, rows.shape[0], _ROW_BLOCK):
             inner[s:s + _ROW_BLOCK] = (rows[s:s + _ROW_BLOCK] * self.inner[:n]).sum(axis=-1)
-        return self.form.quad(w) - 2.0 * inner.reshape(w.shape[:-1]) + self.norm_sq
+        return quad - 2.0 * inner.reshape(w.shape[:-1]) + self.norm_sq
 
 
 def excess_risk_closed(expansion, m: int, k: int) -> float:
@@ -124,21 +127,6 @@ def excess_risk_closed(expansion, m: int, k: int) -> float:
     return float(ClosedFormRisk(SplineGram(m, expansion.centers), k)(expansion.coeffs))
 
 
-def _center_sums(centers: np.ndarray, coeffs: np.ndarray, plan: _FourierPlan) -> np.ndarray:
-    """S_j = sum_i w_i e^{2 pi i j x_i} for the frequencies j = qB + r of the
-    (Q, B) layout of `plan`, accumulated over its chunks of centers and,
-    within each, over its row chunks, in the plan's table of center sums,
-    so that no temporary exceeds a chunk."""
-    sums = plan.center_sums()
-    step = plan.point_chunk
-    for start in range(0, centers.shape[0], step):
-        phase_q, phase_r = plan.phase_tables(centers[start:start + step])
-        phase_q *= coeffs[start:start + step, None]
-        for rows in plan.row_chunks:
-            sums[rows] += np.matmul(phase_q[:, rows].T, phase_r, out=plan.row_product(rows))
-    return sums
-
-
 def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     """Independent Fourier oracle for the excess risk.
 
@@ -148,8 +136,9 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     trig values, and (T_j^c, T_j^s) are the target's coordinates, whose
     quarter-turn phase cos / sin(k pi / 2) is exactly 0 or +-1. The center
     sums S_j = sum_i w_i e^{2 pi i j x_i} fill the (Q, B) table of the
-    `bernoulli._FourierPlan` of J, one matrix product per chunk of centers
-    and row chunk, and the squares are summed one row chunk at a time
+    `bernoulli._FourierPlan` of J (its `center_sums`, one matrix product
+    per chunk of centers and row chunk), and the squares are summed one
+    row chunk at a time
     (`frequency_rows`), with that chunk's weights: a call writes only into
     the plan's J complex sums and O(_PHASE_ENTRIES) phases and weights,
     whatever n.
@@ -161,7 +150,7 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
     plan = _fourier_plan(J)
-    sums = _center_sums(expansion.centers, expansion.coeffs, plan)
+    sums = plan.center_sums(expansion.centers, expansion.coeffs)
     kfac = float(math.factorial(k))
     # A_j + i B_j = sqrt(2) (2 pi j)^{-2m} S_j and T_j^c + i T_j^s =
     # target i^k (2 pi j)^{-k}: the target has a cosine (even k) or a sine

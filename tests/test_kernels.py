@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klms import kernels
 from klms.bernoulli import bernoulli_poly, frac
 from klms.errors import ConfigurationError
+from klms.estimator import FiniteHorizon, sgd_run
 from klms.kernels import (DoubledForm, SplineGram, _far_field_blocks, _power_table, _spline_w,
                           _taylor_coeffs, eigen_check, kernel_sup_sq, spline_kernel,
                           spline_kernel_series)
+from klms.risk import ClosedFormRisk
 
 
 def bernoulli_form(order, u):
@@ -390,6 +393,23 @@ class TestDoubledForm:
         form = DoubledForm(gram)
         assert form._layout is gram._layout and form.n == 500
         assert form._order == 4
+
+    def test_one_layout_for_every_run_length(self, monkeypatch):
+        # a run over a prefix of the stream and the form of the whole
+        # stream read the one layout of its Gram matrix
+        built = []
+
+        def counting(xs):
+            built.append(len(xs))
+            return layout(xs)
+
+        layout = kernels._BinLayout
+        monkeypatch.setattr(kernels, "_BinLayout", counting)
+        rng = np.random.default_rng(9)
+        gram = SplineGram(1, rng.random(300))
+        sgd_run(gram, rng.standard_normal(300), [FiniteHorizon(1.0, -0.5)], [10, 150])
+        ClosedFormRisk(gram, 2)
+        assert built == [300]
 
 
 class TestPowerTable:

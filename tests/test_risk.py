@@ -137,6 +137,14 @@ class TestClosedForm:
             exp = random_expansion(rng, max_centers=20)
             assert excess_risk_closed(exp, 1, 2) >= -1e-10
 
+    def test_rejects_more_coefficients_than_points(self):
+        # the error of `DoubledForm.quad`, raised before the target inner
+        # products could fail to broadcast, for one vector and for a stack
+        risk = ClosedFormRisk(SplineGram(1, np.random.default_rng(31).random(20)), 2)
+        for coeffs in (np.ones(21), np.ones((3, 21))):
+            with pytest.raises(ConfigurationError, match="21 coefficients on a stream of 20"):
+                risk(coeffs)
+
     def test_precomputed_paths_match(self):
         # excess_risk_closed is the ClosedFormRisk of the centers' SplineGram,
         # bit for bit, at every supported order; an order-5 Gram matrix
@@ -158,7 +166,7 @@ def long_double_quad(order, xs, w):
     np.longdouble from the exact rational coefficients in w = u(1 - u),
     summed over row blocks of D."""
     coeffs = [np.longdouble(c.numerator) / np.longdouble(c.denominator)
-              for c in _w_coeffs_exact(order)]
+              for c in reversed(_w_coeffs_exact(order))]
     x, wl = xs.astype(np.longdouble), w.astype(np.longdouble)
     total = np.longdouble(0)
     for i in range(0, x.size, 256):
