@@ -20,18 +20,21 @@ the `_FourierPlan` of J (`_fourier_plan`): with B = isqrt(J), j = qB + r
 splits e^{2 pi i j x} into e^{2 pi i qB x} e^{2 pi i r x}, so about
 2 sqrt(J) complex exponentials per point and one matrix product replace J
 cosines per point. The plan computes both sums over points itself:
-`center_sums(centers, coeffs)`, the weighted sums S_j of the Fourier risk
-oracle in `risk`, and `point_sums(points, k)`, this series at each point.
-Both walk the points in chunks and the (Q, B) frequency layout in chunks of
-rows, each chunk at most _PHASE_ENTRIES entries, so no call holds an array
-of n sqrt(J) phases or a J-length copy of weights: a row chunk's weights
-(2 pi j)^{-k} (`frequency_rows`) are squared from the rows of the plan's
-table of 1 / (2 pi j) (`_inverse_power`), with no float pow. Only the last
-J's plan is kept, with the workspaces these sums write into: 24 J bytes
-(the center sums and the 1 / (2 pi j) table) and four chunk workspaces,
-3.7 MB at J = 1e5. Repeated calls at one J allocate nothing beyond their
-points. A workspace is valid until the next Fourier call, so the package
-makes these calls from one thread; parallel runs use processes.
+`center_sums(centers, coeffs)` yields the weighted sums S_j of the Fourier
+risk oracle in `risk` one row chunk of frequencies at a time, and
+`point_sums(points, k)` gives this series at each point. Both walk the
+points in chunks and the (Q, B) frequency layout in chunks of rows, each
+chunk at most _PHASE_ENTRIES entries, so no call holds an array of
+n sqrt(J) phases. The weights (2 pi j)^{-k} are the plan's read-only
+tables `weights(k)`, squared once from its table of 1 / (2 pi j)
+(`_inverse_power`), with no float pow; the tables of the last two powers
+read are kept. Only the last J's plan is kept, with the workspaces these
+sums write into: 24 J bytes of J-length tables (1 / (2 pi j) and the
+weights of two powers) and four chunk workspaces, 3.7 MB at J = 1e5.
+Repeated calls at one J allocate no J-length array once two powers are
+kept: the weights of a new power are built in the space of the least
+recently read. A workspace is valid until the next Fourier call, so the
+package makes these calls from one thread; parallel runs use processes.
 `zeta_tail` adds the tail beyond J by Euler-Maclaurin summation, so the
 package needs no `scipy.special`. Every polynomial, every kernel value of
 `kernels` included, is evaluated by `_horner`, so the package never loads
@@ -200,31 +203,35 @@ def _inverse_power(inv: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
 
 class _FourierPlan:
     """The (Q, B) layout of the frequencies 0..J, shared by every truncated
-    Fourier sum of the package, the two sums over points that run on it,
-    and the workspaces they write into.
+    Fourier sum of the package, its tables of weights, the two sums over
+    points that run on it, and the workspaces they write into.
 
     With B = isqrt(J) and Q = J // B + 1, every j = qB + r with 0 <= q < Q
     and 0 <= r < B is one frequency, and they cover 0..J, so
     e^{2 pi i j x_n} = U[n, q] * V[n, r] with U[n, q] = e^{2 pi i qB x_n}
     and V[n, r] = e^{2 pi i r x_n} (`_phase_tables`). A sum over j of
     weights laid out as a (Q, B) array is then a matrix product with V
-    followed by a sum against U. `center_sums(centers, coeffs)` gives the
-    weighted sums S_j over points for every j, `point_sums(points, k)` the
-    sum over j at every point with the weights (2 pi j)^{-k}. Both walk the
-    points `point_chunk` at a time and the rows in the slices `row_chunks`,
-    each chunk at most _PHASE_ENTRIES entries; `inverse` is the read-only
-    (Q, B) table of 1 / (2 pi j), zero at j = 0 and past J, from which
-    `frequency_rows` squares a row chunk's weights, since a division per
+    followed by a sum against U. `center_sums(centers, coeffs)` yields the
+    weighted sums S_j over points one row chunk of frequencies at a time,
+    `point_sums(points, k)` gives the sum over j at every point with the
+    weights (2 pi j)^{-k}. Both walk the points `point_chunk` at a time and
+    the rows in the slices `row_chunks`, each chunk at most _PHASE_ENTRIES
+    entries.
+
+    `inverse` is the read-only (Q, B) table of 1 / (2 pi j), zero at j = 0
+    and past J, and `weights(k)` the read-only table of (2 pi j)^{-k},
+    squared from it once (`_inverse_power`), since a division or a pow per
     frequency would cost a scalar `bernoulli_fourier_eval` more than all
-    the rest of its work.
+    the rest of its work. Besides `inverse`, the tables of the last two
+    powers read are kept, as a risk call reads two: the plan holds 24 J
+    bytes of J-length tables, whatever the calls.
 
     The workspaces are made on first use and reused by every later call
-    at this J: the (Q, B) table of center sums, the U and V rows of one
-    point chunk, one point chunk's (rows, Q) partial sums and one row
-    chunk's space, which holds either its complex matrix product or two
-    planes of its weights, never both at once. So `center_sums` and
-    `frequency_rows` return views of a workspace, valid until the next
-    Fourier call: the package runs these sums on one thread.
+    at this J: the U and V rows of one point chunk, one point chunk's
+    (rows, Q) partial sums and one row chunk's complex sums. So the sums
+    `center_sums` yields are a workspace, valid until the next chunk, and
+    a table of `weights` is valid until the next Fourier call: the package
+    runs these sums on one thread.
     """
 
     def __init__(self, J: int):
@@ -238,10 +245,8 @@ class _FourierPlan:
         inv[1:J + 1] = 1.0 / (2.0 * np.pi * np.arange(1, J + 1, dtype=float))
         inv.setflags(write=False)
         self.inverse = inv.reshape(q, b)
-
-    @cached_property
-    def _sums(self) -> np.ndarray:
-        return np.empty(self.shape, dtype=complex)
+        # power -> its table, the last read last; at most two
+        self._weights: dict[int, np.ndarray] = {}
 
     @cached_property
     def _phases(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +258,26 @@ class _FourierPlan:
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        # two float planes of the largest row chunk, or one complex product
-        return np.empty(2 * self.row_chunks[0].stop * self.shape[1])
+        # the complex sums of the largest row chunk
+        return np.empty(self.row_chunks[0].stop * self.shape[1], dtype=complex)
+
+    def weights(self, k: int) -> np.ndarray:
+        """The read-only (Q, B) table of (2 pi j)^{-k}, k >= 1, 0 at j = 0
+        and past J: `inverse` at k = 1, else the kept table of k, or one
+        built into the space of the least recently read of two."""
+        if k == 1:
+            return self.inverse
+        table = self._weights.pop(k, None)
+        if table is None:
+            if len(self._weights) < 2:
+                table = np.empty(self.shape)
+            else:
+                table = self._weights.pop(next(iter(self._weights)))
+                table.setflags(write=True)
+            _inverse_power(self.inverse, k, table)
+            table.setflags(write=False)
+        self._weights[k] = table
+        return table
 
     def _phase_tables(self, points: np.ndarray):
         """Yields (chunk, U, V) for each slice `chunk` of at most
@@ -272,49 +295,51 @@ class _FourierPlan:
                    _power_table(np.exp(2j * np.pi * (x * float(b))), q, out=phase_q[:x.shape[0]]),
                    _power_table(np.exp(2j * np.pi * x), b, out=phase_r[:x.shape[0]]))
 
-    def center_sums(self, centers: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """The (Q, B) table of S_j = sum_i w_i e^{2 pi i j x_i}, w = coeffs
-        and x = centers: each chunk of centers scales its U by its weights
-        and meets V in one product per row chunk, added into the plan's
-        table of center sums, so that no temporary exceeds a chunk."""
-        sums, b = self._sums, self.shape[1]
-        sums.fill(0.0)
-        product = self._rows.view(complex)
-        for chunk, phase_q, phase_r in self._phase_tables(centers):
-            phase_q *= coeffs[chunk, None]
-            for rows in self.row_chunks:
-                sums[rows] += np.matmul(phase_q[:, rows].T, phase_r,
-                                        out=product[:(rows.stop - rows.start) * b].reshape(-1, b))
-        return sums
+    def center_sums(self, centers: np.ndarray, coeffs: np.ndarray):
+        """Yields (rows, S) for each slice `rows` of `row_chunks`, S the
+        (rows, B) sums S_j = sum_i w_i e^{2 pi i j x_i} of its frequencies,
+        w = coeffs and x = centers, in the plan's row chunk workspace, so
+        valid until the next chunk. Each chunk of centers scales its U by
+        its weights and meets V in one product: the first chunk's is
+        written into S, the others' added to it. When the centers fit one
+        point chunk, its phase tables serve every row chunk; else they are
+        made again for each row chunk, so that no temporary exceeds a
+        chunk."""
+        b = self.shape[1]
+
+        def scaled_tables():
+            for chunk, phase_q, phase_r in self._phase_tables(centers):
+                yield np.multiply(phase_q, coeffs[chunk, None], out=phase_q), phase_r
+
+        tables = list(scaled_tables()) if centers.shape[0] <= self.point_chunk else None
+        for rows in self.row_chunks:
+            sums = self._rows[:(rows.stop - rows.start) * b].reshape(-1, b)
+            if centers.shape[0] == 0:
+                sums.fill(0.0)
+            for i, (phase_q, phase_r) in enumerate(scaled_tables() if tables is None else tables):
+                if i == 0:
+                    np.matmul(phase_q[:, rows].T, phase_r, out=sums)
+                else:
+                    sums += phase_q[:, rows].T @ phase_r
+            yield rows, sums
 
     def point_sums(self, points: np.ndarray, k: int) -> np.ndarray:
         """S = sum_{j=1..J} e^{2 pi i j x} (2 pi j)^{-k} at each of the 1-D
         points x. Per point chunk, one (rows, B) @ (B, 2) product per row
-        chunk (`frequency_rows`), on the real and imaginary parts of each
-        point's row of V, so that a point's sum does not depend on the
+        chunk of the table `weights(k)`, on the real and imaginary parts of
+        each point's row of V, so that a point's sum does not depend on the
         others, fills the point's partial sums over r, which one sum
         against its row of U turns into S."""
+        weights = self.weights(k)
         sums = np.empty(points.shape, dtype=complex)
         for chunk, phase_q, phase_r in self._phase_tables(points):
             pairs = phase_r.view(float).reshape(phase_r.shape + (2,))
             partial = self._partial[:phase_q.shape[0]]
             partial_pairs = partial.view(float).reshape(phase_q.shape + (2,))
-            for rows, weights in self.frequency_rows(k):
-                np.matmul(weights, pairs, out=partial_pairs[:, rows])
+            for rows in self.row_chunks:
+                np.matmul(weights[rows], pairs, out=partial_pairs[:, rows])
             sums[chunk] = np.sum(np.multiply(phase_q, partial, out=partial), axis=1)
         return sums
-
-    def frequency_rows(self, *powers: int):
-        """Yields (rows, w_1, ...) for each slice `rows` of `row_chunks`,
-        w_i the (rows, B) weights (2 pi j)^{-p_i} of its frequencies for
-        each of at most two powers, 0 at j = 0 and past J. The chunks reuse
-        the same space, so a chunk's weights are valid until the next one."""
-        step, b = self.row_chunks[0].stop, self.shape[1]
-        planes = self._rows.reshape(2, step, b)[:len(powers)]
-        for rows in self.row_chunks:
-            size = rows.stop - rows.start
-            yield (rows, *(_inverse_power(self.inverse[rows], k, w[:size])
-                           for k, w in zip(powers, planes)))
 
 
 @lru_cache(maxsize=1)
@@ -332,10 +357,11 @@ def bernoulli_fourier_eval(k: int, x, J: int):
     shape); a scalar call returns exactly the matching element of an array
     call, since every point is summed by the same sequence of operations.
     The sums S = sum_j e^{2 pi i j x} (2 pi j)^{-k} are the `point_sums`
-    of the `_FourierPlan` of J, a point chunk and a row chunk of the (Q, B)
-    layout at a time, and the phase e^{-i k pi / 2} is applied once to S,
-    by quarter turns. Besides its points, a call writes only into the
-    plan's workspaces.
+    of the `_FourierPlan` of J, against its table `weights(k)`, a point
+    chunk and a row chunk of the (Q, B) layout at a time, and the phase
+    e^{-i k pi / 2} is applied once to S, by quarter turns. Besides its
+    points, a call writes only into the plan's workspaces and, for a power
+    whose weights are not kept, one table of weights.
 
     For k >= 2 away from integer x the bare truncation error decays like
     J^{-k} with extra cancellation from the oscillating cosines, and nothing

@@ -531,8 +531,9 @@ def spline_kernel_series(m: int, s, t, J: int):
     the B_{2m} series of `bernoulli_fourier_eval` at s - t, scaled as in
     `_spline_poly` (m <= 8), with its exact tail at integer s - t. Broadcast
     over array s and t; a float for scalar arguments."""
-    if m < 1 or J < 1:
-        raise ConfigurationError("need m >= 1 and J >= 1")
+    _check_order(m, range(1, 2 * max(SUPPORTED_ORDERS) + 1))
+    if J < 1:
+        raise ConfigurationError("need J >= 1")
     return float(_spline_poly(m)[-1]) * bernoulli_fourier_eval(2 * m, s - t, J)
 
 

@@ -24,11 +24,13 @@ allowed to rely on the closed form. The Fourier evaluator takes its center
 sums over the frequencies 1..J from the `center_sums` of the cached
 `bernoulli._FourierPlan` of J (j = qB + r, B = isqrt(J): one matrix product
 instead of J x n cosines and sines, a chunk of centers and a chunk of
-frequency rows at a time), squares the gaps to the target one row chunk of
-the plan's `frequency_rows` at a time, so it runs at n = 1e5 in bounded
-memory, and adds the target's tail beyond its last frequency through
-`bernoulli.zeta_tail`, with no scipy. The plan's sums are valid until the
-next Fourier call, so the oracles run on one thread. The quadrature
+frequency rows at a time), which yields them one row chunk at a time. Each
+chunk is turned into its gaps to the target in place, against the plan's
+read-only weight tables, and its squares are summed, so it runs at n = 1e5
+holding no J-length array besides the plan's 24 J bytes of tables; it adds
+the target's tail beyond its last frequency through `bernoulli.zeta_tail`,
+with no scipy. The plan's sums and tables are valid until the next Fourier
+call, so the oracles run on one thread. The quadrature
 evaluator builds no kernel matrix: between two consecutive sorted centers
 the expansion is one polynomial of degree 2m, so `kernels._SplineSum` gives
 it exactly on the trapezoid grid from prefix and suffix sums over the
@@ -49,8 +51,6 @@ from .bernoulli import (MAX_DEGREE, _fourier_plan, bernoulli_numbers, bernoulli_
                         zeta_tail)
 from .errors import ConfigurationError
 from .kernels import _ROW_BLOCK, DoubledForm, SplineGram, _check_order, _SplineSum
-
-_SQRT2 = math.sqrt(2.0)
 
 # subintervals per chunk of the quadrature oracle's grid
 _NODE_CHUNK = 1 << 14
@@ -135,13 +135,12 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     sqrt(2) sin(2 pi j .), each center contributing (2 pi j)^{-2m} times its
     trig values, and (T_j^c, T_j^s) are the target's coordinates, whose
     quarter-turn phase cos / sin(k pi / 2) is exactly 0 or +-1. The center
-    sums S_j = sum_i w_i e^{2 pi i j x_i} fill the (Q, B) table of the
-    `bernoulli._FourierPlan` of J (its `center_sums`, one matrix product
-    per chunk of centers and row chunk), and the squares are summed one
-    row chunk at a time
-    (`frequency_rows`), with that chunk's weights: a call writes only into
-    the plan's J complex sums and O(_PHASE_ENTRIES) phases and weights,
-    whatever n.
+    sums S_j = sum_i w_i e^{2 pi i j x_i} come from the `center_sums` of the
+    `bernoulli._FourierPlan` of J, one row chunk of its (Q, B) layout at a
+    time (one matrix product per chunk of centers and row chunk), and each
+    chunk is squared in place, against the plan's `weights` of 2m and k:
+    a call writes only into the plan's row chunk of sums, its
+    O(_PHASE_ENTRIES) phases and at most two tables of weights, whatever n.
     The target's coordinate tail beyond J (a zeta value) is added as well,
     since for k = 1 it decays too slowly to ignore; the expansion's own
     tail is negligible at the orders handled here.
@@ -150,24 +149,24 @@ def excess_risk_fourier(expansion, m: int, k: int, J: int) -> float:
     if k < 1 or J < 1:
         raise ConfigurationError("need k >= 1 and J >= 1")
     plan = _fourier_plan(J)
-    sums = plan.center_sums(expansion.centers, expansion.coeffs)
     kfac = float(math.factorial(k))
-    # A_j + i B_j = sqrt(2) (2 pi j)^{-2m} S_j and T_j^c + i T_j^s =
-    # target i^k (2 pi j)^{-k}: the target has a cosine (even k) or a sine
-    # (odd k) coordinate, the other exactly 0
-    target = -_SQRT2 * kfac * (1, 1, -1, -1)[k % 4]
+    # A_j + i B_j = sqrt(2) (2 pi j)^{-2m} S_j, and the target has one
+    # coordinate, sqrt(2) c (2 pi j)^{-k} with c = -k! (1, 1, -1, -1)[k % 4],
+    # on the cosine (even k) or the sine (odd k), the other exactly 0. So
+    # each gap is sqrt(2) c times a coordinate of (2 pi j)^{-2m} S_j / c,
+    # less (2 pi j)^{-k} on the target's, and the risk is 2 (k!)^2 times
+    # their sum of squares, plus the target's tail
+    scale = 1.0 / (-kfac * (1, 1, -1, -1)[k % 4])
+    w_a, w_t = plan.weights(2 * m), plan.weights(k)
     total = 0.0
-    for rows, a, t in plan.frequency_rows(2 * m, k):
-        a *= _SQRT2
-        chunk = sums[rows]
-        hit, miss = (chunk.imag, chunk.real) if k % 2 else (chunk.real, chunk.imag)
-        # T - A on the target's coordinate, then A on the other, in place
-        # (each center sum is read once, so A overwrites it)
-        t *= target
-        t -= np.multiply(a, hit, out=hit)
-        a *= miss
-        total += float(np.vdot(t, t) + np.vdot(a, a))
-    return total + 2.0 * kfac**2 * zeta_tail(2 * k, J)
+    for rows, sums in plan.center_sums(expansion.centers, expansion.coeffs):
+        sums *= w_a[rows]
+        sums *= scale
+        hit = sums.imag if k % 2 else sums.real
+        hit -= w_t[rows]
+        pairs = sums.view(float)
+        total += float(np.vdot(pairs, pairs))
+    return 2.0 * kfac**2 * (total + zeta_tail(2 * k, J))
 
 
 def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:

@@ -100,6 +100,16 @@ class TestSeriesOracle:
                     assert type(scalar) is float
                     assert scalar == value, (m, J, i, j)
 
+    def test_rejects_orders_past_eight_by_their_own_name(self):
+        # m = 9 reads B_18, past MAX_DEGREE: the error names m, not 2m
+        with pytest.raises(ConfigurationError, match=r"one of \(1, 2, 3, 4, 5, 6, 7, 8\), got 9$"):
+            spline_kernel_series(9, 0.1, 0.2, 10)
+        for m in (0, 2.5):
+            with pytest.raises(ConfigurationError, match=f"got {m}$"):
+                spline_kernel_series(m, 0.1, 0.2, 10)
+        with pytest.raises(ConfigurationError, match="need J >= 1"):
+            spline_kernel_series(2, 0.1, 0.2, 0)
+
 
 class TestZeroMean:
     @pytest.mark.parametrize("m", [1, 2])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -235,6 +236,16 @@ class TestFourierOracle:
                         direct = direct_fourier_risk(exp, m, k, J, True)
                         assert excess_risk_fourier(exp, m, k, J) == pytest.approx(
                             direct, rel=1e-13, abs=0.0), (J, n, m, k)
+        # two row chunks of center sums, each squared in place, from one
+        # point chunk's phase tables or from tables made again per row chunk
+        J = 40000
+        assert len(_fourier_plan(J).row_chunks) == 2
+        for n in (1, _fourier_plan(J).point_chunk + 1):
+            exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
+            for m, k in itertools.product((1, 2), (1, 2, 3)):
+                direct = direct_fourier_risk(exp, m, k, J, True)
+                assert excess_risk_fourier(exp, m, k, J) == pytest.approx(
+                    direct, rel=1e-13, abs=0.0), (J, n, m, k)
 
     def test_k1_needs_tail(self):
         # the k = 1 target tail beyond 1e5 frequencies is ~5e-7 and the
@@ -246,9 +257,11 @@ class TestFourierOracle:
 
     def test_plan_reuse_cannot_be_observed(self):
         # every oracle value is bitwise the same call's on a fresh plan, over
-        # interleaved J and point counts up to one past a point chunk: the
-        # center sums are zeroed, every chunk view is cut to its call, and
-        # no workspace is sized for another J
+        # interleaved J and point counts up to one past a point chunk, and
+        # interleaved powers that push weight tables out of the plan and
+        # build them again in the space of another: every chunk view is cut
+        # to its call, no workspace is sized for another J and no table
+        # keeps the values of another power
         rng = np.random.default_rng(53)
         for J in (10**5, 101, 4000, 10**5):
             for n in (0, 1, 20, _fourier_plan(J).point_chunk + 1):
@@ -260,18 +273,41 @@ class TestFourierOracle:
                          lambda: bernoulli_fourier_eval(2, x, J),
                          lambda: bernoulli_fourier_eval(4, 0.0, J),
                          lambda: spline_kernel_series(1, xs, x, J)]
-                for i, call in enumerate(calls):
-                    reused = np.asarray(call())
+                for k in (2, 5, 8, 3, 2):
+                    calls += [lambda k=k: bernoulli_fourier_eval(k, x, J),
+                              lambda: excess_risk_fourier(exp, 2, 3, J),
+                              lambda k=k: bernoulli_fourier_eval(k, xs, J),
+                              lambda: excess_risk_fourier(exp, 1, 1, J)]
+                reused = [np.asarray(call()) for call in calls]
+                for i, (call, value) in enumerate(zip(calls, reused)):
                     _fourier_plan.cache_clear()
-                    fresh = np.asarray(call())
-                    assert reused.tobytes() == fresh.tobytes(), (J, n, i)
+                    assert value.tobytes() == np.asarray(call()).tobytes(), (J, n, i)
+
+    def test_plan_keeps_two_read_only_weight_tables(self):
+        # 1 / (2 pi j) and the weights of the last two powers read: 24 J
+        # bytes of J-length tables after any calls, and none writable
+        J = 4000
+        plan = _fourier_plan(J)
+        for k in range(1, 9):
+            bernoulli_fourier_eval(k, 0.3, J)
+            assert plan.weights(k) is plan.weights(k)
+        assert plan.weights(1) is plan.inverse
+        assert sorted(plan._weights) == [7, 8]
+        for table in (plan.inverse, plan.weights(8), plan.weights(2)):
+            with pytest.raises(ValueError):
+                table[1, 1] = 0.0
+        assert len(plan._weights) == 2
+        tables = (plan.inverse, *plan._weights.values())
+        assert sum(table.nbytes for table in tables) == 24 * plan.inverse.size
+        assert _fourier_plan(J) is plan
 
     @pytest.mark.parametrize("n, J, limit", [(20000, 4000, 2.5e6), (50, 10**5, 4e6)])
     def test_memory_is_bounded_by_the_chunks(self, n, J, limit):
-        # phase tables and weights one chunk at a time, besides the J center
-        # sums and the 1 / (2 pi j) table; the traced call builds its own
-        # plan, so its workspaces count: measured 0.8 and 3.4 MB, against
-        # 61.3 and 8.5 MB with whole n x sqrt(J) tables and J-length weights
+        # phase tables and center sums one chunk at a time, besides the
+        # 1 / (2 pi j) table and the weights of the two powers; the traced
+        # call builds its own plan, so its tables and workspaces count:
+        # measured 0.84 and 3.58 MB, against 61.3 and 8.5 MB with whole
+        # n x sqrt(J) tables and J-length weights
         rng = np.random.default_rng(47)
         exp = KernelExpansion(rng.random(n), rng.uniform(-1.0, 1.0, n))
         excess_risk_fourier(exp, 2, 2, J)
