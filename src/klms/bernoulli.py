@@ -28,9 +28,14 @@ chunk at most _PHASE_ENTRIES entries, so no call holds an array of
 n sqrt(J) phases. The weights (2 pi j)^{-k} are the plan's read-only
 tables `weights(k)`, squared once from its table of 1 / (2 pi j)
 (`_inverse_power`), with no float pow; the tables of the last two powers
-read are kept. Only the last J's plan is kept, with the workspaces these
-sums write into: 24 J bytes of J-length tables (1 / (2 pi j) and the
-weights of two powers) and four chunk workspaces, 3.7 MB at J = 1e5.
+read are kept. A missing power is squared straight into the table it
+reuses, with no copy pass, and starts from a kept power on its
+square-and-multiply chain when there is one, so every table has the bits
+of a build from 1 / (2 pi j) alone. Each phase table is filled and
+accumulated in place by the one path of `_power_table`. Only the last J's
+plan is kept, with the workspaces these sums write into: 24 J bytes of
+J-length tables (1 / (2 pi j) and the weights of two powers) and four
+chunk workspaces, 3.7 MB at J = 1e5.
 Repeated calls at one J allocate no J-length array once two powers are
 kept: the weights of a new power are built in the space of the least
 recently read. A workspace is valid until the next Fourier call, so the
@@ -176,28 +181,48 @@ def zeta_tail(s: float, J: int) -> float:
 
 
 def _power_table(d: np.ndarray, count: int, axis: int = -1, out=None) -> np.ndarray:
-    """d**0, ..., d**(count - 1) stacked along a new `axis`, as running
-    products: correctly rounded up to the square, within about (p - 1)/2
-    ulp at power p, and several times faster than `**`, which calls pow.
-    Written into `out` when it is given, of the table's shape."""
-    if out is None:
-        table = np.repeat(np.expand_dims(d, axis), count, axis=axis)
-    else:
-        table = out
-        np.copyto(table, np.expand_dims(d, axis))
-    np.moveaxis(table, axis, 0)[0] = 1.0
-    return np.multiply.accumulate(table, axis=axis, out=table)
+    """d**0, ..., d**(count - 1) stacked along a new `axis`, the table's last
+    or next-to-last, as running products: correctly rounded up to the
+    square, within about (p - 1)/2 ulp at power p, and several times faster
+    than `**`, which calls pow. Written into `out` when it is given, of the
+    table's shape. Either way one path fills it: the `swapaxes` view of
+    the table with the new axis last lists d's axes in order, so ones and
+    then d are written into that view and the products accumulated in
+    place: no copy of d into a repeated table and no axis moved, a few
+    microseconds of fixed cost per call, which the one-point phase tables
+    of a scalar Fourier call pay twice."""
+    at = axis % (d.ndim + 1)
+    if at < d.ndim - 1:
+        raise ValueError("the powers go on the table's last or next-to-last axis")
+    table = np.empty(d.shape[:at] + (count,) + d.shape[at:], d.dtype) if out is None else out
+    view = table.swapaxes(at, -1)
+    view[..., 0] = 1.0
+    view[..., 1:] = d[..., None]
+    return np.multiply.accumulate(table, axis=at, out=table)
 
 
-def _inverse_power(inv: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+def _inverse_power(inv: np.ndarray, k: int, out: np.ndarray, kept=None) -> np.ndarray:
     """inv**k, k >= 1, written into `out`: squared and multiplied along the
     bits of k, at most 2 log2 k array products, a fraction of the cost of
-    one float pow."""
-    np.copyto(out, inv)
+    one float pow. The chain of powers runs 1, then per bit after the
+    leading one its double and, for a 1, one more (7: 1, 2, 3, 6, 7). It
+    starts from inv, or from the latest power before k on it with a table
+    in `kept` (power -> table, built on this chain, so of the same bits),
+    and its first product writes into `out`, so no pass copies a table
+    first. `out` may be a table of `kept`, the one the chain starts from
+    included: every product is elementwise."""
+    if k == 1:
+        np.copyto(out, inv)
+        return out
+    kept = {**(kept or {}), 1: inv}
+    chain = [1]
     for bit in bin(k)[3:]:
-        out *= out
-        if bit == "1":
-            out *= inv
+        chain += [2 * chain[-1], 2 * chain[-1] + 1] if bit == "1" else [2 * chain[-1]]
+    start = max(i for i, power in enumerate(chain[:-1]) if power in kept)
+    table = kept[chain[start]]
+    for before, power in zip(chain[start:], chain[start + 1:]):
+        np.multiply(table, table if power == 2 * before else inv, out=out)
+        table = out
     return out
 
 
@@ -220,7 +245,8 @@ class _FourierPlan:
 
     `inverse` is the read-only (Q, B) table of 1 / (2 pi j), zero at j = 0
     and past J, and `weights(k)` the read-only table of (2 pi j)^{-k},
-    squared from it once (`_inverse_power`), since a division or a pow per
+    squared from it once (`_inverse_power`, continuing from a kept table
+    on the chain of k when there is one), since a division or a pow per
     frequency would cost a scalar `bernoulli_fourier_eval` more than all
     the rest of its work. Besides `inverse`, the tables of the last two
     powers read are kept, as a risk call reads two: the plan holds 24 J
@@ -264,17 +290,22 @@ class _FourierPlan:
     def weights(self, k: int) -> np.ndarray:
         """The read-only (Q, B) table of (2 pi j)^{-k}, k >= 1, 0 at j = 0
         and past J: `inverse` at k = 1, else the kept table of k, or one
-        built into the space of the least recently read of two."""
+        built by `_inverse_power` straight into new space or that of the
+        least recently read of two, with no copy pass, from the latest
+        power on the square-and-multiply chain of k that has a kept table,
+        the one it replaces included (8 from 4, 7 from 6 or 3), else from
+        `inverse`: bitwise the table a fresh plan would build."""
         if k == 1:
             return self.inverse
         table = self._weights.pop(k, None)
         if table is None:
-            if len(self._weights) < 2:
+            kept = dict(self._weights)
+            if len(kept) < 2:
                 table = np.empty(self.shape)
             else:
                 table = self._weights.pop(next(iter(self._weights)))
                 table.setflags(write=True)
-            _inverse_power(self.inverse, k, table)
+            _inverse_power(self.inverse, k, table, kept)
             table.setflags(write=False)
         self._weights[k] = table
         return table

@@ -35,7 +35,8 @@ evaluator builds no kernel matrix: between two consecutive sorted centers
 the expansion is one polynomial of degree 2m, so `kernels._SplineSum` gives
 it exactly on the trapezoid grid from prefix and suffix sums over the
 centers, a chunk of nodes at a time, O(n log n + grid m) work in O(n)
-memory besides a chunk.
+memory besides a chunk, and sums each chunk's trapezoid from the sum of
+its values and its two end values.
 An expansion without centers is the zero function in all three
 evaluators, with no special case.
 """
@@ -178,7 +179,11 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
     expansion is evaluated on the grid as a piecewise polynomial by
     `kernels._SplineSum`, with no centers x grid kernel values, _NODE_CHUNK
     subintervals at a time: a call holds no grid-length array, only a few
-    arrays of one chunk.
+    arrays of one chunk. A chunk's trapezoid on its squared gaps y is
+    (sum y - (y_first + y_last) / 2) / grid_size, the rule on equal steps
+    1 / grid_size, with no step or average temporaries: within about 1 ulp
+    of `np.trapezoid` on the nodes, whose steps differ from 1 / grid_size
+    by rounding.
     """
     _check_order(m)
     if grid_size < 1000:
@@ -194,7 +199,7 @@ def excess_risk_mc(expansion, m: int, k: int, grid_size: int) -> float:
         diff = spline(nodes)
         diff -= bernoulli_poly(k, nodes)
         diff *= diff
-        total += np.trapezoid(diff, nodes)
+        total += (diff.sum() - 0.5 * (diff[0] + diff[-1])) / grid_size
     return float(total)
 
 

@@ -445,6 +445,31 @@ class TestPowerTable:
         assert got.shape == (6, 5, 7) and got.flags.c_contiguous
         assert np.array_equal(got, _power_table(d.T, 5).transpose(1, 2, 0))
 
+    @pytest.mark.parametrize("shape, count, axis, dtype, into", [
+        ((1,), 317, -1, complex, True), ((51,), 316, -1, complex, True),
+        ((3162,), 5, -1, float, False), ((56, 83), 9, 1, float, False)])
+    def test_one_fill_path_is_the_repeated_table_bitwise(self, shape, count, axis, dtype, into):
+        # the Fourier phase tables (into their workspaces), the predictor's
+        # centred powers and the form's (bins, L, width) slot powers, against
+        # d repeated along the new axis, its first entry set to 1, and
+        # accumulated
+        rng = np.random.default_rng(44)
+        d = rng.uniform(-0.5, 0.5, shape)
+        if dtype is complex:
+            d = np.exp(2j * np.pi * d)
+        want = np.repeat(np.expand_dims(d, axis), count, axis=axis)
+        np.moveaxis(want, axis, 0)[0] = 1.0
+        np.multiply.accumulate(want, axis=axis, out=want)
+        out = np.full(want.shape, np.nan, dtype=dtype) if into else None
+        got = _power_table(d, count, axis=axis, out=out)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert out is None or got is out
+
+    def test_rejects_an_axis_before_the_last_two(self):
+        with pytest.raises(ValueError):
+            _power_table(np.zeros((2, 3)), 4, axis=0)
+
 
 class TestEigenCheck:
     def test_cosine_zero(self):

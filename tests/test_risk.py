@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import klms.risk
-from klms.bernoulli import (_fourier_plan, bernoulli_fourier_eval, bernoulli_poly,
-                            bernoulli_poly_coeffs, zeta_tail)
+from klms.bernoulli import (_fourier_plan, _FourierPlan, _inverse_power, bernoulli_fourier_eval,
+                            bernoulli_poly, bernoulli_poly_coeffs, zeta_tail)
 from klms.errors import ConfigurationError
 from klms.estimator import KernelExpansion, prefix_iterate, sgd_constant_grid, sgd_run
 from klms.harness import (POINT_NOISE, TABLE_POINTS, ExperimentConfig, _algorithm_spec,
@@ -301,6 +301,42 @@ class TestFourierOracle:
         assert sum(table.nbytes for table in tables) == 24 * plan.inverse.size
         assert _fourier_plan(J) is plan
 
+    @pytest.mark.parametrize("order", [list(range(1, 9)), [4, 8], [3, 6], [2, 4, 8],
+                                       [8, 4, 2, 1], [3, 6, 7, 5, 4, 8, 2, 6, 3],
+                                       [5, 2, 7, 4, 8, 1, 6, 3]])
+    def test_weight_tables_are_the_powers_of_a_fresh_plan(self, order):
+        # tables built from a kept table on the power's square-and-multiply
+        # chain (8 from 4, 6 from 3), from 1 / (2 pi j), or into the space
+        # of the table a read evicts: after each read, every table the plan
+        # holds is bitwise the power squared from a fresh plan's 1 / (2 pi j)
+        # alone, and the plan holds 24 J bytes of tables
+        J = 4000
+        _fourier_plan.cache_clear()
+        plan = _fourier_plan(J)
+        fresh = _FourierPlan(J).inverse
+        for k in order:
+            table = plan.weights(k)
+            assert table is (plan.inverse if k == 1 else plan._weights[k])
+            for power, kept in ((1, plan.inverse), *plan._weights.items()):
+                want = _inverse_power(fresh, power, np.empty(plan.shape))
+                assert kept.tobytes() == want.tobytes(), (order, k, power)
+        tables = (plan.inverse, *plan._weights.values())
+        assert sum(table.nbytes for table in tables) == 24 * plan.inverse.size
+
+    def test_inverse_power_continues_from_the_latest_kept_chain_power(self):
+        # the chain of k (7: 1, 2, 3, 6, 7) starts at its latest kept power
+        # before k: tables of 2s make the kept bases visible, and a table
+        # may be both the base and the output
+        inv = np.full(3, 0.5)
+        twos = np.full(3, 2.0)
+        for k, kept, want in ((8, {4: twos, 2: np.ones(3)}, 4.0), (8, {2: twos}, 16.0),
+                              (6, {3: twos}, 4.0), (7, {3: twos}, 2.0), (7, {6: twos}, 1.0),
+                              (5, {4: twos, 3: np.ones(3)}, 1.0), (3, {2: twos}, 1.0),
+                              (5, {3: twos}, 2.0**-5), (1, {1: twos}, 0.5)):
+            assert np.all(_inverse_power(inv, k, np.empty(3), kept) == want), (k, kept)
+        base = twos.copy()
+        assert np.all(_inverse_power(inv, 12, base, {6: base}) == 4.0)
+
     @pytest.mark.parametrize("n, J, limit", [(20000, 4000, 2.5e6), (50, 10**5, 4e6)])
     def test_memory_is_bounded_by_the_chunks(self, n, J, limit):
         # phase tables and center sums one chunk at a time, besides the
@@ -320,22 +356,27 @@ class TestFourierOracle:
             tracemalloc.stop()
         assert peak < limit
 
-    def test_oracles_load_no_scipy_special(self):
-        # the Fourier tails are Euler-Maclaurin sums, not scipy.special.zeta
+    def test_oracles_load_no_scipy(self):
+        # the Fourier tails are Euler-Maclaurin sums, not scipy.special.zeta,
+        # and no oracle reaches for scipy.linalg: after the CLI's imports,
+        # one call of each of the five loads no scipy module at all
         src = str(Path(klms.risk.__file__).resolve().parent.parent)
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy as np\n"
+                "import klms.cli\n"
                 "from klms.bernoulli import bernoulli_fourier_eval\n"
                 "from klms.estimator import KernelExpansion\n"
                 "from klms.kernels import spline_kernel_series\n"
-                "from klms.risk import excess_risk_fourier\n"
+                "from klms.risk import excess_risk_closed, excess_risk_fourier, excess_risk_mc\n"
                 "exp = KernelExpansion(np.array([0.2, 0.7]), np.array([1.0, -0.5]))\n"
+                "excess_risk_closed(exp, 1, 1)\n"
                 "excess_risk_fourier(exp, 1, 1, 100)\n"
+                "excess_risk_mc(exp, 2, 3, 1000)\n"
                 "bernoulli_fourier_eval(2, np.array([0.0, 0.3]), 100)\n"
                 "spline_kernel_series(2, 0.0, 0.0, 100)\n"
-                "print('scipy.special' in sys.modules)")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                              check=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("point", sorted(TABLE_POINTS))
     def test_production_scale_averaged_iterate(self, point):
@@ -410,6 +451,19 @@ class TestQuadratureOracle:
             for k in (1, 2, 3):
                 assert excess_risk_mc(exp, m, k, 1000) == pytest.approx(
                     dense_quadrature_risk(exp, m, k, 1000), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("grid", [1000, 2**14 + 1, 10**5])
+    def test_chunk_sums_match_the_trapezoid_rule(self, grid):
+        # each chunk's trapezoid summed as (sum y - (y_first + y_last) / 2)
+        # / grid, against np.trapezoid over the whole np.linspace grid
+        rng = np.random.default_rng(59)
+        ts = np.linspace(0.0, 1.0, grid + 1)
+        for m, k in itertools.product(range(1, 5), range(1, 5)):
+            exp = KernelExpansion(rng.random(20), rng.uniform(-1.0, 1.0, 20))
+            diff = _SplineSum(m, exp.centers, exp.coeffs)(ts) - bernoulli_poly(k, ts)
+            want = float(np.trapezoid(diff * diff, ts))
+            assert excess_risk_mc(exp, m, k, grid) == pytest.approx(
+                want, rel=1e-13, abs=0.0), (m, k)
 
     def test_memory_is_linear_in_grid_and_centers(self):
         # a few grid-length arrays and O(n) work space: no (grid, 2m + 1)
